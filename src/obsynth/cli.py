@@ -20,13 +20,7 @@ import sys
 
 import numpy as np
 
-from .benchmarks import (
-    closed_loop,
-    design_problem,
-    format_table,
-    run_bench,
-    simulate_problem,
-)
+from .benchmarks import format_table, run_bench, simulate_problem
 from .errors import ObsynthError
 from .linalg import as_matrix
 from .positive import (
@@ -37,7 +31,7 @@ from .positive import (
 )
 from .problem import ProblemFile, parse_problem
 from .simulation import check_inclusion, empirical_peak_gain
-from .synthesis import certify
+from .synthesis import certify, design
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -98,7 +92,7 @@ def _parse_matrix_flag(text: str, name: str, n: int, p: int) -> np.ndarray:
     return as_matrix(arr, name)
 
 
-def _design_document(pf: ProblemFile, spec, result) -> dict:
+def _design_document(plant, spec, result) -> dict:
     doc = {
         "status": result.status,
         "kind": result.kind,
@@ -108,14 +102,10 @@ def _design_document(pf: ProblemFile, spec, result) -> dict:
         "gamma": result.gamma,
         "X_diag": result.X_diag,
         "U": result.U,
-        "alpha": result.alpha,
         "diagnostic": result.diagnostic,
     }
     if result.status == "optimal":
-        system = pf.system()
-        if pf.klass == "population":
-            system = system.system()
-        report = certify(result, system, spec)
+        report = certify(result, plant, spec)
         doc["certification"] = {
             "passed": report.passed,
             "flags": report.flags,
@@ -127,8 +117,9 @@ def _design_document(pf: ProblemFile, spec, result) -> dict:
 def cmd_design(args) -> int:
     pf = parse_problem(args.input)
     spec = _spec_for(pf, args)
-    result = design_problem(pf, spec)
-    _emit(_design_document(pf, spec, result), args.out)
+    plant = pf.plant()
+    result = design(plant, spec)
+    _emit(_design_document(plant, spec, result), args.out)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
 
 
@@ -140,16 +131,14 @@ def cmd_gain(args) -> int:
             f"(got class {pf.klass!r})"
         )
     spec = _spec_for(pf, args)
-    system = pf.system()
-    if pf.klass == "population":
-        system = system.system()
+    system = pf.plant()
     n, p = system.n, system.p
 
     if args.gain is not None:
         L = _parse_matrix_flag(args.gain, "gain", n, p)
         L = as_matrix(L, "L", (n, system.r))
     else:
-        result = design_problem(pf, spec)
+        result = design(system, spec)
         if result.status != "optimal":
             _emit({"status": result.status, "diagnostic": result.diagnostic}, args.out)
             return EXIT_INFEASIBLE
@@ -184,7 +173,7 @@ def cmd_gain(args) -> int:
 def cmd_simulate(args) -> int:
     pf = parse_problem(args.input)
     spec = _spec_for(pf, args)
-    result = design_problem(pf, spec)
+    result = design(pf.plant(), spec)
     if result.status != "optimal":
         _emit({"status": result.status, "diagnostic": result.diagnostic})
         return EXIT_INFEASIBLE

@@ -219,6 +219,50 @@ class DelaySystem:
 
 
 @dataclass
+class DiscreteDelaySystem:
+    """x(k+1) = A_d x(k) + A_dh x(k-d) + E_d w(k),
+    y(k) = C_d x(k) + C_dh x(k-d) + F_d w(k).
+
+    The delay d is not stored: design and gain depend only on the
+    zero-delay aggregate (A_d + A_dh, C_d + C_dh).
+    """
+
+    A_d: np.ndarray
+    A_dh: np.ndarray
+    E_d: np.ndarray
+    C_d: np.ndarray
+    C_dh: np.ndarray
+    F_d: np.ndarray
+
+    def __post_init__(self):
+        self.A_d = _square(self.A_d, "A_d")
+        n = self.A_d.shape[0]
+        self.A_dh = _square(self.A_dh, "A_dh")
+        if self.A_dh.shape[0] != n:
+            raise DimensionError("A_d and A_dh sizes differ")
+        self.E_d = _input_map(self.E_d, n, "E_d")
+        self.C_d = _output_map(self.C_d, n, "C_d")
+        self.C_dh = _output_map(self.C_dh, n, "C_dh")
+        if self.C_dh.shape[0] != self.C_d.shape[0]:
+            raise DimensionError("C_d and C_dh row counts differ")
+        self.F_d = _feedthrough(
+            self.F_d, self.C_d.shape[0], self.E_d.shape[1], "F_d"
+        )
+
+    @property
+    def n(self) -> int:
+        return self.A_d.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.E_d.shape[1]
+
+    @property
+    def r(self) -> int:
+        return self.C_d.shape[0]
+
+
+@dataclass
 class StabilityCertificate:
     """Positive vector proving a Metzler matrix Hurwitz.
 

@@ -264,6 +264,12 @@ class ProblemFile:
         except ObsynthError as exc:
             raise ProblemFileError(f"$.{d['class']} system: {exc}") from exc
 
+    def plant(self):
+        """The linear system the observer is designed for: the system
+        itself, or the linear part of a population model."""
+        system = self.system()
+        return system.system() if self.klass == "population" else system
+
     def observer_spec(
         self, epsilon: float | None = None, fallback: float = DEFAULT_EPSILON
     ) -> ObserverSpec:

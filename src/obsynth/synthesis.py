@@ -6,21 +6,26 @@ change of variables U = XL with X diagonal positive, optimality of the
 peak-to-peak gain for the aggregate output (every error component
 summed, no feedthrough) becomes a finite LP:
 
-    minimize gamma over (X, U, alpha, gamma) such that
-      X A - U C + alpha I  >= 0          (entrywise; A - LC Metzler)
+    minimize gamma over (X, U, gamma) such that
+      (X A - U C)_ij       >= 0          for i != j (A - LC Metzler)
       X E - U F            >= 0          (standard form only)
       sum_i (X S - U T)_ij + 1 <= -eps   for every column j (stability)
       sum_ij (X E - U F)_ij - gamma <= -eps
 
 with (S, T) = (A, C) in continuous time, (A + A_h, C + C_h) with delay,
-and the Schur shift (A_d - I, C_d) in discrete time.  The one gain L*
-recovered as X^{-1} U is optimal simultaneously for every nonnegative
-output weighting, which is why a single aggregate LP suffices.
+and the Schur shift (A_d - I, C_d) in discrete time.  The Metzler
+condition leaves the diagonal of A - LC free, so it has off-diagonal
+rows only.  The one gain L* recovered as X^{-1} U is optimal
+simultaneously for every nonnegative output weighting, which is why a
+single aggregate LP suffices.
 
 X carries no normalization beyond X_ii >= eps: the stability rows pin
 its scale, and any stronger floor (say X_ii >= 1) breaks the change of
 variables by letting U drift off the X L* ray when the floor binds,
 returning suboptimal gains.
+
+Every plant type maps to the matrices of its LP through one table,
+which `design`, `certify` and `closed_loop` share.
 """
 
 from __future__ import annotations
@@ -36,14 +41,11 @@ from .positive import (
     DEFAULT_EPSILON,
     ContinuousSystem,
     DelaySystem,
+    DiscreteDelaySystem,
     DiscreteSystem,
     _closed_gain,
     hurwitz_certificate,
 )
-
-# Magnitude cap on the diagonal-shift variable; far beyond anything a
-# sane instance needs, it only keeps the polytope bounded in alpha.
-ALPHA_CAP = 1e6
 
 DIAG_SIGN_CONFLICT = (
     "E - L F >= 0 conflicts with the stability requirement: some gain "
@@ -104,7 +106,7 @@ class DesignResult:
     """Outcome of a synthesis LP.
 
     On success L is the optimal gain, gamma the certified peak-to-peak
-    gain of the aggregate error output, and (X_diag, U, alpha) the LP
+    gain of the aggregate error output, and (X_diag, U) the LP
     certificate with L = diag(X_diag)^{-1} U.  On infeasibility the
     diagnostic says which requirement could not be met.
     """
@@ -117,7 +119,6 @@ class DesignResult:
     gamma: float | None = None
     X_diag: np.ndarray | None = None
     U: np.ndarray | None = None
-    alpha: float | None = None
     diagnostic: str | None = None
 
 
@@ -136,106 +137,94 @@ class _DesignData:
 
     kind: str
     form: str
-    n: int
-    r: int
-    sign_families: list[tuple[str, np.ndarray, np.ndarray]]  # (label, P, Q): XP - UQ >= 0
-    use_alpha: bool  # alpha I added to the first family
+    structural: list[tuple[str, np.ndarray, np.ndarray]]  # (label, P, Q): XP - UQ >= 0
+    first_metzler: bool  # structural[0] constrains off-diagonal entries only
     S: np.ndarray  # stability pair: columns of X S - U T
     T: np.ndarray
-    gamma_x: np.ndarray  # gamma row: gamma >= x . gamma_x + sum_ik u_ik gamma_u_k + eps
-    gamma_u: np.ndarray
-    E: np.ndarray  # loop input pair for certification
+    E: np.ndarray  # error-loop input pair; gamma bounds 1^T (X E - U F) 1
     F: np.ndarray
+    input_label: str | None  # E - L F >= 0 is a family; None in the relaxed form
+
+    @property
+    def n(self) -> int:
+        return self.S.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.T.shape[0]
+
+    def sign_families(self, with_input: bool = True) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        if with_input and self.input_label is not None:
+            return [*self.structural, (self.input_label, self.E, self.F)]
+        return list(self.structural)
+
+
+def _standard_only(kind: str, form: str) -> None:
+    if form != "standard":
+        raise PreconditionError(f"{kind} design supports the standard form only")
+
+
+def _delayed(label: str, P: np.ndarray, Q: np.ndarray) -> list:
+    """The delayed-term family, left out when the delayed terms vanish."""
+    return [(label, P, Q)] if np.any(P != 0.0) or np.any(Q != 0.0) else []
 
 
 def _data_ct(sys: ContinuousSystem, form: str) -> _DesignData:
-    n, p, r = sys.n, sys.p, sys.r
-    families = [("A - L C Metzler", sys.A, sys.C)]
     if form == "standard":
-        families.append(("E - L F nonnegative", sys.E, sys.F))
-        gx, gu = sys.E @ np.ones(p), -(sys.F @ np.ones(p))
+        E, F, input_label = sys.E, sys.F, "E - L F nonnegative"
     else:
-        gx, gu = np.ones(n), np.zeros(r)
+        E, F, input_label = np.eye(sys.n), np.zeros((sys.r, sys.n)), None
     return _DesignData(
-        "continuous", form, n, r, families, True, sys.A, sys.C, gx, gu, sys.E, sys.F
+        "continuous", form, [("A - L C Metzler", sys.A, sys.C)], True,
+        sys.A, sys.C, E, F, input_label,
     )
 
 
-def _data_delay(sys: DelaySystem) -> _DesignData:
-    n, p, r = sys.n, sys.p, sys.r
+def _data_delay(sys: DelaySystem, form: str) -> _DesignData:
+    _standard_only("delay", form)
     families = [("A - L C Metzler", sys.A, sys.C)]
-    if np.any(sys.A_h != 0.0) or np.any(sys.C_h != 0.0):
-        families.append(("A_h - L C_h nonnegative", sys.A_h, sys.C_h))
-    families.append(("E - L F nonnegative", sys.E, sys.F))
+    families += _delayed("A_h - L C_h nonnegative", sys.A_h, sys.C_h)
     return _DesignData(
-        "delay",
-        "standard",
-        n,
-        r,
-        families,
-        True,
-        sys.A + sys.A_h,
-        sys.C + sys.C_h,
-        sys.E @ np.ones(p),
-        -(sys.F @ np.ones(p)),
-        sys.E,
-        sys.F,
+        "delay", form, families, True,
+        sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F nonnegative",
     )
 
 
-def _data_dt(sys: DiscreteSystem) -> _DesignData:
-    n, p, r = sys.n, sys.p, sys.r
-    families = [
-        ("A_d - L C_d nonnegative", sys.A_d, sys.C_d),
-        ("E_d - L F_d nonnegative", sys.E_d, sys.F_d),
-    ]
+def _data_dt(sys: DiscreteSystem, form: str) -> _DesignData:
+    _standard_only("discrete", form)
     return _DesignData(
-        "discrete",
-        "standard",
-        n,
-        r,
-        families,
-        False,
-        sys.A_d - np.eye(n),
-        sys.C_d,
-        sys.E_d @ np.ones(p),
-        -(sys.F_d @ np.ones(p)),
-        sys.E_d,
-        sys.F_d,
+        "discrete", form, [("A_d - L C_d nonnegative", sys.A_d, sys.C_d)], False,
+        sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d nonnegative",
     )
 
 
-def _data_dt_delay(A_d, A_dh, E_d, C_d, C_dh, F_d) -> _DesignData:
-    sys = DiscreteSystem(A_d, E_d, C_d, F_d)
-    n, p, r = sys.n, sys.p, sys.r
-    A_dh = as_matrix(A_dh, "A_dh", (n, n))
-    C_dh = as_matrix(np.atleast_2d(np.asarray(C_dh, dtype=float)), "C_dh", (r, n))
+def _data_dt_delay(sys: DiscreteDelaySystem, form: str) -> _DesignData:
+    _standard_only("discrete", form)
     families = [("A_d - L C_d nonnegative", sys.A_d, sys.C_d)]
-    if np.any(A_dh != 0.0) or np.any(C_dh != 0.0):
-        families.append(("A_dh - L C_dh nonnegative", A_dh, C_dh))
-    families.append(("E_d - L F_d nonnegative", sys.E_d, sys.F_d))
+    families += _delayed("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh)
     return _DesignData(
-        "discrete-delay",
-        "standard",
-        n,
-        r,
-        families,
-        False,
-        sys.A_d + A_dh - np.eye(n),
-        sys.C_d + C_dh,
-        sys.E_d @ np.ones(p),
-        -(sys.F_d @ np.ones(p)),
-        sys.E_d,
-        sys.F_d,
+        "discrete-delay", form, families, False,
+        sys.A_d + sys.A_dh - np.eye(sys.n), sys.C_d + sys.C_dh, sys.E_d, sys.F_d,
+        "E_d - L F_d nonnegative",
     )
 
 
-def _layout(data: _DesignData) -> tuple[int, int, int]:
-    """Column indices: x at 0, U row-major at n, then alpha, gamma last."""
-    n, r = data.n, data.r
-    i_alpha = n + n * r if data.use_alpha else -1
-    i_gamma = n + n * r + (1 if data.use_alpha else 0)
-    return i_alpha, i_gamma, i_gamma + 1
+_DESIGN_DATA = {
+    ContinuousSystem: _data_ct,
+    DelaySystem: _data_delay,
+    DiscreteSystem: _data_dt,
+    DiscreteDelaySystem: _data_dt_delay,
+}
+
+
+def _design_data(system, form: str) -> _DesignData:
+    build = _DESIGN_DATA.get(type(system))
+    if build is None:
+        names = ", ".join(cls.__name__ for cls in _DESIGN_DATA)
+        raise PreconditionError(
+            f"cannot design for a {type(system).__name__}; expected one of {names}"
+        )
+    return build(system, form)
 
 
 def _assemble(
@@ -245,14 +234,13 @@ def _assemble(
     hi: np.ndarray | None,
     with_gain_rows: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (lhs, rhs) with lhs z <= rhs over z = [x, u, (alpha,) gamma].
+    """Rows (lhs, rhs) with lhs z <= rhs over z = [x, U row-major, gamma].
 
-    with_gain_rows=False drops the disturbance-sign family and the gamma
-    row, leaving pure stabilizability; that is the diagnostic solve.
+    with_gain_rows=False drops the E - L F family and the gamma row,
+    leaving pure stabilizability; that is the diagnostic solve.
     """
     n, r = data.n, data.r
-    i_alpha, i_gamma, nv = _layout(data)
-    alpha_cap = ALPHA_CAP * max(1.0, float(np.max(np.abs(data.S))))
+    nv = n + n * r + 1
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
@@ -261,18 +249,15 @@ def _assemble(
         rows.append(row)
         rhs.append(b)
 
-    for fam_index, (label, P, Q) in enumerate(data.sign_families):
-        if not with_gain_rows and label.startswith("E"):
-            continue
-        w = P.shape[1]
-        with_alpha = data.use_alpha and fam_index == 0
+    for fam_index, (_, P, Q) in enumerate(data.sign_families(with_gain_rows)):
+        off_diagonal_only = data.first_metzler and fam_index == 0
         for i in range(n):
-            for j in range(w):
+            for j in range(P.shape[1]):
+                if off_diagonal_only and i == j:
+                    continue
                 row = np.zeros(nv)
                 row[i] = -P[i, j]
                 row[n + i * r : n + (i + 1) * r] = Q[:, j]
-                if with_alpha and i == j:
-                    row[i_alpha] = -1.0
                 add(row, 0.0)
 
     for j in range(n):
@@ -283,23 +268,18 @@ def _assemble(
         add(row, -1.0 - epsilon)
 
     if with_gain_rows:
+        ones = np.ones(data.E.shape[1])
         row = np.zeros(nv)
-        row[:n] = data.gamma_x
+        row[:n] = data.E @ ones
         for i in range(n):
-            row[n + i * r : n + (i + 1) * r] = data.gamma_u
-        row[i_gamma] = -1.0
+            row[n + i * r : n + (i + 1) * r] -= data.F @ ones
+        row[-1] = -1.0
         add(row, -epsilon)
 
     for i in range(n):
         row = np.zeros(nv)
         row[i] = -1.0
         add(row, -epsilon)
-
-    if data.use_alpha:
-        for sign in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[i_alpha] = sign
-            add(row, alpha_cap)
 
     for B, sign in ((lo, 1.0), (hi, -1.0)):
         if B is None:
@@ -314,39 +294,46 @@ def _assemble(
     return np.array(rows), np.array(rhs)
 
 
-def _run_design(data: _DesignData, spec: ObserverSpec) -> DesignResult:
-    lo, hi = spec.bounds(data.n, data.r)
+def design(system, spec: ObserverSpec) -> DesignResult:
+    """Optimal interval-observer gain for a plant of any supported type.
+
+    A ContinuousSystem takes either observer form; DelaySystem,
+    DiscreteSystem and DiscreteDelaySystem take the standard form.  The
+    relaxed form lets E - LF change sign: the disturbance input of the
+    gain condition is replaced by the identity input aggregated over the
+    n error channels, so gamma then measures the n-channel relaxed error
+    system rather than the p-channel one driven through E - LF.  Delayed
+    plants are designed on their zero-delay aggregate, so the result
+    does not depend on the delay.
+    """
+    data = _design_data(system, spec.form)
+    n, r = data.n, data.r
+    lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
-    _, i_gamma, nv = _layout(data)
     lhs, rhs = _assemble(data, eps, lo, hi)
-    objective = np.zeros(nv)
-    objective[i_gamma] = 1.0
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
     sol = solve(LinearProgram(objective, lhs, rhs))
     if sol.status is LpStatus.OPTIMAL:
-        x = sol.primal[: data.n]
-        U = sol.primal[data.n : data.n + data.n * data.r].reshape(data.n, data.r)
-        alpha = float(sol.primal[_layout(data)[0]]) if data.use_alpha else None
+        x = sol.primal[:n]
+        U = sol.primal[n : n + n * r].reshape(n, r)
         return DesignResult(
             status="optimal",
             kind=data.kind,
             form=data.form,
             epsilon=eps,
             L=U / x[:, None],
-            gamma=float(sol.primal[i_gamma]),
+            gamma=float(sol.primal[-1]),
             X_diag=x,
             U=U,
-            alpha=alpha,
         )
     if sol.status is not LpStatus.INFEASIBLE:  # pragma: no cover - gamma bounded
         raise PreconditionError("design LP reported unbounded")
-    has_sign_family = data.form == "standard"
-    if has_sign_family:
+    diagnostic = DIAG_NO_STABILIZER
+    if data.input_label is not None:
         d_lhs, d_rhs = _assemble(data, eps, lo, hi, with_gain_rows=False)
-        objective = np.zeros(nv)
-        stabilizable = check_feasible(LinearProgram(objective, d_lhs, d_rhs))
-        diagnostic = DIAG_SIGN_CONFLICT if stabilizable else DIAG_NO_STABILIZER
-    else:
-        diagnostic = DIAG_NO_STABILIZER
+        if check_feasible(LinearProgram(np.zeros(d_lhs.shape[1]), d_lhs, d_rhs)):
+            diagnostic = DIAG_SIGN_CONFLICT
     return DesignResult(
         status="infeasible",
         kind=data.kind,
@@ -356,98 +343,65 @@ def _run_design(data: _DesignData, spec: ObserverSpec) -> DesignResult:
     )
 
 
+def _design_as(cls, form: str, system, spec: ObserverSpec) -> DesignResult:
+    if type(system) is not cls or spec.form != form:
+        raise PreconditionError(
+            f"this entry point takes a {cls.__name__} with form {form!r}; "
+            "design() takes every plant type and form"
+        )
+    return design(system, spec)
+
+
 def design_ct(sys: ContinuousSystem, spec: ObserverSpec) -> DesignResult:
-    """Optimal interval-observer gain for a continuous-time plant."""
-    if spec.form != "standard":
-        raise PreconditionError("design_ct handles the standard form; use design_relaxed")
-    return _run_design(_data_ct(sys, "standard"), spec)
+    """`design` restricted to a standard-form continuous-time plant."""
+    return _design_as(ContinuousSystem, "standard", sys, spec)
 
 
 def design_relaxed(sys: ContinuousSystem, spec: ObserverSpec) -> DesignResult:
-    """Relaxed-form design: E - LF may change sign.
-
-    The disturbance column of the gain condition is replaced by the
-    identity input aggregated over the n error channels, so the reported
-    gamma measures the n-channel relaxed error system rather than the
-    p-channel one driven through E - LF.
-    """
-    if spec.form != "relaxed":
-        raise PreconditionError("design_relaxed needs spec.form == 'relaxed'")
-    return _run_design(_data_ct(sys, "relaxed"), spec)
+    """`design` restricted to a relaxed-form continuous-time plant."""
+    return _design_as(ContinuousSystem, "relaxed", sys, spec)
 
 
 def design_delay(sys: DelaySystem, spec: ObserverSpec) -> DesignResult:
-    """Design for a delayed plant; the LP never involves h, so results
-    are identical for every delay value."""
-    if spec.form != "standard":
-        raise PreconditionError("delay design supports the standard form only")
-    return _run_design(_data_delay(sys), spec)
+    """`design` restricted to a delayed continuous-time plant."""
+    return _design_as(DelaySystem, "standard", sys, spec)
 
 
 def design_dt(sys: DiscreteSystem, spec: ObserverSpec) -> DesignResult:
-    """Design for a discrete-time plant (A_d - L C_d nonnegative and
-    Schur, via the Metzler shift A_d - I)."""
-    if spec.form != "standard":
-        raise PreconditionError("discrete design supports the standard form only")
-    return _run_design(_data_dt(sys), spec)
+    """`design` restricted to a discrete-time plant."""
+    return _design_as(DiscreteSystem, "standard", sys, spec)
 
 
-def design_dt_delay(A_d, A_dh, E_d, C_d, C_dh, F_d, spec: ObserverSpec) -> DesignResult:
-    """Design for a discrete-time plant with a state delay."""
-    if spec.form != "standard":
-        raise PreconditionError("discrete design supports the standard form only")
-    return _run_design(_data_dt_delay(A_d, A_dh, E_d, C_d, C_dh, F_d), spec)
+def closed_loop(system, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-form error-system matrices (stability matrix, input
+    matrix) at gain L, reduced to the equivalent undelayed continuous
+    pair: the discrete stability matrix carries the Schur shift - I."""
+    data = _design_data(system, "standard")
+    return data.S - L @ data.T, data.E - L @ data.F
 
 
-def _certify_data(result: DesignResult, sys) -> _DesignData:
-    if result.kind == "continuous":
-        if not isinstance(sys, ContinuousSystem):
-            raise PreconditionError("result was produced from a ContinuousSystem")
-        return _data_ct(sys, result.form)
-    if result.kind == "delay":
-        if not isinstance(sys, DelaySystem):
-            raise PreconditionError("result was produced from a DelaySystem")
-        return _data_delay(sys)
-    if result.kind == "discrete":
-        if not isinstance(sys, DiscreteSystem):
-            raise PreconditionError("result was produced from a DiscreteSystem")
-        return _data_dt(sys)
-    if result.kind == "discrete-delay":
-        try:
-            return _data_dt_delay(*sys)
-        except TypeError as exc:
-            raise PreconditionError(
-                "discrete-delay certification takes the matrix tuple "
-                "(A_d, A_dh, E_d, C_d, C_dh, F_d)"
-            ) from exc
-    raise PreconditionError(f"unknown design kind {result.kind!r}")
-
-
-def certify(result: DesignResult, sys, spec: ObserverSpec) -> CertificationReport:
+def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationReport:
     """Re-derive every design condition from the returned certificate.
 
-    Checks the LP rows at (X, U, alpha, gamma) with a 10-epsilon slack,
-    the consistency L = X^{-1} U, the structure of the closed loop at L,
-    and that an independently computed closed-form gain stays below
-    gamma.  Flags are human-readable violation notes; none means sound.
+    Checks the LP rows at (X, U, gamma) with a 10-epsilon slack, the
+    consistency L = X^{-1} U, the structure of the closed loop at L, and
+    that an independently computed closed-form gain stays below gamma.
+    Flags are human-readable violation notes; none means sound.
     """
     if result.status != "optimal":
         raise PreconditionError("certify needs an optimal DesignResult")
-    data = _certify_data(result, sys)
+    data = _design_data(system, result.form)
+    if data.kind != result.kind:
+        raise PreconditionError(
+            f"result was designed for a {result.kind} plant, not a {data.kind} one"
+        )
     eps = result.epsilon
     slack = 10.0 * eps
     flags: list[str] = []
 
     lo, hi = spec.bounds(data.n, data.r)
     lhs, rhs = _assemble(data, eps, lo, hi)
-    z = np.concatenate(
-        [
-            result.X_diag,
-            result.U.reshape(-1),
-            [result.alpha] if data.use_alpha else [],
-            [result.gamma],
-        ]
-    )
+    z = np.concatenate([result.X_diag, result.U.reshape(-1), [result.gamma]])
     residual = lhs @ z - rhs
     worst = int(np.argmax(residual))
     if residual[worst] > slack:
@@ -461,39 +415,32 @@ def certify(result: DesignResult, sys, spec: ObserverSpec) -> CertificationRepor
 
     tol = max(STRUCTURAL_TOL, slack)
     L = result.L
-    first_label, P0, Q0 = data.sign_families[0]
-    closed_first = P0 - L @ Q0
-    if data.use_alpha:
-        if not is_metzler(closed_first, tol):
-            flags.append(f"{first_label} fails at L")
-    elif not is_nonnegative(closed_first, tol):
-        flags.append(f"{first_label} fails at L")
-    for label, P, Q in data.sign_families[1:]:
-        if result.form == "relaxed" and label.startswith("E"):
-            continue
-        if not is_nonnegative(P - L @ Q, tol):
+    for k, (label, P, Q) in enumerate(data.sign_families()):
+        closed = P - L @ Q
+        holds = is_metzler if k == 0 and data.first_metzler else is_nonnegative
+        if not holds(closed, tol):
             flags.append(f"{label} fails at L")
 
     Scl = data.S - L @ data.T
     gamma_indep = None
     if not is_metzler(Scl, tol):
         flags.append("closed-loop stability matrix is not Metzler at L")
-    elif hurwitz_certificate(Scl) is None:
-        flags.append("closed-loop stability matrix is not Hurwitz at L")
     else:
-        ones_row = np.ones((1, data.n))
-        if result.form == "relaxed":
-            Bcl = np.eye(data.n)
+        # Off-diagonal entries within tol of zero are taken as zero, as
+        # the negative entries of E - L F are below.
+        Scl = np.where(np.eye(data.n, dtype=bool), Scl, np.clip(Scl, 0.0, None))
+        if hurwitz_certificate(Scl) is None:
+            flags.append("closed-loop stability matrix is not Hurwitz at L")
         else:
             Bcl = np.clip(data.E - L @ data.F, 0.0, None)
-        if Bcl.shape[1]:
-            gamma_indep = _closed_gain(Scl, Bcl, ones_row, np.zeros((1, Bcl.shape[1])))
-        else:
             gamma_indep = 0.0
-        if gamma_indep > result.gamma + slack:
-            flags.append(
-                f"independent gain {gamma_indep:.6g} exceeds certified "
-                f"gamma {result.gamma:.6g}"
-            )
+            if Bcl.shape[1]:
+                ones_row = np.ones((1, data.n))
+                gamma_indep = _closed_gain(Scl, Bcl, ones_row, np.zeros((1, Bcl.shape[1])))
+            if gamma_indep > result.gamma + slack:
+                flags.append(
+                    f"independent gain {gamma_indep:.6g} exceeds certified "
+                    f"gamma {result.gamma:.6g}"
+                )
 
     return CertificationReport(not flags, flags, gamma_indep)

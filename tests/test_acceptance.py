@@ -20,10 +20,7 @@ from obsynth import (
     ObserverSpec,
     PopulationModel,
     check_inclusion,
-    design_ct,
-    design_delay,
-    design_dt,
-    design_relaxed,
+    design,
     empirical_peak_gain,
     gain_for_output,
     hurwitz_certificate,
@@ -35,7 +32,7 @@ from obsynth import (
     observer_membership,
     parse_problem,
 )
-from obsynth.benchmarks import CORPUS_DIR, MANIFEST, design_problem, simulate_problem
+from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.linalg import max_row_sum, solve_linear
 from obsynth.synthesis import DIAG_SIGN_CONFLICT
 
@@ -55,7 +52,7 @@ def _ok(k: int, text: str) -> None:
 
 def test_criterion_01_exact_reconstruction_design():
     start = time.monotonic()
-    result = design_ct(CASE1, ObserverSpec(epsilon=EPS))
+    result = design(CASE1, ObserverSpec(epsilon=EPS))
     elapsed = time.monotonic() - start
 
     assert result.status == "optimal"
@@ -71,7 +68,7 @@ def test_criterion_01_exact_reconstruction_design():
 
 
 def test_criterion_02_known_optimal_gain_and_values():
-    result = design_ct(CASE2, ObserverSpec(epsilon=EPS))
+    result = design(CASE2, ObserverSpec(epsilon=EPS))
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - np.array([[-1.0], [2.0]]))) <= 1e-6
 
@@ -91,7 +88,7 @@ def test_criterion_03_structural_infeasibility(epsilon, e_column):
     sys = ContinuousSystem(
         CASE2.A, np.array(e_column).reshape(2, 1), CASE2.C, CASE2.F
     )
-    result = design_ct(sys, ObserverSpec(epsilon=epsilon))
+    result = design(sys, ObserverSpec(epsilon=epsilon))
     assert result.status == "infeasible"
     assert result.diagnostic == DIAG_SIGN_CONFLICT
     assert "E - L F" in result.diagnostic and "Hurwitz" in result.diagnostic
@@ -106,7 +103,7 @@ def test_criterion_04_relaxed_design_reaches_the_bound():
         gain_upper=10.0 * np.ones((2, 1)),
         epsilon=EPS,
     )
-    result = design_relaxed(CASE1, spec)
+    result = design(CASE1, spec)
     assert result.status == "optimal"
     assert abs(result.L[0, 0] - 1.0) <= 1e-6
     assert abs(result.L[1, 0] - 10.0) <= 1e-9  # parked at the upper bound
@@ -119,7 +116,7 @@ def test_criterion_04_relaxed_design_reaches_the_bound():
 
     # the relaxed scenario with a sign-indefinite input simulates cleanly
     pf = parse_problem(str(CORPUS_DIR / "case3_relaxed.json"))
-    res3 = design_problem(pf, pf.observer_spec())
+    res3 = design(pf.plant(), pf.observer_spec())
     assert res3.status == "optimal"
     trace = simulate_problem(pf, res3.L, res3.form)
     assert check_inclusion(trace, tol=1e-7).clean
@@ -134,7 +131,7 @@ def test_criterion_05_population_design_and_analytic_gain():
         gain_upper=5.0 * np.ones((3, 1)),
         epsilon=EPS,
     )
-    result = design_ct(sys, spec)
+    result = design(sys, spec)
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - np.array([[0.0], [0.0], [5.0]]))) <= 1e-6
     gain = gain_for_output(
@@ -207,7 +204,7 @@ def test_criterion_07_designed_gain_is_uniformly_optimal():
     for _ in range(100):
         A, E, C, F, L0 = random_feasible_loop(rng, 3, 2, 1)
         sys = ContinuousSystem(A, E, C, F)
-        result = design_ct(sys, ObserverSpec(epsilon=EPS))
+        result = design(sys, ObserverSpec(epsilon=EPS))
         assert result.status == "optimal"
         L_star = result.L
         V_star = solve_linear(A - L_star @ C, -(E - L_star @ F))
@@ -267,7 +264,7 @@ def test_criterion_08_discrete_gain_bridge_and_brute_force():
         assert abs(linf_gain_discrete(sys) - _impulse_response_gain(sys)) <= 1e-6
 
     scalar = DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-    result = design_dt(scalar, ObserverSpec(epsilon=EPS))
+    result = design(scalar, ObserverSpec(epsilon=EPS))
     assert result.status == "optimal"
     # brute force over admissible scalar gains: closed loop stays
     # nonnegative and Schur, aggregate gain (1 - l) / (0.5 + l)
@@ -289,7 +286,7 @@ def test_criterion_09_results_do_not_depend_on_the_delay():
     outcomes = []
     for h in (0.1, 1.0, 10.0):
         sys = DelaySystem(A, A_h, E, C, C_h, F, h)
-        result = design_delay(sys, spec)
+        result = design(sys, spec)
         assert result.status == "optimal"
         outcomes.append(
             (
@@ -303,7 +300,7 @@ def test_criterion_09_results_do_not_depend_on_the_delay():
     assert outcomes[0] == outcomes[1] == outcomes[2]  # bit-identical
 
     pf = parse_problem(str(CORPUS_DIR / "delay_scalar.json"))
-    res = design_problem(pf, pf.observer_spec())
+    res = design(pf.plant(), pf.observer_spec())
     trace = simulate_problem(pf, res.L, res.form)
     assert check_inclusion(trace, tol=1e-7).clean
     _ok(9, "designs and gains bit-identical for h in {0.1, 1, 10}; clean run")
@@ -318,7 +315,7 @@ def test_criterion_10_every_simulated_scenario_stays_included():
         if not entry.get("simulate"):
             continue
         pf = parse_problem(str(CORPUS_DIR / entry["file"]))
-        result = design_problem(pf, pf.observer_spec())
+        result = design(pf.plant(), pf.observer_spec())
         assert result.status == "optimal", name
         n = result.L.shape[0]
         trace = simulate_problem(pf, result.L, result.form, M=np.eye(n))

@@ -33,6 +33,10 @@ def test_design_reports_the_known_gain(capsys, corpus_dir):
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "optimal"
+    assert set(doc) == {
+        "status", "kind", "form", "epsilon", "L", "gamma", "X_diag", "U",
+        "diagnostic", "certification",
+    }
     assert np.allclose(doc["L"], [[1.0], [2.0]], atol=1e-6)
     assert doc["gamma"] <= 1e-5
     assert doc["certification"]["passed"] is True

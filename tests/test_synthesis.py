@@ -12,20 +12,17 @@ from obsynth import (
     ContinuousSystem,
     DelaySystem,
     DimensionError,
+    DiscreteDelaySystem,
     DiscreteSystem,
     ObserverSpec,
     PreconditionError,
     certify,
-    design_ct,
-    design_delay,
-    design_dt,
-    design_dt_delay,
-    design_relaxed,
+    design,
     gain_for_output,
     hurwitz_certificate,
     linf_gain_closed,
 )
-from obsynth.synthesis import DIAG_NO_STABILIZER, DIAG_SIGN_CONFLICT
+from obsynth.synthesis import DIAG_NO_STABILIZER, DIAG_SIGN_CONFLICT, design_ct, design_relaxed
 
 from conftest import random_feasible_loop
 
@@ -56,7 +53,7 @@ def test_observer_spec_validation():
 
 
 def test_case1_design_decouples_the_disturbance():
-    result = design_ct(CASE1, ObserverSpec())
+    result = design(CASE1, ObserverSpec())
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - [[1.0], [2.0]])) <= 1e-6
     assert np.max(np.abs(CASE1.E - result.L @ CASE1.F)) <= 1e-9
@@ -71,7 +68,7 @@ def test_case1_design_decouples_the_disturbance():
 
 
 def test_case2_design():
-    result = design_ct(CASE2, ObserverSpec())
+    result = design(CASE2, ObserverSpec())
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - [[-1.0], [2.0]])) <= 1e-6
     assert abs(result.gamma - 10.0 / 7.0) <= 1e-4
@@ -85,7 +82,7 @@ def test_case2_design():
 @pytest.mark.parametrize("e_matrix", [[[1.0], [-6.0]], [[0.0], [-6.0]]])
 def test_case3_is_structurally_infeasible(epsilon, e_matrix):
     sys = ContinuousSystem(CASE2.A, e_matrix, CASE2.C, CASE2.F)
-    result = design_ct(sys, ObserverSpec(epsilon=epsilon))
+    result = design(sys, ObserverSpec(epsilon=epsilon))
     assert result.status == "infeasible"
     assert result.diagnostic == DIAG_SIGN_CONFLICT
     assert "E - L F" in result.diagnostic
@@ -94,7 +91,7 @@ def test_case3_is_structurally_infeasible(epsilon, e_matrix):
 def test_no_stabilizer_diagnostic():
     # nothing measurable: A - L C = A stays unstable for every L
     sys = ContinuousSystem([[1.0]], [[1.0]], [[0.0]], [[0.0]])
-    result = design_ct(sys, ObserverSpec())
+    result = design(sys, ObserverSpec())
     assert result.status == "infeasible"
     assert result.diagnostic == DIAG_NO_STABILIZER
 
@@ -105,7 +102,7 @@ def test_relaxed_design_runs_into_the_gain_bound():
         gain_lower=-10.0 * np.ones((2, 1)),
         gain_upper=10.0 * np.ones((2, 1)),
     )
-    result = design_relaxed(CASE1, spec)
+    result = design(CASE1, spec)
     assert result.status == "optimal"
     assert abs(result.L[0, 0] - 1.0) <= 1e-6
     assert abs(result.L[1, 0] - 10.0) <= 1e-9
@@ -126,8 +123,8 @@ def test_relaxed_design_ignores_the_disturbance_matrix():
         gain_lower=-10.0 * np.ones((2, 1)),
         gain_upper=10.0 * np.ones((2, 1)),
     )
-    a = design_relaxed(CASE2, spec)
-    b = design_relaxed(CASE3, spec)  # same A, sign-indefinite E
+    a = design(CASE2, spec)
+    b = design(CASE3, spec)  # same A, sign-indefinite E
     assert b.status == "optimal"
     assert a.L.tobytes() == b.L.tobytes()
     assert a.gamma == b.gamma
@@ -138,7 +135,7 @@ def test_relaxed_scalar_pinned_gain():
     spec = ObserverSpec(
         form="relaxed", gain_lower=np.zeros((1, 1)), gain_upper=np.zeros((1, 1))
     )
-    result = design_relaxed(sys, spec)
+    result = design(sys, spec)
     assert result.status == "optimal"
     assert abs(result.L[0, 0]) <= 1e-12
     # x >= 1 + eps from stability, gamma >= x + eps from the gain row
@@ -155,8 +152,8 @@ def test_design_ct_requires_standard_form():
 def test_delay_reduction_is_bit_identical():
     zero2 = np.zeros((2, 2))
     dsys = DelaySystem(CASE2.A, zero2, CASE2.E, CASE2.C, np.zeros((1, 2)), CASE2.F, 1.0)
-    a = design_delay(dsys, ObserverSpec())
-    b = design_ct(CASE2, ObserverSpec())
+    a = design(dsys, ObserverSpec())
+    b = design(CASE2, ObserverSpec())
     assert a.L.tobytes() == b.L.tobytes()
     assert a.gamma == b.gamma
     assert a.X_diag.tobytes() == b.X_diag.tobytes()
@@ -171,12 +168,12 @@ def _scalar_delay(F_value, h=1.0):
 
 def test_delay_scalar_pinned_gain():
     pin = ObserverSpec(gain_lower=np.zeros((1, 1)), gain_upper=np.zeros((1, 1)))
-    result = design_delay(_scalar_delay(0.0), pin)
+    result = design(_scalar_delay(0.0), pin)
     assert result.status == "optimal"
     assert abs(result.gamma - 0.5) <= 1e-4
     # the certified objective has no feedthrough term, so a nonzero F
     # does not move a pinned optimum; it only tightens E - L F
-    result = design_delay(_scalar_delay(1.0), pin)
+    result = design(_scalar_delay(1.0), pin)
     assert abs(result.gamma - 0.5) <= 1e-4
     assert abs(
         result.gamma
@@ -194,7 +191,7 @@ def test_delay_scalar_pinned_gain():
 
 def test_delay_design_is_h_independent():
     results = [
-        design_delay(_scalar_delay(0.0, h), ObserverSpec()) for h in (0.1, 1.0, 10.0)
+        design(_scalar_delay(0.0, h), ObserverSpec()) for h in (0.1, 1.0, 10.0)
     ]
     assert len({r.L.tobytes() for r in results}) == 1
     assert len({r.gamma for r in results}) == 1
@@ -203,7 +200,7 @@ def test_delay_design_is_h_independent():
 def test_delay_certify():
     dsys = _scalar_delay(0.0)
     spec = ObserverSpec(gain_lower=np.zeros((1, 1)), gain_upper=np.zeros((1, 1)))
-    result = design_delay(dsys, spec)
+    result = design(dsys, spec)
     report = certify(result, dsys, spec)
     assert report.passed
     assert abs(report.gamma_independent - 0.5) <= 1e-12
@@ -211,7 +208,7 @@ def test_delay_certify():
 
 def test_dt_scalar_design():
     sys = DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-    result = design_dt(sys, ObserverSpec())
+    result = design(sys, ObserverSpec())
     assert result.status == "optimal"
     # closed loop pushed to deadbeat: A_d - L C_d = 0, E_d - L F_d = 1/2
     assert abs(result.L[0, 0] - 0.5) <= 1e-4
@@ -221,7 +218,7 @@ def test_dt_scalar_design():
 
 def test_dt_static_map():
     sys = DiscreteSystem([[0.0]], [[1.0, 2.0]], [[0.0]], [[0.0, 0.0]])
-    result = design_dt(sys, ObserverSpec())
+    result = design(sys, ObserverSpec())
     assert result.status == "optimal"
     # nothing to stabilize and no feedthrough: the aggregate gain is
     # the full mass of E_d
@@ -232,7 +229,7 @@ def test_dt_without_measurement_matches_analysis_gain():
     A_d = np.array([[0.5, 0.2], [0.1, 0.4]])
     E_d = np.array([[1.0], [1.0]])
     sys = DiscreteSystem(A_d, E_d, np.zeros((1, 2)), np.zeros((1, 1)))
-    result = design_dt(sys, ObserverSpec())
+    result = design(sys, ObserverSpec())
     assert result.status == "optimal"
     assert np.max(np.abs(result.L)) <= 1e-9
     oracle = linf_gain_closed(
@@ -244,24 +241,26 @@ def test_dt_without_measurement_matches_analysis_gain():
 
 def test_dt_delay_reduction_and_scalar():
     sys = DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-    a = design_dt_delay(
-        [[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], ObserverSpec()
+    a = design(
+        DiscreteDelaySystem([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]]),
+        ObserverSpec(),
     )
-    b = design_dt(sys, ObserverSpec())
+    b = design(sys, ObserverSpec())
     assert a.L.tobytes() == b.L.tobytes()
     assert a.gamma == b.gamma
 
     pin = ObserverSpec(gain_lower=np.zeros((1, 1)), gain_upper=np.zeros((1, 1)))
-    result = design_dt_delay(
-        [[0.3]], [[0.2]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], pin
-    )
+    dsys = DiscreteDelaySystem([[0.3]], [[0.2]], [[1.0]], [[1.0]], [[0.0]], [[0.0]])
+    result = design(dsys, pin)
     assert result.status == "optimal"
     assert abs(result.gamma - 2.0) <= 1e-4
+    assert certify(result, dsys, pin).passed
 
 
 def test_dt_delay_unstable_sum_is_infeasible():
-    result = design_dt_delay(
-        [[0.6]], [[0.5]], [[1.0]], [[0.0]], [[0.0]], [[0.0]], ObserverSpec()
+    result = design(
+        DiscreteDelaySystem([[0.6]], [[0.5]], [[1.0]], [[0.0]], [[0.0]], [[0.0]]),
+        ObserverSpec(),
     )
     assert result.status == "infeasible"
     assert result.diagnostic == DIAG_NO_STABILIZER
@@ -273,7 +272,7 @@ def test_bound_activation_matches_analysis_gain():
         A, E, C, F, L0 = random_feasible_loop(rng, 3, 2, 1)
         sys = ContinuousSystem(A, E, C, F)
         spec = ObserverSpec(gain_lower=L0, gain_upper=L0)
-        result = design_ct(sys, spec)
+        result = design(sys, spec)
         assert result.status == "optimal"
         assert np.max(np.abs(result.L - L0)) <= 1e-8
         true_gain = gain_for_output(
@@ -284,7 +283,7 @@ def test_bound_activation_matches_analysis_gain():
 
 
 def test_certify_flags_a_tampered_gain():
-    result = design_ct(CASE1, ObserverSpec())
+    result = design(CASE1, ObserverSpec())
     result.L = result.L + 1.0
     report = certify(result, CASE1, ObserverSpec())
     assert not report.passed
@@ -293,14 +292,14 @@ def test_certify_flags_a_tampered_gain():
 
 
 def test_certify_flags_a_tampered_objective():
-    result = design_ct(CASE2, ObserverSpec())
+    result = design(CASE2, ObserverSpec())
     result.gamma = result.gamma / 2.0
     report = certify(result, CASE2, ObserverSpec())
     assert not report.passed
 
 
 def test_certify_rejects_infeasible_results():
-    result = design_ct(CASE3, ObserverSpec())
+    result = design(CASE3, ObserverSpec())
     with pytest.raises(PreconditionError):
         certify(result, CASE3, ObserverSpec())
 
@@ -316,7 +315,7 @@ def test_population_design():
     spec = ObserverSpec(
         gain_lower=-5.0 * np.ones((3, 1)), gain_upper=5.0 * np.ones((3, 1))
     )
-    result = design_ct(sys, spec)
+    result = design(sys, spec)
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - [[0.0], [0.0], [5.0]])) <= 1e-6
     gain = gain_for_output(A, E, C, F, result.L, np.eye(3), np.zeros((3, 1)))
@@ -324,3 +323,68 @@ def test_population_design():
     report = certify(result, sys, spec)
     assert report.passed
     assert abs(report.gamma_independent - 13.0 / 8.0) <= 1e-9
+
+
+def test_design_rejects_unknown_plants_and_mismatched_certify():
+    with pytest.raises(PreconditionError):
+        design(object(), ObserverSpec())
+    with pytest.raises(PreconditionError):
+        design(_scalar_delay(0.0), ObserverSpec(form="relaxed"))
+    with pytest.raises(PreconditionError):
+        design_ct(_scalar_delay(0.0), ObserverSpec())
+    result = design(CASE2, ObserverSpec())
+    with pytest.raises(PreconditionError):
+        certify(result, _scalar_delay(0.0), ObserverSpec())
+
+
+def test_discrete_delay_system_validation():
+    with pytest.raises(DimensionError):
+        DiscreteDelaySystem(np.eye(2), np.eye(3), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0, 0.0]], [[0.0]])
+    with pytest.raises(DimensionError):
+        DiscreteDelaySystem(np.eye(2), np.eye(2), [[1.0], [1.0]], [[1.0, 0.0]], np.zeros((2, 2)), [[0.0]])
+    sys = DiscreteDelaySystem(0.5 * np.eye(2), 0.1 * np.eye(2), [1.0, 1.0], [1.0, 0.0], [0.0, 0.0], 0.0)
+    assert (sys.n, sys.p, sys.r) == (2, 1, 1)
+
+
+def test_relaxed_certify_accepts_nearly_metzler_loops():
+    # the first ten n=4 draws are perfbench's continuous plants, the next
+    # ten its relaxed ones; several of those leave A - L C with
+    # off-diagonal entries a hair below zero at the optimum
+    rng = np.random.default_rng(4)
+    draws = [random_feasible_loop(rng, 4, 2, 3) for _ in range(20)]
+    spec = ObserverSpec(form="relaxed")
+    for A, E, C, F, _ in draws[10:]:
+        sys = ContinuousSystem(A, E, C, F)
+        result = design(sys, spec)
+        assert result.status == "optimal"
+        report = certify(result, sys, spec)
+        assert report.passed, report.flags
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_design_lp_at_scale_matches_highs(n, monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    import obsynth.synthesis as synthesis
+
+    programs = []
+    solve = synthesis.solve
+    monkeypatch.setattr(synthesis, "solve", lambda lp: programs.append(lp) or solve(lp))
+    p, r = 2, 3
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        A, E, C, F, _ = random_feasible_loop(rng, n, p, r)
+        sys = ContinuousSystem(A, E, C, F)
+        result = design(sys, ObserverSpec())
+        assert result.status == "optimal"
+        assert certify(result, sys, ObserverSpec()).passed
+        lp = programs[-1]
+        # x, U and gamma; off-diagonal Metzler, E - L F, stability, the
+        # gamma row and X_ii >= eps
+        assert lp.num_vars == n + n * r + 1
+        assert lp.num_constraints == n * (n - 1) + n * p + 2 * n + 1
+        oracle = optimize.linprog(
+            lp.objective, A_ub=lp.ineq_lhs, b_ub=lp.ineq_rhs,
+            bounds=(None, None), method="highs",
+        )
+        assert oracle.status == 0
+        assert abs(result.gamma - oracle.fun) <= 1e-9 * abs(oracle.fun)
