@@ -2,8 +2,12 @@
 
 The integrator is checked against matrix-exponential solutions of the
 joint linear system (scipy supplies expm; it plays no role in the
-library itself) and against the hand-rolled discrete recursion.
+library itself), against the hand-rolled discrete recursion, and
+against the generic stage-by-stage RK4 loop that the affine recurrence
+replaced.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -31,6 +35,16 @@ from obsynth import (
     simulate_dt,
     simulate_population,
 )
+from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
+from obsynth.problem import parse_problem
+from obsynth.simulation import (
+    _delayed_lookup,
+    _grid,
+    _joint_input,
+    _joint_state,
+    _rk4_maps,
+)
+from obsynth.synthesis import design
 
 CASE1 = ContinuousSystem(
     [[-2.0, 1.0], [3.0, -5.0]], [[1.0], [2.0]], [[0.0, 1.0]], [[1.0]]
@@ -72,6 +86,43 @@ def test_sampled_signal_holds_and_clamps():
     assert s(5.0) == 20.0
     with pytest.raises(DimensionError):
         SampledSignal([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [
+        ConstantSignal(-0.75),
+        SineSignal(0.5, 1.3, phase=0.2, offset=1.0),
+        PiecewiseConstantSignal([1.0, 2.0], [0.0, 5.0, -1.0]),
+        SampledSignal([0.5, 1.0, 2.0], [10.0, 20.0, 30.0]),
+    ],
+    ids=["constant", "sine", "piecewise", "sampled"],
+)
+def test_signal_at_matches_pointwise_calls(signal):
+    # breakpoints and samples exactly, just before them, before the first
+    # sample and past the last
+    times = np.concatenate(
+        [[-1.0, 0.0, 0.25, 0.5, 1.0, np.nextafter(1.0, 0.0), 1.5, 2.0, 7.0],
+         np.linspace(-0.3, 3.0, 97)]
+    )
+    got = signal.at(times)
+    want = np.array([signal(t) for t in times], dtype=float)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_disturbance_model_at_stacks_the_channels():
+    w = SineSignal(0.5, 1.3)
+    d = DisturbanceModel(
+        [w, PiecewiseConstantSignal([1.0], [0.0, 0.5])],
+        [ConstantSignal(-1.0), ConstantSignal(-1.0)],
+        [ConstantSignal(1.0), SampledSignal([0.0, 2.0], [1.0, 2.0])],
+    )
+    times = np.linspace(0.0, 3.0, 31)
+    for k, got in enumerate(d.at(times)):
+        assert got.shape == (31, 2)
+        want = np.array([d.eval(t)[k] for t in times])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_disturbance_model_validation():
@@ -132,10 +183,12 @@ def test_check_inclusion_reports_first_violation():
     x_lo = np.zeros((4, 2)) - 1.0
     x_hi = np.zeros((4, 2)) + 1.0
     x_lo[2, 1] = 0.5  # lower bound crosses the state here
+    x_hi[3, 0] = -3.0  # a later, deeper violation does not take over
     w = np.zeros((4, 1))
     trace = Trace(times, x, x_lo, x_hi, w, w, w)
     report = check_inclusion(trace)
     assert not report.clean
+    assert report.min_margin == -3.0
     assert report.time == 2.0
     assert report.component == 1
     assert report.side == "lower"
@@ -239,7 +292,16 @@ def test_divergence_reports_a_time_stamp():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SimulationError) as exc:
             simulate_ct(wild, np.zeros((1, 1)), dist, cfg)
-    assert "t=" in str(exc.value)
+    # x_hi starts at 2 and grows by the RK4 factor of z = h a = 100 per
+    # step; the report names the first grid time at which it overflows
+    z = 100.0
+    growth = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    x_hi, k = 2.0, 0
+    while np.isfinite(x_hi):
+        x_hi *= growth
+        k += 1
+    assert k == 47
+    assert str(exc.value).endswith(f"at t={k}")
 
 
 def test_relaxed_form_inclusion_with_sign_indefinite_input():
@@ -412,3 +474,221 @@ def test_population_gain_leaving_envelope_aborts():
     cfg = SimConfig(60.0, 0.01, [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(SimulationError):
         simulate_population(model, np.array([[0.0], [0.0], [5.0]]), cfg)
+
+
+def test_plain_callables_work_as_signals():
+    # a lambda must act exactly like the signal object it restates
+    def pop(gain):
+        return PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), gain, (1.0, 2.0), 1.0)
+
+    cfg = SimConfig(10.0, 0.01, [0.1, 0.0, 0.0], [0.01, 0.0, 0.0], [0.6, 0.8, 1.1])
+    L = np.array([[0.0], [0.0], [5.0]])
+    a = simulate_population(pop(SineSignal(0.5, 0.1, offset=1.5)), L, cfg)
+    b = simulate_population(pop(lambda t: 1.5 + 0.5 * np.sin(0.1 * t)), L, cfg)
+    for name in ("x", "x_lo", "x_hi", "w", "w_lo", "w_hi"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    dist = _dist(SineSignal(1.0, 1.0))
+    cfgs = [
+        SimConfig(4.0, 0.1, [0.0], [-1.0], [1.0], history=[h])
+        for h in (SineSignal(0.5, 2.0), lambda t: 0.5 * np.sin(2.0 * t))
+    ]
+    a, b = (simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, c) for c in cfgs)
+    assert np.array_equal(a.x, b.x)
+    assert np.array_equal(a.x_hi, b.x_hi)
+
+
+# ---------------------------------------------------------------------------
+# the affine recurrence against the generic RK4 loop it replaced
+
+
+@pytest.mark.parametrize("z", [-2.5, -0.3, 0.4])
+def test_rk4_maps_are_one_classical_step(z):
+    phi, _ = _rk4_maps(np.array([[z]]), 1.0)
+    assert phi[0, 0] == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
+
+    rng = np.random.default_rng(5)
+    A, h = z * rng.standard_normal((3, 3)), 0.05
+    x, u = rng.standard_normal(3), rng.standard_normal((4, 3))
+    k1 = A @ x + u[0]
+    k2 = A @ (x + h / 2.0 * k1) + u[1]
+    k3 = A @ (x + h / 2.0 * k2) + u[2]
+    k4 = A @ (x + h * k3) + u[3]
+    phi, hP = _rk4_maps(A, h)
+    got = phi @ x + sum(q @ us for q, us in zip(hP, u))
+    assert np.allclose(got, x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rtol=0.0, atol=1e-14)
+
+
+def _rk4_reference(f, X0, times, lag=None):
+    """The generic classical RK4 loop the simulators ran before they became
+    an affine recurrence.  With lag = (m, history, dt), f also receives the
+    joint state m steps back, looked up as simulate_delay looks it up."""
+    out = np.empty((times.size, X0.size))
+    out[0] = X0
+    for k in range(times.size - 1):
+        t, X = times[k], out[k]
+        dt = times[k + 1] - t
+        D = [None] * 3
+        if lag is not None:
+            D = [_delayed_lookup(out, lag[1], k + s - lag[0], lag[2]) for s in (0.0, 0.5, 1.0)]
+        k1 = f(t, X, D[0])
+        k2 = f(t + dt / 2.0, X + dt / 2.0 * k1, D[1])
+        k3 = f(t + dt / 2.0, X + dt / 2.0 * k2, D[1])
+        k4 = f(t + dt, X + dt * k3, D[2])
+        out[k + 1] = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def _x0(cfg):
+    return np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi])
+
+
+def _reference_trace(times, joint, w, w_lo, w_hi):
+    n = joint.shape[1] // 3
+    return Trace(times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi)
+
+
+def _reference_linear(sys, L, dist, cfg, form="standard"):
+    """simulate_ct, simulate_delay or simulate_dt by the reference loops."""
+    W = lambda t: np.array([s(t) for s in dist.w + dist.w_lo + dist.w_hi])  # noqa: E731
+    if isinstance(sys, DiscreteSystem):
+        times = _grid(cfg.t_end, cfg.dt)
+        big_a = _joint_state(sys.A_d, L @ sys.C_d)
+        big_b = _joint_input(sys.E_d, sys.F_d, L, "standard")
+        joint = [_x0(cfg)]
+        for t in times[:-1]:
+            joint.append(big_a @ joint[-1] + big_b @ W(t))
+        joint = np.array(joint)
+    else:
+        big_a = _joint_state(sys.A, L @ sys.C)
+        big_b = _joint_input(sys.E, sys.F, L, form)
+        lag = None
+        if isinstance(sys, DelaySystem):
+            m = int(np.ceil(sys.h / cfg.dt - 1e-9))
+            big_ah = _joint_state(sys.A_h, L @ sys.C_h)
+            past = cfg.history or [ConstantSignal(v) for v in cfg.x0]
+
+            def history(t):
+                return np.concatenate([[s(t) for s in past], cfg.x0_lo, cfg.x0_hi])
+
+            lag = (m, history, sys.h / m)
+            times = _grid(cfg.t_end, sys.h / m)
+            f = lambda t, X, D: big_a @ X + big_ah @ D + big_b @ W(t)  # noqa: E731
+        else:
+            times = _grid(cfg.t_end, cfg.dt)
+            f = lambda t, X, D: big_a @ X + big_b @ W(t)  # noqa: E731
+        joint = _rk4_reference(f, _x0(cfg), times, lag)
+    w = np.array([W(t) for t in times])
+    return _reference_trace(times, joint, *np.split(w, 3, axis=1))
+
+
+def _reference_population(model, L, cfg):
+    """simulate_population as the joint nonlinear RK4 it replaced."""
+    sys = model.system()
+    A, E, C = sys.A, sys.E, sys.C
+    Acl, LC = A - L @ C, L @ C
+    a_lo, a_hi = model.incidence_bounds
+
+    def f(t, X, D):
+        x, xlo, xhi = X[:3], X[3:6], X[6:]
+        y = x[2]
+        dx = A @ x + E[:, 0] * model.incidence(y, model.gain_at(t))
+        dlo = Acl @ xlo + E[:, 0] * model.incidence(y, a_lo) + LC @ x
+        dhi = Acl @ xhi + E[:, 0] * model.incidence(y, a_hi) + LC @ x
+        return np.concatenate([dx, dlo, dhi])
+
+    times = _grid(cfg.t_end, cfg.dt)
+    joint = _rk4_reference(f, _x0(cfg), times)
+    x3 = joint[:, 2]
+    w = np.array([[model.incidence(v, model.gain_at(t))] for t, v in zip(times, x3)])
+    return _reference_trace(
+        times, joint, w, model.incidence(x3, a_lo)[:, None], model.incidence(x3, a_hi)[:, None]
+    )
+
+
+def _assert_matches_reference(trace, ref, certified=None):
+    assert np.array_equal(trace.times, ref.times)
+    for name in ("x", "x_lo", "x_hi", "w", "w_lo", "w_hi"):
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    a, b = check_inclusion(trace, tol=1e-7), check_inclusion(ref, tol=1e-7)
+    assert (a.clean, a.time, a.component, a.side) == (b.clean, b.time, b.component, b.side)
+    gain, ref_gain = _gain_or_none(trace), _gain_or_none(ref)
+    if ref_gain is None:  # no envelope width, no finite ratio
+        assert gain is None
+        return
+    assert gain == pytest.approx(ref_gain, rel=1e-12)
+    if certified is not None:
+        assert (gain <= certified + 1e-3) == (ref_gain <= certified + 1e-3)
+
+
+def _gain_or_none(trace):
+    try:
+        return empirical_peak_gain(trace)
+    except UndefinedGainError:
+        return None
+
+
+with open(MANIFEST) as _fh:
+    _SIMULATED = {k: v for k, v in json.load(_fh).items() if v.get("simulate")}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMULATED))
+def test_corpus_traces_match_the_generic_rk4_loop(case):
+    entry = _SIMULATED[case]
+    pf = parse_problem(str(CORPUS_DIR / entry["file"]))
+    result = design(pf.plant(), pf.observer_spec())
+    trace = simulate_problem(pf, result.L, result.form)
+    if pf.klass == "population":
+        ref = _reference_population(pf.system(), result.L, pf.sim_config())
+    else:
+        ref = _reference_linear(
+            pf.system(), result.L, pf.disturbance(), pf.sim_config(), result.form
+        )
+    _assert_matches_reference(trace, ref, entry["certified_identity_gain"])
+
+
+DELAY_2 = DelaySystem(
+    [[-3.0, 0.5], [1.0, -4.0]], [[0.5, 0.0], [0.2, 0.3]], [[1.0], [0.5]],
+    [[0.0, 1.0]], [[0.5, 0.0]], [[0.2]], 0.8,
+)
+
+
+@pytest.mark.parametrize(
+    "sys, L, cfg",
+    [
+        (DELAY_SYS, np.zeros((1, 1)), SimConfig(20.0, 0.05, [0.0], [-1.0], [1.0])),
+        (
+            DELAY_2,
+            np.array([[0.3], [1.0]]),
+            SimConfig(
+                12.0, 0.05, [0.5, 0.0], [-1.0, -1.0], [1.0, 1.0],
+                history=[lambda t: 0.5 * np.cos(t), SineSignal(0.4, 3.0)],
+            ),
+        ),
+    ],
+    ids=["scalar", "two-state"],
+)
+def test_delay_traces_match_the_generic_rk4_loop(sys, L, cfg):
+    dist = _dist(SineSignal(1.0, 1.0))
+    trace = simulate_delay(sys, L, dist, cfg)
+    _assert_matches_reference(trace, _reference_linear(sys, L, dist, cfg))
+
+
+@pytest.mark.parametrize(
+    "gain, bounds, cfg",
+    [
+        (
+            SineSignal(0.5, 0.1, offset=1.5),
+            (1.0, 2.0),
+            SimConfig(60.0, 0.01, [0.1, 0.0, 0.0], [0.01, 0.0, 0.0], [0.6, 0.8, 1.1]),
+        ),
+        (1.5, (1.5, 1.5), SimConfig(40.0, 0.01, [0.5] * 3, [0.5] * 3, [0.5] * 3)),
+    ],
+    ids=["time-varying", "collapsed"],
+)
+def test_population_traces_match_the_generic_rk4_loop(gain, bounds, cfg):
+    model = PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), gain, bounds, 1.0)
+    L = np.array([[0.0], [0.0], [5.0]])
+    trace = simulate_population(model, L, cfg)
+    _assert_matches_reference(trace, _reference_population(model, L, cfg))
