@@ -2,9 +2,12 @@
 
 Everything here works on plain ``numpy`` arrays of ``float64``.  The
 helpers are deliberately boring: validation, sign-pattern tests, the
-positive/negative part split, row sums, and a pivoted Gaussian solve
-that reports *where* elimination broke down instead of deferring to
-LAPACK's opaque error codes.
+positive/negative part split, row sums, and a linear solve.  The solve
+runs on LAPACK and keeps its answer only when a bound on the pivots,
+taken from the same factorization, proves that no pivot fell below the
+tolerance.  Otherwise a pivoted Gaussian elimination decides, and on
+near-singular input it reports *where* elimination broke down instead
+of LAPACK's opaque error codes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ STRUCTURAL_TOL = 1e-9
 # largest entry of the original matrix.
 PIVOT_RTOL = 1e-12
 
+# How far the certified pivot bound of the LAPACK solve must clear the
+# pivot floor.  The bound is read from a computed inverse, whose
+# relative error grows with the condition number; within this factor of
+# the floor the elimination loop decides instead.
+_PIVOT_MARGIN = 100.0
+
 
 def as_matrix(A, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Coerce ``A`` to a 2-D float array, validating finiteness and shape.
@@ -36,7 +45,7 @@ def as_matrix(A, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     if shape is not None:
         want = tuple(d for d in shape)
@@ -53,7 +62,7 @@ def as_vector(v, name: str, size: int = -1) -> np.ndarray:
         x = x.reshape(-1)
     if x.ndim != 1:
         raise DimensionError(f"{name} must be a vector, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     if size >= 0 and x.size != size:
         raise DimensionError(f"{name} has length {x.size}, expected {size}")
@@ -66,13 +75,13 @@ def is_metzler(A: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"Metzler test needs a square matrix, got shape {A.shape}")
     off = A - np.diag(np.diag(A))
-    return bool(np.all(off >= -tol))
+    return bool((off >= -tol).all())
 
 
 def is_nonnegative(M: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True when every entry of ``M`` is >= -tol."""
     M = np.asarray(M, dtype=float)
-    return bool(np.all(M >= -tol))
+    return bool((M >= -tol).all())
 
 
 def split_pos_neg(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,16 +103,25 @@ def max_row_sum(M: np.ndarray) -> float:
         raise DimensionError(f"max_row_sum needs a matrix, got ndim={M.ndim}")
     if M.size == 0:
         raise DimensionError("max_row_sum of an empty matrix is undefined")
-    return float(np.max(np.sum(M, axis=1)))
+    return float(M.sum(axis=1).max())
 
 
 def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A X = B`` by Gaussian elimination with partial pivoting.
+    """Solve ``A X = B`` with partial pivoting.
 
     ``B`` may be a vector or a matrix of right-hand sides; the result
     matches its shape.  Raises :class:`SingularMatrixError` carrying the
     elimination step at which the best available pivot was smaller than
     ``PIVOT_RTOL * max|A|``.
+
+    LAPACK solves ``A [X | Z] = [B | I]`` first.  Partial pivoting keeps
+    the multipliers of ``PA = LU`` at most 1 in magnitude, and
+    ``U^{-1} = A^{-1} P^T L``.  Each ``1/u_kk`` is an entry of ``U^{-1}``,
+    so every pivot satisfies
+    ``|u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2))``.  When that bound,
+    with ``Z`` standing for ``A^{-1}``, clears the floor by
+    ``_PIVOT_MARGIN``, ``X`` is returned; otherwise Gaussian elimination
+    solves the system or locates the failing pivot.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -117,9 +135,32 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"right-hand side has {b.shape[0]} rows, matrix has {n}"
         )
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteError("solve_linear inputs contain non-finite entries")
 
+    m = b.shape[1]
+    floor = _PIVOT_MARGIN * PIVOT_RTOL * np.abs(A).max(initial=0.0)
+    X = None
+    # Near-singular input can overflow here; the bound then fails the
+    # test and the elimination loop takes over.
+    with np.errstate(all="ignore"):
+        try:
+            XZ = np.linalg.solve(A, np.hstack([b, np.eye(n)]))
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            XZ = None
+        if XZ is not None and np.isfinite(XZ).all():
+            bound = 1.0 / (np.linalg.norm(XZ[:, m:]) * np.sqrt(n * (n + 1) / 2))
+            if bound > floor:
+                X = XZ[:, :m]
+    if X is None:
+        X = _eliminate(A, b)
+    return X.reshape(-1) if vector_rhs else X
+
+
+def _eliminate(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting on validated ``A``
+    (n×n) and ``b`` (n×m), raising at the first pivot below the floor."""
+    n = A.shape[0]
     U = A.copy()
     X = b.copy()
     scale = np.max(np.abs(A)) if n > 0 else 0.0
@@ -138,4 +179,4 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         X[k + 1 :] -= np.outer(factors, X[k])
     for k in range(n - 1, -1, -1):
         X[k] = (X[k] - U[k, k + 1 :] @ X[k + 1 :]) / U[k, k]
-    return X.reshape(-1) if vector_rhs else X
+    return X

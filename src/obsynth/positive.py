@@ -2,16 +2,21 @@
 
 Positivity checks, Hurwitz certificates, and peak-to-peak (L∞ to L∞)
 gains for continuous, discrete, and delayed dynamics.  Stability is
-always certified through a linear program that returns an explicit
-positive vector; no eigenvalues are computed anywhere in this module.
+always certified by an explicit positive vector v with A v < 0; no
+eigenvalues are computed anywhere in this module.
 
-For a positive system (A Metzler and Hurwitz, E, Cz, Fz nonnegative)
-the peak-to-peak gain has the closed form
+A Metzler A is Hurwitz exactly when -A is a nonsingular M-matrix, that
+is when v = (-A)^{-1} 1 exists and is positive (Berman & Plemmons,
+*Nonnegative Matrices in the Mathematical Sciences*).  For a positive
+system (A Metzler and Hurwitz, E, Cz, Fz nonnegative) the peak-to-peak
+gain has the closed form
 
     gamma = max row sum of (-Cz A^{-1} E + Fz)
 
-which is what the gain functions report.  The LP variant exists to
-produce certificates and to cross-validate the closed form.
+so one solve (-A) [v | Y] = [1 | E] yields both the certificate and
+Y = -A^{-1} E; that is what the gain functions report.  The LP variant
+`linf_gain_lp` is an independent route that cross-validates the closed
+form.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import (
     InstabilityError,
     MembershipError,
     PreconditionError,
+    SingularMatrixError,
 )
 from .linalg import (
     STRUCTURAL_TOL,
@@ -297,38 +303,49 @@ def hurwitz_certificate(
     kind: str = "right",
     epsilon: float = DEFAULT_EPSILON,
 ) -> StabilityCertificate | None:
-    """LP stability certificate for a Metzler matrix.
+    """Stability certificate for a Metzler matrix from one linear solve.
 
     Returns a positive vector mu with A mu <= -epsilon (kind "right") or
     mu^T A <= -epsilon (kind "left"), or None when no such vector exists.
-    For Metzler A, None is equivalent to A not being Hurwitz: the margin
-    is immaterial because any strictly feasible vector can be rescaled.
+    With W = A (or A^T), mu is v scaled so that min(-W v) becomes
+    epsilon, where v solves (-W) v = 1; this is the smallest such
+    vector, epsilon (-W)^{-1} 1.  For Metzler A, None is equivalent to A
+    not being Hurwitz, and a matrix singular to working precision gets
+    None.
     """
     A = _square(A, "A")
     if not is_metzler(A):
         raise PreconditionError("hurwitz_certificate needs a Metzler matrix")
     if kind not in ("right", "left"):
         raise PreconditionError(f"unknown certificate kind {kind!r}")
-    n = A.shape[0]
     W = A if kind == "right" else A.T
-    lhs = np.vstack([W, -np.eye(n)])
-    rhs = np.concatenate([-epsilon * np.ones(n), np.zeros(n)])
-    sol = solve(LinearProgram(np.ones(n), lhs, rhs))
-    if sol.status is LpStatus.INFEASIBLE:
-        return None
-    if sol.status is not LpStatus.OPTIMAL:  # pragma: no cover - cost >= 0
-        raise PreconditionError("certificate LP reported unbounded")
-    return StabilityCertificate(kind, sol.primal, epsilon)
+    vector, _ = _certified_solve(W, np.zeros((W.shape[0], 0)), epsilon)
+    return None if vector is None else StabilityCertificate(kind, vector, epsilon)
+
+
+def _certified_solve(
+    W, B, epsilon: float = DEFAULT_EPSILON
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Solve (-W) [v | Y] = [1 | B] for Metzler W in one factorization.
+
+    Returns (mu, Y), mu = v epsilon / min(-W v), when v > 0 and the
+    computed W v < 0, which proves W Hurwitz; otherwise (None, None).
+    Then Y = -W^{-1} B >= 0 whenever B >= 0.
+    """
+    n = W.shape[0]
+    try:
+        VY = solve_linear(-W, np.hstack([np.ones((n, 1)), B]))
+    except SingularMatrixError:
+        return None, None
+    v = VY[:, 0]
+    decay = -(W @ v)
+    if not ((v > 0.0).all() and (decay > 0.0).all()):
+        return None, None
+    return v * (epsilon / decay.min()), VY[:, 1:]
 
 
 # ---------------------------------------------------------------------------
 # peak-to-peak gains
-
-
-def _closed_gain(A, E, Cz, Fz) -> float:
-    """max row sum of -Cz A^{-1} E + Fz; callers guarantee the structure."""
-    Y = solve_linear(A, E)
-    return max_row_sum(-Cz @ Y + Fz)
 
 
 def _check_gain_structure(A, E, Cz, Fz):
@@ -348,15 +365,17 @@ def _check_gain_structure(A, E, Cz, Fz):
 def linf_gain_closed(A, E, Cz, Fz) -> float:
     """Exact L∞-gain of the positive system (A, E, Cz, Fz).
 
-    Stability is certified by LP first; an uncertifiable A raises
-    :class:`InstabilityError`.  Degenerate p=0 or q=0 returns 0.
+    One solve (-A) [v | Y] = [1 | E] both certifies stability (as in
+    `hurwitz_certificate`) and gives Y = -A^{-1} E; an uncertifiable A
+    raises :class:`InstabilityError`.  Degenerate p=0 or q=0 returns 0.
     """
     A, E, Cz, Fz = _check_gain_structure(A, E, Cz, Fz)
-    if hurwitz_certificate(A) is None:
+    vector, Y = _certified_solve(A, E)
+    if vector is None:
         raise InstabilityError("A is not Hurwitz stable; the gain is undefined")
     if E.shape[1] == 0 or Cz.shape[0] == 0:
         return 0.0
-    return _closed_gain(A, E, Cz, Fz)
+    return max_row_sum(Cz @ Y + Fz)
 
 
 def linf_gain_lp(
@@ -444,6 +463,18 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
     Standard form needs A - LC Metzler and Hurwitz and E - LF >= 0; the
     relaxed form drops the E - LF condition.
     """
+    return _error_loop(A, E, C, F, L, form)[0]
+
+
+def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]:
+    """Membership violations of L and the error loop's solved inputs.
+
+    The error loop has state matrix A - LC and input matrix E - LF in
+    the standard form, its split [B+ B-] in the relaxed one.  When A - LC
+    is Metzler, the solve that tests it Hurwitz also returns Y, the
+    input matrix premultiplied by (LC - A)^{-1}; Y is None when A - LC
+    is not Metzler and Hurwitz.
+    """
     A = _square(A, "A")
     n = A.shape[0]
     E = _input_map(E, n, "E")
@@ -457,23 +488,26 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
     if form not in ("standard", "relaxed"):
         raise PreconditionError(f"unknown observer form {form!r}")
     Acl = A - L @ C
+    B = E - L @ F
     violations = []
+    Y = None
     if not is_metzler(Acl):
         off = Acl - np.diag(np.diag(Acl))
         worst = np.unravel_index(np.argmin(off), off.shape)
         violations.append(
             f"A - L C is not Metzler: entry {worst} is {off[worst]:.6g}"
         )
-    elif hurwitz_certificate(Acl) is None:
-        violations.append("A - L C is not Hurwitz stable")
-    if form == "standard":
-        B = E - L @ F
-        if not is_nonnegative(B):
-            worst = np.unravel_index(np.argmin(B), B.shape)
-            violations.append(
-                f"E - L F has a negative entry: {worst} is {B[worst]:.6g}"
-            )
-    return violations
+    else:
+        inputs = B if form == "standard" else np.hstack(split_pos_neg(B))
+        vector, Y = _certified_solve(Acl, inputs)
+        if vector is None:
+            violations.append("A - L C is not Hurwitz stable")
+    if form == "standard" and not is_nonnegative(B):
+        worst = np.unravel_index(np.argmin(B), B.shape)
+        violations.append(
+            f"E - L F has a negative entry: {worst} is {B[worst]:.6g}"
+        )
+    return violations, Y
 
 
 def gain_for_output(A, E, C, F, L, M, N) -> float:
@@ -483,9 +517,7 @@ def gain_for_output(A, E, C, F, L, M, N) -> float:
     :class:`MembershipError` lists the violated conditions.  M and N
     weight the error and the disturbance gap in the performance output.
     """
-    A = _square(A, "A")
-    n = A.shape[0]
-    violations = observer_membership(A, E, C, F, L, "standard")
+    violations, Y = _error_loop(A, E, C, F, L, "standard")
     if violations:
         raise MembershipError(
             "gain not defined: L is not an admissible observer gain ("
@@ -493,18 +525,15 @@ def gain_for_output(A, E, C, F, L, M, N) -> float:
             + ")",
             violations,
         )
-    E = _input_map(E, n, "E")
-    C = _output_map(C, n, "C")
-    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
-    L = _input_map(L, n, "L")
+    n, p = Y.shape
     M = _output_map(M, n, "M")
-    N = _feedthrough(N, M.shape[0], E.shape[1], "N")
+    N = _feedthrough(N, M.shape[0], p, "N")
     for name, W in (("M", M), ("N", N)):
         if not is_nonnegative(W):
             raise PreconditionError(f"gain_for_output needs nonnegative {name}")
-    if E.shape[1] == 0 or M.shape[0] == 0:
+    if p == 0 or M.shape[0] == 0:
         return 0.0
-    return _closed_gain(A - L @ C, E - L @ F, M, N)
+    return max_row_sum(M @ Y + N)
 
 
 def relaxed_error_gain(A, E, C, F, L, M) -> float:
@@ -515,25 +544,17 @@ def relaxed_error_gain(A, E, C, F, L, M) -> float:
     input matrix [B+ B-] and no feedthrough.  Only A - LC Metzler and
     Hurwitz is required of L.
     """
-    A = _square(A, "A")
-    n = A.shape[0]
-    violations = observer_membership(A, E, C, F, L, "relaxed")
+    violations, Y = _error_loop(A, E, C, F, L, "relaxed")
     if violations:
         raise MembershipError(
             "relaxed gain not defined: " + "; ".join(violations), violations
         )
-    E = _input_map(E, n, "E")
-    C = _output_map(C, n, "C")
-    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
-    L = _input_map(L, n, "L")
-    M = _output_map(M, n, "M")
+    M = _output_map(M, Y.shape[0], "M")
     if not is_nonnegative(M):
         raise PreconditionError("relaxed_error_gain needs nonnegative M")
-    Bp, Bm = split_pos_neg(E - L @ F)
-    stacked = np.hstack([Bp, Bm])
-    if stacked.shape[1] == 0 or M.shape[0] == 0:
+    if Y.shape[1] == 0 or M.shape[0] == 0:
         return 0.0
-    return _closed_gain(A - L @ C, stacked, M, np.zeros((M.shape[0], stacked.shape[1])))
+    return max_row_sum(M @ Y)
 
 
 def rowwise_gain_decomposition(A, E, C, F, L, M, N, gamma: float) -> bool:

@@ -1,5 +1,8 @@
 """Matrix primitives pinned to hand-checked values."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from obsynth import (
     solve_linear,
     split_pos_neg,
 )
-from obsynth.linalg import as_matrix, as_vector
+from obsynth.linalg import _eliminate, as_matrix, as_vector
 
 from conftest import random_metzler_hurwitz
 
@@ -116,3 +119,45 @@ def test_solve_linear_residual_on_random_systems():
         X = solve_linear(A, B)
         res = np.max(np.abs(A @ X - B))
         assert res <= 1e-10 * (1.0 + np.max(np.abs(B)))
+
+
+def test_solve_linear_matches_the_elimination_loop():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 8, 13, 21, 30, 40):
+        for _ in range(4):
+            A = rng.normal(size=(n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+            B = rng.normal(size=(n, 3))
+            want = _eliminate(A, B)
+            got = solve_linear(A, B)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _second_pivot(delta):
+    # Elimination leaves [[4 delta, 5/2], [0, 7/4]] below the first pivot
+    # 4 = max|A|, so the second pivot is delta * max|A|.
+    return np.array([[4.0, 2.0, 1.0], [2.0, 1.0 + 4.0 * delta, 3.0], [1.0, 0.5, 2.0]])
+
+
+def test_solve_linear_pivot_floor_is_relative_to_the_largest_entry():
+    with pytest.raises(SingularMatrixError) as exc:
+        solve_linear(_second_pivot(1e-14), np.ones(3))
+    assert exc.value.pivot_index == 1
+    A = _second_pivot(1e-9)
+    x = solve_linear(A, np.ones(3))
+    assert np.max(np.abs(A @ x - 1.0)) <= 1e-6
+
+
+def test_no_eigenvalue_is_computed_in_the_library():
+    # Verdicts rest on certificate vectors, never on a spectrum.
+    banned = {"eig", "eigvals", "eigh", "eigvalsh"}
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "obsynth").glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in banned:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -29,6 +29,8 @@ from obsynth import (
     relaxed_error_gain,
     rowwise_gain_decomposition,
 )
+from obsynth.lp import LinearProgram, LpStatus, solve
+from obsynth.positive import DEFAULT_EPSILON
 
 from conftest import random_metzler_hurwitz, random_schur
 
@@ -95,6 +97,67 @@ def test_hurwitz_certificate_right_and_left():
         hurwitz_certificate(A_CASE2)
     with pytest.raises(PreconditionError):
         hurwitz_certificate(A_CASE1, kind="sideways")
+
+
+def _lp_certificate(A, kind, epsilon=DEFAULT_EPSILON):
+    """Reference route: minimize 1^T mu subject to W mu <= -epsilon,
+    mu >= 0, with W = A or A^T; None when the LP is infeasible."""
+    n = A.shape[0]
+    W = A if kind == "right" else A.T
+    lhs = np.vstack([W, -np.eye(n)])
+    rhs = np.concatenate([-epsilon * np.ones(n), np.zeros(n)])
+    sol = solve(LinearProgram(np.ones(n), lhs, rhs))
+    return None if sol.status is LpStatus.INFEASIBLE else sol.primal
+
+
+def _not_hurwitz(rng, n):
+    """Metzler A with A x > 0 for some x > 0, hence not Hurwitz: were it
+    Hurwitz, (-A)^{-1} >= 0 would give x = -(-A)^{-1} A x <= 0."""
+    A = rng.uniform(0.0, 1.0, size=(n, n))
+    np.fill_diagonal(A, 0.0)
+    x = rng.uniform(0.5, 2.0, size=n)
+    A[np.diag_indices(n)] = (rng.uniform(0.1, 1.0, size=n) - A @ x) / x
+    return A
+
+
+def test_hurwitz_certificate_matches_the_certificate_lp():
+    rng = np.random.default_rng(67)
+    for _ in range(60):
+        n = int(rng.integers(1, 16))
+        A = random_metzler_hurwitz(rng, n)
+        for kind in ("right", "left"):
+            W = A if kind == "right" else A.T
+            cert = hurwitz_certificate(A, kind)
+            ref = _lp_certificate(A, kind)
+            assert cert.kind == kind and cert.margin == DEFAULT_EPSILON
+            assert np.max(np.abs(cert.vector - ref)) <= 1e-12 * np.max(ref)
+            assert np.all(cert.vector > 0.0)
+            assert np.all(W @ cert.vector <= -DEFAULT_EPSILON * (1.0 - 1e-12))
+        B = _not_hurwitz(rng, n)
+        for kind in ("right", "left"):
+            assert hurwitz_certificate(B, kind) is None
+            assert _lp_certificate(B, kind) is None
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_hurwitz_verdict_flips_where_the_row_sum_crosses_zero(n):
+    # Constant row sums s make 1 a positive eigenvector with eigenvalue
+    # s, so the Perron root is s.  Dyadic off-diagonal entries keep the
+    # row sums exact, and s = 0 exactly singular.
+    rng = np.random.default_rng(71 + n)
+    for _ in range(4):
+        off = rng.integers(0, 9, size=(n, n)) / 8.0
+        np.fill_diagonal(off, 0.0)
+        for s in (-0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.5):
+            A = off.copy()
+            A[np.diag_indices(n)] = s - off.sum(axis=1)
+            for kind in ("right", "left"):
+                cert = hurwitz_certificate(A, kind)
+                assert (cert is not None) == (s < 0.0), (n, s, kind)
+                if cert is not None:
+                    W = A if kind == "right" else A.T
+                    assert np.all(cert.vector > 0.0)
+                    assert np.all(W @ cert.vector <= -DEFAULT_EPSILON * (1.0 - 1e-9))
 
 
 def test_gain_closed_scalar_lag():
