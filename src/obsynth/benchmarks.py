@@ -41,20 +41,18 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 MANIFEST = CORPUS_DIR / "expected.json"
 
 
-def simulate_problem(
-    pf: ProblemFile, L: np.ndarray, form: str, M: np.ndarray | None = None
-) -> Trace:
+def simulate_problem(pf: ProblemFile, L: np.ndarray, form: str) -> Trace:
     """Run the simulator matching the problem class with gain L."""
     system = pf.system()
     config = pf.sim_config()
     if pf.klass == "population":
-        return simulate_population(system, L, config, M=M)
+        return simulate_population(system, L, config)
     dist = pf.disturbance()
     if pf.klass == "continuous":
-        return simulate_ct(system, L, dist, config, M=M, form=form)
+        return simulate_ct(system, L, dist, config, form=form)
     if pf.klass == "delay":
-        return simulate_delay(system, L, dist, config, M=M)
-    return simulate_dt(system, L, dist, config, M=M)
+        return simulate_delay(system, L, dist, config)
+    return simulate_dt(system, L, dist, config)
 
 
 @dataclass
@@ -136,7 +134,7 @@ def run_case(name: str, entry: dict, corpus_dir: Path) -> CaseOutcome:
                 notes.append(f"relaxed error gain {got!r}, expected {check['value']!r}")
 
         if entry.get("simulate"):
-            trace = simulate_problem(pf, L, result.form, M=np.eye(n))
+            trace = simulate_problem(pf, L, result.form)
             report = check_inclusion(trace, tol=1e-7)
             if not report.clean:
                 notes.append(

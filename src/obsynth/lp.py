@@ -2,11 +2,10 @@
 
 Problem form:  minimize  objective · z
                subject to  ineq_lhs · z ≤ ineq_rhs
-                           eq_lhs · z = eq_rhs
 with z sign-free.  Internally every variable is split into a difference
-of nonnegative parts, slacks turn inequalities into equalities, and
-phase 1 drives artificial variables out of rows whose right-hand side
-had to be negated (plus every equality row).
+of nonnegative parts, every row gets its own slack, and phase 1 drives
+artificial variables out of the rows whose right-hand side had to be
+negated.
 
 Bland's rule is used for both the entering and the leaving choice, so
 the solver cannot cycle and identical inputs always produce identical
@@ -40,27 +39,22 @@ class LpStatus(Enum):
 
 @dataclass
 class LinearProgram:
-    """minimize objective·z s.t. ineq_lhs·z ≤ ineq_rhs, eq_lhs·z = eq_rhs."""
+    """minimize objective·z s.t. ineq_lhs·z ≤ ineq_rhs."""
 
     objective: np.ndarray
     ineq_lhs: np.ndarray
     ineq_rhs: np.ndarray
-    eq_lhs: np.ndarray | None = None
-    eq_rhs: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = as_vector(self.objective, "objective")
         n = self.objective.size
         if n == 0:
             raise DimensionError("LinearProgram needs at least one variable")
-        self.ineq_lhs = _rows(self.ineq_lhs, n, "ineq_lhs")
+        lhs = np.asarray(self.ineq_lhs, dtype=float)
+        self.ineq_lhs = as_matrix(lhs, "ineq_lhs") if lhs.size else np.zeros((0, n))
+        if self.ineq_lhs.shape[1] != n:
+            raise DimensionError(f"ineq_lhs has {self.ineq_lhs.shape[1]} columns, expected {n}")
         self.ineq_rhs = as_vector(self.ineq_rhs, "ineq_rhs", self.ineq_lhs.shape[0])
-        self.eq_lhs = _rows(self.eq_lhs, n, "eq_lhs")
-        self.eq_rhs = as_vector(
-            self.eq_rhs if self.eq_rhs is not None else np.zeros(0),
-            "eq_rhs",
-            self.eq_lhs.shape[0],
-        )
 
     @property
     def num_vars(self) -> int:
@@ -68,7 +62,7 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        return self.ineq_lhs.shape[0] + self.eq_lhs.shape[0]
+        return self.ineq_lhs.shape[0]
 
 
 @dataclass
@@ -77,18 +71,6 @@ class LpSolution:
     primal: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
-
-
-def _rows(M, n: int, name: str) -> np.ndarray:
-    if M is None:
-        return np.zeros((0, n))
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return np.zeros((0, n))
-    M = as_matrix(M, name)
-    if M.shape[1] != n:
-        raise DimensionError(f"{name} has {M.shape[1]} columns, expected {n}")
-    return M
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -159,45 +141,29 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     which is a numerical failure, not a statement about the problem.
     """
     n = lp.num_vars
-    mi = lp.ineq_lhs.shape[0]
-    me = lp.eq_lhs.shape[0]
-    m = mi + me
+    m = lp.num_constraints
     if max_iter is None:
         max_iter = 50 * (n + m)
 
-    # columns: [z+ (n) | z- (n) | slacks (mi)]
-    width = 2 * n + mi
-    T = np.zeros((m, width))
-    T[:mi, :n] = lp.ineq_lhs
-    T[:mi, n : 2 * n] = -lp.ineq_lhs
-    T[:mi, 2 * n :] = np.eye(mi)
-    T[mi:, :n] = lp.eq_lhs
-    T[mi:, n : 2 * n] = -lp.eq_lhs
-    b = np.concatenate([lp.ineq_rhs, lp.eq_rhs]).astype(float)
+    # columns: [z+ (n) | z- (n) | slacks (m)]
+    width = 2 * n + m
+    T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
+    b = lp.ineq_rhs.astype(float)
 
+    # rows with a negative right-hand side are negated and start with an
+    # artificial basic; the rest start with their own slack basic
     flip = b < 0.0
     T[flip] *= -1.0
     b[flip] *= -1.0
+    art_rows = np.flatnonzero(flip)
+    basis = np.arange(2 * n, width)
+    basis[art_rows] = width + np.arange(art_rows.size)
 
-    # equality rows and flipped inequality rows need artificials; the
-    # rest start with their own slack basic
-    need_art = flip.copy()
-    need_art[mi:] = True
-    art_rows = np.flatnonzero(need_art)
+    iterations = 0
     if art_rows.size:
         art_cols = np.zeros((m, art_rows.size))
         art_cols[art_rows, np.arange(art_rows.size)] = 1.0
         T = np.hstack([T, art_cols])
-
-    basis = np.empty(m, dtype=int)
-    for i in range(mi):
-        basis[i] = 2 * n + i
-    art_index = {int(r): width + k for k, r in enumerate(art_rows)}
-    for r, jcol in art_index.items():
-        basis[r] = jcol
-
-    iterations = 0
-    if art_rows.size:
         cost1 = np.zeros(T.shape[1])
         cost1[width:] = 1.0
         verdict, iterations = _simplex(T, b, cost1, basis, max_iter, iterations)
@@ -206,32 +172,22 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         phase1 = float(cost1[basis] @ b)
         if phase1 > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
-        # pivot leftover artificials out of the basis (degenerate rows)
-        # or drop rows that became linearly dependent
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] < width:
-                continue
-            entry = -1
-            for j in range(width):
-                if abs(T[i, j]) > EPS:
-                    entry = j
-                    break
-            if entry >= 0:
-                iterations += 1
-                _pivot(T, b, basis, i, entry)
-            else:
-                keep[i] = False
-        T = T[keep, :width]
-        b = b[keep]
-        basis = basis[keep]
+        # pivot leftover artificials out of the basis (degenerate rows);
+        # every row keeps its own slack column, so none is all zero
+        for i in np.flatnonzero(basis >= width):
+            entries = np.flatnonzero(np.abs(T[i, :width]) > EPS)
+            if entries.size == 0:  # pragma: no cover - nonzero slack entry
+                raise SolverFailureError("phase 1 left an artificial on a zero row")
+            iterations += 1
+            _pivot(T, b, basis, i, int(entries[0]))
+        T = T[:, :width]
 
-    cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(mi)])
+    cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
     verdict, iterations = _simplex(T, b, cost2, basis, max_iter, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
-    full = np.zeros(2 * n + mi)
+    full = np.zeros(width)
     full[basis] = b
     z = full[:n] - full[n : 2 * n]
     return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
@@ -239,11 +195,5 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
 def check_feasible(lp: LinearProgram, max_iter: int | None = None) -> bool:
     """True iff the constraint set admits a point (zero-objective solve)."""
-    probe = LinearProgram(
-        np.zeros(lp.num_vars),
-        lp.ineq_lhs.copy(),
-        lp.ineq_rhs.copy(),
-        lp.eq_lhs.copy(),
-        lp.eq_rhs.copy(),
-    )
+    probe = LinearProgram(np.zeros(lp.num_vars), lp.ineq_lhs, lp.ineq_rhs)
     return solve(probe, max_iter=max_iter).status is LpStatus.OPTIMAL

@@ -463,18 +463,12 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
     Standard form needs A - LC Metzler and Hurwitz and E - LF >= 0; the
     relaxed form drops the E - LF condition.
     """
-    return _error_loop(A, E, C, F, L, form)[0]
+    return _error_loop(*_closed_loop(A, E, C, F, L), form)[0]
 
 
-def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]:
-    """Membership violations of L and the error loop's solved inputs.
-
-    The error loop has state matrix A - LC and input matrix E - LF in
-    the standard form, its split [B+ B-] in the relaxed one.  When A - LC
-    is Metzler, the solve that tests it Hurwitz also returns Y, the
-    input matrix premultiplied by (LC - A)^{-1}; Y is None when A - LC
-    is not Metzler and Hurwitz.
-    """
+def _closed_loop(A, E, C, F, L) -> tuple[np.ndarray, np.ndarray]:
+    """The error loop's state and input matrices A - LC and E - LF,
+    from inputs coerced and shape-checked once."""
     A = _square(A, "A")
     n = A.shape[0]
     E = _input_map(E, n, "E")
@@ -485,10 +479,20 @@ def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]
         raise DimensionError(
             f"L has {L.shape[1]} columns, expected {C.shape[0]}"
         )
+    return A - L @ C, E - L @ F
+
+
+def _error_loop(Acl, B, form: str) -> tuple[list[str], np.ndarray | None]:
+    """Membership violations of a gain and the error loop's solved inputs.
+
+    The error loop has state matrix Acl = A - LC and input matrix
+    B = E - LF in the standard form, its split [B+ B-] in the relaxed
+    one.  When Acl is Metzler, the solve that tests it Hurwitz also
+    returns Y, the input matrix premultiplied by (-Acl)^{-1}; Y is None
+    when Acl is not Metzler and Hurwitz.
+    """
     if form not in ("standard", "relaxed"):
         raise PreconditionError(f"unknown observer form {form!r}")
-    Acl = A - L @ C
-    B = E - L @ F
     violations = []
     Y = None
     if not is_metzler(Acl):
@@ -517,7 +521,7 @@ def gain_for_output(A, E, C, F, L, M, N) -> float:
     :class:`MembershipError` lists the violated conditions.  M and N
     weight the error and the disturbance gap in the performance output.
     """
-    violations, Y = _error_loop(A, E, C, F, L, "standard")
+    violations, Y = _error_loop(*_closed_loop(A, E, C, F, L), "standard")
     if violations:
         raise MembershipError(
             "gain not defined: L is not an admissible observer gain ("
@@ -544,7 +548,7 @@ def relaxed_error_gain(A, E, C, F, L, M) -> float:
     input matrix [B+ B-] and no feedthrough.  Only A - LC Metzler and
     Hurwitz is required of L.
     """
-    violations, Y = _error_loop(A, E, C, F, L, "relaxed")
+    violations, Y = _error_loop(*_closed_loop(A, E, C, F, L), "relaxed")
     if violations:
         raise MembershipError(
             "relaxed gain not defined: " + "; ".join(violations), violations
@@ -570,27 +574,21 @@ def rowwise_gain_decomposition(A, E, C, F, L, M, N, gamma: float) -> bool:
     """
     if not gamma > 0.0:
         raise PreconditionError("rowwise decomposition needs gamma > 0")
-    A = _square(A, "A")
-    n = A.shape[0]
-    violations = observer_membership(A, E, C, F, L, "standard")
+    Acl, B = _closed_loop(A, E, C, F, L)
+    violations, _ = _error_loop(Acl, B, "standard")
     if violations:
         raise MembershipError(
             "decomposition not defined: " + "; ".join(violations), violations
         )
-    E = _input_map(E, n, "E")
-    C = _output_map(C, n, "C")
-    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
-    L = _input_map(L, n, "L")
+    n, p = B.shape
     M = _output_map(M, n, "M")
-    N = _feedthrough(N, M.shape[0], E.shape[1], "N")
+    N = _feedthrough(N, M.shape[0], p, "N")
     for name, W in (("M", M), ("N", N)):
         if not is_nonnegative(W):
             raise PreconditionError(f"rowwise decomposition needs nonnegative {name}")
-    Acl = A - L @ C
-    Bcol = (E - L @ F) @ np.ones(E.shape[1])
     T = np.zeros((n + 1, n + 1))
     T[:n, :n] = Acl
-    T[:n, n] = Bcol
+    T[:n, n] = B @ np.ones(p)
     for i in range(M.shape[0]):
         T[n, :n] = M[i]
         T[n, n] = float(np.sum(N[i])) - gamma

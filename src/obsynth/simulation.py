@@ -197,17 +197,10 @@ class Trace:
     w_hi: np.ndarray
     e_lo: np.ndarray = field(init=False)
     e_hi: np.ndarray = field(init=False)
-    zeta_lo: np.ndarray = field(init=False)
-    zeta_hi: np.ndarray = field(init=False)
-    M: np.ndarray | None = None
 
     def __post_init__(self):
         self.e_lo = self.x - self.x_lo
         self.e_hi = self.x_hi - self.x
-        M = np.eye(self.x.shape[1]) if self.M is None else as_matrix(self.M, "M")
-        self.M = M
-        self.zeta_lo = self.e_lo @ M.T
-        self.zeta_hi = self.e_hi @ M.T
 
     def to_csv(self, path: str) -> None:
         n = self.x.shape[1]
@@ -395,7 +388,6 @@ def simulate_ct(
     L: np.ndarray,
     dist: DisturbanceModel,
     config: SimConfig,
-    M: np.ndarray | None = None,
     form: str = "standard",
 ) -> Trace:
     """Integrate plant and observers as one linear system under RK4."""
@@ -411,8 +403,7 @@ def simulate_ct(
     joint = _recur(phi, np.concatenate([config.x0, config.x0_lo, config.x0_hi]), G)
     _check_finite(times, joint)
     return Trace(
-        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :],
-        w, w_lo, w_hi, M=M,
+        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi
     )
 
 
@@ -444,7 +435,6 @@ def simulate_delay(
     L: np.ndarray,
     dist: DisturbanceModel,
     config: SimConfig,
-    M: np.ndarray | None = None,
 ) -> Trace:
     """Method-of-steps RK4 for a delayed plant with its observers.
 
@@ -498,7 +488,7 @@ def simulate_delay(
             out[k + 1] = phi @ out[k] + G[k] + lag0 @ d0 + lag_mid @ d_mid + lag1 @ d1
     _check_finite(times, out)
     return Trace(
-        times, out[:, :n], out[:, n : 2 * n], out[:, 2 * n :], w, w_lo, w_hi, M=M
+        times, out[:, :n], out[:, n : 2 * n], out[:, 2 * n :], w, w_lo, w_hi
     )
 
 
@@ -507,7 +497,6 @@ def simulate_dt(
     L: np.ndarray,
     dist: DisturbanceModel,
     config: SimConfig,
-    M: np.ndarray | None = None,
 ) -> Trace:
     """Exact recursion for a discrete-time plant; dt is the sample period."""
     n, p, r = sys.n, sys.p, sys.r
@@ -522,8 +511,7 @@ def simulate_dt(
     joint = _recur(_joint_state(sys.A_d, L @ sys.C_d), X0, G)
     _check_finite(times, joint)
     return Trace(
-        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :],
-        w, w_lo, w_hi, M=M,
+        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi
     )
 
 
@@ -643,7 +631,6 @@ def simulate_population(
     model: PopulationModel,
     L: np.ndarray,
     config: SimConfig,
-    M: np.ndarray | None = None,
 ) -> Trace:
     """Nonlinear plant with linear observers fed by online envelope
     bounds a_lo * y / (y + b) <= recruitment <= a_hi * y / (y + b).
@@ -685,4 +672,4 @@ def simulate_population(
         raise SimulationError(
             f"recruitment leaves its envelope at t={times[int(bad[0][0])]:.6g}"
         )
-    return Trace(times, x, X[:, :, 0], X[:, :, 1], w, w_lo, w_hi, M=M)
+    return Trace(times, x, X[:, :, 0], X[:, :, 1], w, w_lo, w_hi)

@@ -15,9 +15,13 @@ summed, no feedthrough) becomes a finite LP:
 with (S, T) = (A, C) in continuous time, (A + A_h, C + C_h) with delay,
 and the Schur shift (A_d - I, C_d) in discrete time.  The Metzler
 condition leaves the diagonal of A - LC free, so it has off-diagonal
-rows only.  The one gain L* recovered as X^{-1} U is optimal
-simultaneously for every nonnegative output weighting, which is why a
-single aggregate LP suffices.
+rows only.  A sign row (X P - U Q)_ij >= 0 whose Q column is zero
+reads P_ij x_i >= 0, which x_i >= eps implies unless P_ij < 0; only
+those conflicting rows are kept, and they make the LP infeasible.  So
+the LP holds no sign row that can never bind, and a delayed family
+that vanishes adds none.  The one gain L* recovered as X^{-1} U is
+optimal simultaneously for every nonnegative output weighting, which is
+why a single aggregate LP suffices.
 
 X carries no normalization beyond X_ii >= eps: the stability rows pin
 its scale, and any stronger floor (say X_ii >= 1) breaks the change of
@@ -131,14 +135,18 @@ class CertificationReport:
     gamma_independent: float | None
 
 
+# (label, P, Q, metzler): the rows (X P - U Q)_ij >= 0, on the
+# off-diagonal entries only when the family is a Metzler condition.
+_Family = tuple[str, np.ndarray, np.ndarray, bool]
+
+
 @dataclass
 class _DesignData:
     """Canonical matrices one design LP is assembled from."""
 
     kind: str
     form: str
-    structural: list[tuple[str, np.ndarray, np.ndarray]]  # (label, P, Q): XP - UQ >= 0
-    first_metzler: bool  # structural[0] constrains off-diagonal entries only
+    structural: list[_Family]
     S: np.ndarray  # stability pair: columns of X S - U T
     T: np.ndarray
     E: np.ndarray  # error-loop input pair; gamma bounds 1^T (X E - U F) 1
@@ -153,9 +161,9 @@ class _DesignData:
     def r(self) -> int:
         return self.T.shape[0]
 
-    def sign_families(self, with_input: bool = True) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    def sign_families(self, with_input: bool = True) -> list[_Family]:
         if with_input and self.input_label is not None:
-            return [*self.structural, (self.input_label, self.E, self.F)]
+            return [*self.structural, (self.input_label, self.E, self.F, False)]
         return list(self.structural)
 
 
@@ -164,28 +172,25 @@ def _standard_only(kind: str, form: str) -> None:
         raise PreconditionError(f"{kind} design supports the standard form only")
 
 
-def _delayed(label: str, P: np.ndarray, Q: np.ndarray) -> list:
-    """The delayed-term family, left out when the delayed terms vanish."""
-    return [(label, P, Q)] if np.any(P != 0.0) or np.any(Q != 0.0) else []
-
-
 def _data_ct(sys: ContinuousSystem, form: str) -> _DesignData:
     if form == "standard":
         E, F, input_label = sys.E, sys.F, "E - L F nonnegative"
     else:
         E, F, input_label = np.eye(sys.n), np.zeros((sys.r, sys.n)), None
     return _DesignData(
-        "continuous", form, [("A - L C Metzler", sys.A, sys.C)], True,
+        "continuous", form, [("A - L C Metzler", sys.A, sys.C, True)],
         sys.A, sys.C, E, F, input_label,
     )
 
 
 def _data_delay(sys: DelaySystem, form: str) -> _DesignData:
     _standard_only("delay", form)
-    families = [("A - L C Metzler", sys.A, sys.C)]
-    families += _delayed("A_h - L C_h nonnegative", sys.A_h, sys.C_h)
+    families = [
+        ("A - L C Metzler", sys.A, sys.C, True),
+        ("A_h - L C_h nonnegative", sys.A_h, sys.C_h, False),
+    ]
     return _DesignData(
-        "delay", form, families, True,
+        "delay", form, families,
         sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F nonnegative",
     )
 
@@ -193,17 +198,19 @@ def _data_delay(sys: DelaySystem, form: str) -> _DesignData:
 def _data_dt(sys: DiscreteSystem, form: str) -> _DesignData:
     _standard_only("discrete", form)
     return _DesignData(
-        "discrete", form, [("A_d - L C_d nonnegative", sys.A_d, sys.C_d)], False,
+        "discrete", form, [("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False)],
         sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d nonnegative",
     )
 
 
 def _data_dt_delay(sys: DiscreteDelaySystem, form: str) -> _DesignData:
     _standard_only("discrete", form)
-    families = [("A_d - L C_d nonnegative", sys.A_d, sys.C_d)]
-    families += _delayed("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh)
+    families = [
+        ("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False),
+        ("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh, False),
+    ]
     return _DesignData(
-        "discrete-delay", form, families, False,
+        "discrete-delay", form, families,
         sys.A_d + sys.A_dh - np.eye(sys.n), sys.C_d + sys.C_dh, sys.E_d, sys.F_d,
         "E_d - L F_d nonnegative",
     )
@@ -227,6 +234,11 @@ def _design_data(system, form: str) -> _DesignData:
     return build(system, form)
 
 
+def _per_entry(W: np.ndarray) -> np.ndarray:
+    """One row per entry (i, j) of W, row-major, holding W_ij in column i."""
+    return np.repeat(np.eye(W.shape[0]), W.shape[1], axis=0) * W.reshape(-1, 1)
+
+
 def _assemble(
     data: _DesignData,
     epsilon: float,
@@ -236,62 +248,33 @@ def _assemble(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (lhs, rhs) with lhs z <= rhs over z = [x, U row-major, gamma].
 
+    Each constraint family is one block of rows.  A sign row
+    (X P - U Q)_ij >= 0 has x part -P_ij e_i and U part row (i, j) of
+    kron(I_n, Q^T); a Metzler family skips its diagonal, and a row
+    whose Q column is zero is kept only when P_ij < 0 (module docstring).
+
     with_gain_rows=False drops the E - L F family and the gamma row,
     leaving pure stabilizability; that is the diagnostic solve.
     """
     n, r = data.n, data.r
-    nv = n + n * r + 1
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add(row, b):
-        rows.append(row)
-        rhs.append(b)
-
-    for fam_index, (_, P, Q) in enumerate(data.sign_families(with_gain_rows)):
-        off_diagonal_only = data.first_metzler and fam_index == 0
-        for i in range(n):
-            for j in range(P.shape[1]):
-                if off_diagonal_only and i == j:
-                    continue
-                row = np.zeros(nv)
-                row[i] = -P[i, j]
-                row[n + i * r : n + (i + 1) * r] = Q[:, j]
-                add(row, 0.0)
-
-    for j in range(n):
-        row = np.zeros(nv)
-        row[:n] = data.S[:, j]
-        for i in range(n):
-            row[n + i * r : n + (i + 1) * r] = -data.T[:, j]
-        add(row, -1.0 - epsilon)
-
+    blocks = []  # (x part, U part, gamma coefficient, rhs)
+    for _, P, Q, metzler in data.sign_families(with_gain_rows):
+        keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
+        if metzler:
+            keep &= ~np.eye(n, dtype=bool)
+        keep = keep.reshape(-1)
+        blocks.append((_per_entry(-P)[keep], np.kron(np.eye(n), Q.T)[keep], 0.0, 0.0))
+    blocks.append((data.S.T, np.tile(-data.T.T, n), 0.0, -1.0 - epsilon))
     if with_gain_rows:
         ones = np.ones(data.E.shape[1])
-        row = np.zeros(nv)
-        row[:n] = data.E @ ones
-        for i in range(n):
-            row[n + i * r : n + (i + 1) * r] -= data.F @ ones
-        row[-1] = -1.0
-        add(row, -epsilon)
-
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i] = -1.0
-        add(row, -epsilon)
-
+        blocks.append(([data.E @ ones], [np.tile(-(data.F @ ones), n)], -1.0, -epsilon))
+    blocks.append((-np.eye(n), np.zeros((n, n * r)), 0.0, -epsilon))
     for B, sign in ((lo, 1.0), (hi, -1.0)):
-        if B is None:
-            continue
-        for i in range(n):
-            for j in range(r):
-                row = np.zeros(nv)
-                row[i] = sign * B[i, j]
-                row[n + i * r + j] = -sign
-                add(row, 0.0)
-
-    return np.array(rows), np.array(rhs)
+        if B is not None:
+            blocks.append((_per_entry(sign * B), -sign * np.eye(n * r), 0.0, 0.0))
+    lhs = np.vstack([np.column_stack([x, u, np.full(len(x), g)]) for x, u, g, _ in blocks])
+    rhs = np.concatenate([np.full(len(x), b) for x, _, _, b in blocks])
+    return lhs, rhs
 
 
 def design(system, spec: ObserverSpec) -> DesignResult:
@@ -415,10 +398,9 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
 
     tol = max(STRUCTURAL_TOL, slack)
     L = result.L
-    for k, (label, P, Q) in enumerate(data.sign_families()):
-        closed = P - L @ Q
-        holds = is_metzler if k == 0 and data.first_metzler else is_nonnegative
-        if not holds(closed, tol):
+    for label, P, Q, metzler in data.sign_families():
+        holds = is_metzler if metzler else is_nonnegative
+        if not holds(P - L @ Q, tol):
             flags.append(f"{label} fails at L")
 
     Scl = data.S - L @ data.T

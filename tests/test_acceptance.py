@@ -318,7 +318,7 @@ def test_criterion_10_every_simulated_scenario_stays_included():
         result = design(pf.plant(), pf.observer_spec())
         assert result.status == "optimal", name
         n = result.L.shape[0]
-        trace = simulate_problem(pf, result.L, result.form, M=np.eye(n))
+        trace = simulate_problem(pf, result.L, result.form)
         report = check_inclusion(trace, tol=1e-7)
         assert report.clean, f"{name}: violated at t={report.time}"
         empirical = empirical_peak_gain(trace, np.eye(n))

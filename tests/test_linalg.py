@@ -1,6 +1,7 @@
 """Matrix primitives pinned to hand-checked values."""
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +148,36 @@ def test_solve_linear_pivot_floor_is_relative_to_the_largest_entry():
     assert np.max(np.abs(A @ x - 1.0)) <= 1e-6
 
 
+def _library_trees() -> list[tuple[str, ast.Module]]:
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "obsynth").glob("*.py"))
+    assert paths
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
+
+
 def test_no_eigenvalue_is_computed_in_the_library():
     # Verdicts rest on certificate vectors, never on a spectrum.
     banned = {"eig", "eigvals", "eigh", "eigvalsh"}
-    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "obsynth").glob("*.py"))
-    assert paths
     found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in banned:
-                    found.append(f"{path.name}:{node.lineno} {name}")
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in banned:
+                    found.append(f"{name}:{node.lineno} {called}")
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
     assert found == []

@@ -18,13 +18,11 @@ from obsynth import (
 )
 
 
-def _lp(c, G, h, Aeq=None, beq=None):
+def _lp(c, G, h):
     return LinearProgram(
         np.asarray(c, dtype=float),
         np.asarray(G, dtype=float),
         np.asarray(h, dtype=float),
-        None if Aeq is None else np.asarray(Aeq, dtype=float),
-        None if beq is None else np.asarray(beq, dtype=float),
     )
 
 
@@ -46,15 +44,14 @@ def test_unbounded_ray():
     assert sol.status is LpStatus.UNBOUNDED
 
 
-def test_equality_rows():
-    # min x + y subject to x + y = 1, x >= 0, y >= 0
+def test_equality_as_two_inequalities():
+    # min x + y subject to 1 <= x + y <= 1, x >= 0, y >= 0: phase 1 ends
+    # with an artificial basic at zero that must be pivoted out
     sol = solve(
         _lp(
             [1.0, 1.0],
-            [[-1.0, 0.0], [0.0, -1.0]],
-            [0.0, 0.0],
-            [[1.0, 1.0]],
-            [1.0],
+            [[1.0, 1.0], [-1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]],
+            [1.0, -1.0, 0.0, 0.0],
         )
     )
     assert sol.status is LpStatus.OPTIMAL

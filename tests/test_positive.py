@@ -404,6 +404,11 @@ def test_rowwise_decomposition_examples():
     )
     with pytest.raises(PreconditionError):
         rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, np.eye(2), 0.0, 0.0)
+    # L = 0 leaves A_CASE2 - L C with a negative off-diagonal entry
+    with pytest.raises(MembershipError):
+        rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[0.0], [0.0]], np.eye(2), 0.0, 1.1)
+    with pytest.raises(DimensionError):
+        rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[-1.0, 0.0], [2.0, 0.0]], np.eye(2), 0.0, 1.1)
 
 
 def test_rowwise_decomposition_matches_gain_threshold():

@@ -154,12 +154,9 @@ def test_trace_errors_and_outputs():
     trace = Trace(
         times, x, x - 0.5, x + 1.0,
         np.zeros((2, 1)), -np.ones((2, 1)), np.ones((2, 1)),
-        M=np.ones((1, 2)),
     )
     assert np.all(trace.e_lo == 0.5)
     assert np.all(trace.e_hi == 1.0)
-    assert np.all(trace.zeta_lo == 1.0)  # ones-weighted sum of e_lo
-    assert np.all(trace.zeta_hi == 2.0)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

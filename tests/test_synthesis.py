@@ -39,6 +39,16 @@ CASE3 = ContinuousSystem(
 )
 
 
+def _record_programs(monkeypatch) -> list:
+    """The design LPs `synthesis.solve` is handed from now on."""
+    import obsynth.synthesis as synthesis
+
+    programs = []
+    solve = synthesis.solve
+    monkeypatch.setattr(synthesis, "solve", lambda lp: programs.append(lp) or solve(lp))
+    return programs
+
+
 def test_observer_spec_validation():
     with pytest.raises(PreconditionError):
         ObserverSpec(form="loose")
@@ -149,11 +159,14 @@ def test_design_ct_requires_standard_form():
         design_relaxed(CASE1, ObserverSpec(form="standard"))
 
 
-def test_delay_reduction_is_bit_identical():
+def test_delay_reduction_is_bit_identical(monkeypatch):
+    programs = _record_programs(monkeypatch)
     zero2 = np.zeros((2, 2))
     dsys = DelaySystem(CASE2.A, zero2, CASE2.E, CASE2.C, np.zeros((1, 2)), CASE2.F, 1.0)
     a = design(dsys, ObserverSpec())
     b = design(CASE2, ObserverSpec())
+    # the vanishing delayed family adds no row
+    assert programs[0].ineq_lhs.tobytes() == programs[1].ineq_lhs.tobytes()
     assert a.L.tobytes() == b.L.tobytes()
     assert a.gamma == b.gamma
     assert a.X_diag.tobytes() == b.X_diag.tobytes()
@@ -195,6 +208,17 @@ def test_delay_design_is_h_independent():
     ]
     assert len({r.L.tobytes() for r in results}) == 1
     assert len({r.gamma for r in results}) == 1
+
+
+def test_delayed_family_keeps_its_diagonal():
+    # A_h - L C_h >= 0 caps L at 1 through its diagonal row; without
+    # that row L would grow without bound and gamma fall toward eps
+    dsys = DelaySystem([[-3.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], [[0.0]], 1.0)
+    result = design(dsys, ObserverSpec())
+    assert result.status == "optimal"
+    assert abs(result.L[0, 0] - 1.0) <= 1e-9
+    assert abs(result.gamma - ((1.0 + EPS) / 3.0 + EPS)) <= 1e-12
+    assert certify(result, dsys, ObserverSpec()).passed
 
 
 def test_delay_certify():
@@ -304,17 +328,22 @@ def test_certify_rejects_infeasible_results():
         certify(result, CASE3, ObserverSpec())
 
 
+# three-stage chain: recruitment disturbs stage one, stage three is
+# measured, and only its gain entry affects the optimum
+POPULATION = ContinuousSystem(
+    [[-2.0, 0.0, 0.0], [3.0, -2.0, 0.0], [0.0, 4.0, -3.0]],
+    [[1.0], [0.0], [0.0]],
+    [[0.0, 0.0, 1.0]],
+    [[0.0]],
+)
+POPULATION_SPEC = ObserverSpec(
+    gain_lower=-5.0 * np.ones((3, 1)), gain_upper=5.0 * np.ones((3, 1))
+)
+
+
 def test_population_design():
-    # three-stage chain: recruitment disturbs stage one, stage three is
-    # measured, and only its gain entry affects the optimum
-    A = np.array([[-2.0, 0.0, 0.0], [3.0, -2.0, 0.0], [0.0, 4.0, -3.0]])
-    E = np.array([[1.0], [0.0], [0.0]])
-    C = np.array([[0.0, 0.0, 1.0]])
-    F = np.zeros((1, 1))
-    sys = ContinuousSystem(A, E, C, F)
-    spec = ObserverSpec(
-        gain_lower=-5.0 * np.ones((3, 1)), gain_upper=5.0 * np.ones((3, 1))
-    )
+    sys, spec = POPULATION, POPULATION_SPEC
+    A, E, C, F = sys.A, sys.E, sys.C, sys.F
     result = design(sys, spec)
     assert result.status == "optimal"
     assert np.max(np.abs(result.L - [[0.0], [0.0], [5.0]])) <= 1e-6
@@ -323,6 +352,43 @@ def test_population_design():
     report = certify(result, sys, spec)
     assert report.passed
     assert abs(report.gamma_independent - 13.0 / 8.0) <= 1e-9
+
+
+def test_design_lp_keeps_only_rows_that_can_bind(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    programs = _record_programs(monkeypatch)
+    result = design(POPULATION, POPULATION_SPEC)
+    assert result.status == "optimal"
+    assert certify(result, POPULATION, POPULATION_SPEC).passed
+    (lp,) = programs
+    # C = e3^T: a sign row of column 1 or 2 reads P_ij x_i >= 0, implied
+    # by x_i >= eps, so the Metzler family keeps (1, 3) and (2, 3) and
+    # E - L F (F = 0, E >= 0) keeps none; then 3 stability rows, the
+    # gamma row, 3 rows x_i >= eps and 6 gain-bound rows (22 rows if
+    # every sign row were kept)
+    assert lp.num_constraints == 2 + 0 + 3 + 1 + 3 + 6
+    oracle = optimize.linprog(
+        lp.objective, A_ub=lp.ineq_lhs, b_ub=lp.ineq_rhs,
+        bounds=(None, None), method="highs",
+    )
+    assert oracle.status == 0
+    assert abs(result.gamma - oracle.fun) <= 1e-9 * abs(oracle.fun)
+
+
+@pytest.mark.parametrize(
+    "sys, diagnostic",
+    [
+        # (A - L C)_12 = -1 whatever L is: a kept Metzler row
+        (ContinuousSystem([[-1.0, -1.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+         DIAG_NO_STABILIZER),
+        # E - L F = -1 whatever L is, while A - L C is stable: a kept input row
+        (ContinuousSystem([[-1.0]], [[-1.0]], [[1.0]], [[0.0]]), DIAG_SIGN_CONFLICT),
+    ],
+)
+def test_sign_rows_with_a_zero_q_column_keep_their_conflict(sys, diagnostic):
+    result = design(sys, ObserverSpec())
+    assert result.status == "infeasible"
+    assert result.diagnostic == diagnostic
 
 
 def test_design_rejects_unknown_plants_and_mismatched_certify():
@@ -364,11 +430,7 @@ def test_relaxed_certify_accepts_nearly_metzler_loops():
 @pytest.mark.parametrize("n", [16, 24])
 def test_design_lp_at_scale_matches_highs(n, monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
-    import obsynth.synthesis as synthesis
-
-    programs = []
-    solve = synthesis.solve
-    monkeypatch.setattr(synthesis, "solve", lambda lp: programs.append(lp) or solve(lp))
+    programs = _record_programs(monkeypatch)
     p, r = 2, 3
     rng = np.random.default_rng(n)
     for _ in range(2):
