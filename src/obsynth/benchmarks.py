@@ -141,7 +141,7 @@ def run_case(name: str, entry: dict, corpus_dir: Path) -> CaseOutcome:
                     f"inclusion violated at t={report.time:.6g} "
                     f"(component {report.component}, {report.side})"
                 )
-            empirical = empirical_peak_gain(trace, np.eye(n))
+            empirical = empirical_peak_gain(trace)
             certified = entry["certified_identity_gain"]
             if empirical > certified + 1e-3:
                 notes.append(
@@ -153,20 +153,15 @@ def run_case(name: str, entry: dict, corpus_dir: Path) -> CaseOutcome:
         return CaseOutcome(name, "error", False, notes)
 
 
-def run_bench(
-    name_filter: str | None = None,
-    corpus_dir: Path | None = None,
-    manifest: dict | None = None,
-) -> BenchReport:
-    corpus_dir = CORPUS_DIR if corpus_dir is None else Path(corpus_dir)
+def run_bench(name_filter: str | None = None, manifest: dict | None = None) -> BenchReport:
     if manifest is None:
-        with open(corpus_dir / "expected.json") as fh:
+        with open(MANIFEST) as fh:
             manifest = json.load(fh)
     cases = []
     for name in sorted(manifest):
         if name_filter is not None and name_filter not in name:
             continue
-        cases.append(run_case(name, manifest[name], corpus_dir))
+        cases.append(run_case(name, manifest[name], CORPUS_DIR))
     return BenchReport(cases)
 
 

@@ -31,7 +31,7 @@ from .positive import (
 )
 from .problem import ProblemFile, parse_problem
 from .simulation import check_inclusion, empirical_peak_gain
-from .synthesis import certify, design
+from .synthesis import certify, closed_loop, design
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -135,7 +135,7 @@ def cmd_gain(args) -> int:
     n, p = system.n, system.p
 
     if args.gain is not None:
-        L = _parse_matrix_flag(args.gain, "gain", n, p)
+        L = _parse_matrix_flag(args.gain, "gain", n, system.r)
         L = as_matrix(L, "L", (n, system.r))
     else:
         result = design(system, spec)
@@ -143,6 +143,7 @@ def cmd_gain(args) -> int:
             _emit({"status": result.status, "diagnostic": result.diagnostic}, args.out)
             return EXIT_INFEASIBLE
         L = result.L
+    Scl, Bcl = closed_loop(system, L)
 
     M = _parse_matrix_flag(args.output_matrix, "output-matrix", n, p)
     doc: dict = {"L": L, "M": M, "epsilon": spec.epsilon}
@@ -150,7 +151,6 @@ def cmd_gain(args) -> int:
         doc["gamma_relaxed_error"] = relaxed_error_gain(
             system.A, system.E, system.C, system.F, L, M
         )
-        Scl = system.A - L @ system.C
         doc["gamma_surrogate"], doc["certificate_lambda"] = linf_gain_lp(
             Scl, np.eye(n), M, np.zeros((M.shape[0], n)), epsilon=spec.epsilon
         )
@@ -161,8 +161,6 @@ def cmd_gain(args) -> int:
         doc["gamma_closed"] = gain_for_output(
             system.A, system.E, system.C, system.F, L, M, N
         )
-        Scl = system.A - L @ system.C
-        Bcl = system.E - L @ system.F
         doc["gamma_lp"], doc["certificate_lambda"] = linf_gain_lp(
             Scl, Bcl, M, N, epsilon=spec.epsilon
         )
@@ -205,7 +203,7 @@ def cmd_check(args) -> int:
     pf = parse_problem(args.input)
     # instantiating the pieces exercises every cross-field invariant
     pf.system()
-    pf.observer_spec(fallback=_epsilon_fallback())
+    _spec_for(pf, args)
     if "disturbance" in pf.data:
         pf.disturbance()
     if "simulation" in pf.data:
@@ -227,10 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, with_input=True):
+    def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
-        if with_input:
-            sp.add_argument("input", metavar="INPUT", help="problem file (JSON)")
+        sp.add_argument("input", metavar="INPUT", help="problem file (JSON)")
         sp.add_argument(
             "--epsilon", type=float, default=None,
             help="strictness margin for all strict inequalities",
@@ -257,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
 
     add("check", "validate a problem file")
 
-    sp = add("bench", "run the built-in corpus against expected values", with_input=False)
+    sp = sub.add_parser("bench", help="run the built-in corpus against expected values")
     sp.add_argument("--filter", default=None, help="only run cases whose name contains this")
 
     try:

@@ -193,7 +193,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
 
 
-def check_feasible(lp: LinearProgram, max_iter: int | None = None) -> bool:
+def check_feasible(lp: LinearProgram) -> bool:
     """True iff the constraint set admits a point (zero-objective solve)."""
     probe = LinearProgram(np.zeros(lp.num_vars), lp.ineq_lhs, lp.ineq_rhs)
-    return solve(probe, max_iter=max_iter).status is LpStatus.OPTIMAL
+    return solve(probe).status is LpStatus.OPTIMAL

@@ -6,7 +6,9 @@ simulation grid.  Parsing is strict: unknown keys, missing required
 keys, and malformed values are all rejected with the JSON path of the
 offender, so corpus files cannot drift silently.  Parsed files
 normalize defaults once, which makes parse(write(parse(f))) a fixed
-point.
+point.  One table, _SIGNALS, gives each signal type its class, fields
+and defaults, and one, _CLASSES, gives each matrix class its system
+type and matrices, so neither is dispatched anywhere else.
 """
 
 from __future__ import annotations
@@ -31,17 +33,11 @@ from .synthesis import ObserverSpec
 
 SCHEMA_VERSION = "1"
 
-_CLASS_MATRICES = {
-    "continuous": ("A", "E", "C", "F"),
-    "delay": ("A", "A_h", "E", "C", "C_h", "F"),
-    "discrete": ("A_d", "E_d", "C_d", "F_d"),
-}
-
-_SIGNAL_FIELDS = {
-    "constant": ({"value"}, set()),
-    "sine": ({"amplitude", "omega"}, {"phase", "offset"}),
-    "piecewise": ({"breakpoints", "levels"}, set()),
-    "samples": ({"times", "values"}, set()),
+# plant class -> (system type, its matrices in constructor order)
+_CLASSES = {
+    "continuous": (ContinuousSystem, ("A", "E", "C", "F")),
+    "delay": (DelaySystem, ("A", "A_h", "E", "C", "C_h", "F")),
+    "discrete": (DiscreteSystem, ("A_d", "E_d", "C_d", "F_d")),
 }
 
 
@@ -93,39 +89,40 @@ def _matrix(value, path: str, square: bool = False) -> list[list[float]]:
     return rows
 
 
+# signal type -> (class, {constructor argument: parser}, defaults of the
+# optional arguments)
+_SIGNALS = {
+    "constant": (ConstantSignal, {"value": _number}, {}),
+    "sine": (
+        SineSignal,
+        {"amplitude": _number, "omega": _number, "phase": _number, "offset": _number},
+        {"phase": 0.0, "offset": 0.0},
+    ),
+    "piecewise": (
+        PiecewiseConstantSignal, {"breakpoints": _number_list, "levels": _number_list}, {}
+    ),
+    "samples": (SampledSignal, {"times": _number_list, "values": _number_list}, {}),
+}
+
+
 def _signal_dict(value, path: str) -> dict:
     obj = _expect_object(value, path)
     kind = obj.get("type")
-    if kind not in _SIGNAL_FIELDS:
-        raise _fail(
-            f"{path}.type", f"expected one of {sorted(_SIGNAL_FIELDS)}, got {kind!r}"
-        )
-    required, optional = _SIGNAL_FIELDS[kind]
-    _check_keys(obj, required | {"type"}, optional, path)
-    out = {"type": kind}
+    if kind not in _SIGNALS:
+        raise _fail(f"{path}.type", f"expected one of {sorted(_SIGNALS)}, got {kind!r}")
+    _, fields, defaults = _SIGNALS[kind]
+    _check_keys(obj, {"type", *fields} - set(defaults), set(defaults), path)
+    out = {"type": kind, **defaults}
     for key, val in obj.items():
-        if key == "type":
-            continue
-        if key in ("breakpoints", "levels", "times", "values"):
-            out[key] = _number_list(val, f"{path}.{key}")
-        else:
-            out[key] = _number(val, f"{path}.{key}")
-    if kind == "sine":
-        out.setdefault("phase", 0.0)
-        out.setdefault("offset", 0.0)
+        if key != "type":
+            out[key] = fields[key](val, f"{path}.{key}")
     return out
 
 
 def build_signal(spec: dict):
     """Instantiate the signal object a normalized spec dict describes."""
-    kind = spec["type"]
-    if kind == "constant":
-        return ConstantSignal(spec["value"])
-    if kind == "sine":
-        return SineSignal(spec["amplitude"], spec["omega"], spec["phase"], spec["offset"])
-    if kind == "piecewise":
-        return PiecewiseConstantSignal(spec["breakpoints"], spec["levels"])
-    return SampledSignal(spec["times"], spec["values"])
+    args = dict(spec)
+    return _SIGNALS[args.pop("type")][0](**args)
 
 
 def _signal_list(value, path: str, expected: int | None) -> list[dict]:
@@ -241,15 +238,10 @@ class ProblemFile:
     def system(self):
         d = self.data
         try:
-            if d["class"] == "continuous":
-                return ContinuousSystem(*(np.array(d[k]) for k in _CLASS_MATRICES["continuous"]))
-            if d["class"] == "delay":
-                return DelaySystem(
-                    np.array(d["A"]), np.array(d["A_h"]), np.array(d["E"]),
-                    np.array(d["C"]), np.array(d["C_h"]), np.array(d["F"]), d["h"],
-                )
-            if d["class"] == "discrete":
-                return DiscreteSystem(*(np.array(d[k]) for k in _CLASS_MATRICES["discrete"]))
+            if d["class"] in _CLASSES:
+                cls, matrices = _CLASSES[d["class"]]
+                delay = [d["h"]] if "h" in d else []
+                return cls(*(np.array(d[k]) for k in matrices), *delay)
             pop = d["population"]
             gain = pop["incidence_gain"]
             if isinstance(gain, dict):
@@ -327,31 +319,26 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
             f"{source}.schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}"
         )
     klass = obj.get("class")
-    if klass in _CLASS_MATRICES:
-        matrices = _CLASS_MATRICES[klass]
+    if klass in _CLASSES:
+        matrices = _CLASSES[klass][1]
         required = {"schema_version", "class", *matrices}
         optional = {"observer", "disturbance", "simulation"}
         if klass == "delay":
             required.add("h")
         _check_keys(obj, required, optional, source)
         data: dict = {"schema_version": version, "class": klass}
-        square = {"A", "A_h", "A_d"}
         for name in matrices:
-            data[name] = _matrix(obj[name], f"{source}.{name}", square=name in square)
+            data[name] = _matrix(obj[name], f"{source}.{name}", square=name[0] == "A")
+        # A, E, C and F name the first matrix of each role; A_h, C_h and
+        # the _d variants share the shape of their role
+        e_name, c_name, f_name = (next(k for k in matrices if k[0] == role) for role in "ECF")
         n = len(data[matrices[0]])
-        r = len(data[matrices[3] if klass != "delay" else "C"])
+        r = len(data[c_name])
         for name in matrices:
             rows, cols = len(data[name]), len(data[name][0])
-            expect = {
-                "A": (n, n), "A_h": (n, n), "A_d": (n, n),
-                "E": (n, None), "E_d": (n, None),
-                "C": (r, n), "C_h": (r, n), "C_d": (r, n),
-                "F": (r, None), "F_d": (r, None),
-            }[name]
+            expect = {"A": (n, n), "E": (n, None), "C": (r, n), "F": (r, None)}[name[0]]
             if rows != expect[0] or (expect[1] is not None and cols != expect[1]):
                 raise _fail(f"{source}.{name}", f"shape {rows}x{cols} inconsistent with A")
-        e_name = "E_d" if klass == "discrete" else "E"
-        f_name = "F_d" if klass == "discrete" else "F"
         p = len(data[e_name][0])
         if len(data[f_name][0]) != p:
             raise _fail(f"{source}.{f_name}", "column count must match " + e_name)
@@ -375,7 +362,7 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
     else:
         raise _fail(
             f"{source}.class",
-            f"expected one of {sorted([*_CLASS_MATRICES, 'population'])}, got {klass!r}",
+            f"expected one of {sorted([*_CLASSES, 'population'])}, got {klass!r}",
         )
 
     data["observer"] = _observer(obj.get("observer", {}), f"{source}.observer", n, r)

@@ -11,19 +11,25 @@ trace, the inputs on the grid and the half-step grid are evaluated in
 one vectorized pass, and the only per-step work left is the matrix
 recurrence.  The continuous case steps plant and both observer copies
 as one joint system.  The delayed case uses the method of steps: the
-step size is snapped to an integer fraction of the delay and stage
-values at t - h come from the stored grid, with a fourth-order
-four-point stencil for the half-step times so the overall order of the
-integrator is preserved.  The population model is nonlinear, but its
-plant does not depend on the observers: the plant is stepped alone and
-its RK4 stage states then drive the observer pair through the same
-recurrence.  Discrete time is the exact recursion, run by the same loop.
+step size is snapped to an integer fraction of the delay, and one array
+holds the history on the grid followed by the trace, so stage values at
+t - h are stored rows.  Half-step values come from the history, sampled
+once, or from a fourth-order four-point stencil on the trace, so the
+overall order of the integrator is preserved.  The population model is
+nonlinear, but its plant does not depend on the observers: the plant is
+stepped alone and its RK4 stage states then drive the observer pair
+through the same recurrence.  Discrete time is the exact recursion, run
+by the same loop.  The three linear simulators share their setup
+(_linear_setup) and their finish (_joint_trace).
+
+Signals are evaluated by one zero-order hold, PiecewiseConstantSignal,
+and by SineSignal; constant and sampled signals are holds.  Each defines
+the vectorized at(times), and a call at one time is at() at that time.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,21 +46,15 @@ _MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 
 
-class ConstantSignal:
-    """Scalar signal frozen at one value."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
+class Signal:
+    """Base of the signal types: each defines the vectorized `at(times)`,
+    and a scalar call is `at` at one time."""
 
     def __call__(self, t: float) -> float:
-        return self.value
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        """The signal at every time, equal to [self(t) for t in times]."""
-        return np.full(np.shape(times), self.value)
+        return float(self.at(t))
 
 
-class SineSignal:
+class SineSignal(Signal):
     """offset + amplitude * sin(omega * t + phase)."""
 
     def __init__(self, amplitude: float, omega: float, phase: float = 0.0, offset: float = 0.0):
@@ -63,20 +63,18 @@ class SineSignal:
         self.phase = float(phase)
         self.offset = float(offset)
 
-    def __call__(self, t: float) -> float:
-        return self.offset + self.amplitude * np.sin(self.omega * t + self.phase)
-
     def at(self, times: np.ndarray) -> np.ndarray:
-        """The signal at every time, equal to [self(t) for t in times]."""
+        """The signal at every time."""
         return self.offset + self.amplitude * np.sin(self.omega * np.asarray(times) + self.phase)
 
 
-class PiecewiseConstantSignal:
+class PiecewiseConstantSignal(Signal):
     """Levels switched at ascending breakpoints.
 
     level[i] holds on [breakpoints[i-1], breakpoints[i]); level[0]
     before the first breakpoint, level[-1] after the last, so there must
-    be one more level than breakpoints.
+    be one more level than breakpoints.  This zero-order hold is the one
+    evaluator behind the constant and sampled signals as well.
     """
 
     def __init__(self, breakpoints, levels):
@@ -87,33 +85,32 @@ class PiecewiseConstantSignal:
         if len(self.levels) != len(self.breakpoints) + 1:
             raise DimensionError("need exactly one more level than breakpoints")
 
-    def __call__(self, t: float) -> float:
-        return self.levels[bisect_right(self.breakpoints, t)]
-
     def at(self, times: np.ndarray) -> np.ndarray:
-        """The signal at every time, equal to [self(t) for t in times]."""
+        """The signal at every time."""
         return np.array(self.levels)[np.searchsorted(self.breakpoints, times, side="right")]
 
 
-class SampledSignal:
-    """Zero-order hold over sample times; clamps before the first sample."""
+class ConstantSignal(PiecewiseConstantSignal):
+    """Scalar signal frozen at one value: one level, no breakpoint."""
+
+    def __init__(self, value: float):
+        super().__init__([], [value])
+
+
+class SampledSignal(PiecewiseConstantSignal):
+    """Zero-order hold over sample times; clamps before the first sample.
+
+    Sample k holds from times[k] on, and sample 0 also before it, so the
+    breakpoints are the sample times after the first.
+    """
 
     def __init__(self, times, values):
-        self.times = [float(t) for t in times]
-        self.values = [float(v) for v in values]
-        if len(self.times) != len(self.values) or not self.times:
+        times = [float(t) for t in times]
+        if len(times) != len(values) or not times:
             raise DimensionError("times and values must be equal-length and nonempty")
-        if sorted(self.times) != self.times:
+        if sorted(times) != times:
             raise DimensionError("sample times must be ascending")
-
-    def __call__(self, t: float) -> float:
-        idx = bisect_right(self.times, t) - 1
-        return self.values[max(idx, 0)]
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        """The signal at every time, equal to [self(t) for t in times]."""
-        idx = np.searchsorted(self.times, times, side="right") - 1
-        return np.array(self.values)[np.maximum(idx, 0)]
+        super().__init__(times[1:], values)
 
 
 def _sample(signal, times: np.ndarray) -> np.ndarray:
@@ -252,20 +249,19 @@ def check_inclusion(trace: Trace, tol: float = 1e-7) -> InclusionReport:
     )
 
 
-def empirical_peak_gain(trace: Trace, M: np.ndarray | None = None, burn_in: float = 0.5) -> float:
-    """Peak weighted error over peak envelope width, after a burn-in.
+def empirical_peak_gain(trace: Trace, burn_in: float = 0.5) -> float:
+    """Peak error over peak envelope width, after a burn-in.
 
-    The numerator takes ||M e|| at its peak over t >= burn_in * t_end on
+    The numerator takes ||e|| at its peak over t >= burn_in * t_end on
     both observer errors; the denominator is the peak envelope slack
     max(||w_hi - w||, ||w - w_lo||) over the same window.  A degenerate
     denominator (exactly known disturbance) has no finite ratio.
     """
-    M = np.eye(trace.x.shape[1]) if M is None else as_matrix(M, "M")
     start = burn_in * trace.times[-1]
     window = trace.times >= start - BOUND_TOL
     num = max(
-        float(np.max(np.abs(trace.e_hi[window] @ M.T))),
-        float(np.max(np.abs(trace.e_lo[window] @ M.T))),
+        float(np.max(np.abs(trace.e_hi[window]))),
+        float(np.max(np.abs(trace.e_lo[window]))),
     )
     den = max(
         float(np.max(np.abs(trace.w_hi[window] - trace.w[window]))),
@@ -361,9 +357,19 @@ def _midpoints(times: np.ndarray) -> np.ndarray:
     return times[:-1] + np.diff(times) / 2.0
 
 
-def _eval_disturbance(dist: DisturbanceModel, times: np.ndarray, p: int):
-    if dist.p != p:
-        raise DimensionError(f"disturbance has {dist.p} channels, plant expects {p}")
+def _check_x0(config: SimConfig, n: int) -> None:
+    if config.x0.size != n:
+        raise DimensionError(f"x0 has size {config.x0.size}, plant has {n} states")
+
+
+def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
+    """The checked gain, the grid of step dt, W = [w, w_lo, w_hi] on it
+    (each channel inside its envelope) and X0 = [x0, x0_lo, x0_hi]."""
+    L = as_matrix(L, "L", (sys.n, sys.r))
+    _check_x0(config, sys.n)
+    times = _grid(config.t_end, dt)
+    if dist.p != sys.p:
+        raise DimensionError(f"disturbance has {dist.p} channels, plant expects {sys.p}")
     w, w_lo, w_hi = dist.at(times)
     bad = np.where((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))
     if bad[0].size:
@@ -372,7 +378,14 @@ def _eval_disturbance(dist: DisturbanceModel, times: np.ndarray, p: int):
             f"disturbance leaves its envelope at t={times[k]:.6g} "
             f"(channel {int(bad[1][0]) + 1})"
         )
-    return w, w_lo, w_hi
+    X0 = np.concatenate([config.x0, config.x0_lo, config.x0_hi])
+    return L, times, np.hstack([w, w_lo, w_hi]), X0
+
+
+def _joint_trace(times: np.ndarray, joint: np.ndarray, W: np.ndarray) -> Trace:
+    """The Trace of joint states [x, x_lo, x_hi] driven by W = [w, w_lo, w_hi]."""
+    _check_finite(times, joint)
+    return Trace(times, *np.split(joint, 3, axis=1), *np.split(W, 3, axis=1))
 
 
 def _disturbance_drive(hP, B, dist: DisturbanceModel, times: np.ndarray, W: np.ndarray):
@@ -391,43 +404,10 @@ def simulate_ct(
     form: str = "standard",
 ) -> Trace:
     """Integrate plant and observers as one linear system under RK4."""
-    n, p, r = sys.n, sys.p, sys.r
-    L = as_matrix(L, "L", (n, r))
-    _check_x0(config, n)
-    times = _grid(config.t_end, config.dt)
-    w, w_lo, w_hi = _eval_disturbance(dist, times, p)
-
+    L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
     phi, hP = _rk4_maps(_joint_state(sys.A, L @ sys.C), config.dt)
-    big_b = _joint_input(sys.E, sys.F, L, form)
-    G = _disturbance_drive(hP, big_b, dist, times, np.hstack([w, w_lo, w_hi]))
-    joint = _recur(phi, np.concatenate([config.x0, config.x0_lo, config.x0_hi]), G)
-    _check_finite(times, joint)
-    return Trace(
-        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi
-    )
-
-
-def _check_x0(config: SimConfig, n: int) -> None:
-    if config.x0.size != n:
-        raise DimensionError(f"x0 has size {config.x0.size}, plant has {n} states")
-
-
-def _delayed_lookup(stored: np.ndarray, history, k_float: float, dt: float):
-    """Value of the joint state at time index k_float (may be negative or
-    half-integral).  Negative times use the history; half steps use the
-    four-point stencil on stored grid values."""
-    k_round = round(k_float)
-    if abs(k_float - k_round) < 1e-9:
-        k = int(k_round)
-        if k >= 0:
-            return stored[k]
-        return history(k * dt)
-    if k_float < 0.0:
-        return history(k_float * dt)
-    base = int(np.floor(k_float))
-    if base == 0:
-        return _MID_ONESIDED @ stored[0:4]
-    return _MID_CENTERED @ stored[base - 1 : base + 3]
+    G = _disturbance_drive(hP, _joint_input(sys.E, sys.F, L, form), dist, times, W)
+    return _joint_trace(times, _recur(phi, X0, G), W)
 
 
 def simulate_delay(
@@ -440,11 +420,12 @@ def simulate_delay(
 
     The step is snapped to h / ceil(h / dt) so delayed stage times land
     on the grid or at half steps, and must not exceed h / 4 so the
-    interpolation stencil stays inside known history.
+    interpolation stencil stays inside known history.  One array X holds
+    the history on the grid in rows 0..m-1 (observers at their initial
+    bounds) and the trace from row m, so the state one delay back from
+    step k is row k; the history at half steps is sampled once as well.
     """
-    n, p, r = sys.n, sys.p, sys.r
-    L = as_matrix(L, "L", (n, r))
-    _check_x0(config, n)
+    n = sys.n
     if config.dt > sys.h / 4.0 + BOUND_TOL:
         raise SimulationError("dt must be at most a quarter of the delay h")
     m = int(np.ceil(sys.h / config.dt - 1e-9))
@@ -454,8 +435,7 @@ def simulate_delay(
             f"step adjusted from {config.dt:.6g} to {dt:.6g} to divide the delay",
             stacklevel=2,
         )
-    times = _grid(config.t_end, dt)
-    w, w_lo, w_hi = _eval_disturbance(dist, times, p)
+    L, times, W, X0 = _linear_setup(sys, L, dist, config, dt)
 
     plant_history = config.history
     if plant_history is None:
@@ -470,26 +450,26 @@ def simulate_delay(
         raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")
 
     phi, hP = _rk4_maps(_joint_state(sys.A, L @ sys.C), dt)
-    big_b = _joint_input(sys.E, sys.F, L, "standard")
-    G = _disturbance_drive(hP, big_b, dist, times, np.hstack([w, w_lo, w_hi]))
+    G = _disturbance_drive(hP, _joint_input(sys.E, sys.F, L, "standard"), dist, times, W)
     lag0, lag_mid, lag1 = _midpoint_maps(hP, _joint_state(sys.A_h, L @ sys.C_h))
 
-    def history(t: float) -> np.ndarray:
-        x_t = _sample_all(plant_history, np.array([t]))[0]
-        return np.concatenate([x_t, config.x0_lo, config.x0_hi])
-
-    out = np.empty((times.size, 3 * n))
-    out[0] = np.concatenate([config.x0, config.x0_lo, config.x0_hi])
+    X = np.empty((m + times.size, 3 * n))
+    X[:m, :n] = past[:-1]
+    X[:m, n:] = X0[n:]
+    X[m] = X0
+    mids = np.empty((m, 3 * n))
+    mids[:, :n] = _sample_all(plant_history, (np.arange(m) + 0.5 - m) * dt)
+    mids[:, n:] = X0[n:]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(times.size - 1):
-            d0, d_mid, d1 = (
-                _delayed_lookup(out, history, k + s - m, dt) for s in (0.0, 0.5, 1.0)
-            )
-            out[k + 1] = phi @ out[k] + G[k] + lag0 @ d0 + lag_mid @ d_mid + lag1 @ d1
-    _check_finite(times, out)
-    return Trace(
-        times, out[:, :n], out[:, n : 2 * n], out[:, 2 * n :], w, w_lo, w_hi
-    )
+            if k < m:
+                mid = mids[k]
+            elif k == m:
+                mid = _MID_ONESIDED @ X[m : m + 4]
+            else:
+                mid = _MID_CENTERED @ X[k - 1 : k + 3]
+            X[m + k + 1] = phi @ X[m + k] + G[k] + lag0 @ X[k] + lag_mid @ mid + lag1 @ X[k + 1]
+    return _joint_trace(times, X[m:], W)
 
 
 def simulate_dt(
@@ -499,20 +479,9 @@ def simulate_dt(
     config: SimConfig,
 ) -> Trace:
     """Exact recursion for a discrete-time plant; dt is the sample period."""
-    n, p, r = sys.n, sys.p, sys.r
-    L = as_matrix(L, "L", (n, r))
-    _check_x0(config, n)
-    times = _grid(config.t_end, config.dt)
-    w, w_lo, w_hi = _eval_disturbance(dist, times, p)
-
-    big_b = _joint_input(sys.E_d, sys.F_d, L, "standard")
-    G = np.hstack([w, w_lo, w_hi])[:-1] @ big_b.T
-    X0 = np.concatenate([config.x0, config.x0_lo, config.x0_hi])
-    joint = _recur(_joint_state(sys.A_d, L @ sys.C_d), X0, G)
-    _check_finite(times, joint)
-    return Trace(
-        times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi
-    )
+    L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
+    G = W[:-1] @ _joint_input(sys.E_d, sys.F_d, L, "standard").T
+    return _joint_trace(times, _recur(_joint_state(sys.A_d, L @ sys.C_d), X0, G), W)
 
 
 @dataclass
@@ -554,9 +523,7 @@ class PopulationModel:
             raise SimulationError("half_saturation must be positive")
 
     def gain_at(self, t: float) -> float:
-        if callable(self.incidence_gain):
-            return float(self.incidence_gain(t))
-        return float(self.incidence_gain)
+        return float(_incidence_gains(self, np.array([float(t)]))[0])
 
     def system(self) -> ContinuousSystem:
         """The linear part, with recruitment as a scalar disturbance."""

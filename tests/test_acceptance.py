@@ -317,11 +317,10 @@ def test_criterion_10_every_simulated_scenario_stays_included():
         pf = parse_problem(str(CORPUS_DIR / entry["file"]))
         result = design(pf.plant(), pf.observer_spec())
         assert result.status == "optimal", name
-        n = result.L.shape[0]
         trace = simulate_problem(pf, result.L, result.form)
         report = check_inclusion(trace, tol=1e-7)
         assert report.clean, f"{name}: violated at t={report.time}"
-        empirical = empirical_peak_gain(trace, np.eye(n))
+        empirical = empirical_peak_gain(trace)
         certified = entry["certified_identity_gain"]
         assert empirical <= certified + 1e-3, (
             f"{name}: empirical {empirical:.6g} above certified {certified:.6g}"

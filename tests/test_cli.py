@@ -126,6 +126,23 @@ def test_gain_rejects_unparseable_matrix(capsys, corpus_dir):
     assert "error:" in err
 
 
+def test_scalar_gain_spreads_over_n_by_r(capsys, tmp_path):
+    # p = 2 disturbances but r = 1 output: L is 2 x 1
+    doc = {
+        "schema_version": "1",
+        "class": "continuous",
+        "A": [[-2.0, 1.0], [1.0, -3.0]],
+        "E": [[1.0, 0.5], [0.5, 1.0]],
+        "C": [[1.0, 0.0]],
+        "F": [[0.1, 0.1]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "gain", str(path), "--gain", "0.5")
+    assert code == 0, err
+    assert np.array_equal(json.loads(out)["L"], 0.5 * np.ones((2, 1)))
+
+
 def test_gain_on_population_file(capsys, corpus_dir):
     code, out, _ = _run(
         capsys, "gain", _case(corpus_dir, "population"),
@@ -275,6 +292,17 @@ def test_check_rejects_bad_file(capsys, tmp_path):
     code, _, err = _run(capsys, "check", str(path))
     assert code == 1
     assert "schema_version" in err
+
+
+def test_check_reads_the_epsilon_flag(capsys, corpus_dir):
+    code, _, err = _run(capsys, "check", _case(corpus_dir, "case2"), "--epsilon", "-1")
+    assert code == 1
+    assert "epsilon" in err
+
+
+def test_bench_takes_no_epsilon(capsys):
+    code, _, _ = _run(capsys, "bench", "--epsilon", "1e-3")
+    assert code == 1
 
 
 def test_bench_runs_clean(capsys):

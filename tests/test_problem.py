@@ -7,12 +7,16 @@ import pytest
 
 from obsynth import (
     DEFAULT_EPSILON,
+    ConstantSignal,
     ContinuousSystem,
     DelaySystem,
     DiscreteSystem,
+    PiecewiseConstantSignal,
     PopulationModel,
     ProblemFile,
     ProblemFileError,
+    SampledSignal,
+    SineSignal,
     parse_problem,
     parse_problem_dict,
 )
@@ -133,6 +137,8 @@ def test_inconsistent_shapes_are_rejected():
     _expect(r"\$\.E.*inconsistent", _doc(E=[[1.0]]))
     _expect(r"\$\.C", _doc(C=[[1.0]]))
     _expect(r"\$\.F.*column", _doc(F=[[1.0, 2.0]]))
+    # C fixes the output count r; an F with other rows is the one blamed
+    _expect(r"\$\.F: shape 1x1 inconsistent", _doc(C=[[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_matrix_content_validation():
@@ -226,6 +232,46 @@ def test_signal_objects_validated_in_place():
     _expect(r"\$\.disturbance\.w\[0\]\.type", _doc(disturbance=bad))
     bad["w"] = [{"type": "piecewise", "breakpoints": [1.0], "levels": [0.0]}]
     _expect(r"\$\.disturbance\.w\[0\].*level", _doc(disturbance=bad))
+
+
+@pytest.mark.parametrize(
+    "spec, cls, value_at_1",
+    [
+        ({"type": "constant", "value": 0.25}, ConstantSignal, 0.25),
+        ({"type": "sine", "amplitude": 0.5, "omega": 1.0}, SineSignal, 0.5 * np.sin(1.0)),
+        (
+            {"type": "piecewise", "breakpoints": [0.5], "levels": [0.0, 0.75]},
+            PiecewiseConstantSignal,
+            0.75,
+        ),
+        ({"type": "samples", "times": [0.0, 2.0], "values": [0.5, 0.9]}, SampledSignal, 0.5),
+    ],
+    ids=["constant", "sine", "piecewise", "samples"],
+)
+def test_every_signal_type_builds_from_its_required_fields(spec, cls, value_at_1):
+    def parse(signal):
+        return parse_problem_dict(
+            _doc(
+                disturbance={
+                    "w": [signal],
+                    "w_lo": [{"type": "constant", "value": -1.0}],
+                    "w_hi": [{"type": "constant", "value": 1.0}],
+                }
+            )
+        )
+
+    pf = parse(spec)
+    defaults = {"phase": 0.0, "offset": 0.0} if spec["type"] == "sine" else {}
+    assert pf.data["disturbance"]["w"][0] == {**spec, **defaults}
+    signal = pf.disturbance().w[0]
+    assert type(signal) is cls
+    assert signal(1.0) == value_at_1
+    # each field is parsed as the kind its constructor argument takes
+    for key, val in spec.items():
+        if key != "type":
+            wrong = 1.0 if isinstance(val, list) else [val]
+            with pytest.raises(ProblemFileError, match=rf"w\[0\]\.{key}: expected"):
+                parse({**spec, key: wrong})
 
 
 def test_sine_defaults_are_materialized():

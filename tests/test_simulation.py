@@ -8,6 +8,7 @@ replaced.
 """
 
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from obsynth import (
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.problem import parse_problem
 from obsynth.simulation import (
-    _delayed_lookup,
     _grid,
     _joint_input,
     _joint_state,
@@ -89,26 +89,41 @@ def test_sampled_signal_holds_and_clamps():
 
 
 @pytest.mark.parametrize(
-    "signal",
+    "signal, scalar",
     [
-        ConstantSignal(-0.75),
-        SineSignal(0.5, 1.3, phase=0.2, offset=1.0),
-        PiecewiseConstantSignal([1.0, 2.0], [0.0, 5.0, -1.0]),
-        SampledSignal([0.5, 1.0, 2.0], [10.0, 20.0, 30.0]),
+        (ConstantSignal(-0.75), lambda t: -0.75),
+        (
+            SineSignal(0.5, 1.3, phase=0.2, offset=1.0),
+            lambda t: 1.0 + 0.5 * np.sin(1.3 * t + 0.2),
+        ),
+        (
+            PiecewiseConstantSignal([1.0, 2.0], [0.0, 5.0, -1.0]),
+            lambda t: [0.0, 5.0, -1.0][bisect_right([1.0, 2.0], t)],
+        ),
+        (
+            SampledSignal([0.5, 1.0, 2.0], [10.0, 20.0, 30.0]),
+            lambda t: [10.0, 20.0, 30.0][max(bisect_right([0.5, 1.0, 2.0], t) - 1, 0)],
+        ),
     ],
     ids=["constant", "sine", "piecewise", "sampled"],
 )
-def test_signal_at_matches_pointwise_calls(signal):
-    # breakpoints and samples exactly, just before them, before the first
+def test_signal_at_matches_pointwise_calls(signal, scalar):
+    # `scalar` is the signal's own pointwise formula: a bisect for the
+    # holds, the numpy expression for the sine.  Times: breakpoints and
+    # samples exactly, just before and after them, before the first
     # sample and past the last
+    edges = np.array([0.5, 1.0, 2.0])
     times = np.concatenate(
-        [[-1.0, 0.0, 0.25, 0.5, 1.0, np.nextafter(1.0, 0.0), 1.5, 2.0, 7.0],
-         np.linspace(-0.3, 3.0, 97)]
+        [[-1.0, 0.0, 0.25, 1.5, 7.0], edges, np.nextafter(edges, 0.0),
+         np.nextafter(edges, 9.0), np.linspace(-0.3, 3.0, 97)]
     )
+    want = np.array([scalar(t) for t in times], dtype=float)
     got = signal.at(times)
-    want = np.array([signal(t) for t in times], dtype=float)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+    calls = [signal(t) for t in times]
+    assert all(type(v) is float for v in calls)
+    assert np.array(calls).tobytes() == want.tobytes()
 
 
 def test_disturbance_model_at_stacks_the_channels():
@@ -516,10 +531,33 @@ def test_rk4_maps_are_one_classical_step(z):
     assert np.allclose(got, x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rtol=0.0, atol=1e-14)
 
 
+_MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+_MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+
+
+def _delayed_lookup(stored: np.ndarray, history, k_float: float, dt: float):
+    """Value of the joint state at time index k_float (may be negative or
+    half-integral), as simulate_delay looked it up step by step before it
+    kept history and trace in one array.  Negative times use the history;
+    half steps use the four-point stencil on stored grid values."""
+    k_round = round(k_float)
+    if abs(k_float - k_round) < 1e-9:
+        k = int(k_round)
+        if k >= 0:
+            return stored[k]
+        return history(k * dt)
+    if k_float < 0.0:
+        return history(k_float * dt)
+    base = int(np.floor(k_float))
+    if base == 0:
+        return _MID_ONESIDED @ stored[0:4]
+    return _MID_CENTERED @ stored[base - 1 : base + 3]
+
+
 def _rk4_reference(f, X0, times, lag=None):
     """The generic classical RK4 loop the simulators ran before they became
     an affine recurrence.  With lag = (m, history, dt), f also receives the
-    joint state m steps back, looked up as simulate_delay looks it up."""
+    joint state m steps back, looked up by _delayed_lookup."""
     out = np.empty((times.size, X0.size))
     out[0] = X0
     for k in range(times.size - 1):
@@ -663,8 +701,21 @@ DELAY_2 = DelaySystem(
                 history=[lambda t: 0.5 * np.cos(t), SineSignal(0.4, 3.0)],
             ),
         ),
+        # dt = h / 4 exactly: the least m the stencil allows
+        (DELAY_SYS, np.array([[0.5]]), SimConfig(6.0, 0.25, [0.3], [-1.0], [1.0])),
+        (
+            DELAY_2,
+            np.array([[0.3], [1.0]]),
+            SimConfig(
+                6.0, 0.05, [0.5, 0.0], [-1.0, -1.0], [1.0, 1.0],
+                history=[
+                    SampledSignal([-0.8, -0.5, -0.1], [0.1, -0.3, 0.5]),
+                    PiecewiseConstantSignal([-0.6, -0.2], [0.2, -0.4, 0.0]),
+                ],
+            ),
+        ),
     ],
-    ids=["scalar", "two-state"],
+    ids=["scalar", "two-state", "quarter-step", "held-history"],
 )
 def test_delay_traces_match_the_generic_rk4_loop(sys, L, cfg):
     dist = _dist(SineSignal(1.0, 1.0))
