@@ -117,14 +117,14 @@ def run_case(name: str, entry: dict, corpus_dir: Path) -> CaseOutcome:
         Scl, Bcl = closed_loop(plant, L)
         for check in entry.get("gains", []):
             M = _weight(check["weight"], n)
-            got = linf_gain_closed(Scl, Bcl, M, np.zeros((M.shape[0], Bcl.shape[1])))
+            got = linf_gain_closed(Scl, Bcl, M, 0.0)
             if not _near(got, check["value"], check["tol"]):
                 notes.append(
                     f"gain[{check['weight']}] {got!r}, expected {check['value']!r}"
                 )
         if "relaxed_surrogate" in entry:
             check = entry["relaxed_surrogate"]
-            got = linf_gain_closed(Scl, np.eye(n), np.eye(n), np.zeros((n, n)))
+            got = linf_gain_closed(Scl, np.eye(n), np.eye(n), 0.0)
             if not _near(got, check["value"], check["tol"]):
                 notes.append(f"surrogate gain {got!r}, expected {check['value']!r}")
         if "relaxed_error_gain" in entry:

@@ -82,10 +82,9 @@ def _parse_matrix_flag(text: str, name: str, n: int, p: int) -> np.ndarray:
     if text == "ones":
         return np.ones((1, n))
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
+        arr = np.array(json.loads(text), dtype=float)
+    except (ValueError, TypeError) as exc:  # bad JSON, ragged rows, non-numbers
         raise ObsynthError(f"--{name} must be I, ones, a number, or JSON rows: {exc}")
-    arr = np.array(value, dtype=float)
     if arr.ndim == 0:
         # a scalar feedthrough broadcasts over the q x p block
         return float(arr) * np.ones((n, p))
@@ -152,7 +151,7 @@ def cmd_gain(args) -> int:
             system.A, system.E, system.C, system.F, L, M
         )
         doc["gamma_surrogate"], doc["certificate_lambda"] = linf_gain_lp(
-            Scl, np.eye(n), M, np.zeros((M.shape[0], n)), epsilon=spec.epsilon
+            Scl, np.eye(n), M, 0.0, epsilon=spec.epsilon
         )
     else:
         N = _parse_matrix_flag(args.feedthrough, "feedthrough", M.shape[0], p)

@@ -14,7 +14,9 @@ gain has the closed form
     gamma = max row sum of (-Cz A^{-1} E + Fz)
 
 so one solve (-A) [v | Y] = [1 | E] yields both the certificate and
-Y = -A^{-1} E; that is what the gain functions report.  The LP variant
+Y = -A^{-1} E; that is what the gain functions report.  Every
+observer-loop gain, and the row-wise test of the augmented matrices,
+comes from the one solve of the error loop.  The LP variant
 `linf_gain_lp` is an independent route that cross-validates the closed
 form.
 """
@@ -348,17 +350,32 @@ def _certified_solve(
 # peak-to-peak gains
 
 
+def _weights(M, N, n: int, p: int, names: tuple[str, str], caller: str):
+    """Coerce an output weighting (q×n M, q×p N) and check it nonnegative."""
+    M = _output_map(M, n, names[0])
+    N = _feedthrough(N, M.shape[0], p, names[1])
+    for name, W in zip(names, (M, N)):
+        if not is_nonnegative(W):
+            raise PreconditionError(f"{caller} needs nonnegative {name}")
+    return M, N
+
+
+def _weighted_gain(Y, M, N) -> float:
+    """Gain max row sum (M Y + N) of a loop with solved inputs Y; 0 when
+    the loop has no input or no output."""
+    if Y.shape[1] == 0 or M.shape[0] == 0:
+        return 0.0
+    return max_row_sum(M @ Y + N)
+
+
 def _check_gain_structure(A, E, Cz, Fz):
     A = _square(A, "A")
-    n = A.shape[0]
-    E = _input_map(E, n, "E")
-    Cz = _output_map(Cz, n, "Cz")
-    Fz = _feedthrough(Fz, Cz.shape[0], E.shape[1], "Fz")
+    E = _input_map(E, A.shape[0], "E")
+    Cz, Fz = _weights(Cz, Fz, *E.shape, ("Cz", "Fz"), "gain")
     if not is_metzler(A):
         raise PreconditionError("gain is defined for Metzler A only")
-    for name, M in (("E", E), ("Cz", Cz), ("Fz", Fz)):
-        if not is_nonnegative(M):
-            raise PreconditionError(f"gain needs nonnegative {name}")
+    if not is_nonnegative(E):
+        raise PreconditionError("gain needs nonnegative E")
     return A, E, Cz, Fz
 
 
@@ -373,9 +390,7 @@ def linf_gain_closed(A, E, Cz, Fz) -> float:
     vector, Y = _certified_solve(A, E)
     if vector is None:
         raise InstabilityError("A is not Hurwitz stable; the gain is undefined")
-    if E.shape[1] == 0 or Cz.shape[0] == 0:
-        return 0.0
-    return max_row_sum(Cz @ Y + Fz)
+    return _weighted_gain(Y, Cz, Fz)
 
 
 def linf_gain_lp(
@@ -426,14 +441,8 @@ def linf_gain_discrete(sys: DiscreteSystem) -> float:
     and the discrete gain equals the continuous gain of the shifted
     system, so this is literally the closed form on (A_d - I, E_d, C_d, F_d).
     """
-    for name, M in (
-        ("A_d", sys.A_d),
-        ("E_d", sys.E_d),
-        ("C_d", sys.C_d),
-        ("F_d", sys.F_d),
-    ):
-        if not is_nonnegative(M):
-            raise PreconditionError(f"discrete gain needs nonnegative {name}")
+    if not is_nonnegative(sys.A_d):
+        raise PreconditionError("discrete gain needs nonnegative A_d")
     return linf_gain_closed(
         sys.A_d - np.eye(sys.n), sys.E_d, sys.C_d, sys.F_d
     )
@@ -463,26 +472,10 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
     Standard form needs A - LC Metzler and Hurwitz and E - LF >= 0; the
     relaxed form drops the E - LF condition.
     """
-    return _error_loop(*_closed_loop(A, E, C, F, L), form)[0]
+    return _error_loop(A, E, C, F, L, form)[0]
 
 
-def _closed_loop(A, E, C, F, L) -> tuple[np.ndarray, np.ndarray]:
-    """The error loop's state and input matrices A - LC and E - LF,
-    from inputs coerced and shape-checked once."""
-    A = _square(A, "A")
-    n = A.shape[0]
-    E = _input_map(E, n, "E")
-    C = _output_map(C, n, "C")
-    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
-    L = _input_map(L, n, "L")
-    if L.shape[1] != C.shape[0]:
-        raise DimensionError(
-            f"L has {L.shape[1]} columns, expected {C.shape[0]}"
-        )
-    return A - L @ C, E - L @ F
-
-
-def _error_loop(Acl, B, form: str) -> tuple[list[str], np.ndarray | None]:
+def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]:
     """Membership violations of a gain and the error loop's solved inputs.
 
     The error loop has state matrix Acl = A - LC and input matrix
@@ -491,13 +484,22 @@ def _error_loop(Acl, B, form: str) -> tuple[list[str], np.ndarray | None]:
     returns Y, the input matrix premultiplied by (-Acl)^{-1}; Y is None
     when Acl is not Metzler and Hurwitz.
     """
+    A = _square(A, "A")
+    n = A.shape[0]
+    E = _input_map(E, n, "E")
+    C = _output_map(C, n, "C")
+    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
+    L = _input_map(L, n, "L")
+    if L.shape[1] != C.shape[0]:
+        raise DimensionError(f"L has {L.shape[1]} columns, expected {C.shape[0]}")
     if form not in ("standard", "relaxed"):
         raise PreconditionError(f"unknown observer form {form!r}")
+    Acl, B = A - L @ C, E - L @ F
     violations = []
     Y = None
     if not is_metzler(Acl):
         off = Acl - np.diag(np.diag(Acl))
-        worst = np.unravel_index(np.argmin(off), off.shape)
+        worst = divmod(int(np.argmin(off)), n)  # plain ints print alike on numpy 1 and 2
         violations.append(
             f"A - L C is not Metzler: entry {worst} is {off[worst]:.6g}"
         )
@@ -507,11 +509,25 @@ def _error_loop(Acl, B, form: str) -> tuple[list[str], np.ndarray | None]:
         if vector is None:
             violations.append("A - L C is not Hurwitz stable")
     if form == "standard" and not is_nonnegative(B):
-        worst = np.unravel_index(np.argmin(B), B.shape)
+        worst = divmod(int(np.argmin(B)), B.shape[1])
         violations.append(
             f"E - L F has a negative entry: {worst} is {B[worst]:.6g}"
         )
     return violations, Y
+
+
+def _observer_gain(A, E, C, F, L, M, N, form: str, caller: str) -> float:
+    """Gain of the error loop of an admissible L under the weighting
+    (M, N); :class:`MembershipError` lists the violated conditions."""
+    violations, Y = _error_loop(A, E, C, F, L, form)
+    if violations:
+        raise MembershipError(
+            "gain not defined: L is not an admissible observer gain ("
+            + "; ".join(violations)
+            + ")",
+            violations,
+        )
+    return _weighted_gain(Y, *_weights(M, N, *Y.shape, ("M", "N"), caller))
 
 
 def gain_for_output(A, E, C, F, L, M, N) -> float:
@@ -521,23 +537,7 @@ def gain_for_output(A, E, C, F, L, M, N) -> float:
     :class:`MembershipError` lists the violated conditions.  M and N
     weight the error and the disturbance gap in the performance output.
     """
-    violations, Y = _error_loop(*_closed_loop(A, E, C, F, L), "standard")
-    if violations:
-        raise MembershipError(
-            "gain not defined: L is not an admissible observer gain ("
-            + "; ".join(violations)
-            + ")",
-            violations,
-        )
-    n, p = Y.shape
-    M = _output_map(M, n, "M")
-    N = _feedthrough(N, M.shape[0], p, "N")
-    for name, W in (("M", M), ("N", N)):
-        if not is_nonnegative(W):
-            raise PreconditionError(f"gain_for_output needs nonnegative {name}")
-    if p == 0 or M.shape[0] == 0:
-        return 0.0
-    return max_row_sum(M @ Y + N)
+    return _observer_gain(A, E, C, F, L, M, N, "standard", "gain_for_output")
 
 
 def relaxed_error_gain(A, E, C, F, L, M) -> float:
@@ -548,55 +548,26 @@ def relaxed_error_gain(A, E, C, F, L, M) -> float:
     input matrix [B+ B-] and no feedthrough.  Only A - LC Metzler and
     Hurwitz is required of L.
     """
-    violations, Y = _error_loop(*_closed_loop(A, E, C, F, L), "relaxed")
-    if violations:
-        raise MembershipError(
-            "relaxed gain not defined: " + "; ".join(violations), violations
-        )
-    M = _output_map(M, Y.shape[0], "M")
-    if not is_nonnegative(M):
-        raise PreconditionError("relaxed_error_gain needs nonnegative M")
-    if Y.shape[1] == 0 or M.shape[0] == 0:
-        return 0.0
-    return max_row_sum(M @ Y)
+    return _observer_gain(A, E, C, F, L, M, 0.0, "relaxed", "relaxed_error_gain")
 
 
 def rowwise_gain_decomposition(A, E, C, F, L, M, N, gamma: float) -> bool:
-    """Row-by-row gain test via augmented Metzler matrices.
+    """Row-by-row gain test of the augmented Metzler matrices.
 
     True iff for every output row i the (n+1)x(n+1) matrix
 
         [[A-LC,   (E-LF) 1],
          [e_i^T M, e_i^T N 1 - gamma]]
 
-    is Metzler and Hurwitz, which is equivalent to the loop gain being
-    strictly below gamma.
+    is Metzler and Hurwitz.  For an admissible L its Schur complement
+    e_i^T (M Y + N) 1 - gamma, with Y = (-(A-LC))^{-1} (E-LF), must be
+    negative, so the test is exactly "loop gain < gamma" and reads the
+    gain from the same solve.
     """
     if not gamma > 0.0:
         raise PreconditionError("rowwise decomposition needs gamma > 0")
-    Acl, B = _closed_loop(A, E, C, F, L)
-    violations, _ = _error_loop(Acl, B, "standard")
-    if violations:
-        raise MembershipError(
-            "decomposition not defined: " + "; ".join(violations), violations
-        )
-    n, p = B.shape
-    M = _output_map(M, n, "M")
-    N = _feedthrough(N, M.shape[0], p, "N")
-    for name, W in (("M", M), ("N", N)):
-        if not is_nonnegative(W):
-            raise PreconditionError(f"rowwise decomposition needs nonnegative {name}")
-    T = np.zeros((n + 1, n + 1))
-    T[:n, :n] = Acl
-    T[:n, n] = B @ np.ones(p)
-    for i in range(M.shape[0]):
-        T[n, :n] = M[i]
-        T[n, n] = float(np.sum(N[i])) - gamma
-        if not is_metzler(T):
-            return False
-        if hurwitz_certificate(T) is None:
-            return False
-    return True
+    gain = _observer_gain(A, E, C, F, L, M, N, "standard", "rowwise decomposition")
+    return gain < gamma
 
 
 def common_certificate_rank_one(

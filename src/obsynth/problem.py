@@ -108,7 +108,7 @@ _SIGNALS = {
 def _signal_dict(value, path: str) -> dict:
     obj = _expect_object(value, path)
     kind = obj.get("type")
-    if kind not in _SIGNALS:
+    if not isinstance(kind, str) or kind not in _SIGNALS:
         raise _fail(f"{path}.type", f"expected one of {sorted(_SIGNALS)}, got {kind!r}")
     _, fields, defaults = _SIGNALS[kind]
     _check_keys(obj, {"type", *fields} - set(defaults), set(defaults), path)
@@ -319,7 +319,7 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
             f"{source}.schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}"
         )
     klass = obj.get("class")
-    if klass in _CLASSES:
+    if isinstance(klass, str) and klass in _CLASSES:
         matrices = _CLASSES[klass][1]
         required = {"schema_version", "class", *matrices}
         optional = {"observer", "disturbance", "simulation"}

@@ -116,14 +116,20 @@ def test_gain_rejects_inadmissible_matrix(capsys, corpus_dir):
     )
     assert code == 1
     assert "Metzler" in err
+    assert "entry (0, 1) is -2" in err
 
 
 def test_gain_rejects_unparseable_matrix(capsys, corpus_dir):
-    code, _, err = _run(
-        capsys, "gain", _case(corpus_dir, "case2"), "--gain", "[[nope"
-    )
-    assert code == 1
-    assert "error:" in err
+    # bad JSON, ragged rows, a string, an object: one line, no traceback
+    for flag, value in (
+        ("--gain", "[[nope"),
+        ("--gain", "[[1],[2,3]]"),
+        ("--output-matrix", '"abc"'),
+        ("--feedthrough", '{"a": 1}'),
+    ):
+        code, _, err = _run(capsys, "gain", _case(corpus_dir, "case2"), flag, value)
+        assert code == 1
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
 
 
 def test_scalar_gain_spreads_over_n_by_r(capsys, tmp_path):
@@ -286,12 +292,28 @@ def test_check_accepts_every_corpus_file(capsys, corpus_dir):
         assert json.loads(out)["valid"] is True
 
 
-def test_check_rejects_bad_file(capsys, tmp_path):
+def test_check_rejects_bad_file(capsys, tmp_path, corpus_dir):
     path = tmp_path / "nope.json"
     path.write_text('{"schema_version": "2"}')
     code, _, err = _run(capsys, "check", str(path))
     assert code == 1
     assert "schema_version" in err
+    # non-string dispatch keys give one error line, not a traceback
+    signals = {
+        "w": [{"type": {}}],
+        "w_lo": [{"type": "constant", "value": -1.0}],
+        "w_hi": [{"type": "constant", "value": 1.0}],
+    }
+    for key, patch in (
+        (".class", {"class": ["continuous"]}),
+        (".disturbance.w[0].type", {"disturbance": signals}),
+    ):
+        doc = json.loads((corpus_dir / "case1.json").read_text())
+        doc.update(patch)
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "check", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}{key}:") and err.count("\n") == 1
 
 
 def test_check_reads_the_epsilon_flag(capsys, corpus_dir):

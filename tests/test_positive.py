@@ -29,6 +29,7 @@ from obsynth import (
     relaxed_error_gain,
     rowwise_gain_decomposition,
 )
+from obsynth.linalg import is_metzler
 from obsynth.lp import LinearProgram, LpStatus, solve
 from obsynth.positive import DEFAULT_EPSILON
 
@@ -178,8 +179,13 @@ def test_gain_closed_rejects_bad_structure():
         linf_gain_closed([[1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(PreconditionError):
         linf_gain_closed(A_CASE2, E2, np.eye(2), np.zeros((2, 1)))
-    with pytest.raises(PreconditionError):
-        linf_gain_closed(A_CASE1, -E2, np.eye(2), np.zeros((2, 1)))
+    for E, Cz, Fz in (
+        (-E2, np.eye(2), np.zeros((2, 1))),
+        (E2, -np.eye(2), np.zeros((2, 1))),
+        (E2, np.eye(2), -np.ones((2, 1))),
+    ):
+        with pytest.raises(PreconditionError):
+            linf_gain_closed(A_CASE1, E, Cz, Fz)
 
 
 def test_gain_lp_matches_closed_form():
@@ -296,8 +302,15 @@ def test_discrete_gain_is_the_shifted_continuous_gain():
 def test_discrete_gain_rejects_unstable_or_negative():
     with pytest.raises(InstabilityError):
         linf_gain_discrete(DiscreteSystem([[1.5]], [[1.0]], [[1.0]], [[0.0]]))
-    with pytest.raises(PreconditionError):
-        linf_gain_discrete(DiscreteSystem([[-0.5]], [[1.0]], [[1.0]], [[0.0]]))
+    # a negative A_d, E_d, C_d or F_d
+    for args in (
+        ([[-0.5]], [[1.0]], [[1.0]], [[0.0]]),
+        ([[0.5]], [[-1.0]], [[1.0]], [[0.0]]),
+        ([[0.5]], [[1.0]], [[-1.0]], [[0.0]]),
+        ([[0.5]], [[1.0]], [[1.0]], [[-1.0]]),
+    ):
+        with pytest.raises(PreconditionError):
+            linf_gain_discrete(DiscreteSystem(*args))
 
 
 def _impulse_sum(sys, terms=20000, tol=1e-13):
@@ -358,6 +371,9 @@ def test_gain_for_output_examples():
         gain_for_output(A_CASE2, E2, C2, F2, [[-1.0], [2.0]], np.zeros((1, 2)), 0.0)
         == 0.0
     )
+    for M, N in ((-np.eye(2), 0.0), (np.eye(2), -1.0)):
+        with pytest.raises(PreconditionError):
+            gain_for_output(A_CASE2, E2, C2, F2, [[-1.0], [2.0]], M, N)
 
 
 def test_observer_membership_violations():
@@ -365,12 +381,15 @@ def test_observer_membership_violations():
     # off-diagonal entry goes negative
     notes = observer_membership(A_CASE1, E2, C2, F2, [[5.0], [0.0]])
     assert any("Metzler" in note for note in notes)
+    # the worst entry is named by plain integer indices
+    notes = observer_membership(A_CASE2, E2, C2, F2, [[1.0], [0.0]])
+    assert notes == ["A - L C is not Metzler: entry (0, 1) is -2"]
     # Metzler survives but the loop is unstable
     notes = observer_membership(A_CASE1, E2, C2, F2, [[0.0], [-100.0]])
     assert any("Hurwitz" in note for note in notes)
     # disturbance matrix picks up a negative entry
     notes = observer_membership(A_CASE1, E2, C2, F2, [[2.0], [0.0]])
-    assert any("E - L F" in note for note in notes)
+    assert notes[-1] == "E - L F has a negative entry: (0, 0) is -1"
     with pytest.raises(MembershipError) as exc:
         gain_for_output(A_CASE1, E2, C2, F2, [[2.0], [0.0]], np.eye(2), 0.0)
     assert exc.value.violations
@@ -391,8 +410,10 @@ def test_relaxed_error_gain_hand_values():
         <= 1e-12
     )
     # relaxed membership only needs the loop stable, not E - L F >= 0
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match="not an admissible observer gain"):
         relaxed_error_gain(A_CASE1, E2, C2, F2, [[0.0], [-100.0]], np.eye(2))
+    with pytest.raises(PreconditionError, match="relaxed_error_gain needs nonnegative M"):
+        relaxed_error_gain(A_CASE2, E2, C2, F2, L, -np.eye(2))
 
 
 def test_rowwise_decomposition_examples():
@@ -409,24 +430,45 @@ def test_rowwise_decomposition_examples():
         rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[0.0], [0.0]], np.eye(2), 0.0, 1.1)
     with pytest.raises(DimensionError):
         rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[-1.0, 0.0], [2.0, 0.0]], np.eye(2), 0.0, 1.1)
+    for M, N in ((-np.eye(2), 0.0), (np.eye(2), -1.0)):
+        with pytest.raises(PreconditionError, match="rowwise decomposition needs nonnegative"):
+            rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, M, N, 1.1)
+
+
+def _augmented_rowwise_test(A, E, C, F, L, M, N, gamma) -> bool:
+    """Reference: each augmented matrix [[A-LC, (E-LF)1], [M_i, N_i 1 - gamma]]
+    must be Metzler and carry a Hurwitz certificate."""
+    Acl, B = A - L @ C, E - L @ F
+    n, p = B.shape
+    T = np.zeros((n + 1, n + 1))
+    T[:n, :n] = Acl
+    T[:n, n] = B @ np.ones(p)
+    for i in range(M.shape[0]):
+        T[n, :n] = M[i]
+        T[n, n] = float(np.sum(N[i])) - gamma
+        if not is_metzler(T) or hurwitz_certificate(T) is None:
+            return False
+    return True
 
 
 def test_rowwise_decomposition_matches_gain_threshold():
     rng = np.random.default_rng(59)
-    for _ in range(15):
+    for trial in range(15):
         n = int(rng.integers(1, 5))
         A = random_metzler_hurwitz(rng, n)
         E = rng.uniform(0.0, 1.0, size=(n, 2))
         C = rng.uniform(0.0, 1.0, size=(1, n))
         F = np.zeros((1, 2))
         L = np.zeros((n, 1))
-        M = rng.uniform(0.0, 1.0, size=(2, n))
-        N = rng.uniform(0.0, 1.0, size=(2, 2))
+        q = 0 if trial == 0 else 2
+        M = rng.uniform(0.0, 1.0, size=(q, n))
+        N = rng.uniform(0.0, 1.0, size=(q, 2))
         gamma = gain_for_output(A, E, C, F, L, M, N)
-        assert rowwise_gain_decomposition(A, E, C, F, L, M, N, gamma * 1.1 + 1e-9)
-        below = gamma * 0.9
-        if below > 0.0:
-            assert not rowwise_gain_decomposition(A, E, C, F, L, M, N, below)
+        for scale in (0.5, 0.999, 1.001, 2.0):
+            g = gamma * scale if gamma > 0.0 else scale
+            got = rowwise_gain_decomposition(A, E, C, F, L, M, N, g)
+            assert got == _augmented_rowwise_test(A, E, C, F, L, M, N, g)
+            assert got == (scale > 1.0 or q == 0)
 
 
 def test_common_certificate_rank_one():

@@ -127,6 +127,7 @@ def test_wrong_schema_version():
 
 def test_unknown_class():
     _expect(r"\$\.class", _doc(**{"class": "hybrid"}))
+    _expect(r"\$\.class", _doc(**{"class": ["continuous"]}))
 
 
 def test_nonsquare_state_matrix():
@@ -229,6 +230,8 @@ def test_signal_objects_validated_in_place():
         "w_lo": [{"type": "constant", "value": -1.0}],
         "w_hi": [{"type": "constant", "value": 1.0}],
     }
+    _expect(r"\$\.disturbance\.w\[0\]\.type", _doc(disturbance=bad))
+    bad["w"] = [{"type": {}}]
     _expect(r"\$\.disturbance\.w\[0\]\.type", _doc(disturbance=bad))
     bad["w"] = [{"type": "piecewise", "breakpoints": [1.0], "levels": [0.0]}]
     _expect(r"\$\.disturbance\.w\[0\].*level", _doc(disturbance=bad))
