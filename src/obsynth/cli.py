@@ -22,7 +22,6 @@ import numpy as np
 
 from .benchmarks import format_table, run_bench, simulate_problem
 from .errors import ObsynthError
-from .linalg import as_matrix
 from .positive import (
     DEFAULT_EPSILON,
     gain_for_output,
@@ -76,19 +75,31 @@ def _spec_for(pf: ProblemFile, args) -> "ObserverSpec":
     return pf.observer_spec(epsilon=args.epsilon, fallback=_epsilon_fallback())
 
 
-def _parse_matrix_flag(text: str, name: str, n: int, p: int) -> np.ndarray:
-    if text in ("I", "identity"):
-        return np.eye(n)
-    if text == "ones":
-        return np.ones((1, n))
+def _parse_matrix_flag(text: str, flag: str, rows: int | None, cols: int) -> np.ndarray:
+    """The rows x cols matrix a flag gives as a number, broadcast over
+    that shape, or as JSON rows.  rows None (--output-matrix) leaves the
+    row count free, so a number has no shape to fill; I and ones are
+    taken instead."""
+    if rows is None and text in ("I", "identity", "ones"):
+        return np.ones((1, cols)) if text == "ones" else np.eye(cols)
     try:
         arr = np.array(json.loads(text), dtype=float)
-    except (ValueError, TypeError) as exc:  # bad JSON, ragged rows, non-numbers
-        raise ObsynthError(f"--{name} must be I, ones, a number, or JSON rows: {exc}")
-    if arr.ndim == 0:
-        # a scalar feedthrough broadcasts over the q x p block
-        return float(arr) * np.ones((n, p))
-    return as_matrix(arr, name)
+    except (ValueError, TypeError, OverflowError):  # bad JSON, ragged rows, non-numbers, huge ints
+        arr = np.empty(0)
+    if arr.ndim == 0 and rows is not None:
+        arr = np.full((rows, cols), float(arr))
+    if not (
+        arr.ndim == 2
+        and rows in (None, arr.shape[0])
+        and arr.shape[1] == cols
+        and np.isfinite(arr).all()
+    ):
+        if rows is None:
+            forms = f"I, ones, or JSON rows of {cols} columns"
+        else:
+            forms = f"a number or JSON rows of shape {rows}x{cols}"
+        raise ObsynthError(f"--{flag} must be {forms}, got {text!r}")
+    return arr
 
 
 def _design_document(plant, spec, result) -> dict:
@@ -135,7 +146,6 @@ def cmd_gain(args) -> int:
 
     if args.gain is not None:
         L = _parse_matrix_flag(args.gain, "gain", n, system.r)
-        L = as_matrix(L, "L", (n, system.r))
     else:
         result = design(system, spec)
         if result.status != "optimal":
@@ -144,7 +154,7 @@ def cmd_gain(args) -> int:
         L = result.L
     Scl, Bcl = closed_loop(system, L)
 
-    M = _parse_matrix_flag(args.output_matrix, "output-matrix", n, p)
+    M = _parse_matrix_flag(args.output_matrix, "output-matrix", None, n)
     doc: dict = {"L": L, "M": M, "epsilon": spec.epsilon}
     if spec.form == "relaxed":
         doc["gamma_relaxed_error"] = relaxed_error_gain(
@@ -155,7 +165,6 @@ def cmd_gain(args) -> int:
         )
     else:
         N = _parse_matrix_flag(args.feedthrough, "feedthrough", M.shape[0], p)
-        N = as_matrix(N, "N", (M.shape[0], p))
         doc["N"] = N
         doc["gamma_closed"] = gain_for_output(
             system.A, system.E, system.C, system.F, L, M, N
@@ -237,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--out", default=None, help="also write the result document here")
 
     sp = add("gain", "evaluate certified gains at a gain matrix")
-    sp.add_argument("--gain", default=None, help="gain L as JSON rows (default: design)")
+    sp.add_argument("--gain", default=None, help="gain L: a number or JSON rows (default: design)")
     sp.add_argument(
         "--output-matrix", default="I", dest="output_matrix",
         help="output weighting M: I, ones, or JSON rows",

@@ -18,12 +18,15 @@ Y = -A^{-1} E; that is what the gain functions report.  Every
 observer-loop gain, and the row-wise test of the augmented matrices,
 comes from the one solve of the error loop.  The LP variant
 `linf_gain_lp` is an independent route that cross-validates the closed
-form.
+form.  The four plant types share one base, `Plant`, which coerces
+their matrices once and reduces each to the undelayed continuous loop
+that design, `certify` and the delay and discrete gains read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -111,8 +114,94 @@ def _feedthrough(F, q: int, p: int, name: str) -> np.ndarray:
 # system descriptions
 
 
+# (label, P, Q, metzler): an admissible gain L keeps P - L Q Metzler
+# (off the diagonal) when metzler is set, nonnegative otherwise.
+Family = tuple[str, np.ndarray, np.ndarray, bool]
+
+
+class Plant:
+    """What the four plant types share: coercion, sizes and the reduction.
+
+    MATRICES names a type's maps by role: state, input, output and
+    feedthrough (A, E, C, F), then the delayed state and output maps
+    (A_h, C_h) of a delayed type.  The reduction is what design, certify
+    and the delay and discrete gains read: the sign families an
+    admissible gain must keep, and the stability pair (S, T) of the
+    equivalent undelayed continuous loop S - L T.  A delayed plant
+    aggregates its maps (A + A_h, C + C_h), since a positive delayed
+    loop is stable exactly when its zero-delay aggregate is; a discrete
+    one shifts its state map by - I, since a nonnegative A_d is Schur
+    exactly when A_d - I is Hurwitz.
+    """
+
+    MATRICES: ClassVar[tuple[str, ...]]
+    KIND: ClassVar[str]
+    DISCRETE: ClassVar[bool] = False
+    RELAXED: ClassVar[bool] = False  # whether design takes the relaxed form
+
+    def __post_init__(self):
+        a, e, c, f, *lag = self.MATRICES
+        m = vars(self)
+        m[a] = _square(m[a], a)
+        n = m[a].shape[0]
+        if lag:
+            m[lag[0]] = _square(m[lag[0]], lag[0])
+            if m[lag[0]].shape[0] != n:
+                raise DimensionError(f"{a} and {lag[0]} sizes differ")
+        m[e] = _input_map(m[e], n, e)
+        m[c] = _output_map(m[c], n, c)
+        r = m[c].shape[0]
+        if lag:
+            m[lag[1]] = _output_map(m[lag[1]], n, lag[1])
+            if m[lag[1]].shape[0] != r:
+                raise DimensionError(f"{c} and {lag[1]} row counts differ")
+        m[f] = _feedthrough(m[f], r, m[e].shape[1], f)
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self.MATRICES[0]).shape[0]
+
+    @property
+    def p(self) -> int:
+        return getattr(self, self.MATRICES[1]).shape[1]
+
+    @property
+    def r(self) -> int:
+        return getattr(self, self.MATRICES[2]).shape[0]
+
+    @classmethod
+    def check_form(cls, form: str) -> None:
+        if form != "standard" and not cls.RELAXED:
+            raise PreconditionError(f"{cls.KIND} design supports the standard form only")
+
+    def sign_families(self) -> list[Family]:
+        """One family per state map, delayed last; only the undelayed
+        continuous state map must stay Metzler rather than nonnegative."""
+        a, _, c, _, *lag = self.MATRICES
+        pairs = [(a, c, not self.DISCRETE)] + ([(*lag, False)] if lag else [])
+        return [
+            (f"{P} - L {Q} {'Metzler' if m else 'nonnegative'}",
+             getattr(self, P), getattr(self, Q), m)
+            for P, Q, m in pairs
+        ]
+
+    def input_family(self) -> Family:
+        """E - L F >= 0, which the standard observer form requires."""
+        _, e, _, f, *_ = self.MATRICES
+        return f"{e} - L {f} nonnegative", getattr(self, e), getattr(self, f), False
+
+    def stability_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        a, _, c, _, *lag = self.MATRICES
+        S, T = getattr(self, a), getattr(self, c)
+        if lag:
+            S, T = S + getattr(self, lag[0]), T + getattr(self, lag[1])
+        if self.DISCRETE:
+            S = S - np.eye(self.n)
+        return S, T
+
+
 @dataclass
-class ContinuousSystem:
+class ContinuousSystem(Plant):
     """dx/dt = A x + E w, measured y = C x + F w, optional performance
     output z = Cz x + Fz w."""
 
@@ -123,69 +212,24 @@ class ContinuousSystem:
     Cz: np.ndarray | None = None
     Fz: np.ndarray | None = None
 
+    MATRICES = ("A", "E", "C", "F")
+    KIND = "continuous"
+    RELAXED = True
+
     def __post_init__(self):
-        self.A = _square(self.A, "A")
-        n = self.A.shape[0]
-        self.E = _input_map(self.E, n, "E")
-        p = self.E.shape[1]
-        self.C = _output_map(self.C, n, "C")
-        r = self.C.shape[0]
-        self.F = _feedthrough(self.F, r, p, "F")
+        super().__post_init__()
         if self.Cz is not None:
-            self.Cz = _output_map(self.Cz, n, "Cz")
+            self.Cz = _output_map(self.Cz, self.n, "Cz")
             q = self.Cz.shape[0]
             self.Fz = _feedthrough(
-                self.Fz if self.Fz is not None else 0.0, q, p, "Fz"
+                self.Fz if self.Fz is not None else 0.0, q, self.p, "Fz"
             )
         elif self.Fz is not None:
             raise DimensionError("Fz given without Cz")
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.E.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.C.shape[0]
-
 
 @dataclass
-class DiscreteSystem:
-    """x(k+1) = A_d x(k) + E_d w(k), y(k) = C_d x(k) + F_d w(k)."""
-
-    A_d: np.ndarray
-    E_d: np.ndarray
-    C_d: np.ndarray
-    F_d: np.ndarray
-
-    def __post_init__(self):
-        self.A_d = _square(self.A_d, "A_d")
-        n = self.A_d.shape[0]
-        self.E_d = _input_map(self.E_d, n, "E_d")
-        self.C_d = _output_map(self.C_d, n, "C_d")
-        self.F_d = _feedthrough(
-            self.F_d, self.C_d.shape[0], self.E_d.shape[1], "F_d"
-        )
-
-    @property
-    def n(self) -> int:
-        return self.A_d.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.E_d.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.C_d.shape[0]
-
-
-@dataclass
-class DelaySystem:
+class DelaySystem(Plant):
     """dx/dt = A x(t) + A_h x(t-h) + E w(t),
     y = C x(t) + C_h x(t-h) + F w(t)."""
 
@@ -197,37 +241,32 @@ class DelaySystem:
     F: np.ndarray
     h: float
 
+    MATRICES = ("A", "E", "C", "F", "A_h", "C_h")
+    KIND = "delay"
+
     def __post_init__(self):
-        self.A = _square(self.A, "A")
-        n = self.A.shape[0]
-        self.A_h = _square(self.A_h, "A_h")
-        if self.A_h.shape[0] != n:
-            raise DimensionError("A and A_h sizes differ")
-        self.E = _input_map(self.E, n, "E")
-        self.C = _output_map(self.C, n, "C")
-        self.C_h = _output_map(self.C_h, n, "C_h")
-        if self.C_h.shape[0] != self.C.shape[0]:
-            raise DimensionError("C and C_h row counts differ")
-        self.F = _feedthrough(self.F, self.C.shape[0], self.E.shape[1], "F")
+        super().__post_init__()
         self.h = float(self.h)
         if not np.isfinite(self.h) or self.h < 0.0:
             raise PreconditionError("delay h must be finite and nonnegative")
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.E.shape[1]
+@dataclass
+class DiscreteSystem(Plant):
+    """x(k+1) = A_d x(k) + E_d w(k), y(k) = C_d x(k) + F_d w(k)."""
 
-    @property
-    def r(self) -> int:
-        return self.C.shape[0]
+    A_d: np.ndarray
+    E_d: np.ndarray
+    C_d: np.ndarray
+    F_d: np.ndarray
+
+    MATRICES = ("A_d", "E_d", "C_d", "F_d")
+    KIND = "discrete"
+    DISCRETE = True
 
 
 @dataclass
-class DiscreteDelaySystem:
+class DiscreteDelaySystem(Plant):
     """x(k+1) = A_d x(k) + A_dh x(k-d) + E_d w(k),
     y(k) = C_d x(k) + C_dh x(k-d) + F_d w(k).
 
@@ -242,32 +281,9 @@ class DiscreteDelaySystem:
     C_dh: np.ndarray
     F_d: np.ndarray
 
-    def __post_init__(self):
-        self.A_d = _square(self.A_d, "A_d")
-        n = self.A_d.shape[0]
-        self.A_dh = _square(self.A_dh, "A_dh")
-        if self.A_dh.shape[0] != n:
-            raise DimensionError("A_d and A_dh sizes differ")
-        self.E_d = _input_map(self.E_d, n, "E_d")
-        self.C_d = _output_map(self.C_d, n, "C_d")
-        self.C_dh = _output_map(self.C_dh, n, "C_dh")
-        if self.C_dh.shape[0] != self.C_d.shape[0]:
-            raise DimensionError("C_d and C_dh row counts differ")
-        self.F_d = _feedthrough(
-            self.F_d, self.C_d.shape[0], self.E_d.shape[1], "F_d"
-        )
-
-    @property
-    def n(self) -> int:
-        return self.A_d.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.E_d.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.C_d.shape[0]
+    MATRICES = ("A_d", "E_d", "C_d", "F_d", "A_dh", "C_dh")
+    KIND = "discrete-delay"
+    DISCRETE = True
 
 
 @dataclass
@@ -434,6 +450,19 @@ def linf_gain_lp(
     return float(sol.objective_value), sol.primal[:n]
 
 
+def _reduced_gain(sys: Plant, Cz, Fz) -> float:
+    """Closed-form gain on the plant's stability matrix S after checking
+    its state maps at L = 0 (see `Plant`)."""
+    for label, P, _, metzler in sys.sign_families():
+        if not (is_metzler if metzler else is_nonnegative)(P):
+            name = label.split(" ", 1)[0]  # the label starts with P's name
+            condition = "Metzler" if metzler else "nonnegative"
+            raise PreconditionError(f"{sys.KIND} gain needs {condition} {name}")
+    S, _ = sys.stability_pair()
+    _, E, _, _ = sys.input_family()
+    return linf_gain_closed(S, E, Cz, Fz)
+
+
 def linf_gain_discrete(sys: DiscreteSystem) -> float:
     """ℓ∞-gain of a nonnegative Schur system.
 
@@ -441,11 +470,7 @@ def linf_gain_discrete(sys: DiscreteSystem) -> float:
     and the discrete gain equals the continuous gain of the shifted
     system, so this is literally the closed form on (A_d - I, E_d, C_d, F_d).
     """
-    if not is_nonnegative(sys.A_d):
-        raise PreconditionError("discrete gain needs nonnegative A_d")
-    return linf_gain_closed(
-        sys.A_d - np.eye(sys.n), sys.E_d, sys.C_d, sys.F_d
-    )
+    return _reduced_gain(sys, sys.C_d, sys.F_d)
 
 
 def linf_gain_delay(sys: DelaySystem, Cz, Fz) -> float:
@@ -455,11 +480,7 @@ def linf_gain_delay(sys: DelaySystem, Cz, Fz) -> float:
     of the zero-delay aggregate, so the value is the closed form on
     (A + A_h, E, Cz, Fz) after validating the delayed structure.
     """
-    if not is_metzler(sys.A):
-        raise PreconditionError("delay gain needs Metzler A")
-    if not is_nonnegative(sys.A_h):
-        raise PreconditionError("delay gain needs nonnegative A_h")
-    return linf_gain_closed(sys.A + sys.A_h, sys.E, Cz, Fz)
+    return _reduced_gain(sys, Cz, Fz)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ offender, so corpus files cannot drift silently.  Parsed files
 normalize defaults once, which makes parse(write(parse(f))) a fixed
 point.  One table, _SIGNALS, gives each signal type its class, fields
 and defaults, and one, _CLASSES, gives each matrix class its system
-type and matrices, so neither is dispatched anywhere else.
+type, whose MATRICES name the file's matrices and whose check_form
+says which observer forms it takes, so neither is dispatched anywhere
+else.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObsynthError, ProblemFileError
+from .errors import ObsynthError, PreconditionError, ProblemFileError
 from .positive import DEFAULT_EPSILON, ContinuousSystem, DelaySystem, DiscreteSystem
 from .simulation import (
     ConstantSignal,
@@ -33,12 +35,8 @@ from .synthesis import ObserverSpec
 
 SCHEMA_VERSION = "1"
 
-# plant class -> (system type, its matrices in constructor order)
-_CLASSES = {
-    "continuous": (ContinuousSystem, ("A", "E", "C", "F")),
-    "delay": (DelaySystem, ("A", "A_h", "E", "C", "C_h", "F")),
-    "discrete": (DiscreteSystem, ("A_d", "E_d", "C_d", "F_d")),
-}
+# plant class -> system type; its MATRICES name the matrices a file holds
+_CLASSES = {"continuous": ContinuousSystem, "delay": DelaySystem, "discrete": DiscreteSystem}
 
 
 def _fail(path: str, message: str) -> ProblemFileError:
@@ -150,12 +148,16 @@ def _gain_bound(value, path: str, n: int, r: int) -> list[list[float]]:
     return rows
 
 
-def _observer(value, path: str, n: int, r: int) -> dict:
+def _observer(value, path: str, n: int, r: int, plant_type) -> dict:
     obj = _expect_object(value, path)
     _check_keys(obj, set(), {"form", "gain_lower", "gain_upper", "epsilon"}, path)
     out = {"form": obj.get("form", "standard")}
     if out["form"] not in ("standard", "relaxed"):
         raise _fail(f"{path}.form", f"expected standard or relaxed, got {out['form']!r}")
+    try:
+        plant_type.check_form(out["form"])
+    except PreconditionError as exc:
+        raise _fail(f"{path}.form", str(exc)) from exc
     if "epsilon" in obj:
         # Left absent when the file does not set it, so callers can tell
         # an explicit choice from the overridable default.
@@ -239,9 +241,9 @@ class ProblemFile:
         d = self.data
         try:
             if d["class"] in _CLASSES:
-                cls, matrices = _CLASSES[d["class"]]
-                delay = [d["h"]] if "h" in d else []
-                return cls(*(np.array(d[k]) for k in matrices), *delay)
+                cls = _CLASSES[d["class"]]
+                delay = {"h": d["h"]} if "h" in d else {}
+                return cls(**{k: np.array(d[k]) for k in cls.MATRICES}, **delay)
             pop = d["population"]
             gain = pop["incidence_gain"]
             if isinstance(gain, dict):
@@ -320,7 +322,8 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
         )
     klass = obj.get("class")
     if isinstance(klass, str) and klass in _CLASSES:
-        matrices = _CLASSES[klass][1]
+        plant_type = _CLASSES[klass]
+        matrices = plant_type.MATRICES
         required = {"schema_version", "class", *matrices}
         optional = {"observer", "disturbance", "simulation"}
         if klass == "delay":
@@ -329,9 +332,8 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
         data: dict = {"schema_version": version, "class": klass}
         for name in matrices:
             data[name] = _matrix(obj[name], f"{source}.{name}", square=name[0] == "A")
-        # A, E, C and F name the first matrix of each role; A_h, C_h and
-        # the _d variants share the shape of their role
-        e_name, c_name, f_name = (next(k for k in matrices if k[0] == role) for role in "ECF")
+        # A_h and C_h share the shape of their role
+        _, e_name, c_name, f_name = matrices[:4]
         n = len(data[matrices[0]])
         r = len(data[c_name])
         for name in matrices:
@@ -359,13 +361,16 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
             "population": _population(obj["population"], f"{source}.population"),
         }
         n, p, r = 3, 1, 1
+        plant_type = ContinuousSystem  # the linear part design reads
     else:
         raise _fail(
             f"{source}.class",
             f"expected one of {sorted([*_CLASSES, 'population'])}, got {klass!r}",
         )
 
-    data["observer"] = _observer(obj.get("observer", {}), f"{source}.observer", n, r)
+    data["observer"] = _observer(
+        obj.get("observer", {}), f"{source}.observer", n, r, plant_type
+    )
     if "disturbance" in obj:
         data["disturbance"] = _disturbance(obj["disturbance"], f"{source}.disturbance", p)
     if "simulation" in obj:

@@ -28,8 +28,9 @@ its scale, and any stronger floor (say X_ii >= 1) breaks the change of
 variables by letting U drift off the X L* ray when the floor binds,
 returning suboptimal gains.
 
-Every plant type maps to the matrices of its LP through one table,
-which `design`, `certify` and `closed_loop` share.
+The plant supplies (S, T) and the sign families through its reduction
+(`positive.Plant`), which `design`, `certify` and `closed_loop` read;
+this module adds only what the observer form changes.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ from .positive import (
     DEFAULT_EPSILON,
     ContinuousSystem,
     DelaySystem,
-    DiscreteDelaySystem,
     DiscreteSystem,
+    Family,
+    Plant,
     _certified_solve,
     hurwitz_certificate,  # noqa: F401 - perfbench/tracer.py patches this name here
 )
@@ -135,103 +137,25 @@ class CertificationReport:
     gamma_independent: float | None
 
 
-# (label, P, Q, metzler): the rows (X P - U Q)_ij >= 0, on the
-# off-diagonal entries only when the family is a Metzler condition.
-_Family = tuple[str, np.ndarray, np.ndarray, bool]
-
-
-@dataclass
-class _DesignData:
-    """Canonical matrices one design LP is assembled from."""
-
-    kind: str
-    form: str
-    structural: list[_Family]
-    S: np.ndarray  # stability pair: columns of X S - U T
-    T: np.ndarray
-    E: np.ndarray  # error-loop input pair; gamma bounds 1^T (X E - U F) 1
-    F: np.ndarray
-    input_label: str | None  # E - L F >= 0 is a family; None in the relaxed form
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.T.shape[0]
-
-    def sign_families(self, with_input: bool = True) -> list[_Family]:
-        if with_input and self.input_label is not None:
-            return [*self.structural, (self.input_label, self.E, self.F, False)]
-        return list(self.structural)
-
-
-def _standard_only(kind: str, form: str) -> None:
-    if form != "standard":
-        raise PreconditionError(f"{kind} design supports the standard form only")
-
-
-def _data_ct(sys: ContinuousSystem, form: str) -> _DesignData:
-    if form == "standard":
-        E, F, input_label = sys.E, sys.F, "E - L F nonnegative"
-    else:
-        E, F, input_label = np.eye(sys.n), np.zeros((sys.r, sys.n)), None
-    return _DesignData(
-        "continuous", form, [("A - L C Metzler", sys.A, sys.C, True)],
-        sys.A, sys.C, E, F, input_label,
-    )
-
-
-def _data_delay(sys: DelaySystem, form: str) -> _DesignData:
-    _standard_only("delay", form)
-    families = [
-        ("A - L C Metzler", sys.A, sys.C, True),
-        ("A_h - L C_h nonnegative", sys.A_h, sys.C_h, False),
-    ]
-    return _DesignData(
-        "delay", form, families,
-        sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F nonnegative",
-    )
-
-
-def _data_dt(sys: DiscreteSystem, form: str) -> _DesignData:
-    _standard_only("discrete", form)
-    return _DesignData(
-        "discrete", form, [("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False)],
-        sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d nonnegative",
-    )
-
-
-def _data_dt_delay(sys: DiscreteDelaySystem, form: str) -> _DesignData:
-    _standard_only("discrete", form)
-    families = [
-        ("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False),
-        ("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh, False),
-    ]
-    return _DesignData(
-        "discrete-delay", form, families,
-        sys.A_d + sys.A_dh - np.eye(sys.n), sys.C_d + sys.C_dh, sys.E_d, sys.F_d,
-        "E_d - L F_d nonnegative",
-    )
-
-
-_DESIGN_DATA = {
-    ContinuousSystem: _data_ct,
-    DelaySystem: _data_delay,
-    DiscreteSystem: _data_dt,
-    DiscreteDelaySystem: _data_dt_delay,
-}
-
-
-def _design_data(system, form: str) -> _DesignData:
-    build = _DESIGN_DATA.get(type(system))
-    if build is None:
-        names = ", ".join(cls.__name__ for cls in _DESIGN_DATA)
+def _plant(system, form: str) -> Plant:
+    """The system, checked to be a plant type that design takes in this form."""
+    if not isinstance(system, Plant):
+        names = ", ".join(cls.__name__ for cls in Plant.__subclasses__())
         raise PreconditionError(
             f"cannot design for a {type(system).__name__}; expected one of {names}"
         )
-    return build(system, form)
+    system.check_form(form)
+    return system
+
+
+def _loop_input(plant: Plant, form: str) -> tuple[np.ndarray, np.ndarray, list[Family]]:
+    """The error loop's input pair (E, F), whose aggregate gain gamma
+    bounds, and the sign family it adds.  The relaxed form drives the
+    loop with the identity, with no feedthrough, and drops E - L F >= 0."""
+    if form == "relaxed":
+        return np.eye(plant.n), np.zeros((plant.r, plant.n)), []
+    family = plant.input_family()
+    return family[1], family[2], [family]
 
 
 def _per_entry(W: np.ndarray) -> np.ndarray:
@@ -240,7 +164,8 @@ def _per_entry(W: np.ndarray) -> np.ndarray:
 
 
 def _assemble(
-    data: _DesignData,
+    plant: Plant,
+    form: str,
     epsilon: float,
     lo: np.ndarray | None,
     hi: np.ndarray | None,
@@ -256,18 +181,20 @@ def _assemble(
     with_gain_rows=False drops the E - L F family and the gamma row,
     leaving pure stabilizability; that is the diagnostic solve.
     """
-    n, r = data.n, data.r
+    n, r = plant.n, plant.r
+    S, T = plant.stability_pair()
+    E, F, inputs = _loop_input(plant, form)
     blocks = []  # (x part, U part, gamma coefficient, rhs)
-    for _, P, Q, metzler in data.sign_families(with_gain_rows):
+    for _, P, Q, metzler in plant.sign_families() + (inputs if with_gain_rows else []):
         keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
         if metzler:
             keep &= ~np.eye(n, dtype=bool)
         keep = keep.reshape(-1)
         blocks.append((_per_entry(-P)[keep], np.kron(np.eye(n), Q.T)[keep], 0.0, 0.0))
-    blocks.append((data.S.T, np.tile(-data.T.T, n), 0.0, -1.0 - epsilon))
+    blocks.append((S.T, np.tile(-T.T, n), 0.0, -1.0 - epsilon))
     if with_gain_rows:
-        ones = np.ones(data.E.shape[1])
-        blocks.append(([data.E @ ones], [np.tile(-(data.F @ ones), n)], -1.0, -epsilon))
+        ones = np.ones(E.shape[1])
+        blocks.append(([E @ ones], [np.tile(-(F @ ones), n)], -1.0, -epsilon))
     blocks.append((-np.eye(n), np.zeros((n, n * r)), 0.0, -epsilon))
     for B, sign in ((lo, 1.0), (hi, -1.0)):
         if B is not None:
@@ -289,11 +216,11 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     plants are designed on their zero-delay aggregate, so the result
     does not depend on the delay.
     """
-    data = _design_data(system, spec.form)
-    n, r = data.n, data.r
+    plant = _plant(system, spec.form)
+    n, r = plant.n, plant.r
     lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
-    lhs, rhs = _assemble(data, eps, lo, hi)
+    lhs, rhs = _assemble(plant, spec.form, eps, lo, hi)
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
     sol = solve(LinearProgram(objective, lhs, rhs))
@@ -302,8 +229,8 @@ def design(system, spec: ObserverSpec) -> DesignResult:
         U = sol.primal[n : n + n * r].reshape(n, r)
         return DesignResult(
             status="optimal",
-            kind=data.kind,
-            form=data.form,
+            kind=plant.KIND,
+            form=spec.form,
             epsilon=eps,
             L=U / x[:, None],
             gamma=float(sol.primal[-1]),
@@ -313,14 +240,14 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     if sol.status is not LpStatus.INFEASIBLE:  # pragma: no cover - gamma bounded
         raise PreconditionError("design LP reported unbounded")
     diagnostic = DIAG_NO_STABILIZER
-    if data.input_label is not None:
-        d_lhs, d_rhs = _assemble(data, eps, lo, hi, with_gain_rows=False)
+    if spec.form == "standard":  # only then can E - L F >= 0 be the conflict
+        d_lhs, d_rhs = _assemble(plant, spec.form, eps, lo, hi, with_gain_rows=False)
         if check_feasible(LinearProgram(np.zeros(d_lhs.shape[1]), d_lhs, d_rhs)):
             diagnostic = DIAG_SIGN_CONFLICT
     return DesignResult(
         status="infeasible",
-        kind=data.kind,
-        form=data.form,
+        kind=plant.KIND,
+        form=spec.form,
         epsilon=eps,
         diagnostic=diagnostic,
     )
@@ -359,8 +286,9 @@ def closed_loop(system, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standard-form error-system matrices (stability matrix, input
     matrix) at gain L, reduced to the equivalent undelayed continuous
     pair: the discrete stability matrix carries the Schur shift - I."""
-    data = _design_data(system, "standard")
-    return data.S - L @ data.T, data.E - L @ data.F
+    S, T = _plant(system, "standard").stability_pair()
+    E, F, _ = _loop_input(system, "standard")
+    return S - L @ T, E - L @ F
 
 
 def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationReport:
@@ -373,17 +301,17 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
     """
     if result.status != "optimal":
         raise PreconditionError("certify needs an optimal DesignResult")
-    data = _design_data(system, result.form)
-    if data.kind != result.kind:
+    plant = _plant(system, result.form)
+    if plant.KIND != result.kind:
         raise PreconditionError(
-            f"result was designed for a {result.kind} plant, not a {data.kind} one"
+            f"result was designed for a {result.kind} plant, not a {plant.KIND} one"
         )
     eps = result.epsilon
     slack = 10.0 * eps
     flags: list[str] = []
 
-    lo, hi = spec.bounds(data.n, data.r)
-    lhs, rhs = _assemble(data, eps, lo, hi)
+    lo, hi = spec.bounds(plant.n, plant.r)
+    lhs, rhs = _assemble(plant, result.form, eps, lo, hi)
     z = np.concatenate([result.X_diag, result.U.reshape(-1), [result.gamma]])
     residual = lhs @ z - rhs
     worst = int(np.argmax(residual))
@@ -398,20 +326,22 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
 
     tol = max(STRUCTURAL_TOL, slack)
     L = result.L
-    for label, P, Q, metzler in data.sign_families():
+    S, T = plant.stability_pair()
+    E, F, inputs = _loop_input(plant, result.form)
+    for label, P, Q, metzler in plant.sign_families() + inputs:
         holds = is_metzler if metzler else is_nonnegative
         if not holds(P - L @ Q, tol):
             flags.append(f"{label} fails at L")
 
-    Scl = data.S - L @ data.T
+    Scl = S - L @ T
     gamma_indep = None
     if not is_metzler(Scl, tol):
         flags.append("closed-loop stability matrix is not Metzler at L")
     else:
         # Off-diagonal entries within tol of zero are taken as zero, as
         # the negative entries of E - L F are below.
-        Scl = np.where(np.eye(data.n, dtype=bool), Scl, np.clip(Scl, 0.0, None))
-        Bcl = np.clip(data.E - L @ data.F, 0.0, None)
+        Scl = np.where(np.eye(plant.n, dtype=bool), Scl, np.clip(Scl, 0.0, None))
+        Bcl = np.clip(E - L @ F, 0.0, None)
         vector, Y = _certified_solve(Scl, Bcl)
         if vector is None:
             flags.append("closed-loop stability matrix is not Hurwitz at L")

@@ -132,6 +132,36 @@ def test_gain_rejects_unparseable_matrix(capsys, corpus_dir):
         assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, forms",
+    [
+        # the keywords are output-matrix forms; a number has no row count
+        # to fill there
+        ("--feedthrough", "ones", "a number or JSON rows of shape 2x1"),
+        ("--feedthrough", "I", "a number or JSON rows of shape 2x1"),
+        ("--output-matrix", "2", "I, ones, or JSON rows of 2 columns"),
+        ("--gain", "[[1, 2]]", "a number or JSON rows of shape 2x1"),
+    ],
+)
+def test_matrix_flags_take_only_their_forms(capsys, corpus_dir, flag, value, forms):
+    code, out, err = _run(
+        capsys, "gain", _case(corpus_dir, "case2"), "--gain", "[[-1],[2]]", flag, value
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be {forms}, got {value!r}\n"
+
+
+def test_scalar_feedthrough_spreads_over_q_by_p(capsys, corpus_dir):
+    code, out, err = _run(
+        capsys, "gain", _case(corpus_dir, "case2"),
+        "--gain", "[[-1],[2]]", "--feedthrough", "0.5",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["N"] == [[0.5], [0.5]]  # q = 2 rows of the identity M, p = 1
+    assert abs(doc["gamma_closed"] - 1.5) <= 1e-9
+
+
 def test_scalar_gain_spreads_over_n_by_r(capsys, tmp_path):
     # p = 2 disturbances but r = 1 output: L is 2 x 1
     doc = {
@@ -314,6 +344,18 @@ def test_check_rejects_bad_file(capsys, tmp_path, corpus_dir):
         code, _, err = _run(capsys, "check", str(path))
         assert code == 1
         assert err.startswith(f"error: {path}{key}:") and err.count("\n") == 1
+
+
+def test_check_refuses_a_form_design_refuses(capsys, tmp_path, corpus_dir):
+    doc = json.loads((corpus_dir / "dt_scalar.json").read_text())
+    doc["observer"]["form"] = "relaxed"
+    path = tmp_path / "dt_relaxed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}.observer.form: discrete design supports the standard form only\n"
+    )
 
 
 def test_check_reads_the_epsilon_flag(capsys, corpus_dir):

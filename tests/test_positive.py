@@ -13,6 +13,7 @@ from obsynth import (
     ContinuousSystem,
     DelaySystem,
     DimensionError,
+    DiscreteDelaySystem,
     DiscreteSystem,
     InstabilityError,
     MembershipError,
@@ -53,6 +54,32 @@ def test_system_types_validate_dimensions():
         DelaySystem(A_CASE1, np.eye(3), E2, C2, np.zeros((1, 2)), F2, 1.0)
     with pytest.raises(PreconditionError):
         DelaySystem(A_CASE1, np.eye(2), E2, C2, np.zeros((1, 2)), F2, -1.0)
+
+
+Z12 = np.zeros((1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DelaySystem(A_CASE1, np.eye(3), E2, C2, Z12, F2, 1.0),
+         DimensionError, "A and A_h sizes differ"),
+        (lambda: DiscreteDelaySystem(0.5 * np.eye(2), np.eye(3), E2, C2, Z12, F2),
+         DimensionError, "A_d and A_dh sizes differ"),
+        (lambda: DelaySystem(A_CASE1, np.eye(2), E2, C2, np.zeros((2, 2)), F2, 1.0),
+         DimensionError, "C and C_h row counts differ"),
+        (lambda: DiscreteDelaySystem(0.5 * np.eye(2), np.eye(2), E2, C2, np.zeros((2, 2)), F2),
+         DimensionError, "C_d and C_dh row counts differ"),
+        (lambda: ContinuousSystem(A_CASE1, E2, C2, F2, Fz=np.zeros((1, 1))),
+         DimensionError, "Fz given without Cz"),
+        (lambda: DelaySystem(A_CASE1, np.eye(2), E2, C2, Z12, F2, -1.0),
+         PreconditionError, "delay h must be finite and nonnegative"),
+    ],
+)
+def test_system_type_errors_name_the_matrices(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_performance_output_is_optional():
@@ -311,6 +338,25 @@ def test_discrete_gain_rejects_unstable_or_negative():
     ):
         with pytest.raises(PreconditionError):
             linf_gain_discrete(DiscreteSystem(*args))
+
+
+@pytest.mark.parametrize(
+    "gain, message",
+    [
+        (lambda: linf_gain_delay(
+            DelaySystem(A_CASE2, np.eye(2), E2, C2, Z12, F2, 1.0), np.ones((1, 2)), 0.0),
+         "delay gain needs Metzler A"),
+        (lambda: linf_gain_delay(
+            DelaySystem(A_CASE1, -np.eye(2), E2, C2, Z12, F2, 1.0), np.ones((1, 2)), 0.0),
+         "delay gain needs nonnegative A_h"),
+        (lambda: linf_gain_discrete(DiscreteSystem([[-0.5]], [[1.0]], [[1.0]], [[0.0]])),
+         "discrete gain needs nonnegative A_d"),
+    ],
+)
+def test_delay_and_discrete_gains_name_the_sign_violation(gain, message):
+    with pytest.raises(PreconditionError) as exc:
+        gain()
+    assert str(exc.value) == message
 
 
 def _impulse_sum(sys, terms=20000, tol=1e-13):

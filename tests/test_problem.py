@@ -194,6 +194,23 @@ def test_observer_bad_form_and_epsilon():
     _expect(r"\$\.observer.*unknown", _doc(observer={"margin": 1e-6}))
 
 
+@pytest.mark.parametrize(
+    "klass, matrices",
+    [
+        ("delay", {"A": [[-3.0]], "A_h": [[1.0]], "E": [[1.0]], "C": [[1.0]],
+                   "C_h": [[0.0]], "F": [[0.0]], "h": 1.0}),
+        ("discrete", {"A_d": [[0.5]], "E_d": [[1.0]], "C_d": [[1.0]], "F_d": [[1.0]]}),
+    ],
+)
+def test_relaxed_form_is_refused_where_design_refuses_it(klass, matrices):
+    doc = {"schema_version": "1", "class": klass, **matrices}
+    assert parse_problem_dict(doc).observer_spec().form == "standard"
+    doc["observer"] = {"form": "relaxed"}
+    _expect(
+        rf"^\$\.observer\.form: {klass} design supports the standard form only$", doc
+    )
+
+
 def test_epsilon_precedence_file_argument_fallback():
     with_eps = parse_problem_dict(_doc(observer={"epsilon": 1e-3}))
     without = parse_problem_dict(_doc())

@@ -450,3 +450,102 @@ def test_design_lp_at_scale_matches_highs(n, monkeypatch):
         )
         assert oracle.status == 0
         assert abs(result.gamma - oracle.fun) <= 1e-9 * abs(oracle.fun)
+
+
+# ---------------------------------------------------------------------------
+# the plant reduction, against the per-type builders it replaced
+
+
+def _ref_ct(sys, form):
+    if form == "standard":
+        E, F, input_label = sys.E, sys.F, "E - L F nonnegative"
+    else:
+        E, F, input_label = np.eye(sys.n), np.zeros((sys.r, sys.n)), None
+    return (
+        "continuous", [("A - L C Metzler", sys.A, sys.C, True)],
+        sys.A, sys.C, E, F, input_label,
+    )
+
+
+def _ref_delay(sys, form):
+    families = [
+        ("A - L C Metzler", sys.A, sys.C, True),
+        ("A_h - L C_h nonnegative", sys.A_h, sys.C_h, False),
+    ]
+    return (
+        "delay", families,
+        sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F nonnegative",
+    )
+
+
+def _ref_dt(sys, form):
+    return (
+        "discrete", [("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False)],
+        sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d nonnegative",
+    )
+
+
+def _ref_dt_delay(sys, form):
+    families = [
+        ("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False),
+        ("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh, False),
+    ]
+    return (
+        "discrete-delay", families,
+        sys.A_d + sys.A_dh - np.eye(sys.n), sys.C_d + sys.C_dh, sys.E_d, sys.F_d,
+        "E_d - L F_d nonnegative",
+    )
+
+
+def test_plant_reduction_matches_the_per_type_builders():
+    from obsynth.synthesis import _loop_input
+
+    rng = np.random.default_rng(1511)
+    for _ in range(6):
+        n, p, r = (int(k) for k in rng.integers(1, 5, size=3))
+        A, A_h = rng.uniform(-1.0, 1.0, size=(2, n, n))
+        E = rng.uniform(-1.0, 1.0, size=(n, p))
+        C, C_h = rng.uniform(-1.0, 1.0, size=(2, r, n))
+        F = rng.uniform(-1.0, 1.0, size=(r, p))
+        cases = [
+            (ContinuousSystem(A, E, C, F), "standard", _ref_ct),
+            (ContinuousSystem(A, E, C, F), "relaxed", _ref_ct),
+            (DelaySystem(A, A_h, E, C, C_h, F, 1.0), "standard", _ref_delay),
+            (DiscreteSystem(A, E, C, F), "standard", _ref_dt),
+            (DiscreteDelaySystem(A, A_h, E, C, C_h, F), "standard", _ref_dt_delay),
+        ]
+        for sys, form, reference in cases:
+            kind, families, S, T, E_ref, F_ref, input_label = reference(sys, form)
+            assert sys.KIND == kind
+            got = sys.sign_families()
+            assert [(f[0], f[3]) for f in got] == [(f[0], f[3]) for f in families]
+            for (_, P, Q, _), (_, P_ref, Q_ref, _) in zip(got, families):
+                assert np.array_equal(P, P_ref) and np.array_equal(Q, Q_ref)
+            S_got, T_got = sys.stability_pair()
+            assert np.array_equal(S_got, S) and np.array_equal(T_got, T)
+            E_got, F_got, inputs = _loop_input(sys, form)
+            assert np.array_equal(E_got, E_ref) and np.array_equal(F_got, F_ref)
+            if input_label is None:
+                assert inputs == []
+            else:
+                [(label, P, Q, metzler)] = inputs
+                assert (label, metzler) == (input_label, False)
+                assert np.array_equal(P, E_ref) and np.array_equal(Q, F_ref)
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (_scalar_delay(0.0), "delay design supports the standard form only"),
+        (DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]]),
+         "discrete design supports the standard form only"),
+        (DiscreteDelaySystem([[0.3]], [[0.2]], [[1.0]], [[1.0]], [[0.0]], [[0.0]]),
+         "discrete-delay design supports the standard form only"),
+        (object(), "cannot design for a object; expected one of ContinuousSystem, "
+         "DelaySystem, DiscreteSystem, DiscreteDelaySystem"),
+    ],
+)
+def test_design_refusals_name_the_plant_type(system, message):
+    with pytest.raises(PreconditionError) as exc:
+        design(system, ObserverSpec(form="relaxed"))
+    assert str(exc.value) == message
