@@ -157,6 +157,11 @@ def cmd_gain(args) -> int:
     M = _parse_matrix_flag(args.output_matrix, "output-matrix", None, n)
     doc: dict = {"L": L, "M": M, "epsilon": spec.epsilon}
     if spec.form == "relaxed":
+        if args.feedthrough != "0":
+            raise ObsynthError(
+                "--feedthrough does not apply to a relaxed-form file: "
+                "its error loop has no feedthrough"
+            )
         doc["gamma_relaxed_error"] = relaxed_error_gain(
             system.A, system.E, system.C, system.F, L, M
         )
@@ -253,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sp.add_argument(
         "--feedthrough", default="0",
-        help="output feedthrough N: a number or JSON rows",
+        help="output feedthrough N: a number or JSON rows (standard form only)",
     )
     sp.add_argument("--out", default=None, help="also write the result document here")
 

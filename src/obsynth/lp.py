@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex for small certificate and design LPs.
+"""Two-phase primal simplex for small certificate and design LPs.
 
 Problem form:  minimize  objective · z
                subject to  ineq_lhs · z ≤ ineq_rhs
@@ -9,8 +9,21 @@ negated.
 
 Bland's rule is used for both the entering and the leaving choice, so
 the solver cannot cycle and identical inputs always produce identical
-solutions.  All tableaus are dense; problems here have at most a few
-hundred rows.
+solutions.  The rule must stay Bland: when the optimum is not unique
+(many design LPs), which optimal vertex comes back, and so the returned
+gain L, depends on the pivot sequence.  Each pivot is made cheap
+without changing that sequence:
+
+- the entering column is the first negative reduced cost, found in one
+  vector comparison;
+- the leaving row runs Bland's sequential tie rule only over the rows
+  whose ratio is close enough to the minimum to be chosen or to change
+  the choice (see ``_leaving_row``), usually one row;
+- the tableau is stored dense, but elimination touches only the entries
+  whose row has a nonzero in the pivot column and whose column has a
+  nonzero in the pivot row.  Every other entry would have 0 · x
+  subtracted, so the values are those of a full dense update (up to
+  the sign of a zero, which changes no pivot and no nonzero value).
 """
 
 from __future__ import annotations
@@ -26,6 +39,10 @@ from .linalg import as_matrix, as_vector
 # Reduced costs above -EPS count as optimal; pivot candidates need a
 # column entry above EPS.
 EPS = 1e-9
+
+# Leaving-row ratios within TIE of each other are tied; Bland's rule
+# then picks the row whose basic variable has the lower index.
+TIE = 1e-12
 
 # Phase-1 objective above this value certifies infeasibility.
 FEAS_TOL = 1e-9
@@ -67,6 +84,12 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """Status, optimal point and value (OPTIMAL only), and pivot count.
+
+    ``iterations`` counts every pivot: those of phase 1, those that drive
+    leftover artificials out of the basis, and those of phase 2.
+    """
+
     status: LpStatus
     primal: np.ndarray | None = None
     objective_value: float | None = None
@@ -79,13 +102,52 @@ def _pivot(T: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int):
     b[row] /= piv
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
     b -= factors * b[row]
-    # re-zero the pivot column explicitly; the outer-product update can
-    # leave roundoff dust that later pivots would amplify
+    # an entry changes only where both its pivot-column factor and its
+    # pivot-row entry are nonzero; elsewhere 0 * x would be subtracted
+    rows = factors.nonzero()[0]
+    cols = T[row].nonzero()[0]
+    T[rows[:, None], cols] -= np.multiply.outer(factors[rows], T[row, cols])
+    # re-zero the pivot column explicitly; the update can leave roundoff
+    # dust that later pivots would amplify
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
+
+
+def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
+    """Bland's leaving row for one entering column, or -1 if unbounded.
+
+    The rule is sequential: scanning the candidate rows in order, a
+    ratio more than TIE below the best so far replaces it, and one
+    within TIE of it replaces it when its basic variable has the lower
+    index.  With k candidates, a row whose ratio is more than
+    (k + 1) * TIE above the minimum can neither be chosen nor change the
+    choice, so the scan runs over the rows inside that window only.  A
+    tie moves the best by at most TIE, and a clearly smaller ratio
+    replaces the best in both scans unless it ties with one of them; so
+    while the full and the windowed scan disagree after c rows, both
+    bests lie more than (k + 2 - c) * TIE above the minimum.  The
+    minimum's row (c <= k) brings both within TIE of it, after which the
+    scans agree and the best stays too low for an outside row to tie.
+    """
+    cand = (col > EPS).nonzero()[0]
+    if cand.size < 2:
+        return int(cand[0]) if cand.size else -1
+    ratios = b[cand] / col[cand]
+    inside = ratios <= ratios.min() + (cand.size + 1) * TIE
+    cand = cand[inside]
+    if cand.size == 1:
+        return int(cand[0])
+    leave = -1
+    best = np.inf
+    for i, ratio in zip(cand.tolist(), ratios[inside].tolist()):
+        if ratio < best - TIE or (
+            abs(ratio - best) <= TIE and (leave < 0 or basis[i] < basis[leave])
+        ):
+            best = ratio
+            leave = i
+    return leave
 
 
 def _simplex(
@@ -104,26 +166,12 @@ def _simplex(
     m = T.shape[0]
     it = used
     while True:
-        reduced = cost - cost[basis] @ T if m else cost.copy()
-        enter = -1
-        for j in range(reduced.size):
-            if reduced[j] < -EPS:
-                enter = j
-                break
-        if enter < 0:
+        reduced = cost - cost[basis] @ T if m else cost
+        improving = reduced < -EPS
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return "optimal", it
-        col = T[:, enter]
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            if col[i] > EPS:
-                ratio = b[i] / col[i]
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+        leave = _leaving_row(b, T[:, enter], basis)
         if leave < 0:
             return "unbounded", it
         it += 1

@@ -209,6 +209,25 @@ def test_gain_relaxed_reports_both_gains(capsys, corpus_dir):
     assert "gamma_closed" not in doc
 
 
+@pytest.mark.parametrize("value", ["nonsense", "0.5"])
+def test_gain_relaxed_refuses_a_feedthrough(capsys, corpus_dir, value):
+    # the relaxed error loop has no feedthrough, so any N is an error
+    code, out, err = _run(
+        capsys, "gain", _case(corpus_dir, "case1_relaxed"),
+        "--gain", "[[1],[10]]", "--feedthrough", value,
+    )
+    assert code == 1
+    assert out == ""
+    assert "--feedthrough does not apply to a relaxed-form file" in err
+
+
+def test_gain_relaxed_accepts_the_default_feedthrough(capsys, corpus_dir):
+    argv = ("gain", _case(corpus_dir, "case1_relaxed"), "--gain", "[[1],[10]]")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert _run(capsys, *argv, "--feedthrough", "0") == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -1,4 +1,5 @@
-"""Simplex solver behaviour, cross-checked against scipy's HiGHS.
+"""Simplex solver behaviour, cross-checked against scipy's HiGHS and
+against a scan-based transcription of the pivot kernel.
 
 The scipy path is test-only: it never backs a library result, it just
 gives an independent optimum and dual certificate to compare against.
@@ -8,14 +9,21 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import obsynth.lp as lp_module
 from obsynth import (
+    ContinuousSystem,
+    DelaySystem,
     DimensionError,
+    DiscreteSystem,
     LinearProgram,
     LpStatus,
     SolverFailureError,
     check_feasible,
     solve,
 )
+from obsynth.synthesis import _assemble
+
+from conftest import random_feasible_loop, random_metzler_hurwitz, random_schur
 
 
 def _lp(c, G, h):
@@ -180,3 +188,179 @@ def test_infeasibility_agrees_with_scipy():
         )
         assert sol.status is LpStatus.INFEASIBLE
         assert ref.status == 2
+
+
+# ---------------------------------------------------------------------------
+# the pivot kernel, against a plain transcription of the scan-based one
+#
+# The reference scans every column for the entering choice and every row
+# for the leaving choice, and subtracts an outer product from the whole
+# tableau.  The kernel must make the same pivots and return the same
+# bytes: on non-unique optima the returned point depends on the pivots.
+
+
+def _ref_pivot(T, b, basis, row, col):
+    piv = T[row, col]
+    T[row] /= piv
+    b[row] /= piv
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    b -= factors * b[row]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _ref_leaving_row(b, col, basis):
+    leave = -1
+    best = np.inf
+    for i in range(col.size):
+        if col[i] > lp_module.EPS:
+            ratio = b[i] / col[i]
+            if ratio < best - 1e-12 or (
+                abs(ratio - best) <= 1e-12
+                and (leave < 0 or basis[i] < basis[leave])
+            ):
+                best = ratio
+                leave = i
+    return leave
+
+
+def _ref_simplex(T, b, cost, basis, max_iter, used):
+    m = T.shape[0]
+    it = used
+    while True:
+        reduced = cost - cost[basis] @ T if m else cost.copy()
+        enter = -1
+        for j in range(reduced.size):
+            if reduced[j] < -lp_module.EPS:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal", it
+        leave = _ref_leaving_row(b, T[:, enter], basis)
+        if leave < 0:
+            return "unbounded", it
+        it += 1
+        if it > max_iter:
+            raise SolverFailureError(f"simplex exceeded the iteration cap ({max_iter})")
+        _ref_pivot(T, b, basis, leave, enter)
+
+
+def _assert_same_as_reference(lp, monkeypatch):
+    got = solve(lp)
+    with monkeypatch.context() as patched:
+        patched.setattr(lp_module, "_simplex", _ref_simplex)
+        patched.setattr(lp_module, "_pivot", _ref_pivot)
+        ref = solve(lp)
+    assert got.status is ref.status
+    assert got.iterations == ref.iterations
+    if ref.primal is None:
+        assert got.primal is None
+    else:
+        assert np.array_equal(got.primal, ref.primal)
+        assert got.objective_value == ref.objective_value
+    return got
+
+
+def test_kernel_matches_reference_on_random_lps(monkeypatch):
+    rng = np.random.default_rng(41)
+    statuses = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 16))
+        G = rng.normal(size=(m, n))
+        G[rng.random(size=(m, n)) < 0.4] = 0.0
+        h = rng.normal(size=m)
+        sol = _assert_same_as_reference(_lp(rng.normal(size=n), G, h), monkeypatch)
+        statuses.add(sol.status)
+        _assert_same_as_reference(_random_boxed_lp(rng, n, m), monkeypatch)
+    assert statuses == set(LpStatus)
+
+
+def test_kernel_matches_reference_on_degenerate_lps(monkeypatch):
+    # many rows through one vertex: every ratio test starts with exact
+    # zero-ratio ties, which Bland's lower-index rule must break
+    rng = np.random.default_rng(43)
+    for _ in range(15):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(n, 4 * n))
+        G = rng.integers(-2, 3, size=(m, n)).astype(float)
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        lhs = np.vstack([G, G, box])  # each row twice: duplicate ratios
+        rhs = np.concatenate([np.zeros(2 * m), np.ones(2 * n)])
+        c = rng.integers(-3, 4, size=n).astype(float)
+        _assert_same_as_reference(_lp(c, lhs, rhs), monkeypatch)
+        # the same vertex reached from a shifted origin needs phase 1
+        shift = rng.uniform(0.5, 1.5, size=n)
+        _assert_same_as_reference(_lp(c, lhs, rhs - lhs @ shift), monkeypatch)
+
+
+def test_kernel_matches_reference_when_near_ties_decide(monkeypatch):
+    # maximize z subject to z <= h_i: the ratios are the h_i, spaced
+    # 0.5e-12 apart and falling, so the sequential 1e-12 tie rule keeps
+    # an earlier row rather than the smallest ratio
+    h = 1.0 + 0.5e-12 * np.arange(8.0)[::-1]
+    lp = _lp([-1.0], np.ones((8, 1)), h)
+    sol = _assert_same_as_reference(lp, monkeypatch)
+    assert sol.primal[0] != h.min()
+    assert sol.iterations == 1
+
+
+def _design_plant(rng, klass, n, p=2, r=3):
+    """An admissible plant of one design class, built around a gain."""
+    if klass in ("continuous", "relaxed"):
+        A, E, C, F, _ = random_feasible_loop(rng, n, p, r)
+        return ContinuousSystem(A, E, C, F)
+    C = rng.uniform(0.0, 1.0, size=(r, n))
+    F = rng.uniform(0.0, 0.5, size=(r, p))
+    L0 = rng.uniform(-0.5, 0.5, size=(n, r))
+    Bcl = rng.uniform(0.0, 1.0, size=(n, p))
+    if klass == "delay":
+        S = random_metzler_hurwitz(rng, n)
+        Ah_cl = rng.uniform(0.1, 0.5) * (S - np.diag(np.diag(S)))
+        C_h = rng.uniform(0.0, 0.5, size=(r, n))
+        return DelaySystem(
+            S - Ah_cl + L0 @ C, Ah_cl + L0 @ C_h, Bcl + L0 @ F, C, C_h, F, 1.0
+        )
+    return DiscreteSystem(random_schur(rng, n) + L0 @ C, Bcl + L0 @ F, C, F)
+
+
+@pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
+def test_kernel_matches_reference_on_design_lps(klass, monkeypatch):
+    rng = np.random.default_rng(47)
+    form = "relaxed" if klass == "relaxed" else "standard"
+    for n in (4, 6, 8, 10, 12):
+        lhs, rhs = _assemble(_design_plant(rng, klass, n), form, 1e-6, None, None)
+        objective = np.zeros(lhs.shape[1])
+        objective[-1] = 1.0
+        sol = _assert_same_as_reference(_lp(objective, lhs, rhs), monkeypatch)
+        assert sol.status is LpStatus.OPTIMAL
+
+
+def test_ratio_window_matches_the_full_scan():
+    # near-tie ratio sets: chains that fall, in scan order, by about one
+    # tie width per row (the order in which a row outside the window
+    # could hand its tie on to a later one), exact duplicates and rows
+    # at the window's edge, with basic-variable indices often rising so
+    # that ties keep the earlier row
+    rng = np.random.default_rng(53)
+    tie = 1e-12
+    for _ in range(4000):
+        m = int(rng.integers(1, 16))
+        steps = tie * rng.choice([0.0, 0.5, 0.999, 1.0, 1.0001, 1.5, 2.0], size=m)
+        ratios = rng.choice([-0.25, 0.0, 0.37, 1.0, 3.0]) + np.cumsum(steps)[::-1]
+        if rng.random() < 0.3:
+            ratios = rng.permutation(ratios)
+        k = m - int(rng.integers(0, m)) if rng.random() < 0.5 else m
+        edge = ratios.min() + (k + 1) * tie
+        far = rng.random(size=m) < 0.1
+        ratios[far] = edge + tie * rng.choice([-0.5, 0.0, 1e-3, 0.5, 1e6], size=far.sum())
+        col = rng.choice([1.0, 0.5, 2.0], size=m)
+        b = ratios * col
+        col[rng.permutation(m)[k:]] = rng.choice([0.0, -1.0, 1e-10], size=m - k)
+        basis = rng.permutation(3 * m)[:m]
+        if rng.random() < 0.5:
+            basis.sort()
+        assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
