@@ -227,6 +227,9 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     report = run_bench(args.filter)
+    if not report.cases:
+        # all() over no cases is True: an empty run must not pass
+        raise ObsynthError(f"--filter {args.filter!r} matches no corpus case")
     print(format_table(report))
     return EXIT_OK if report.all_passed else EXIT_INPUT
 

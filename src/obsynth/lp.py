@@ -14,16 +14,38 @@ solutions.  The rule must stay Bland: when the optimum is not unique
 gain L, depends on the pivot sequence.  Each pivot is made cheap
 without changing that sequence:
 
-- the entering column is the first negative reduced cost, found in one
-  vector comparison;
+- the tableau is condensed: it keeps one column per nonbasic variable,
+  with ``nonbasic`` giving each column's index in
+  [z+ | z- | slacks | artificials], and the reduced costs as its last
+  row.  The m basic columns are unit vectors and are not stored.  In a
+  pivot the leaving variable takes the entering column's slot: the slot
+  is set to the unit vector e_row and eliminated with the other
+  columns.  That is what the full m x (2N + m) tableau computes for the
+  leaving column, because there a basic column holds e_row exactly: it
+  is re-zeroed when its variable enters, and no later elimination
+  touches it, since its entry in every pivot row is zero.  So every
+  stored value is the full tableau's (up to the sign of a zero, which
+  changes no pivot and no nonzero value);
+- the entering column is the improving one with the smallest index.
+  The full tableau prices every column afresh, ``cost - cost[basis] @
+  T``, before every pivot.  Here the last row is priced that way when
+  a phase starts, and from then on the elimination updates it like any
+  other row.  The update drifts from a fresh price by rounding, so a
+  phase ends, and an entering column within DRIFT of the threshold is
+  chosen, only on a fresh price;
 - the leaving row runs Bland's sequential tie rule only over the rows
   whose ratio is close enough to the minimum to be chosen or to change
   the choice (see ``_leaving_row``), usually one row;
-- the tableau is stored dense, but elimination touches only the entries
-  whose row has a nonzero in the pivot column and whose column has a
-  nonzero in the pivot row.  Every other entry would have 0 · x
-  subtracted, so the values are those of a full dense update (up to
-  the sign of a zero, which changes no pivot and no nonzero value).
+- elimination touches only the entries whose row has a nonzero in the
+  pivot column and whose column has a nonzero in the pivot row.  Every
+  other entry would have 0 · x subtracted.
+
+An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
+subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
+cost of row i's slack when the slack is nonbasic, and 0 when it is
+basic.  Rows negated for phase 1 need no sign fix, because scaling a
+row changes no reduced cost.  So y ≥ 0 up to EPS, and -ineq_rhs · y
+equals the optimum up to rounding.
 """
 
 from __future__ import annotations
@@ -43,6 +65,12 @@ EPS = 1e-9
 # Leaving-row ratios within TIE of each other are tied; Bland's rule
 # then picks the row whose basic variable has the lower index.
 TIE = 1e-12
+
+# The reduced costs that elimination carries drift from a fresh price
+# by rounding (up to 3e-8 on design LPs of about 1,000 rows).  An
+# entering column whose carried reduced cost lies within DRIFT of -EPS
+# is chosen only on a fresh price.
+DRIFT = 1e-6
 
 # Phase-1 objective above this value certifies infeasibility.
 FEAS_TOL = 1e-9
@@ -84,35 +112,50 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Status, optimal point and value (OPTIMAL only), and pivot count.
+    """Status, optimal point, value and dual (OPTIMAL only), and pivot count.
 
     ``iterations`` counts every pivot: those of phase 1, those that drive
     leftover artificials out of the basis, and those of phase 2.
+    ``dual`` holds one multiplier per inequality row (see the module
+    docstring).
     """
 
     status: LpStatus
     primal: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
+    dual: np.ndarray | None = None
 
 
-def _pivot(T: np.ndarray, b: np.ndarray, basis: np.ndarray, row: int, col: int):
-    piv = T[row, col]
+def _pivot(
+    T: np.ndarray,
+    b: np.ndarray,
+    basis: np.ndarray,
+    nonbasic: np.ndarray,
+    row: int,
+    slot: int,
+):
+    """The variable of column ``slot`` enters the basis at ``row``; the
+    leaving variable takes the slot."""
+    factors = T[:, slot].copy()
+    piv = factors[row]
+    # the leaving variable's column is the unit vector e_row; eliminating
+    # it with the others turns it into its new nonbasic column
+    T[:, slot] = 0.0
+    T[row, slot] = 1.0
     T[row] /= piv
     b[row] /= piv
-    factors = T[:, col].copy()
     factors[row] = 0.0
-    b -= factors * b[row]
+    b -= factors[:-1] * b[row]
     # an entry changes only where both its pivot-column factor and its
     # pivot-row entry are nonzero; elsewhere 0 * x would be subtracted
     rows = factors.nonzero()[0]
     cols = T[row].nonzero()[0]
-    T[rows[:, None], cols] -= np.multiply.outer(factors[rows], T[row, cols])
-    # re-zero the pivot column explicitly; the update can leave roundoff
-    # dust that later pivots would amplify
-    T[:, col] = 0.0
-    T[row, col] = 1.0
-    basis[row] = col
+    # T is C-contiguous, so reshape gives a view; one flat index per
+    # entry is cheaper than a (rows, cols) index pair
+    at = (rows * T.shape[1])[:, None] + cols
+    T.reshape(-1)[at] -= np.multiply.outer(factors[rows], T[row, cols])
+    basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
 def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
@@ -150,28 +193,42 @@ def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
     return leave
 
 
+def _price(T: np.ndarray, cost: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray):
+    """Price the nonbasic columns afresh into the last row of T."""
+    T[-1] = cost[nonbasic] - cost[basis] @ T[:-1]
+
+
 def _simplex(
     T: np.ndarray,
     b: np.ndarray,
     cost: np.ndarray,
     basis: np.ndarray,
+    nonbasic: np.ndarray,
     max_iter: int,
     used: int,
 ) -> tuple[str, int]:
     """Run Bland-rule simplex until optimal or unbounded.
 
-    T, b, basis are mutated in place.  Returns (verdict, iterations)
-    where verdict is "optimal" or "unbounded".
+    T, b, basis and nonbasic are mutated in place.  Returns (verdict,
+    iterations) where verdict is "optimal" or "unbounded".  The carried
+    reduced costs decide an entering column only when it improves by
+    more than DRIFT beyond the threshold; otherwise, and before the
+    phase ends, the row is priced afresh and decides.
     """
-    m = T.shape[0]
+    reduced = T[-1]
+    _price(T, cost, basis, nonbasic)
+    fresh = True
     it = used
     while True:
-        reduced = cost - cost[basis] @ T if m else cost
-        improving = reduced < -EPS
-        enter = int(improving.argmax())
-        if not improving[enter]:
+        improving = (reduced < -EPS).nonzero()[0]
+        slot = int(improving[nonbasic[improving].argmin()]) if improving.size else -1
+        if not fresh and (slot < 0 or reduced[slot] > -EPS - DRIFT):
+            _price(T, cost, basis, nonbasic)
+            fresh = True
+            continue
+        if slot < 0:
             return "optimal", it
-        leave = _leaving_row(b, T[:, enter], basis)
+        leave = _leaving_row(b, T[:-1, slot], basis)
         if leave < 0:
             return "unbounded", it
         it += 1
@@ -179,7 +236,8 @@ def _simplex(
             raise SolverFailureError(
                 f"simplex exceeded the iteration cap ({max_iter})"
             )
-        _pivot(T, b, basis, leave, enter)
+        _pivot(T, b, basis, nonbasic, leave, slot)
+        fresh = False
 
 
 def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
@@ -193,52 +251,65 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     if max_iter is None:
         max_iter = 50 * (n + m)
 
-    # columns: [z+ (n) | z- (n) | slacks (m)]
+    # variables: [z+ (n) | z- (n) | slacks (m) | artificials].  Rows with
+    # a negative right-hand side are negated and start with an
+    # artificial basic; the rest start with their own slack basic.
     width = 2 * n + m
-    T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
     b = lp.ineq_rhs.astype(float)
-
-    # rows with a negative right-hand side are negated and start with an
-    # artificial basic; the rest start with their own slack basic
     flip = b < 0.0
-    T[flip] *= -1.0
     b[flip] *= -1.0
     art_rows = np.flatnonzero(flip)
+    k = art_rows.size
+    arts = np.arange(k)
     basis = np.arange(2 * n, width)
-    basis[art_rows] = width + np.arange(art_rows.size)
+    basis[art_rows] = width + arts
+    nonbasic = np.concatenate([np.arange(2 * n), 2 * n + art_rows])
+
+    # one column per nonbasic variable, and the reduced costs as last
+    # row; T stays C-contiguous (_pivot relies on it)
+    T = np.zeros((m + 1, 2 * n + k))
+    T[:m, :n] = lp.ineq_lhs
+    np.negative(lp.ineq_lhs, out=T[:m, n : 2 * n])
+    T[art_rows, 2 * n + arts] = 1.0
+    T[art_rows] *= -1.0
 
     iterations = 0
-    if art_rows.size:
-        art_cols = np.zeros((m, art_rows.size))
-        art_cols[art_rows, np.arange(art_rows.size)] = 1.0
-        T = np.hstack([T, art_cols])
-        cost1 = np.zeros(T.shape[1])
+    if k:
+        cost1 = np.zeros(width + k)
         cost1[width:] = 1.0
-        verdict, iterations = _simplex(T, b, cost1, basis, max_iter, iterations)
+        verdict, iterations = _simplex(T, b, cost1, basis, nonbasic, max_iter, iterations)
         if verdict == "unbounded":
             raise SolverFailureError("phase-1 objective reported unbounded")
         phase1 = float(cost1[basis] @ b)
         if phase1 > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
-        # pivot leftover artificials out of the basis (degenerate rows);
-        # every row keeps its own slack column, so none is all zero
+        # pivot leftover artificials out of the basis (degenerate rows) on
+        # the lowest-index column with an entry; every row keeps its own
+        # slack column, so none is all zero
         for i in np.flatnonzero(basis >= width):
-            entries = np.flatnonzero(np.abs(T[i, :width]) > EPS)
+            entries = np.flatnonzero((np.abs(T[i]) > EPS) & (nonbasic < width))
             if entries.size == 0:  # pragma: no cover - nonzero slack entry
                 raise SolverFailureError("phase 1 left an artificial on a zero row")
             iterations += 1
-            _pivot(T, b, basis, i, int(entries[0]))
-        T = T[:, :width]
+            _pivot(T, b, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
+        keep = nonbasic < width
+        T = T.compress(keep, axis=1)
+        nonbasic = nonbasic[keep]
 
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _simplex(T, b, cost2, basis, max_iter, iterations)
+    verdict, iterations = _simplex(T, b, cost2, basis, nonbasic, max_iter, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
     full = np.zeros(width)
     full[basis] = b
     z = full[:n] - full[n : 2 * n]
-    return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
+    # a basic variable's reduced cost is 0
+    reduced = np.zeros(width)
+    reduced[nonbasic] = T[-1]
+    return LpSolution(
+        LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations, reduced[2 * n :]
+    )
 
 
 def check_feasible(lp: LinearProgram) -> bool:

@@ -402,6 +402,12 @@ def test_bench_filter_narrows_the_table(capsys):
     assert "1/1 cases passed" in out
 
 
+def test_bench_filter_matching_nothing_fails(capsys):
+    code, out, err = _run(capsys, "bench", "--filter", "no_such_case")
+    assert (code, out) == (1, "")
+    assert err == "error: --filter 'no_such_case' matches no corpus case\n"
+
+
 # ---------------------------------------------------------------------------
 # argparse plumbing
 

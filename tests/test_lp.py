@@ -16,9 +16,13 @@ from obsynth import (
     DimensionError,
     DiscreteSystem,
     LinearProgram,
+    LpSolution,
     LpStatus,
+    ObserverSpec,
     SolverFailureError,
+    certify,
     check_feasible,
+    design,
     solve,
 )
 from obsynth.synthesis import _assemble
@@ -39,12 +43,15 @@ def test_minimize_above_three():
     assert sol.status is LpStatus.OPTIMAL
     assert abs(sol.objective_value - 3.0) <= 1e-9
     assert abs(sol.primal[0] - 3.0) <= 1e-9
+    # the flipped row -x <= -3 binds with multiplier 1: G'y = -c
+    assert sol.dual.tolist() == [1.0]
 
 
 def test_contradictory_pair_is_infeasible():
     sol = solve(_lp([0.0], [[1.0], [-1.0]], [-1.0, -1.0]))
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.primal is None
+    assert sol.dual is None
 
 
 def test_unbounded_ray():
@@ -191,10 +198,12 @@ def test_infeasibility_agrees_with_scipy():
 
 
 # ---------------------------------------------------------------------------
-# the pivot kernel, against a plain transcription of the scan-based one
+# the condensed kernel, against a transcription of the full-tableau solve
 #
-# The reference scans every column for the entering choice and every row
-# for the leaving choice, and subtracts an outer product from the whole
+# The reference keeps a column for every variable, basic or not,
+# recomputes the reduced costs as cost - cost[basis] @ T before every
+# pivot, scans every column for the entering choice and every row for
+# the leaving choice, and subtracts an outer product from the whole
 # tableau.  The kernel must make the same pivots and return the same
 # bytes: on non-unique optima the returned point depends on the pivots.
 
@@ -248,23 +257,71 @@ def _ref_simplex(T, b, cost, basis, max_iter, used):
         _ref_pivot(T, b, basis, leave, enter)
 
 
-def _assert_same_as_reference(lp, monkeypatch):
+def _ref_solve(lp):
+    n, m = lp.num_vars, lp.num_constraints
+    max_iter = 50 * (n + m)
+    # columns: [z+ (n) | z- (n) | slacks (m) | artificials]
+    width = 2 * n + m
+    T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
+    b = lp.ineq_rhs.astype(float)
+    flip = b < 0.0
+    T[flip] *= -1.0
+    b[flip] *= -1.0
+    art_rows = np.flatnonzero(flip)
+    basis = np.arange(2 * n, width)
+    basis[art_rows] = width + np.arange(art_rows.size)
+    iterations = 0
+    if art_rows.size:
+        art_cols = np.zeros((m, art_rows.size))
+        art_cols[art_rows, np.arange(art_rows.size)] = 1.0
+        T = np.hstack([T, art_cols])
+        cost1 = np.zeros(T.shape[1])
+        cost1[width:] = 1.0
+        verdict, iterations = _ref_simplex(T, b, cost1, basis, max_iter, iterations)
+        assert verdict == "optimal"
+        if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
+            return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
+        for i in np.flatnonzero(basis >= width):
+            entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
+            iterations += 1
+            _ref_pivot(T, b, basis, i, int(entries[0]))
+        T = T[:, :width]
+    cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
+    verdict, iterations = _ref_simplex(T, b, cost2, basis, max_iter, iterations)
+    if verdict == "unbounded":
+        return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
+    full = np.zeros(width)
+    full[basis] = b
+    z = full[:n] - full[n : 2 * n]
+    return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
+
+
+def _assert_same_as_reference(lp):
     got = solve(lp)
-    with monkeypatch.context() as patched:
-        patched.setattr(lp_module, "_simplex", _ref_simplex)
-        patched.setattr(lp_module, "_pivot", _ref_pivot)
-        ref = solve(lp)
+    ref = _ref_solve(lp)
     assert got.status is ref.status
     assert got.iterations == ref.iterations
     if ref.primal is None:
-        assert got.primal is None
+        assert got.primal is None and got.dual is None
     else:
         assert np.array_equal(got.primal, ref.primal)
         assert got.objective_value == ref.objective_value
+        _assert_dual_certifies(lp, got)
     return got
 
 
-def test_kernel_matches_reference_on_random_lps(monkeypatch):
+def _assert_dual_certifies(lp, sol):
+    # min c.z s.t. G z <= h has dual max -h.y s.t. G'y = -c, y >= 0
+    y = sol.dual
+    assert y.shape == (lp.num_constraints,)
+    scale = 1.0 + np.abs(lp.ineq_lhs).max()
+    assert np.all(y >= -1e-9)
+    assert np.max(np.abs(lp.ineq_lhs.T @ y + lp.objective)) <= 1e-8 * scale
+    value = -float(lp.ineq_rhs @ y)
+    assert abs(value - sol.objective_value) <= 1e-9 * (1.0 + abs(sol.objective_value))
+
+
+def test_kernel_matches_reference_on_random_lps():
     rng = np.random.default_rng(41)
     statuses = set()
     for _ in range(40):
@@ -273,13 +330,13 @@ def test_kernel_matches_reference_on_random_lps(monkeypatch):
         G = rng.normal(size=(m, n))
         G[rng.random(size=(m, n)) < 0.4] = 0.0
         h = rng.normal(size=m)
-        sol = _assert_same_as_reference(_lp(rng.normal(size=n), G, h), monkeypatch)
+        sol = _assert_same_as_reference(_lp(rng.normal(size=n), G, h))
         statuses.add(sol.status)
-        _assert_same_as_reference(_random_boxed_lp(rng, n, m), monkeypatch)
+        _assert_same_as_reference(_random_boxed_lp(rng, n, m))
     assert statuses == set(LpStatus)
 
 
-def test_kernel_matches_reference_on_degenerate_lps(monkeypatch):
+def test_kernel_matches_reference_on_degenerate_lps():
     # many rows through one vertex: every ratio test starts with exact
     # zero-ratio ties, which Bland's lower-index rule must break
     rng = np.random.default_rng(43)
@@ -291,19 +348,19 @@ def test_kernel_matches_reference_on_degenerate_lps(monkeypatch):
         lhs = np.vstack([G, G, box])  # each row twice: duplicate ratios
         rhs = np.concatenate([np.zeros(2 * m), np.ones(2 * n)])
         c = rng.integers(-3, 4, size=n).astype(float)
-        _assert_same_as_reference(_lp(c, lhs, rhs), monkeypatch)
+        _assert_same_as_reference(_lp(c, lhs, rhs))
         # the same vertex reached from a shifted origin needs phase 1
         shift = rng.uniform(0.5, 1.5, size=n)
-        _assert_same_as_reference(_lp(c, lhs, rhs - lhs @ shift), monkeypatch)
+        _assert_same_as_reference(_lp(c, lhs, rhs - lhs @ shift))
 
 
-def test_kernel_matches_reference_when_near_ties_decide(monkeypatch):
+def test_kernel_matches_reference_when_near_ties_decide():
     # maximize z subject to z <= h_i: the ratios are the h_i, spaced
     # 0.5e-12 apart and falling, so the sequential 1e-12 tie rule keeps
     # an earlier row rather than the smallest ratio
     h = 1.0 + 0.5e-12 * np.arange(8.0)[::-1]
     lp = _lp([-1.0], np.ones((8, 1)), h)
-    sol = _assert_same_as_reference(lp, monkeypatch)
+    sol = _assert_same_as_reference(lp)
     assert sol.primal[0] != h.min()
     assert sol.iterations == 1
 
@@ -327,16 +384,49 @@ def _design_plant(rng, klass, n, p=2, r=3):
     return DiscreteSystem(random_schur(rng, n) + L0 @ C, Bcl + L0 @ F, C, F)
 
 
+def _design_lp(plant, form="standard"):
+    lhs, rhs = _assemble(plant, form, 1e-6, None, None)
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    return _lp(objective, lhs, rhs)
+
+
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
-def test_kernel_matches_reference_on_design_lps(klass, monkeypatch):
+def test_kernel_matches_reference_on_design_lps(klass):
     rng = np.random.default_rng(47)
     form = "relaxed" if klass == "relaxed" else "standard"
     for n in (4, 6, 8, 10, 12):
-        lhs, rhs = _assemble(_design_plant(rng, klass, n), form, 1e-6, None, None)
-        objective = np.zeros(lhs.shape[1])
-        objective[-1] = 1.0
-        sol = _assert_same_as_reference(_lp(objective, lhs, rhs), monkeypatch)
+        sol = _assert_same_as_reference(_design_lp(_design_plant(rng, klass, n), form))
         assert sol.status is LpStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("klass, n, rows", [("continuous", 16, 305), ("delay", 12, 325)])
+def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, rows):
+    # the condensed tableau drops the m basic columns, which here are
+    # most of the full tableau's 2N + m
+    lp = _design_lp(_design_plant(np.random.default_rng(59), klass, n))
+    assert lp.num_constraints == rows
+    sol = _assert_same_as_reference(lp)
+    assert sol.status is LpStatus.OPTIMAL
+
+
+def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch):
+    # after every pivot, move each carried reduced cost in [-EPS, DRIFT/2)
+    # just below -EPS, as rounding drift might: a choice that close to
+    # the threshold is priced afresh, so the pivots stay the reference's
+    real = lp_module._pivot
+
+    def drifting(T, b, basis, nonbasic, row, slot):
+        real(T, b, basis, nonbasic, row, slot)
+        near = (T[-1] >= -lp_module.EPS) & (T[-1] < lp_module.DRIFT / 2)
+        T[-1, near] = -2.0 * lp_module.EPS
+
+    monkeypatch.setattr(lp_module, "_pivot", drifting)
+    rng = np.random.default_rng(67)
+    for klass in ("continuous", "delay"):
+        _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 6)))
+    for _ in range(10):
+        _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
 
 
 def test_ratio_window_matches_the_full_scan():
@@ -364,3 +454,23 @@ def test_ratio_window_matches_the_full_scan():
         if rng.random() < 0.5:
             basis.sort()
         assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
+
+
+@pytest.mark.parametrize("klass, rows", [("continuous", 649), ("delay", 1225)])
+def test_design_at_n24_is_optimal_certified_and_matches_highs(klass, rows):
+    plant = _design_plant(np.random.default_rng(61), klass, 24)
+    lp = _design_lp(plant)
+    assert lp.num_constraints == rows
+    spec = ObserverSpec()
+    result = design(plant, spec)
+    assert result.status == "optimal"
+    assert certify(result, plant, spec).passed
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.ineq_lhs,
+        b_ub=lp.ineq_rhs,
+        bounds=[(None, None)] * lp.num_vars,
+        method="highs",
+    )
+    assert ref.status == 0
+    assert abs(result.gamma - ref.fun) <= 1e-7 * abs(ref.fun)
