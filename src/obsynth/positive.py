@@ -16,11 +16,13 @@ gain has the closed form
 so one solve (-A) [v | Y] = [1 | E] yields both the certificate and
 Y = -A^{-1} E; that is what the gain functions report.  Every
 observer-loop gain, and the row-wise test of the augmented matrices,
-comes from the one solve of the error loop.  The LP variant
-`linf_gain_lp` is an independent route that cross-validates the closed
-form.  The four plant types share one base, `Plant`, which coerces
-their matrices once and reduces each to the undelayed continuous loop
-that design, `certify` and the delay and discrete gains read.
+comes from the one solve in `_admissible`, the judgement of a gain
+that `certify` shares.  The LP variant `linf_gain_lp` is an
+independent route that cross-validates the closed form.  The four
+plant types share one base, `Plant`, which coerces their matrices by
+the one shape rule of `_shaped` and reduces each to the undelayed
+continuous loop that design, `certify` and the delay and discrete
+gains read.
 """
 
 from __future__ import annotations
@@ -54,68 +56,51 @@ DEFAULT_EPSILON = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# shaping helpers: the public API accepts scalars and flat sequences where
+# argument checks: the public API accepts scalars and flat sequences where
 # the intent is unambiguous (input maps are columns, output maps are rows)
 
 
-def _square(A, name: str) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:
-        A = A.reshape(1, 1)
-    A = as_matrix(A, name)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {A.shape}")
-    return A
+def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Coerce M to a rows×cols matrix by this module's one reading rule.
 
-
-def _input_map(M, n: int, name: str) -> np.ndarray:
-    """Coerce to an n×p matrix; 1-D input is read as a single column."""
+    None leaves a size free, and leaving both free asks for a square
+    matrix.  A scalar fills the matrix when both sizes are given (so
+    N=0 reads naturally) and is 1×1 otherwise.  A flat sequence runs
+    along the one free size (an input map n×p is a column, an output
+    map q×n a row) or, with both sizes given, along the one that is not
+    1 (a row when rows is 1); any other flat input is rejected.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim == 0:
-        M = M.reshape(1, 1)
-    elif M.ndim == 1:
-        M = M.reshape(-1, 1)
+        M = np.full((1, 1) if None in (rows, cols) else (rows, cols), float(M))
+    elif M.ndim == 1 and (rows is None) != (cols is None):
+        M = M.reshape((-1, 1) if cols is None else (1, -1))
+    elif M.ndim == 1 and 1 in (rows, cols):
+        M = M.reshape((1, -1) if rows == 1 else (-1, 1))
     M = as_matrix(M, name)
-    if M.shape[0] != n:
-        raise DimensionError(f"{name} has {M.shape[0]} rows, expected {n}")
+    if rows is None and cols is None:
+        rows = M.shape[1]  # square
+    want = (M.shape[0] if rows is None else rows, M.shape[1] if cols is None else cols)
+    if M.shape != want:
+        raise DimensionError(f"{name} has shape {M.shape}, expected {want}")
     return M
 
 
-def _output_map(M, n: int, name: str) -> np.ndarray:
-    """Coerce to a q×n matrix; 1-D input is read as a single row."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    elif M.ndim == 1:
-        M = M.reshape(1, -1)
-    M = as_matrix(M, name)
-    if M.shape[1] != n:
-        raise DimensionError(f"{name} has {M.shape[1]} columns, expected {n}")
-    return M
-
-
-def _feedthrough(F, q: int, p: int, name: str) -> np.ndarray:
-    """Coerce to a q×p matrix; a scalar broadcasts (so N=0 reads naturally)."""
-    F = np.asarray(F, dtype=float)
-    if F.ndim == 0:
-        return np.full((q, p), float(F))
-    if F.ndim == 1:
-        if q == 1:
-            F = F.reshape(1, -1)
-        elif p == 1:
-            F = F.reshape(-1, 1)
-    F = as_matrix(F, name)
-    if F.shape != (q, p):
-        raise DimensionError(f"{name} has shape {F.shape}, expected {(q, p)}")
-    return F
+def _positive_epsilon(epsilon) -> float:
+    """The strictness margin, checked to be a positive real."""
+    epsilon = float(epsilon)
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise PreconditionError("epsilon must be a positive real")
+    return epsilon
 
 
 # ---------------------------------------------------------------------------
 # system descriptions
 
 
-# (label, P, Q, metzler): an admissible gain L keeps P - L Q Metzler
-# (off the diagonal) when metzler is set, nonnegative otherwise.
+# (label, P, Q, metzler): an admissible gain L keeps P - L Q, which the
+# label names, Metzler (off the diagonal) when metzler is set and
+# nonnegative otherwise.
 Family = tuple[str, np.ndarray, np.ndarray, bool]
 
 
@@ -142,20 +127,20 @@ class Plant:
     def __post_init__(self):
         a, e, c, f, *lag = self.MATRICES
         m = vars(self)
-        m[a] = _square(m[a], a)
+        m[a] = _shaped(m[a], a)
         n = m[a].shape[0]
         if lag:
-            m[lag[0]] = _square(m[lag[0]], lag[0])
+            m[lag[0]] = _shaped(m[lag[0]], lag[0])
             if m[lag[0]].shape[0] != n:
                 raise DimensionError(f"{a} and {lag[0]} sizes differ")
-        m[e] = _input_map(m[e], n, e)
-        m[c] = _output_map(m[c], n, c)
+        m[e] = _shaped(m[e], e, n)
+        m[c] = _shaped(m[c], c, cols=n)
         r = m[c].shape[0]
         if lag:
-            m[lag[1]] = _output_map(m[lag[1]], n, lag[1])
+            m[lag[1]] = _shaped(m[lag[1]], lag[1], cols=n)
             if m[lag[1]].shape[0] != r:
                 raise DimensionError(f"{c} and {lag[1]} row counts differ")
-        m[f] = _feedthrough(m[f], r, m[e].shape[1], f)
+        m[f] = _shaped(m[f], f, r, m[e].shape[1])
 
     @property
     def n(self) -> int:
@@ -179,16 +164,12 @@ class Plant:
         continuous state map must stay Metzler rather than nonnegative."""
         a, _, c, _, *lag = self.MATRICES
         pairs = [(a, c, not self.DISCRETE)] + ([(*lag, False)] if lag else [])
-        return [
-            (f"{P} - L {Q} {'Metzler' if m else 'nonnegative'}",
-             getattr(self, P), getattr(self, Q), m)
-            for P, Q, m in pairs
-        ]
+        return [(f"{P} - L {Q}", getattr(self, P), getattr(self, Q), m) for P, Q, m in pairs]
 
     def input_family(self) -> Family:
         """E - L F >= 0, which the standard observer form requires."""
         _, e, _, f, *_ = self.MATRICES
-        return f"{e} - L {f} nonnegative", getattr(self, e), getattr(self, f), False
+        return f"{e} - L {f}", getattr(self, e), getattr(self, f), False
 
     def stability_pair(self) -> tuple[np.ndarray, np.ndarray]:
         a, _, c, _, *lag = self.MATRICES
@@ -219,11 +200,9 @@ class ContinuousSystem(Plant):
     def __post_init__(self):
         super().__post_init__()
         if self.Cz is not None:
-            self.Cz = _output_map(self.Cz, self.n, "Cz")
+            self.Cz = _shaped(self.Cz, "Cz", cols=self.n)
             q = self.Cz.shape[0]
-            self.Fz = _feedthrough(
-                self.Fz if self.Fz is not None else 0.0, q, self.p, "Fz"
-            )
+            self.Fz = _shaped(self.Fz if self.Fz is not None else 0.0, "Fz", q, self.p)
         elif self.Fz is not None:
             raise DimensionError("Fz given without Cz")
 
@@ -305,15 +284,8 @@ class StabilityCertificate:
 
 def is_positive_system(sys: ContinuousSystem, tol: float = STRUCTURAL_TOL) -> bool:
     """A Metzler and E (plus Cz, Fz when present) nonnegative."""
-    if not is_metzler(sys.A, tol):
-        return False
-    if not is_nonnegative(sys.E, tol):
-        return False
-    if sys.Cz is not None and not is_nonnegative(sys.Cz, tol):
-        return False
-    if sys.Fz is not None and not is_nonnegative(sys.Fz, tol):
-        return False
-    return True
+    maps = [("A", sys.A, True)] + [(k, getattr(sys, k), False) for k in ("E", "Cz", "Fz")]
+    return not _sign_violations([m for m in maps if m[1] is not None], tol)
 
 
 def hurwitz_certificate(
@@ -331,11 +303,12 @@ def hurwitz_certificate(
     not being Hurwitz, and a matrix singular to working precision gets
     None.
     """
-    A = _square(A, "A")
+    A = _shaped(A, "A")
     if not is_metzler(A):
         raise PreconditionError("hurwitz_certificate needs a Metzler matrix")
     if kind not in ("right", "left"):
         raise PreconditionError(f"unknown certificate kind {kind!r}")
+    epsilon = _positive_epsilon(epsilon)
     W = A if kind == "right" else A.T
     vector, _ = _certified_solve(W, np.zeros((W.shape[0], 0)), epsilon)
     return None if vector is None else StabilityCertificate(kind, vector, epsilon)
@@ -368,8 +341,8 @@ def _certified_solve(
 
 def _weights(M, N, n: int, p: int, names: tuple[str, str], caller: str):
     """Coerce an output weighting (q×n M, q×p N) and check it nonnegative."""
-    M = _output_map(M, n, names[0])
-    N = _feedthrough(N, M.shape[0], p, names[1])
+    M = _shaped(M, names[0], cols=n)
+    N = _shaped(N, names[1], M.shape[0], p)
     for name, W in zip(names, (M, N)):
         if not is_nonnegative(W):
             raise PreconditionError(f"{caller} needs nonnegative {name}")
@@ -385,8 +358,8 @@ def _weighted_gain(Y, M, N) -> float:
 
 
 def _check_gain_structure(A, E, Cz, Fz):
-    A = _square(A, "A")
-    E = _input_map(E, A.shape[0], "E")
+    A = _shaped(A, "A")
+    E = _shaped(E, "E", A.shape[0])
     Cz, Fz = _weights(Cz, Fz, *E.shape, ("Cz", "Fz"), "gain")
     if not is_metzler(A):
         raise PreconditionError("gain is defined for Metzler A only")
@@ -421,6 +394,7 @@ def linf_gain_lp(
     (gamma, lambda); gamma exceeds the closed form by O(epsilon).
     """
     A, E, Cz, Fz = _check_gain_structure(A, E, Cz, Fz)
+    epsilon = _positive_epsilon(epsilon)
     n = A.shape[0]
     p = E.shape[1]
     q = Cz.shape[0]
@@ -454,7 +428,7 @@ def _reduced_gain(sys: Plant, Cz, Fz) -> float:
     """Closed-form gain on the plant's stability matrix S after checking
     its state maps at L = 0 (see `Plant`)."""
     for label, P, _, metzler in sys.sign_families():
-        if not (is_metzler if metzler else is_nonnegative)(P):
+        if _sign_violations([(label, P, metzler)], STRUCTURAL_TOL):
             name = label.split(" ", 1)[0]  # the label starts with P's name
             condition = "Metzler" if metzler else "nonnegative"
             raise PreconditionError(f"{sys.KIND} gain needs {condition} {name}")
@@ -497,44 +471,62 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
 
 
 def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]:
-    """Membership violations of a gain and the error loop's solved inputs.
-
-    The error loop has state matrix Acl = A - LC and input matrix
-    B = E - LF in the standard form, its split [B+ B-] in the relaxed
-    one.  When Acl is Metzler, the solve that tests it Hurwitz also
-    returns Y, the input matrix premultiplied by (-Acl)^{-1}; Y is None
-    when Acl is not Metzler and Hurwitz.
+    """Membership violations of a gain and the error loop's solved inputs,
+    judged at the structural tolerance.  The loop has state matrix
+    A - LC and input B = E - LF, or its split [B+ B-] in relaxed form.
     """
-    A = _square(A, "A")
+    A = _shaped(A, "A")
     n = A.shape[0]
-    E = _input_map(E, n, "E")
-    C = _output_map(C, n, "C")
-    F = _feedthrough(F, C.shape[0], E.shape[1], "F")
-    L = _input_map(L, n, "L")
+    E = _shaped(E, "E", n)
+    C = _shaped(C, "C", cols=n)
+    F = _shaped(F, "F", C.shape[0], E.shape[1])
+    L = _shaped(L, "L", n)
     if L.shape[1] != C.shape[0]:
         raise DimensionError(f"L has {L.shape[1]} columns, expected {C.shape[0]}")
     if form not in ("standard", "relaxed"):
         raise PreconditionError(f"unknown observer form {form!r}")
     Acl, B = A - L @ C, E - L @ F
-    violations = []
-    Y = None
-    if not is_metzler(Acl):
-        off = Acl - np.diag(np.diag(Acl))
-        worst = divmod(int(np.argmin(off)), n)  # plain ints print alike on numpy 1 and 2
-        violations.append(
-            f"A - L C is not Metzler: entry {worst} is {off[worst]:.6g}"
-        )
-    else:
-        inputs = B if form == "standard" else np.hstack(split_pos_neg(B))
-        vector, Y = _certified_solve(Acl, inputs)
+    states = [("A - L C", Acl, True)]
+    if form == "relaxed":
+        return _admissible(states, Acl, np.hstack(split_pos_neg(B)), [], STRUCTURAL_TOL)
+    return _admissible(states, Acl, B, [("E - L F", B, False)], STRUCTURAL_TOL)
+
+
+def _sign_violations(maps: list[tuple[str, np.ndarray, bool]], tol: float) -> list[str]:
+    """A note for each (label, matrix, metzler) whose lowest entry, off
+    the diagonal when metzler, lies more than tol below zero."""
+    notes = []
+    for label, P, metzler in maps:
+        if metzler:
+            P = P.copy()
+            P.flat[:: P.shape[0] + 1] = np.inf
+        if P.size and not P.min() >= -tol:  # a NaN fails too
+            # plain ints print alike on numpy 1 and 2
+            worst = divmod(int(np.argmin(P)), P.shape[1])
+            kind = "is not Metzler: entry" if metzler else "has a negative entry:"
+            notes.append(f"{label} {kind} {worst} is {P[worst]:.6g}")
+    return notes
+
+
+def _admissible(states, Scl, B, inputs, tol: float, stability: str = "A - L C"):
+    """Violations of the positive-loop condition at a gain, and the
+    loop's solved inputs Y = (-Scl)^{-1} B.
+
+    states and inputs are the closed-loop state and input maps as
+    (label, P - L Q, metzler), Scl = S - L T and B the loop input.  Once
+    the state maps pass, the negatives of B and those of Scl off its
+    diagonal, which the checks bound by tol, are zeroed; that only
+    raises entries, so Y stays an upper bound.  One solve then
+    certifies Scl Hurwitz and gives Y, which is None otherwise.
+    """
+    violations, Y = _sign_violations(states, tol), None
+    if not violations:
+        clipped = np.maximum(Scl, 0.0)
+        np.fill_diagonal(clipped, Scl.diagonal())
+        vector, Y = _certified_solve(clipped, np.maximum(B, 0.0))
         if vector is None:
-            violations.append("A - L C is not Hurwitz stable")
-    if form == "standard" and not is_nonnegative(B):
-        worst = divmod(int(np.argmin(B)), B.shape[1])
-        violations.append(
-            f"E - L F has a negative entry: {worst} is {B[worst]:.6g}"
-        )
-    return violations, Y
+            violations.append(f"{stability} is not Hurwitz stable")
+    return violations + _sign_violations(inputs, tol), Y
 
 
 def _observer_gain(A, E, C, F, L, M, N, form: str, caller: str) -> float:
@@ -600,7 +592,7 @@ def common_certificate_rank_one(
     is Hurwitz (W Metzler Hurwitz, u and all v_i nonnegative).  Returns
     None when the family is not simultaneously stabilizable.
     """
-    W = _square(W, "W")
+    W = _shaped(W, "W")
     n = W.shape[0]
     if not is_metzler(W):
         raise PreconditionError("common certificate needs Metzler W")

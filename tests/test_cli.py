@@ -5,10 +5,15 @@ Exit codes are part of the public contract: 0 success, 1 input error,
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obsynth
 import obsynth.cli as cli
 from obsynth import Trace
 from obsynth.cli import main
@@ -426,3 +431,23 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "design" in out and "bench" in out
+
+
+@pytest.mark.parametrize("module", ["obsynth", "obsynth.cli"])
+def test_python_dash_m_runs_the_cli(module, corpus_dir):
+    src = str(Path(obsynth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = run("bench", "--filter", "zzz")
+    assert done.returncode == 1
+    assert any(line.startswith("error:") for line in done.stderr.splitlines())
+    done = run("check", _case(corpus_dir, "case1"))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["valid"] is True

@@ -17,6 +17,7 @@ from obsynth import (
     DiscreteSystem,
     InstabilityError,
     MembershipError,
+    ObserverSpec,
     PreconditionError,
     common_certificate_rank_one,
     gain_for_output,
@@ -557,3 +558,121 @@ def test_common_certificate_on_random_stable_families():
         else:
             for v in vs:
                 assert np.all((W + np.outer(u, v)) @ psi < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one reading rule for matrix arguments: a scalar is 1x1 unless both
+# sizes are known (a feedthrough), a flat input map is a column, a flat
+# output map a row, and a flat feedthrough runs along its size that is
+# not 1 (a row when q = 1)
+
+
+def _plant_with(n, p, r, **override):
+    maps = {
+        "A": -np.eye(n), "E": np.ones((n, p)), "C": np.ones((r, n)), "F": 0.0,
+    }
+    maps.update(override)
+    return ContinuousSystem(**maps)
+
+
+@pytest.mark.parametrize(
+    "sizes, role, value, shape",
+    [
+        # state
+        ((1, 1, 1), "A", -2.0, (1, 1)),
+        ((3, 1, 1), "A", [-1.0, -1.0, -1.0], DimensionError),
+        ((3, 1, 1), "A", -np.eye(3), (3, 3)),
+        ((3, 1, 1), "A", -np.ones((3, 2)), DimensionError),
+        # input map
+        ((1, 1, 1), "E", 2.0, (1, 1)),
+        ((3, 1, 1), "E", 2.0, DimensionError),
+        ((3, 1, 1), "E", [1.0, 2.0, 3.0], (3, 1)),
+        ((1, 1, 1), "E", [1.0, 2.0, 3.0], DimensionError),
+        ((3, 2, 1), "E", np.ones((3, 2)), (3, 2)),
+        # output map
+        ((1, 1, 1), "C", 2.0, (1, 1)),
+        ((3, 1, 1), "C", 2.0, DimensionError),
+        ((3, 1, 1), "C", [1.0, 2.0, 3.0], (1, 3)),
+        ((1, 1, 1), "C", [1.0, 2.0, 3.0], DimensionError),
+        ((3, 1, 2), "C", np.ones((2, 3)), (2, 3)),
+        # feedthrough
+        ((3, 2, 2), "F", 0.5, (2, 2)),
+        ((1, 1, 1), "F", [0.5], (1, 1)),
+        ((3, 2, 1), "F", [0.5, 1.0], (1, 2)),
+        ((3, 1, 2), "F", [0.5, 1.0], (2, 1)),
+        ((3, 2, 2), "F", [0.5, 1.0], DimensionError),
+        ((3, 2, 2), "F", np.ones((2, 2)), (2, 2)),
+        ((3, 2, 2), "F", np.ones((2, 1)), DimensionError),
+    ],
+)
+def test_matrix_arguments_follow_one_reading_rule(sizes, role, value, shape):
+    if shape is DimensionError:
+        with pytest.raises(DimensionError):
+            _plant_with(*sizes, **{role: value})
+        return
+    M = getattr(_plant_with(*sizes, **{role: value}), role)
+    assert M.shape == shape
+    want = np.full(shape, value) if np.ndim(value) == 0 else np.reshape(value, shape)
+    assert np.array_equal(M, want)
+
+
+def test_performance_output_follows_the_same_rule():
+    sys = _plant_with(3, 2, 1, Cz=[1.0, 2.0, 3.0], Fz=0.25)
+    assert sys.Cz.shape == (1, 3) and np.array_equal(sys.Fz, np.full((1, 2), 0.25))
+    with pytest.raises(DimensionError):
+        _plant_with(3, 2, 1, Cz=np.ones((2, 3)), Fz=[1.0, 2.0])
+
+
+def test_loop_functions_follow_the_same_rule():
+    # every map of a one-state loop may be a scalar
+    assert observer_membership(-1.0, 1.0, 1.0, 0.0, 0.0) == []
+    assert gain_for_output(-2.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0) == 0.5
+    # flat E and L are columns, a flat C is a row
+    assert observer_membership(-np.eye(3), [1.0, 1.0, 1.0], [1.0, 0.0, 0.0], 0.0,
+                               [0.5, 0.0, 0.0]) == []
+    for args in (
+        (-np.eye(3), 1.0, np.ones((1, 3)), 0.0, np.zeros((3, 1))),  # scalar E, n = 3
+        (-np.ones((3, 2)), np.ones((3, 1)), np.ones((1, 2)), 0.0, np.zeros((3, 1))),
+        ([-1.0, -1.0], np.ones((2, 1)), np.ones((1, 2)), 0.0, np.zeros((2, 1))),
+        (-np.eye(2), np.ones((2, 2)), np.ones((2, 2)), [0.0, 0.0], np.zeros((2, 2))),
+        (-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), 0.0, np.zeros((2, 2))),
+    ):
+        with pytest.raises(DimensionError):
+            observer_membership(*args)
+    with pytest.raises(DimensionError):
+        hurwitz_certificate([-1.0, -2.0])
+    assert hurwitz_certificate(-3.0).vector.shape == (1,)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.inf, np.nan])
+def test_every_epsilon_taker_rejects_a_non_positive_margin(epsilon):
+    A = np.array([[-2.0, 1.0], [1.0, -3.0]])
+    calls = (
+        lambda: hurwitz_certificate(A, epsilon=epsilon),
+        lambda: hurwitz_certificate(A, kind="left", epsilon=epsilon),
+        lambda: linf_gain_lp(A, np.ones((2, 1)), np.ones((1, 2)), 0.0, epsilon=epsilon),
+        lambda: linf_gain_lp(A, np.zeros((2, 0)), np.ones((1, 2)), 0.0, epsilon=epsilon),
+        lambda: common_certificate_rank_one(A, np.zeros(2), [np.ones(2)], epsilon=epsilon),
+        lambda: ObserverSpec(epsilon=epsilon),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert str(exc.value) == "epsilon must be a positive real"
+
+
+def test_error_loop_zeroes_off_diagonal_entries_within_the_tolerance():
+    # dyadic entries keep A - L C exact, so the loop below has exactly
+    # one off-diagonal entry at -2^-31, inside the structural tolerance
+    Acl = np.array([[-3.0, 1.0, -(2.0**-31)], [0.5, -2.0, 1.0], [1.0, 0.25, -4.0]])
+    L = np.array([[0.5], [0.25], [1.0]])
+    C = np.array([[1.0, 0.5, 0.25]])
+    E = np.array([[1.0, 0.5], [0.25, 1.0], [2.0, 1.0]])
+    F = np.array([[0.5, 0.25]])
+    clipped = Acl.copy()
+    clipped[0, 2] = 0.0
+    M, N = np.ones((2, 3)), np.full((2, 2), 0.125)
+    assert observer_membership(Acl + L @ C, E, C, F, L) == []
+    got = gain_for_output(Acl + L @ C, E, C, F, L, M, N)
+    want = gain_for_output(clipped + L @ C, E, C, F, L, M, N)
+    assert abs(got - want) <= 1e-13 * want

@@ -458,42 +458,42 @@ def test_design_lp_at_scale_matches_highs(n, monkeypatch):
 
 def _ref_ct(sys, form):
     if form == "standard":
-        E, F, input_label = sys.E, sys.F, "E - L F nonnegative"
+        E, F, input_label = sys.E, sys.F, "E - L F"
     else:
         E, F, input_label = np.eye(sys.n), np.zeros((sys.r, sys.n)), None
     return (
-        "continuous", [("A - L C Metzler", sys.A, sys.C, True)],
+        "continuous", [("A - L C", sys.A, sys.C, True)],
         sys.A, sys.C, E, F, input_label,
     )
 
 
 def _ref_delay(sys, form):
     families = [
-        ("A - L C Metzler", sys.A, sys.C, True),
-        ("A_h - L C_h nonnegative", sys.A_h, sys.C_h, False),
+        ("A - L C", sys.A, sys.C, True),
+        ("A_h - L C_h", sys.A_h, sys.C_h, False),
     ]
     return (
         "delay", families,
-        sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F nonnegative",
+        sys.A + sys.A_h, sys.C + sys.C_h, sys.E, sys.F, "E - L F",
     )
 
 
 def _ref_dt(sys, form):
     return (
-        "discrete", [("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False)],
-        sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d nonnegative",
+        "discrete", [("A_d - L C_d", sys.A_d, sys.C_d, False)],
+        sys.A_d - np.eye(sys.n), sys.C_d, sys.E_d, sys.F_d, "E_d - L F_d",
     )
 
 
 def _ref_dt_delay(sys, form):
     families = [
-        ("A_d - L C_d nonnegative", sys.A_d, sys.C_d, False),
-        ("A_dh - L C_dh nonnegative", sys.A_dh, sys.C_dh, False),
+        ("A_d - L C_d", sys.A_d, sys.C_d, False),
+        ("A_dh - L C_dh", sys.A_dh, sys.C_dh, False),
     ]
     return (
         "discrete-delay", families,
         sys.A_d + sys.A_dh - np.eye(sys.n), sys.C_d + sys.C_dh, sys.E_d, sys.F_d,
-        "E_d - L F_d nonnegative",
+        "E_d - L F_d",
     )
 
 
@@ -549,3 +549,21 @@ def test_design_refusals_name_the_plant_type(system, message):
     with pytest.raises(PreconditionError) as exc:
         design(system, ObserverSpec(form="relaxed"))
     assert str(exc.value) == message
+
+
+def test_certify_names_a_failing_delayed_family():
+    dsys = DelaySystem([[-3.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]], [[0.0]], 1.0)
+    result = design(dsys, ObserverSpec())
+    result.L = result.L + 0.5  # A_h - L C_h becomes -1/2
+    report = certify(result, dsys, ObserverSpec())
+    assert not report.passed
+    assert any(flag.startswith("A_h - L C_h") for flag in report.flags)
+
+
+def test_certify_names_a_failing_discrete_family():
+    sys = DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+    result = design(sys, ObserverSpec())
+    result.L = result.L + 0.5  # A_d - L C_d becomes about -1/2
+    report = certify(result, sys, ObserverSpec())
+    assert not report.passed
+    assert any(flag.startswith("A_d - L C_d") for flag in report.flags)
