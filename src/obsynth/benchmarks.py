@@ -114,24 +114,21 @@ def run_case(name: str, entry: dict, corpus_dir: Path) -> CaseOutcome:
         ):
             notes.append(f"objective {result.gamma!r}, expected {entry['gamma']!r}")
 
+        # (label, computed gain, manifest check with value and tol)
         Scl, Bcl = closed_loop(plant, L)
-        for check in entry.get("gains", []):
-            M = _weight(check["weight"], n)
-            got = linf_gain_closed(Scl, Bcl, M, 0.0)
-            if not _near(got, check["value"], check["tol"]):
-                notes.append(
-                    f"gain[{check['weight']}] {got!r}, expected {check['value']!r}"
-                )
+        gains = [
+            (f"gain[{c['weight']}]", linf_gain_closed(Scl, Bcl, _weight(c["weight"], n), 0.0), c)
+            for c in entry.get("gains", [])
+        ]
         if "relaxed_surrogate" in entry:
-            check = entry["relaxed_surrogate"]
             got = linf_gain_closed(Scl, np.eye(n), np.eye(n), 0.0)
-            if not _near(got, check["value"], check["tol"]):
-                notes.append(f"surrogate gain {got!r}, expected {check['value']!r}")
+            gains.append(("surrogate gain", got, entry["relaxed_surrogate"]))
         if "relaxed_error_gain" in entry:
-            check = entry["relaxed_error_gain"]
             got = relaxed_error_gain(plant.A, plant.E, plant.C, plant.F, L, np.eye(n))
+            gains.append(("relaxed error gain", got, entry["relaxed_error_gain"]))
+        for label, got, check in gains:
             if not _near(got, check["value"], check["tol"]):
-                notes.append(f"relaxed error gain {got!r}, expected {check['value']!r}")
+                notes.append(f"{label} {got!r}, expected {check['value']!r}")
 
         if entry.get("simulate"):
             trace = simulate_problem(pf, L, result.form)

@@ -21,9 +21,11 @@ import sys
 import numpy as np
 
 from .benchmarks import format_table, run_bench, simulate_problem
-from .errors import ObsynthError
+from .errors import DimensionError, NonFiniteError, ObsynthError, PreconditionError
+from .linalg import _shaped
 from .positive import (
     DEFAULT_EPSILON,
+    _positive_epsilon,
     gain_for_output,
     linf_gain_lp,
     relaxed_error_gain,
@@ -38,20 +40,15 @@ EXIT_INFEASIBLE = 2
 EXIT_INCLUSION = 3
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
+def _numpy_to_json(value):
+    """json.dumps hook: numpy arrays become lists, numpy scalars numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict, out_path: str | None = None) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json)
     print(text)
     if out_path:
         with open(out_path, "w") as fh:
@@ -63,12 +60,9 @@ def _epsilon_fallback() -> float:
     if raw is None:
         return DEFAULT_EPSILON
     try:
-        value = float(raw)
-    except ValueError:
-        raise ObsynthError(f"OBSYNTH_EPSILON={raw!r} is not a number") from None
-    if not value > 0.0:
-        raise ObsynthError("OBSYNTH_EPSILON must be positive")
-    return value
+        return _positive_epsilon(raw)
+    except (ValueError, PreconditionError):
+        raise ObsynthError(f"OBSYNTH_EPSILON={raw!r} is not a positive real") from None
 
 
 def _spec_for(pf: ProblemFile, args) -> "ObserverSpec":
@@ -79,27 +73,21 @@ def _parse_matrix_flag(text: str, flag: str, rows: int | None, cols: int) -> np.
     """The rows x cols matrix a flag gives as a number, broadcast over
     that shape, or as JSON rows.  rows None (--output-matrix) leaves the
     row count free, so a number has no shape to fill; I and ones are
-    taken instead."""
+    taken instead.  A flat list is never taken."""
     if rows is None and text in ("I", "identity", "ones"):
         return np.ones((1, cols)) if text == "ones" else np.eye(cols)
     try:
         arr = np.array(json.loads(text), dtype=float)
-    except (ValueError, TypeError, OverflowError):  # bad JSON, ragged rows, non-numbers, huge ints
-        arr = np.empty(0)
-    if arr.ndim == 0 and rows is not None:
-        arr = np.full((rows, cols), float(arr))
-    if not (
-        arr.ndim == 2
-        and rows in (None, arr.shape[0])
-        and arr.shape[1] == cols
-        and np.isfinite(arr).all()
-    ):
-        if rows is None:
-            forms = f"I, ones, or JSON rows of {cols} columns"
-        else:
-            forms = f"a number or JSON rows of shape {rows}x{cols}"
-        raise ObsynthError(f"--{flag} must be {forms}, got {text!r}")
-    return arr
+        if arr.ndim == 2 or (arr.ndim == 0 and rows is not None):
+            return _shaped(arr, flag, rows, cols)
+    # bad JSON, ragged rows, non-numbers, huge ints; wrong shape, inf, nan
+    except (ValueError, TypeError, OverflowError, DimensionError, NonFiniteError):
+        pass
+    if rows is None:
+        forms = f"I, ones, or JSON rows of {cols} columns"
+    else:
+        forms = f"a number or JSON rows of shape {rows}x{cols}"
+    raise ObsynthError(f"--{flag} must be {forms}, got {text!r}")
 
 
 def _design_document(plant, spec, result) -> dict:
@@ -288,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             "bench": cmd_bench,
         }[args.command]
         return handler(args)
-    except ObsynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ObsynthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

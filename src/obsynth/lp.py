@@ -56,7 +56,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, SolverFailureError
-from .linalg import as_matrix, as_vector
+from .linalg import _shaped, as_vector
 
 # Reduced costs above -EPS count as optimal; pivot candidates need a
 # column entry above EPS.
@@ -95,10 +95,8 @@ class LinearProgram:
         n = self.objective.size
         if n == 0:
             raise DimensionError("LinearProgram needs at least one variable")
-        lhs = np.asarray(self.ineq_lhs, dtype=float)
-        self.ineq_lhs = as_matrix(lhs, "ineq_lhs") if lhs.size else np.zeros((0, n))
-        if self.ineq_lhs.shape[1] != n:
-            raise DimensionError(f"ineq_lhs has {self.ineq_lhs.shape[1]} columns, expected {n}")
+        lhs = self.ineq_lhs
+        self.ineq_lhs = _shaped(lhs, "ineq_lhs", cols=n) if np.size(lhs) else np.zeros((0, n))
         self.ineq_rhs = as_vector(self.ineq_rhs, "ineq_rhs", self.ineq_lhs.shape[0])
 
     @property

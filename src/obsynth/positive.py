@@ -20,9 +20,9 @@ comes from the one solve in `_admissible`, the judgement of a gain
 that `certify` shares.  The LP variant `linf_gain_lp` is an
 independent route that cross-validates the closed form.  The four
 plant types share one base, `Plant`, which coerces their matrices by
-the one shape rule of `_shaped` and reduces each to the undelayed
-continuous loop that design, `certify` and the delay and discrete
-gains read.
+the package's one shape rule, `linalg._shaped`, and reduces each to
+the undelayed continuous loop that design, `certify` and the delay and
+discrete gains read.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .linalg import (
     STRUCTURAL_TOL,
-    as_matrix,
+    _shaped,
     is_metzler,
     is_nonnegative,
     max_row_sum,
@@ -56,34 +56,7 @@ DEFAULT_EPSILON = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# argument checks: the public API accepts scalars and flat sequences where
-# the intent is unambiguous (input maps are columns, output maps are rows)
-
-
-def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce M to a rows×cols matrix by this module's one reading rule.
-
-    None leaves a size free, and leaving both free asks for a square
-    matrix.  A scalar fills the matrix when both sizes are given (so
-    N=0 reads naturally) and is 1×1 otherwise.  A flat sequence runs
-    along the one free size (an input map n×p is a column, an output
-    map q×n a row) or, with both sizes given, along the one that is not
-    1 (a row when rows is 1); any other flat input is rejected.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 0:
-        M = np.full((1, 1) if None in (rows, cols) else (rows, cols), float(M))
-    elif M.ndim == 1 and (rows is None) != (cols is None):
-        M = M.reshape((-1, 1) if cols is None else (1, -1))
-    elif M.ndim == 1 and 1 in (rows, cols):
-        M = M.reshape((1, -1) if rows == 1 else (-1, 1))
-    M = as_matrix(M, name)
-    if rows is None and cols is None:
-        rows = M.shape[1]  # square
-    want = (M.shape[0] if rows is None else rows, M.shape[1] if cols is None else cols)
-    if M.shape != want:
-        raise DimensionError(f"{name} has shape {M.shape}, expected {want}")
-    return M
+# argument checks
 
 
 def _positive_epsilon(epsilon) -> float:
@@ -480,9 +453,7 @@ def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]
     E = _shaped(E, "E", n)
     C = _shaped(C, "C", cols=n)
     F = _shaped(F, "F", C.shape[0], E.shape[1])
-    L = _shaped(L, "L", n)
-    if L.shape[1] != C.shape[0]:
-        raise DimensionError(f"L has {L.shape[1]} columns, expected {C.shape[0]}")
+    L = _shaped(L, "L", n, C.shape[0])
     if form not in ("standard", "relaxed"):
         raise PreconditionError(f"unknown observer form {form!r}")
     Acl, B = A - L @ C, E - L @ F
@@ -599,15 +570,15 @@ def common_certificate_rank_one(
     base = hurwitz_certificate(W, epsilon=epsilon)
     if base is None:
         raise PreconditionError("common certificate needs Hurwitz W")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != n or not is_nonnegative(u.reshape(1, -1)):
+    u = _shaped(u, "u", n, 1)
+    if not is_nonnegative(u):
         raise PreconditionError("u must be a nonnegative n-vector")
     mats = []
     for k, v in enumerate(vs):
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.size != n or not is_nonnegative(v.reshape(1, -1)):
+        v = _shaped(v, f"v[{k}]", 1, n)
+        if not is_nonnegative(v):
             raise PreconditionError(f"v[{k}] must be a nonnegative n-vector")
-        mats.append(W + np.outer(u, v))
+        mats.append(W + u @ v)
     if not mats:
         return base.vector
     lhs = np.vstack(mats + [-np.eye(n)])

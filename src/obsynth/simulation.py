@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, SimulationError, UndefinedGainError
-from .linalg import as_matrix, as_vector, split_pos_neg
+from .errors import DimensionError, PreconditionError, SimulationError, UndefinedGainError
+from .linalg import _shaped, as_vector, split_pos_neg
 from .positive import ContinuousSystem, DelaySystem, DiscreteSystem
 
 BOUND_TOL = 1e-12
@@ -211,9 +211,9 @@ class Trace:
             [self.times, self.x, self.x_lo, self.x_hi, self.w, self.w_lo, self.w_hi]
         )
         with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in table:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            np.savetxt(
+                fh, table, fmt="%.17g", delimiter=",", header=",".join(names), comments=""
+            )
 
 
 @dataclass
@@ -229,9 +229,11 @@ class InclusionReport:
 
 
 def check_inclusion(trace: Trace, tol: float = 1e-7) -> InclusionReport:
-    """Verify x_lo <= x <= x_hi along the whole trace within tol."""
-    lower = trace.x - trace.x_lo
-    upper = trace.x_hi - trace.x
+    """Verify x_lo <= x <= x_hi along the whole trace within tol >= 0
+    (tol = inf passes every trace)."""
+    if not tol >= 0.0:  # a NaN fails too
+        raise PreconditionError(f"tol must be a nonnegative real, got {tol!r}")
+    lower, upper = trace.e_lo, trace.e_hi
     min_margin = float(min(lower.min(), upper.min()))
     if min_margin >= -tol:
         return InclusionReport(True, min_margin)
@@ -257,6 +259,8 @@ def empirical_peak_gain(trace: Trace, burn_in: float = 0.5) -> float:
     max(||w_hi - w||, ||w - w_lo||) over the same window.  A degenerate
     denominator (exactly known disturbance) has no finite ratio.
     """
+    if not (np.isfinite(burn_in) and burn_in <= 1.0):
+        raise PreconditionError(f"burn_in must be a finite real at most 1, got {burn_in!r}")
     start = burn_in * trace.times[-1]
     window = trace.times >= start - BOUND_TOL
     num = max(
@@ -365,7 +369,7 @@ def _check_x0(config: SimConfig, n: int) -> None:
 def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
     """The checked gain, the grid of step dt, W = [w, w_lo, w_hi] on it
     (each channel inside its envelope) and X0 = [x0, x0_lo, x0_hi]."""
-    L = as_matrix(L, "L", (sys.n, sys.r))
+    L = _shaped(L, "L", sys.n, sys.r)
     _check_x0(config, sys.n)
     times = _grid(config.t_end, dt)
     if dist.p != sys.p:
@@ -608,7 +612,7 @@ def simulate_population(
     """
     sys = model.system()
     n = sys.n
-    L = as_matrix(L, "L", (n, 1))
+    L = _shaped(L, "L", n, sys.r)
     _check_x0(config, n)
     if np.any(config.x0_lo < 0.0):
         raise SimulationError("population bounds must be nonnegative")

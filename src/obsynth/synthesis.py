@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
-from .linalg import STRUCTURAL_TOL, as_matrix
+from .errors import PreconditionError
+from .linalg import STRUCTURAL_TOL, _shaped, as_matrix
 from .lp import LinearProgram, LpStatus, check_feasible, solve
 from .positive import (
     DEFAULT_EPSILON,
@@ -96,14 +96,10 @@ class ObserverSpec:
 
     def bounds(self, n: int, r: int) -> tuple[np.ndarray | None, np.ndarray | None]:
         lo, hi = self.gain_lower, self.gain_upper
-        for name, B in (("gain_lower", lo), ("gain_upper", hi)):
-            if B is not None and B.shape != (n, r):
-                raise DimensionError(
-                    f"{name} has shape {B.shape}, expected {(n, r)}"
-                )
-        if lo is not None and hi is not None and np.any(lo > hi):
-            raise PreconditionError("gain_lower exceeds gain_upper somewhere")
-        return lo, hi
+        return (
+            None if lo is None else _shaped(lo, "gain_lower", n, r),
+            None if hi is None else _shaped(hi, "gain_upper", n, r),
+        )
 
 
 @dataclass

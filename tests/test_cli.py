@@ -323,7 +323,7 @@ def test_epsilon_default_when_nothing_set(capsys, no_file_epsilon, monkeypatch):
     assert _gain_epsilon(capsys, no_file_epsilon) == 1e-6
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
+@pytest.mark.parametrize("value", ["abc", "-1", "inf"])
 def test_invalid_environment_epsilon_exits_one(capsys, corpus_dir, monkeypatch, value):
     monkeypatch.setenv("OBSYNTH_EPSILON", value)
     code, _, err = _run(

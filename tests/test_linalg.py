@@ -17,7 +17,7 @@ from obsynth import (
     solve_linear,
     split_pos_neg,
 )
-from obsynth.linalg import _eliminate, as_matrix, as_vector
+from obsynth.linalg import _eliminate, _shaped, as_matrix, as_vector
 
 from conftest import random_metzler_hurwitz
 
@@ -28,7 +28,7 @@ def test_as_matrix_rejects_nonfinite_and_bad_shape():
     with pytest.raises(NonFiniteError):
         as_matrix([[float("inf")]], "A")
     with pytest.raises(DimensionError):
-        as_matrix([[1.0, 2.0]], "A", (2, 2))
+        _shaped([[1.0, 2.0]], "A", 2, 2)
     with pytest.raises(DimensionError):
         as_vector([1.0, 2.0], "v", 3)
 
@@ -165,6 +165,25 @@ def test_no_eigenvalue_is_computed_in_the_library():
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if called in banned:
                     found.append(f"{name}:{node.lineno} {called}")
+    assert found == []
+
+
+def test_only_linalg_checks_a_matrix_shape():
+    # The one reading rule, linalg._shaped, is the only code that tests a
+    # matrix argument's shape; readers elsewhere call it and keep no
+    # "... has shape ..." message or shape argument of their own.
+    found = []
+    for name, tree in _library_trees():
+        if name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and " has shape " in str(node.value):
+                found.append(f"{name}:{node.lineno} shape message")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == "as_matrix" and len(node.args) + len(node.keywords) > 2:
+                    found.append(f"{name}:{node.lineno} as_matrix shape")
     assert found == []
 
 

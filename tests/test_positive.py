@@ -34,6 +34,7 @@ from obsynth import (
 from obsynth.linalg import is_metzler
 from obsynth.lp import LinearProgram, LpStatus, solve
 from obsynth.positive import DEFAULT_EPSILON
+from obsynth.simulation import ConstantSignal, DisturbanceModel, SimConfig, _linear_setup
 
 from conftest import random_metzler_hurwitz, random_schur
 
@@ -562,9 +563,9 @@ def test_common_certificate_on_random_stable_families():
 
 # ---------------------------------------------------------------------------
 # the one reading rule for matrix arguments: a scalar is 1x1 unless both
-# sizes are known (a feedthrough), a flat input map is a column, a flat
-# output map a row, and a flat feedthrough runs along its size that is
-# not 1 (a row when q = 1)
+# sizes are known (a feedthrough, a gain L), a flat input map is a
+# column, a flat output map a row, and a flat feedthrough or gain runs
+# along its size that is not 1 (a row when it has one row)
 
 
 def _plant_with(n, p, r, **override):
@@ -573,6 +574,29 @@ def _plant_with(n, p, r, **override):
     }
     maps.update(override)
     return ContinuousSystem(**maps)
+
+
+def _simulator_gain(n, p, r, L):
+    """L as the linear simulators read it."""
+    config = SimConfig(1.0, 1.0, np.zeros(n), np.zeros(n), np.zeros(n))
+    dist = DisturbanceModel(*[[ConstantSignal(0.0)] * p] * 3)
+    return _linear_setup(_plant_with(n, p, r), L, dist, config, 1.0)[0]
+
+
+# readers other than the plant types: (n, p, r) and the value -> matrix
+_READERS = {
+    "L": _simulator_gain,
+    "gain_lower": lambda n, p, r, B: ObserverSpec(gain_lower=B).bounds(n, r)[0],
+    "ineq_lhs": lambda n, p, r, G: LinearProgram(
+        np.zeros(n), G, np.zeros(np.size(G) // n)
+    ).ineq_lhs,
+}
+
+
+def _read(sizes, role, value):
+    if role in _READERS:
+        return _READERS[role](*sizes, value)
+    return getattr(_plant_with(*sizes, **{role: value}), role)
 
 
 @pytest.mark.parametrize(
@@ -603,14 +627,28 @@ def _plant_with(n, p, r, **override):
         ((3, 2, 2), "F", [0.5, 1.0], DimensionError),
         ((3, 2, 2), "F", np.ones((2, 2)), (2, 2)),
         ((3, 2, 2), "F", np.ones((2, 1)), DimensionError),
+        # simulator gain
+        ((3, 2, 2), "L", 0.5, (3, 2)),
+        ((3, 2, 1), "L", [0.5, 1.0, 2.0], (3, 1)),
+        ((1, 1, 2), "L", [0.5, 1.0], (1, 2)),
+        ((3, 2, 2), "L", [0.5, 1.0, 2.0], DimensionError),
+        ((3, 1, 1), "L", np.ones((1, 3)), DimensionError),
+        # gain bounds of an observer spec
+        ((3, 1, 2), "gain_lower", np.zeros((3, 2)), (3, 2)),
+        ((3, 1, 2), "gain_lower", np.zeros((2, 3)), DimensionError),
+        # LP constraint rows (n variables; p and r unused)
+        ((2, 0, 0), "ineq_lhs", np.ones((3, 2)), (3, 2)),
+        ((2, 0, 0), "ineq_lhs", [1.0, 2.0], (1, 2)),
+        ((2, 0, 0), "ineq_lhs", np.zeros((0, 2)), (0, 2)),
+        ((2, 0, 0), "ineq_lhs", np.ones((2, 3)), DimensionError),
     ],
 )
 def test_matrix_arguments_follow_one_reading_rule(sizes, role, value, shape):
     if shape is DimensionError:
         with pytest.raises(DimensionError):
-            _plant_with(*sizes, **{role: value})
+            _read(sizes, role, value)
         return
-    M = getattr(_plant_with(*sizes, **{role: value}), role)
+    M = _read(sizes, role, value)
     assert M.shape == shape
     want = np.full(shape, value) if np.ndim(value) == 0 else np.reshape(value, shape)
     assert np.array_equal(M, want)
@@ -642,6 +680,33 @@ def test_loop_functions_follow_the_same_rule():
     with pytest.raises(DimensionError):
         hurwitz_certificate([-1.0, -2.0])
     assert hurwitz_certificate(-3.0).vector.shape == (1,)
+    # L is n x r: a scalar fills it, and a wrong shape names both
+    assert observer_membership(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), 0.0, 0.0) == []
+    with pytest.raises(DimensionError) as exc:
+        observer_membership(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), 0.0, np.ones((1, 2)))
+    assert str(exc.value) == "L has shape (1, 2), expected (2, 1)"
+    # u is an n x 1 column and every v_i a 1 x n row
+    W = -np.eye(2)
+    assert common_certificate_rank_one(W, 0.0, [[1.0, 0.0]]) is not None
+    assert common_certificate_rank_one(W, [[0.5], [0.0]], [np.ones((1, 2))]) is not None
+    for u, vs in (
+        ([1.0, 0.0, 0.0], [[1.0, 0.0]]),
+        ([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0, 0.0]]),
+        ([1.0, 0.0], [np.ones((2, 1))]),
+        (np.ones((1, 2)), [[1.0, 0.0]]),
+    ):
+        with pytest.raises(DimensionError):
+            common_certificate_rank_one(W, u, vs)
+
+
+def test_gain_bounds_name_their_expected_shape():
+    spec = ObserverSpec(gain_lower=np.zeros((3, 1)), gain_upper=np.ones((1, 3)))
+    with pytest.raises(DimensionError) as exc:
+        spec.bounds(3, 2)
+    assert str(exc.value) == "gain_lower has shape (3, 1), expected (3, 2)"
+    with pytest.raises(DimensionError) as exc:
+        ObserverSpec(gain_upper=np.ones((1, 3))).bounds(3, 1)
+    assert str(exc.value) == "gain_upper has shape (1, 3), expected (3, 1)"
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.inf, np.nan])

@@ -23,6 +23,7 @@ from obsynth import (
     DisturbanceModel,
     PiecewiseConstantSignal,
     PopulationModel,
+    PreconditionError,
     SampledSignal,
     SimConfig,
     SimulationError,
@@ -223,6 +224,22 @@ def test_empirical_peak_gain_on_synthetic_trace():
     flat = Trace(times, x, x_lo, x_hi, w, w, w)
     with pytest.raises(UndefinedGainError):
         empirical_peak_gain(flat)
+
+
+def test_trace_checks_reject_out_of_range_arguments():
+    pf = parse_problem(str(CORPUS_DIR / "case2.json"))
+    result = design(pf.plant(), pf.observer_spec())
+    trace = simulate_problem(pf, result.L, result.form)
+    # a burn-in past the end leaves no window; a negative tol would
+    # report the clean trace (min margin 0.237) as a violation
+    for burn_in in (2.0, np.inf, np.nan):
+        with pytest.raises(PreconditionError, match="burn_in"):
+            empirical_peak_gain(trace, burn_in=burn_in)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(PreconditionError, match="tol"):
+            check_inclusion(trace, tol=tol)
+    assert np.isfinite(empirical_peak_gain(trace, burn_in=1.0))
+    assert check_inclusion(trace, tol=0.0).clean
 
 
 # ---------------------------------------------------------------------------
