@@ -65,8 +65,12 @@ def _epsilon_fallback() -> float:
         raise ObsynthError(f"OBSYNTH_EPSILON={raw!r} is not a positive real") from None
 
 
-def _spec_for(pf: ProblemFile, args) -> "ObserverSpec":
-    return pf.observer_spec(epsilon=args.epsilon, fallback=_epsilon_fallback())
+def _spec_for(pf: ProblemFile, args) -> tuple["ObserverSpec", "Plant"]:
+    """The observer options and the plant they are read against."""
+    spec = pf.observer_spec(epsilon=args.epsilon, fallback=_epsilon_fallback())
+    plant = pf.plant()
+    spec.bounds(plant.n, plant.r)  # refuse unordered bounds before any work
+    return spec, plant
 
 
 def _parse_matrix_flag(text: str, flag: str, rows: int | None, cols: int) -> np.ndarray:
@@ -114,8 +118,7 @@ def _design_document(plant, spec, result) -> dict:
 
 def cmd_design(args) -> int:
     pf = parse_problem(args.input)
-    spec = _spec_for(pf, args)
-    plant = pf.plant()
+    spec, plant = _spec_for(pf, args)
     result = design(plant, spec)
     _emit(_design_document(plant, spec, result), args.out)
     return EXIT_OK if result.status == "optimal" else EXIT_INFEASIBLE
@@ -128,8 +131,7 @@ def cmd_gain(args) -> int:
             "gain evaluation works on continuous-time problem files "
             f"(got class {pf.klass!r})"
         )
-    spec = _spec_for(pf, args)
-    system = pf.plant()
+    spec, system = _spec_for(pf, args)
     n, p = system.n, system.p
 
     if args.gain is not None:
@@ -171,8 +173,8 @@ def cmd_gain(args) -> int:
 
 def cmd_simulate(args) -> int:
     pf = parse_problem(args.input)
-    spec = _spec_for(pf, args)
-    result = design(pf.plant(), spec)
+    spec, plant = _spec_for(pf, args)
+    result = design(plant, spec)
     if result.status != "optimal":
         _emit({"status": result.status, "diagnostic": result.diagnostic})
         return EXIT_INFEASIBLE

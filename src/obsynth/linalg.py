@@ -32,31 +32,16 @@ PIVOT_RTOL = 1e-12
 _PIVOT_MARGIN = 100.0
 
 
-def as_matrix(A, name: str) -> np.ndarray:
-    """Coerce ``A`` to a 2-D float array, validating finiteness.
-
-    ``name`` labels the argument in error messages.  Anything not 2-D is
-    rejected: silent broadcasting of vectors into rows has caused enough
-    grief elsewhere, and `_shaped` is where a scalar or flat input gets
-    its reading.
-    """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return M
-
-
 def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce M to a rows×cols matrix by the package's one reading rule.
 
     None leaves a size free, and leaving both free asks for a square
     matrix.  A scalar fills the matrix when both sizes are given (so
-    N=0 or L=0 reads naturally) and is 1×1 otherwise.  A flat sequence runs
-    along the one free size (an input map n×p is a column, an output
-    map q×n a row) or, with both sizes given, along the one that is not
-    1 (a row when rows is 1); any other flat input is rejected.
+    N=0, L=0 or a gain bound of 0 reads naturally) and is 1×1
+    otherwise.  A flat sequence runs along the one free size (an input
+    map n×p is a column, an output map q×n a row) or, with both sizes
+    given, along the one that is not 1 (a row when rows is 1); any
+    other input that is not 2-D is rejected, as is a non-finite entry.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim == 0:
@@ -65,7 +50,10 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
         M = M.reshape((-1, 1) if cols is None else (1, -1))
     elif M.ndim == 1 and 1 in (rows, cols):
         M = M.reshape((1, -1) if rows == 1 else (-1, 1))
-    M = as_matrix(M, name)
+    if M.ndim != 2:
+        raise DimensionError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
+    if not np.isfinite(M).all():
+        raise NonFiniteError(f"{name} contains non-finite entries")
     if rows is None and cols is None:
         rows = M.shape[1]  # square
     want = (M.shape[0] if rows is None else rows, M.shape[1] if cols is None else cols)

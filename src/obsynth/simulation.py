@@ -428,7 +428,11 @@ def simulate_delay(
     the history on the grid in rows 0..m-1 (observers at their initial
     bounds) and the trace from row m, so the state one delay back from
     step k is row k; the history at half steps is sampled once as well.
+    At h = 0 the plant is its zero-delay aggregate, run by `simulate_ct`.
     """
+    if sys.h == 0.0:
+        aggregate = ContinuousSystem(sys.A + sys.A_h, sys.E, sys.C + sys.C_h, sys.F)
+        return simulate_ct(aggregate, L, dist, config)
     n = sys.n
     if config.dt > sys.h / 4.0 + BOUND_TOL:
         raise SimulationError("dt must be at most a quarter of the delay h")

@@ -23,6 +23,11 @@ that vanishes adds none.  The one gain L* recovered as X^{-1} U is
 optimal simultaneously for every nonnegative output weighting, which is
 why a single aggregate LP suffices.
 
+An infeasible standard design asks whether the relaxed rows are
+feasible: they drop only E - LF >= 0, and their gamma row holds for a
+large enough gamma, so they are feasible exactly when some gain within
+the bounds makes A - LC Metzler and Hurwitz; then E - LF >= 0 conflicts.
+
 X carries no normalization beyond X_ii >= eps: the stability rows pin
 its scale, and any stronger floor (say X_ii >= 1) breaks the change of
 variables by letting U drift off the X L* ray when the floor binds,
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import STRUCTURAL_TOL, _shaped, as_matrix
+from .linalg import STRUCTURAL_TOL, _shaped, as_vector
 from .lp import LinearProgram, LpStatus, check_feasible, solve
 from .positive import (
     DEFAULT_EPSILON,
@@ -82,24 +87,17 @@ class ObserverSpec:
         if self.form not in ("standard", "relaxed"):
             raise PreconditionError(f"unknown observer form {self.form!r}")
         self.epsilon = _positive_epsilon(self.epsilon)
-        if self.gain_lower is not None:
-            self.gain_lower = as_matrix(self.gain_lower, "gain_lower")
-        if self.gain_upper is not None:
-            self.gain_upper = as_matrix(self.gain_upper, "gain_upper")
-        if (
-            self.gain_lower is not None
-            and self.gain_upper is not None
-            and self.gain_lower.shape == self.gain_upper.shape
-            and np.any(self.gain_lower > self.gain_upper)
-        ):
-            raise PreconditionError("gain_lower exceeds gain_upper somewhere")
 
     def bounds(self, n: int, r: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        lo, hi = self.gain_lower, self.gain_upper
-        return (
-            None if lo is None else _shaped(lo, "gain_lower", n, r),
-            None if hi is None else _shaped(hi, "gain_upper", n, r),
+        """The bounds as n×r matrices (a number fills one), None where
+        absent; their order can only be judged once both are shaped."""
+        lo, hi = (
+            None if B is None else _shaped(B, name, n, r)
+            for B, name in ((self.gain_lower, "gain_lower"), (self.gain_upper, "gain_upper"))
         )
+        if lo is not None and hi is not None and np.any(lo > hi):
+            raise PreconditionError("gain_lower exceeds gain_upper somewhere")
+        return lo, hi
 
 
 @dataclass
@@ -164,39 +162,37 @@ def _assemble(
     epsilon: float,
     lo: np.ndarray | None,
     hi: np.ndarray | None,
-    with_gain_rows: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (lhs, rhs) with lhs z <= rhs over z = [x, U row-major, gamma].
+) -> LinearProgram:
+    """The design LP: minimize gamma s.t. lhs z <= rhs over
+    z = [x, U row-major, gamma].
 
     Each constraint family is one block of rows.  A sign row
     (X P - U Q)_ij >= 0 has x part -P_ij e_i and U part row (i, j) of
     kron(I_n, Q^T); a Metzler family skips its diagonal, and a row
     whose Q column is zero is kept only when P_ij < 0 (module docstring).
-
-    with_gain_rows=False drops the E - L F family and the gamma row,
-    leaving pure stabilizability; that is the diagnostic solve.
     """
     n, r = plant.n, plant.r
     S, T = plant.stability_pair()
     E, F, inputs = _loop_input(plant, form)
     blocks = []  # (x part, U part, gamma coefficient, rhs)
-    for _, P, Q, metzler in plant.sign_families() + (inputs if with_gain_rows else []):
+    for _, P, Q, metzler in plant.sign_families() + inputs:
         keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
         if metzler:
             keep &= ~np.eye(n, dtype=bool)
         keep = keep.reshape(-1)
         blocks.append((_per_entry(-P)[keep], np.kron(np.eye(n), Q.T)[keep], 0.0, 0.0))
     blocks.append((S.T, np.tile(-T.T, n), 0.0, -1.0 - epsilon))
-    if with_gain_rows:
-        ones = np.ones(E.shape[1])
-        blocks.append(([E @ ones], [np.tile(-(F @ ones), n)], -1.0, -epsilon))
+    ones = np.ones(E.shape[1])
+    blocks.append(([E @ ones], [np.tile(-(F @ ones), n)], -1.0, -epsilon))
     blocks.append((-np.eye(n), np.zeros((n, n * r)), 0.0, -epsilon))
     for B, sign in ((lo, 1.0), (hi, -1.0)):
         if B is not None:
             blocks.append((_per_entry(sign * B), -sign * np.eye(n * r), 0.0, 0.0))
     lhs = np.vstack([np.column_stack([x, u, np.full(len(x), g)]) for x, u, g, _ in blocks])
     rhs = np.concatenate([np.full(len(x), b) for x, _, _, b in blocks])
-    return lhs, rhs
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    return LinearProgram(objective, lhs, rhs)
 
 
 def design(system, spec: ObserverSpec) -> DesignResult:
@@ -215,10 +211,7 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     n, r = plant.n, plant.r
     lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
-    lhs, rhs = _assemble(plant, spec.form, eps, lo, hi)
-    objective = np.zeros(lhs.shape[1])
-    objective[-1] = 1.0
-    sol = solve(LinearProgram(objective, lhs, rhs))
+    sol = solve(_assemble(plant, spec.form, eps, lo, hi))
     if sol.status is LpStatus.OPTIMAL:
         x = sol.primal[:n]
         U = sol.primal[n : n + n * r].reshape(n, r)
@@ -234,17 +227,16 @@ def design(system, spec: ObserverSpec) -> DesignResult:
         )
     if sol.status is not LpStatus.INFEASIBLE:  # pragma: no cover - gamma bounded
         raise PreconditionError("design LP reported unbounded")
-    diagnostic = DIAG_NO_STABILIZER
-    if spec.form == "standard":  # only then can E - L F >= 0 be the conflict
-        d_lhs, d_rhs = _assemble(plant, spec.form, eps, lo, hi, with_gain_rows=False)
-        if check_feasible(LinearProgram(np.zeros(d_lhs.shape[1]), d_lhs, d_rhs)):
-            diagnostic = DIAG_SIGN_CONFLICT
+    # feasible relaxed rows leave E - L F >= 0 as the conflict (module docstring)
+    conflict = spec.form == "standard" and check_feasible(
+        _assemble(plant, "relaxed", eps, lo, hi)
+    )
     return DesignResult(
         status="infeasible",
         kind=plant.KIND,
         form=spec.form,
         epsilon=eps,
-        diagnostic=diagnostic,
+        diagnostic=DIAG_SIGN_CONFLICT if conflict else DIAG_NO_STABILIZER,
     )
 
 
@@ -281,8 +273,10 @@ def closed_loop(system, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standard-form error-system matrices (stability matrix, input
     matrix) at gain L, reduced to the equivalent undelayed continuous
     pair: the discrete stability matrix carries the Schur shift - I."""
-    S, T = _plant(system, "standard").stability_pair()
-    E, F, _ = _loop_input(system, "standard")
+    plant = _plant(system, "standard")
+    L = _shaped(L, "L", plant.n, plant.r)
+    S, T = plant.stability_pair()
+    E, F, _ = _loop_input(plant, "standard")
     return S - L @ T, E - L @ F
 
 
@@ -302,27 +296,27 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
         raise PreconditionError(
             f"result was designed for a {result.kind} plant, not a {plant.KIND} one"
         )
+    n, r = plant.n, plant.r
+    L, U = _shaped(result.L, "L", n, r), _shaped(result.U, "U", n, r)
+    x = as_vector(result.X_diag, "X_diag", n)
     eps = result.epsilon
     slack = 10.0 * eps
     flags: list[str] = []
 
-    lo, hi = spec.bounds(plant.n, plant.r)
-    lhs, rhs = _assemble(plant, result.form, eps, lo, hi)
-    z = np.concatenate([result.X_diag, result.U.reshape(-1), [result.gamma]])
-    residual = lhs @ z - rhs
+    lp = _assemble(plant, result.form, eps, *spec.bounds(n, r))
+    z = np.concatenate([x, U.reshape(-1), [result.gamma]])
+    residual = lp.ineq_lhs @ z - lp.ineq_rhs
     worst = int(np.argmax(residual))
     if residual[worst] > slack:
         flags.append(
             f"LP row {worst} violated by {residual[worst]:.3g} at the certificate"
         )
 
-    recon = result.X_diag[:, None] * result.L
-    if np.max(np.abs(recon - result.U)) > 1e-9 * max(1.0, float(np.max(np.abs(result.U)))):
+    if np.max(np.abs(x[:, None] * L - U)) > 1e-9 * max(1.0, float(np.max(np.abs(U)))):
         flags.append("L is not X^{-1} U")
 
     # the positive-loop condition at L, judged as membership is but with
     # the tolerance scaled to the margin
-    L = result.L
     S, T = plant.stability_pair()
     E, F, inputs = _loop_input(plant, result.form)
 

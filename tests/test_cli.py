@@ -17,6 +17,7 @@ import obsynth
 import obsynth.cli as cli
 from obsynth import Trace
 from obsynth.cli import main
+from obsynth.synthesis import DIAG_SIGN_CONFLICT
 
 
 def _run(capsys, *argv):
@@ -194,6 +195,12 @@ def test_gain_on_population_file(capsys, corpus_dir):
     assert abs(doc["gamma_closed"] - 0.75) <= 1e-9
 
 
+def test_gain_reports_an_infeasible_design(capsys, corpus_dir):
+    code, out, err = _run(capsys, "gain", _case(corpus_dir, "case3"))
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"status": "infeasible", "diagnostic": DIAG_SIGN_CONFLICT}
+
+
 def test_gain_refuses_delay_files(capsys, corpus_dir):
     code, _, err = _run(
         capsys, "gain", _case(corpus_dir, "delay_scalar"), "--gain", "[[0]]"
@@ -248,6 +255,33 @@ def test_simulate_writes_trace_and_reports_inclusion(capsys, corpus_dir, tmp_pat
     assert doc["csv"] == str(csv)
     header = csv.read_text().splitlines()[0]
     assert header.startswith("t,x1,x2,")
+
+
+def test_simulate_without_disturbance_spread_reports_no_peak_gain(
+    capsys, corpus_dir, tmp_path
+):
+    # w_lo = w = w_hi: the envelope has zero width, so no gain is measured
+    doc = json.loads((corpus_dir / "case1.json").read_text())
+    flat = {"type": "constant", "value": 0.5}
+    doc["disturbance"] = {"w": [flat], "w_lo": [flat], "w_hi": [flat]}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", str(path), "--out", str(tmp_path / "t.csv"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["inclusion"]["clean"] is True
+    assert doc["empirical_peak_gain"] is None
+    assert doc["empirical_note"] == "disturbance envelope has zero width on the window"
+
+
+def test_simulate_runs_a_zero_delay_file(capsys, corpus_dir, tmp_path):
+    doc = json.loads((corpus_dir / "delay_scalar.json").read_text())
+    doc["h"] = 0.0
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", str(path), "--out", str(tmp_path / "t.csv"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inclusion"]["clean"] is True
 
 
 def test_simulate_infeasible_design_exits_two(capsys, corpus_dir, tmp_path):
@@ -380,6 +414,24 @@ def test_check_refuses_a_form_design_refuses(capsys, tmp_path, corpus_dir):
     assert err == (
         f"error: {path}.observer.form: discrete design supports the standard form only\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["design"], ["gain", "--gain", "[[1],[2]]"], ["simulate", "--out", "t.csv"]],
+)
+def test_unordered_gain_bounds_are_refused_up_front(
+    capsys, corpus_dir, tmp_path, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((corpus_dir / "case1.json").read_text())
+    doc["observer"] = {"gain_lower": [[1.0], [3.0]], "gain_upper": [[2.0], [2.0]]}
+    path = tmp_path / "unordered.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: gain_lower exceeds gain_upper somewhere\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_check_reads_the_epsilon_flag(capsys, corpus_dir):

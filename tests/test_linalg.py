@@ -17,16 +17,16 @@ from obsynth import (
     solve_linear,
     split_pos_neg,
 )
-from obsynth.linalg import _eliminate, _shaped, as_matrix, as_vector
+from obsynth.linalg import _eliminate, _shaped, as_vector
 
 from conftest import random_metzler_hurwitz
 
 
 def test_as_matrix_rejects_nonfinite_and_bad_shape():
     with pytest.raises(NonFiniteError):
-        as_matrix([[1.0, float("nan")]], "A")
+        _shaped([[1.0, float("nan")]], "A", 1, 2)
     with pytest.raises(NonFiniteError):
-        as_matrix([[float("inf")]], "A")
+        _shaped([[float("inf")]], "A")
     with pytest.raises(DimensionError):
         _shaped([[1.0, 2.0]], "A", 2, 2)
     with pytest.raises(DimensionError):
@@ -154,36 +154,46 @@ def _library_trees() -> list[tuple[str, ast.Module]]:
     return [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
 
 
+def _calls(tree: ast.AST):
+    """(node, called name) for every call under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_no_eigenvalue_is_computed_in_the_library():
     # Verdicts rest on certificate vectors, never on a spectrum.
     banned = {"eig", "eigvals", "eigh", "eigvalsh"}
     found = []
     for name, tree in _library_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in banned:
-                    found.append(f"{name}:{node.lineno} {called}")
+        found += [f"{name}:{node.lineno} {called}" for node, called in _calls(tree) if called in banned]
     assert found == []
 
 
 def test_only_linalg_checks_a_matrix_shape():
     # The one reading rule, linalg._shaped, is the only code that tests a
     # matrix argument's shape; readers elsewhere call it and keep no
-    # "... has shape ..." message or shape argument of their own.
+    # "... has shape ..." message of their own, and as_matrix, the
+    # coercer it replaced, is neither defined nor called.  The design LP
+    # is stated once as well: in synthesis only _assemble builds a
+    # LinearProgram.
     found = []
     for name, tree in _library_trees():
-        if name == "linalg.py":
-            continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and " has shape " in str(node.value):
+            if name != "linalg.py" and isinstance(node, ast.Constant) and " has shape " in str(node.value):
                 found.append(f"{name}:{node.lineno} shape message")
-            elif isinstance(node, ast.Call):
-                func = node.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called == "as_matrix" and len(node.args) + len(node.keywords) > 2:
-                    found.append(f"{name}:{node.lineno} as_matrix shape")
+            elif isinstance(node, ast.FunctionDef) and node.name == "as_matrix":
+                found.append(f"{name}:{node.lineno} as_matrix defined")
+        found += [f"{name}:{node.lineno} as_matrix call" for node, called in _calls(tree) if called == "as_matrix"]
+        if name == "synthesis.py":
+            (assemble,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_assemble"]
+            inside = {id(node) for node, _ in _calls(assemble)}
+            found += [
+                f"{name}:{node.lineno} LinearProgram outside _assemble"
+                for node, called in _calls(tree)
+                if called == "LinearProgram" and id(node) not in inside
+            ]
     assert found == []
 
 

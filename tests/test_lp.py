@@ -385,10 +385,7 @@ def _design_plant(rng, klass, n, p=2, r=3):
 
 
 def _design_lp(plant, form="standard"):
-    lhs, rhs = _assemble(plant, form, 1e-6, None, None)
-    objective = np.zeros(lhs.shape[1])
-    objective[-1] = 1.0
-    return _lp(objective, lhs, rhs)
+    return _assemble(plant, form, 1e-6, None, None)
 
 
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])

@@ -273,6 +273,12 @@ def test_gain_degenerate_dimensions_are_zero():
         linf_gain_lp([[1.0]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)))
 
 
+def test_gain_lp_of_an_unstable_loop_is_infeasible():
+    with pytest.raises(InstabilityError) as exc:
+        linf_gain_lp([[1.0]], [[1.0]], [[1.0]], 0.0)
+    assert str(exc.value) == "gain LP infeasible: A is not Hurwitz stable for this margin"
+
+
 def test_gain_lp_random_agreement():
     rng = np.random.default_rng(41)
     for _ in range(40):
@@ -441,6 +447,9 @@ def test_observer_membership_violations():
     with pytest.raises(MembershipError) as exc:
         gain_for_output(A_CASE1, E2, C2, F2, [[2.0], [0.0]], np.eye(2), 0.0)
     assert exc.value.violations
+    with pytest.raises(PreconditionError) as exc:
+        observer_membership(A_CASE2, E2, C2, F2, [[-1.0], [2.0]], form="loose")
+    assert str(exc.value) == "unknown observer form 'loose'"
 
 
 def test_relaxed_error_gain_hand_values():

@@ -38,7 +38,7 @@ from obsynth import (
     simulate_population,
 )
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
-from obsynth.problem import parse_problem
+from obsynth.problem import parse_problem, parse_problem_dict
 from obsynth.simulation import (
     _grid,
     _joint_input,
@@ -77,6 +77,9 @@ def test_piecewise_signal_is_right_continuous():
     assert s(10.0) == -1.0
     with pytest.raises(DimensionError):
         PiecewiseConstantSignal([1.0], [0.0])
+    with pytest.raises(DimensionError) as exc:
+        PiecewiseConstantSignal([2.0, 1.0], [0.0, 1.0, 2.0])
+    assert str(exc.value) == "breakpoints must be ascending"
 
 
 def test_sampled_signal_holds_and_clamps():
@@ -87,6 +90,9 @@ def test_sampled_signal_holds_and_clamps():
     assert s(5.0) == 20.0
     with pytest.raises(DimensionError):
         SampledSignal([1.0], [1.0, 2.0])
+    with pytest.raises(DimensionError) as exc:
+        SampledSignal([1.0, 0.0], [0.0, 1.0])
+    assert str(exc.value) == "sample times must be ascending"
 
 
 @pytest.mark.parametrize(
@@ -381,6 +387,49 @@ def test_delay_inclusion_scalar_scenario():
     report = check_inclusion(trace, tol=1e-7)
     assert report.clean
     assert empirical_peak_gain(trace) <= 0.5 + 1e-3
+
+
+def test_zero_delay_file_simulates_its_aggregate():
+    # h = 0 leaves no past to hold: the trace is simulate_ct's on the
+    # zero-delay aggregate (A + A_h, E, C + C_h, F), the plant design uses
+    data = json.loads((CORPUS_DIR / "delay_scalar.json").read_text())
+    data["h"] = 0.0
+    pf = parse_problem_dict(data)
+    sys, dist, cfg = pf.system(), pf.disturbance(), pf.sim_config()
+    L = design(sys, pf.observer_spec()).L
+    trace = simulate_delay(sys, L, dist, cfg)
+    aggregate = ContinuousSystem(sys.A + sys.A_h, sys.E, sys.C + sys.C_h, sys.F)
+    expected = simulate_ct(aggregate, L, dist, cfg)
+    for name in ("times", "x", "x_lo", "x_hi", "w", "w_lo", "w_hi"):
+        assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert check_inclusion(trace, tol=1e-7).clean
+
+
+def test_simulators_refuse_mismatched_inputs():
+    dist = _dist(SineSignal(0.5, 1.0))
+    cases = [
+        (lambda: simulate_ct(CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0])),
+         DimensionError, "x0 has size 1, plant has 2 states"),
+        (lambda: simulate_ct(
+            CASE1, L1, DisturbanceModel([ConstantSignal(0.0)] * 2, [ConstantSignal(-1.0)] * 2,
+                                        [ConstantSignal(1.0)] * 2),
+            SimConfig(1.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])),
+         DimensionError, "disturbance has 2 channels, plant expects 1"),
+        (lambda: simulate_ct(
+            CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]), form="loose"),
+         SimulationError, "unknown observer form 'loose'"),
+        (lambda: simulate_delay(
+            DELAY_SYS, np.zeros((1, 1)), dist,
+            SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0], history=[ConstantSignal(0.0)] * 2)),
+         DimensionError, "history needs one signal per plant state"),
+        (lambda: simulate_population(
+            POP, [[0.0], [0.0], [5.0]], SimConfig(1.0, 0.1, [1.0] * 3, [-1.0] * 3, [2.0] * 3)),
+         SimulationError, "population bounds must be nonnegative"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_delay_reduces_to_ct_when_lag_matrix_vanishes():

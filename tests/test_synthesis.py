@@ -5,6 +5,8 @@ the one-variable programs by hand; the generic bound-activation check
 uses the analysis-side gain routine as an independent oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from obsynth import (
     DimensionError,
     DiscreteDelaySystem,
     DiscreteSystem,
+    NonFiniteError,
     ObserverSpec,
     PreconditionError,
     certify,
@@ -22,9 +25,16 @@ from obsynth import (
     hurwitz_certificate,
     linf_gain_closed,
 )
-from obsynth.synthesis import DIAG_NO_STABILIZER, DIAG_SIGN_CONFLICT, design_ct, design_relaxed
+from obsynth.synthesis import (
+    DIAG_NO_STABILIZER,
+    DIAG_SIGN_CONFLICT,
+    _assemble,
+    closed_loop,
+    design_ct,
+    design_relaxed,
+)
 
-from conftest import random_feasible_loop
+from conftest import random_feasible_loop, random_schur
 
 EPS = 1e-6
 
@@ -55,11 +65,20 @@ def test_observer_spec_validation():
     with pytest.raises(PreconditionError):
         ObserverSpec(epsilon=0.0)
     with pytest.raises(PreconditionError):
-        ObserverSpec(gain_lower=[[1.0]], gain_upper=[[0.0]])
+        ObserverSpec(gain_lower=[[1.0]], gain_upper=[[0.0]]).bounds(1, 1)
     with pytest.raises(DimensionError):
         ObserverSpec(gain_lower=np.zeros((1, 1))).bounds(2, 1)
     lo, hi = ObserverSpec().bounds(2, 1)
     assert lo is None and hi is None
+    # a number fills n×r, as it does for L; order is judged after shaping
+    lo, hi = ObserverSpec(gain_lower=0.0).bounds(2, 1)
+    assert np.array_equal(lo, np.zeros((2, 1))) and hi is None
+    with pytest.raises(PreconditionError) as exc:
+        ObserverSpec(gain_lower=1.0, gain_upper=np.zeros((2, 1))).bounds(2, 1)
+    assert str(exc.value) == "gain_lower exceeds gain_upper somewhere"
+    with pytest.raises(NonFiniteError) as exc:
+        ObserverSpec(gain_upper=np.inf).bounds(2, 1)
+    assert str(exc.value) == "gain_upper contains non-finite entries"
 
 
 def test_case1_design_decouples_the_disturbance():
@@ -322,6 +341,25 @@ def test_certify_flags_a_tampered_objective():
     assert not report.passed
 
 
+def test_certify_and_closed_loop_name_a_wrong_shape():
+    result = design(CASE1, ObserverSpec())
+    wider = ContinuousSystem(-np.eye(3), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
+    cases = [
+        (lambda: certify(result, wider, ObserverSpec()), "L has shape (2, 1), expected (3, 1)"),
+        (lambda: closed_loop(CASE1, np.zeros((3, 1))), "L has shape (3, 1), expected (2, 1)"),
+    ]
+    for field, wrong, message in (
+        ("U", np.zeros((1, 2)), "U has shape (1, 2), expected (2, 1)"),
+        ("X_diag", np.ones(3), "X_diag has length 3, expected 2"),
+    ):
+        tampered = dataclasses.replace(result, **{field: wrong})
+        cases.append((lambda t=tampered: certify(t, CASE1, ObserverSpec()), message))
+    for call, message in cases:
+        with pytest.raises(DimensionError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_certify_rejects_infeasible_results():
     result = design(CASE3, ObserverSpec())
     with pytest.raises(PreconditionError):
@@ -389,6 +427,55 @@ def test_sign_rows_with_a_zero_q_column_keep_their_conflict(sys, diagnostic):
     result = design(sys, ObserverSpec())
     assert result.status == "infeasible"
     assert result.diagnostic == diagnostic
+
+
+def _random_design_problem(rng, kind):
+    """A plant of one of the four types with a spec, perturbed so that
+    many designs are infeasible for either reason."""
+    n, p, r = 3, 2, 2
+    A, E, C, F, L0 = random_feasible_loop(rng, n, p, r)
+    if kind.startswith("discrete"):
+        A = random_schur(rng, n) + L0 @ C
+    E = np.where(rng.random(E.shape) < 0.3, -rng.uniform(0.1, 1.0, E.shape), E)
+    C = C * (rng.random(n) > 0.3)  # some states unmeasured
+    A = A + rng.choice([0.0, 1.0]) * rng.uniform(0.5, 2.0) * np.eye(n)
+    if kind == "continuous":
+        sys = ContinuousSystem(A, E, C, F)
+    elif kind == "delay":
+        A_h = 0.3 * np.clip(A - np.diag(np.diag(A)), 0.0, None)
+        sys = DelaySystem(A - A_h, A_h, E, 0.5 * C, 0.5 * C, F, 1.0)
+    elif kind == "discrete":
+        sys = DiscreteSystem(A, E, C, F)
+    else:
+        sys = DiscreteDelaySystem(0.6 * A, 0.4 * A, E, 0.5 * C, 0.5 * C, F)
+    bound = rng.choice([None, 0.5])
+    lo, hi = (None, None) if bound is None else (L0 - bound, L0 + bound)
+    return sys, ObserverSpec(gain_lower=lo, gain_upper=hi)
+
+
+def test_infeasibility_diagnostic_matches_highs_on_the_stabilizability_rows():
+    # The diagnostic is a sign conflict exactly when the rows that do not
+    # involve gamma in the relaxed LP (every requirement but E - L F >= 0
+    # and the gain rows) are feasible; HiGHS decides that independently.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1511)
+    seen = {DIAG_SIGN_CONFLICT: set(), DIAG_NO_STABILIZER: set()}
+    for i in range(160):
+        kind = ("continuous", "delay", "discrete", "discrete-delay")[i % 4]
+        sys, spec = _random_design_problem(rng, kind)
+        result = design(sys, spec)
+        if result.status == "optimal":
+            continue
+        lp = _assemble(sys, "relaxed", spec.epsilon, *spec.bounds(sys.n, sys.r))
+        rows = lp.ineq_lhs[:, -1] == 0.0
+        oracle = optimize.linprog(
+            np.zeros(lp.num_vars), A_ub=lp.ineq_lhs[rows], b_ub=lp.ineq_rhs[rows],
+            bounds=(None, None), method="highs",
+        )
+        assert oracle.status in (0, 2)
+        assert result.diagnostic == (DIAG_SIGN_CONFLICT if oracle.status == 0 else DIAG_NO_STABILIZER)
+        seen[result.diagnostic].add(kind)
+    assert all(len(kinds) == 4 for kinds in seen.values()), seen
 
 
 def test_design_rejects_unknown_plants_and_mismatched_certify():
