@@ -2,15 +2,20 @@
 
 A problem file names a plant class, its matrices, and optionally the
 observer options, the disturbance signals with their envelope, and the
-simulation grid.  Parsing is strict: unknown keys, missing required
-keys, and malformed values are all rejected with the JSON path of the
-offender, so corpus files cannot drift silently.  Parsed files
-normalize defaults once, which makes parse(write(parse(f))) a fixed
-point.  One table, _SIGNALS, gives each signal type its class, fields
-and defaults, and one, _CLASSES, gives each matrix class its system
-type, whose MATRICES name the file's matrices and whose check_form
-says which observer forms it takes, so neither is dispatched anywhere
-else.
+simulation grid.  Parsing checks the JSON shape here (objects, key sets,
+finite numbers, rectangular numeric arrays, the kind of each signal
+field) and what no type knows: x0 against n, and the signal counts
+against p and n.  It builds each section once through the type that
+checks it (the plant, ObserverSpec with check_form and bounds(n, r),
+each signal, DisturbanceModel, SimConfig) and reports what that type
+raises under the source and the section's JSON path, so a file that
+parses is one every command can use.  Parsed files normalize defaults
+once, a number given as a gain bound included, which makes
+parse(write(parse(f))) a fixed point.  One table, _SIGNALS, gives each
+signal type its class, fields and defaults, and one, _CLASSES, gives
+each matrix class its system type, whose MATRICES name the file's
+matrices and whose check_form says which observer forms it takes, so
+neither is dispatched anywhere else.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObsynthError, PreconditionError, ProblemFileError
+from .errors import ObsynthError, ProblemFileError
 from .positive import DEFAULT_EPSILON, ContinuousSystem, DelaySystem, DiscreteSystem
 from .simulation import (
     ConstantSignal,
@@ -41,6 +46,14 @@ _CLASSES = {"continuous": ContinuousSystem, "delay": DelaySystem, "discrete": Di
 
 def _fail(path: str, message: str) -> ProblemFileError:
     return ProblemFileError(f"{path}: {message}")
+
+
+def _built(path: str, make, *args):
+    """make(*args), with any error it raises reported at path."""
+    try:
+        return make(*args)
+    except ObsynthError as exc:
+        raise _fail(path, str(exc)) from exc
 
 
 def _expect_object(value, path: str) -> dict:
@@ -73,7 +86,7 @@ def _number_list(value, path: str) -> list[float]:
     return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
-def _matrix(value, path: str, square: bool = False) -> list[list[float]]:
+def _matrix(value, path: str) -> list[list[float]]:
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a nonempty nested numeric array")
     if not all(isinstance(r, list) for r in value):
@@ -82,8 +95,6 @@ def _matrix(value, path: str, square: bool = False) -> list[list[float]]:
     width = len(rows[0])
     if width == 0 or any(len(r) != width for r in rows):
         raise _fail(path, "rows must be nonempty and of equal length")
-    if square and len(rows) != width:
-        raise _fail(path, f"must be square, got {len(rows)}x{width}")
     return rows
 
 
@@ -114,6 +125,7 @@ def _signal_dict(value, path: str) -> dict:
     for key, val in obj.items():
         if key != "type":
             out[key] = fields[key](val, f"{path}.{key}")
+    _built(path, build_signal, out)
     return out
 
 
@@ -123,65 +135,43 @@ def build_signal(spec: dict):
     return _SIGNALS[args.pop("type")][0](**args)
 
 
-def _signal_list(value, path: str, expected: int | None) -> list[dict]:
+def _signal_list(value, path: str, expected: int) -> list[dict]:
     if not isinstance(value, list):
         raise _fail(path, "expected an array of signal objects")
-    if expected is not None and len(value) != expected:
+    if len(value) != expected:
         raise _fail(path, f"expected {expected} signal(s), got {len(value)}")
-    out = [_signal_dict(v, f"{path}[{k}]") for k, v in enumerate(value)]
-    for k, spec in enumerate(out):
-        try:
-            build_signal(spec)
-        except ObsynthError as exc:
-            raise _fail(f"{path}[{k}]", str(exc)) from exc
-    return out
+    return [_signal_dict(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
-def _gain_bound(value, path: str, n: int, r: int) -> list[list[float]]:
-    """Bounds may be one number (broadcast to n x r) or a full matrix."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        v = _number(value, path)
-        return [[v] * r for _ in range(n)]
-    rows = _matrix(value, path)
-    if len(rows) != n or len(rows[0]) != r:
-        raise _fail(path, f"expected shape {n}x{r}, got {len(rows)}x{len(rows[0])}")
-    return rows
-
-
-def _observer(value, path: str, n: int, r: int, plant_type) -> dict:
+def _observer(value, path: str) -> dict:
     obj = _expect_object(value, path)
     _check_keys(obj, set(), {"form", "gain_lower", "gain_upper", "epsilon"}, path)
     out = {"form": obj.get("form", "standard")}
-    if out["form"] not in ("standard", "relaxed"):
-        raise _fail(f"{path}.form", f"expected standard or relaxed, got {out['form']!r}")
-    try:
-        plant_type.check_form(out["form"])
-    except PreconditionError as exc:
-        raise _fail(f"{path}.form", str(exc)) from exc
     if "epsilon" in obj:
         # Left absent when the file does not set it, so callers can tell
         # an explicit choice from the overridable default.
         out["epsilon"] = _number(obj["epsilon"], f"{path}.epsilon")
-        if out["epsilon"] <= 0.0:
-            raise _fail(f"{path}.epsilon", "must be positive")
     for key in ("gain_lower", "gain_upper"):
         if key in obj:
-            out[key] = _gain_bound(obj[key], f"{path}.{key}", n, r)
+            # one number or a matrix; ObserverSpec.bounds reads it at n x r
+            read = _matrix if isinstance(obj[key], list) else _number
+            out[key] = read(obj[key], f"{path}.{key}")
     return out
 
 
-def _simulation(value, path: str, n: int) -> dict:
+def _simulation(value, path: str, n: int, delayed: bool) -> dict:
     obj = _expect_object(value, path)
-    _check_keys(obj, {"t_end", "dt", "x0", "x0_lo", "x0_hi"}, {"history"}, path)
+    # only a delayed plant reads a history, its state on [-h, 0]
+    required = {"t_end", "dt", "x0", "x0_lo", "x0_hi"}
+    _check_keys(obj, required, {"history"} if delayed else set(), path)
     out = {
         "t_end": _number(obj["t_end"], f"{path}.t_end"),
         "dt": _number(obj["dt"], f"{path}.dt"),
     }
     for key in ("x0", "x0_lo", "x0_hi"):
-        vec = _number_list(obj[key], f"{path}.{key}")
-        if len(vec) != n:
-            raise _fail(f"{path}.{key}", f"expected {n} entries, got {len(vec)}")
-        out[key] = vec
+        out[key] = _number_list(obj[key], f"{path}.{key}")
+    if len(out["x0"]) != n:
+        raise _fail(f"{path}.x0", f"expected {n} entries, got {len(out['x0'])}")
     if "history" in obj:
         out["history"] = _signal_list(obj["history"], f"{path}.history", n)
     return out
@@ -203,28 +193,16 @@ def _population(value, path: str) -> dict:
         set(),
         path,
     )
-    decay = _number_list(obj["decay"], f"{path}.decay")
-    growth = _number_list(obj["growth"], f"{path}.growth")
-    bounds = _number_list(obj["incidence_bounds"], f"{path}.incidence_bounds")
-    if len(decay) != 3:
-        raise _fail(f"{path}.decay", "expected three stage decay rates")
-    if len(growth) != 2:
-        raise _fail(f"{path}.growth", "expected two stage transfer rates")
-    if len(bounds) != 2:
-        raise _fail(f"{path}.incidence_bounds", "expected [lower, upper]")
+    out = {
+        key: _number_list(obj[key], f"{path}.{key}")
+        for key in ("decay", "growth", "incidence_bounds")
+    }
     # the true incidence gain is either a constant or a named signal
     gain = obj["incidence_gain"]
-    if isinstance(gain, dict):
-        gain = _signal_dict(gain, f"{path}.incidence_gain")
-    else:
-        gain = _number(gain, f"{path}.incidence_gain")
-    return {
-        "decay": decay,
-        "growth": growth,
-        "incidence_gain": gain,
-        "incidence_bounds": bounds,
-        "half_saturation": _number(obj["half_saturation"], f"{path}.half_saturation"),
-    }
+    read = _signal_dict if isinstance(gain, dict) else _number
+    out["incidence_gain"] = read(gain, f"{path}.incidence_gain")
+    out["half_saturation"] = _number(obj["half_saturation"], f"{path}.half_saturation")
+    return out
 
 
 @dataclass
@@ -239,24 +217,21 @@ class ProblemFile:
 
     def system(self):
         d = self.data
-        try:
-            if d["class"] in _CLASSES:
-                cls = _CLASSES[d["class"]]
-                delay = {"h": d["h"]} if "h" in d else {}
-                return cls(**{k: np.array(d[k]) for k in cls.MATRICES}, **delay)
-            pop = d["population"]
-            gain = pop["incidence_gain"]
-            if isinstance(gain, dict):
-                gain = build_signal(gain)
-            return PopulationModel(
-                tuple(pop["decay"]),
-                tuple(pop["growth"]),
-                gain,
-                tuple(pop["incidence_bounds"]),
-                pop["half_saturation"],
-            )
-        except ObsynthError as exc:
-            raise ProblemFileError(f"$.{d['class']} system: {exc}") from exc
+        if d["class"] in _CLASSES:
+            cls = _CLASSES[d["class"]]
+            delay = {"h": d["h"]} if "h" in d else {}
+            return cls(**{k: np.array(d[k]) for k in cls.MATRICES}, **delay)
+        pop = d["population"]
+        gain = pop["incidence_gain"]
+        if isinstance(gain, dict):
+            gain = build_signal(gain)
+        return PopulationModel(
+            tuple(pop["decay"]),
+            tuple(pop["growth"]),
+            gain,
+            tuple(pop["incidence_bounds"]),
+            pop["half_saturation"],
+        )
 
     def plant(self):
         """The linear system the observer is designed for: the system
@@ -296,14 +271,11 @@ class ProblemFile:
         history = None
         if "history" in sim:
             history = [build_signal(s) for s in sim["history"]]
-        try:
-            return SimConfig(
-                sim["t_end"], sim["dt"],
-                np.array(sim["x0"]), np.array(sim["x0_lo"]), np.array(sim["x0_hi"]),
-                history,
-            )
-        except ObsynthError as exc:
-            raise ProblemFileError(f"$.simulation: {exc}") from exc
+        return SimConfig(
+            sim["t_end"], sim["dt"],
+            np.array(sim["x0"]), np.array(sim["x0_lo"]), np.array(sim["x0_hi"]),
+            history,
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
@@ -322,8 +294,7 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
         )
     klass = obj.get("class")
     if isinstance(klass, str) and klass in _CLASSES:
-        plant_type = _CLASSES[klass]
-        matrices = plant_type.MATRICES
+        matrices = _CLASSES[klass].MATRICES
         required = {"schema_version", "class", *matrices}
         optional = {"observer", "disturbance", "simulation"}
         if klass == "delay":
@@ -331,23 +302,10 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
         _check_keys(obj, required, optional, source)
         data: dict = {"schema_version": version, "class": klass}
         for name in matrices:
-            data[name] = _matrix(obj[name], f"{source}.{name}", square=name[0] == "A")
-        # A_h and C_h share the shape of their role
-        _, e_name, c_name, f_name = matrices[:4]
-        n = len(data[matrices[0]])
-        r = len(data[c_name])
-        for name in matrices:
-            rows, cols = len(data[name]), len(data[name][0])
-            expect = {"A": (n, n), "E": (n, None), "C": (r, n), "F": (r, None)}[name[0]]
-            if rows != expect[0] or (expect[1] is not None and cols != expect[1]):
-                raise _fail(f"{source}.{name}", f"shape {rows}x{cols} inconsistent with A")
-        p = len(data[e_name][0])
-        if len(data[f_name][0]) != p:
-            raise _fail(f"{source}.{f_name}", "column count must match " + e_name)
+            data[name] = _matrix(obj[name], f"{source}.{name}")
         if klass == "delay":
             data["h"] = _number(obj["h"], f"{source}.h")
-            if data["h"] < 0.0:
-                raise _fail(f"{source}.h", "delay must be nonnegative")
+        plant_path = source
     elif klass == "population":
         _check_keys(
             obj,
@@ -355,27 +313,39 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
             {"observer", "simulation"},
             source,
         )
+        plant_path = f"{source}.population"
         data = {
             "schema_version": version,
             "class": klass,
-            "population": _population(obj["population"], f"{source}.population"),
+            "population": _population(obj["population"], plant_path),
         }
-        n, p, r = 3, 1, 1
-        plant_type = ContinuousSystem  # the linear part design reads
     else:
         raise _fail(
             f"{source}.class",
             f"expected one of {sorted([*_CLASSES, 'population'])}, got {klass!r}",
         )
 
-    data["observer"] = _observer(
-        obj.get("observer", {}), f"{source}.observer", n, r, plant_type
-    )
+    # each section is built as soon as it is read, so the plant fixes the
+    # sizes the later sections are read against
+    pf = ProblemFile(data)
+    plant = _built(plant_path, pf.plant)
+    path = f"{source}.observer"
+    data["observer"] = _observer(obj.get("observer", {}), path)
+    spec = _built(path, pf.observer_spec)
+    _built(f"{path}.form", plant.check_form, spec.form)
+    bounds = _built(path, spec.bounds, plant.n, plant.r)
+    for key, bound in zip(("gain_lower", "gain_upper"), bounds):
+        if bound is not None:
+            data["observer"][key] = bound.tolist()
     if "disturbance" in obj:
-        data["disturbance"] = _disturbance(obj["disturbance"], f"{source}.disturbance", p)
+        path = f"{source}.disturbance"
+        data["disturbance"] = _disturbance(obj["disturbance"], path, plant.p)
+        _built(path, pf.disturbance)
     if "simulation" in obj:
-        data["simulation"] = _simulation(obj["simulation"], f"{source}.simulation", n)
-    return ProblemFile(data)
+        path = f"{source}.simulation"
+        data["simulation"] = _simulation(obj["simulation"], path, plant.n, klass == "delay")
+        _built(path, pf.sim_config)
+    return pf
 
 
 def parse_problem(path: str) -> ProblemFile:

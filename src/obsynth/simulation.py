@@ -512,6 +512,10 @@ class PopulationModel:
     half_saturation: float
 
     def __post_init__(self):
+        for name, count in (("decay", 3), ("growth", 2), ("incidence_bounds", 2)):
+            got = len(getattr(self, name))
+            if got != count:
+                raise SimulationError(f"{name} takes {count} values, got {got}")
         b1, b2, b3 = (float(v) for v in self.decay)
         a1, a2 = (float(v) for v in self.growth)
         if min(b1, b2, b3) <= 0.0 or min(a1, a2) <= 0.0:

@@ -80,7 +80,7 @@ def test_malformed_problem_exits_one(capsys, tmp_path):
     }))
     code, _, err = _run(capsys, "design", str(path))
     assert code == 1
-    assert "square" in err
+    assert err == f"error: {path}: A has shape (1, 2), expected (2, 2)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +430,34 @@ def test_unordered_gain_bounds_are_refused_up_front(
     path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (1, "")
-    assert err == "error: gain_lower exceeds gain_upper somewhere\n"
+    assert err == f"error: {path}.observer: gain_lower exceeds gain_upper somewhere\n"
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "case, section, patch, message",
+    [
+        ("case1", "observer", {"gain_lower": [[1.0], [3.0]], "gain_upper": [[2.0], [2.0]]},
+         "gain_lower exceeds gain_upper somewhere"),
+        ("case1", "simulation", {"x0": [3.0, 0.0]}, "x0 must lie inside [x0_lo, x0_hi]"),
+        ("case1", "simulation", {"dt": 0.0}, "dt must lie in (0, t_end]"),
+        ("population", "population", {"incidence_gain": 2.5},
+         "incidence_gain must lie inside incidence_bounds"),
+    ],
+    ids=["crossed_gain_bounds", "x0_outside_its_box", "zero_dt", "population_gain_outside"],
+)
+def test_check_refuses_what_a_later_build_would(
+    capsys, corpus_dir, tmp_path, case, section, patch, message
+):
+    # each file is well formed JSON of the right shapes; only building a
+    # section finds the fault, and parsing builds every section
+    doc = json.loads((corpus_dir / f"{case}.json").read_text())
+    doc[section].update(patch)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}.{section}: {message}\n"
 
 
 def test_check_reads_the_epsilon_flag(capsys, corpus_dir):

@@ -148,8 +148,11 @@ def test_solve_linear_pivot_floor_is_relative_to_the_largest_entry():
     assert np.max(np.abs(A @ x - 1.0)) <= 1e-6
 
 
+LIBRARY = Path(__file__).resolve().parents[1] / "src" / "obsynth"
+
+
 def _library_trees() -> list[tuple[str, ast.Module]]:
-    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "obsynth").glob("*.py"))
+    paths = sorted(LIBRARY.glob("*.py"))
     assert paths
     return [(path.name, ast.parse(path.read_text(), str(path))) for path in paths]
 
@@ -171,17 +174,24 @@ def test_no_eigenvalue_is_computed_in_the_library():
     assert found == []
 
 
+# the wordings a second shape rule has used for its messages
+SHAPE_MESSAGES = (" has shape ", "inconsistent with", "must be square", "expected shape")
+
+
 def test_only_linalg_checks_a_matrix_shape():
     # The one reading rule, linalg._shaped, is the only code that tests a
     # matrix argument's shape; readers elsewhere call it and keep no
-    # "... has shape ..." message of their own, and as_matrix, the
-    # coercer it replaced, is neither defined nor called.  The design LP
-    # is stated once as well: in synthesis only _assemble builds a
-    # LinearProgram.
+    # shape message of their own, and as_matrix, the coercer it
+    # replaced, is neither defined nor called.  The design LP is stated
+    # once as well: in synthesis only _assemble builds a LinearProgram.
     found = []
     for name, tree in _library_trees():
         for node in ast.walk(tree):
-            if name != "linalg.py" and isinstance(node, ast.Constant) and " has shape " in str(node.value):
+            if (
+                name != "linalg.py"
+                and isinstance(node, ast.Constant)
+                and any(m in str(node.value) for m in SHAPE_MESSAGES)
+            ):
                 found.append(f"{name}:{node.lineno} shape message")
             elif isinstance(node, ast.FunctionDef) and node.name == "as_matrix":
                 found.append(f"{name}:{node.lineno} as_matrix defined")
@@ -194,6 +204,29 @@ def test_only_linalg_checks_a_matrix_shape():
                 for node, called in _calls(tree)
                 if called == "LinearProgram" and id(node) not in inside
             ]
+    assert found == []
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export.  Elsewhere the only unused imports
+    # are names perfbench/tracer.py patches where they are looked up;
+    # each carries "# noqa: F401" on its own line or on the first line
+    # of its import statement.
+    found = []
+    for name, tree in _library_trees():
+        if name == "__init__.py":
+            continue
+        lines = (LIBRARY / name).read_text().splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            imports = isinstance(node, (ast.Import, ast.ImportFrom))
+            if not imports or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                marked = any("# noqa: F401" in lines[k - 1] for k in (node.lineno, alias.lineno))
+                if bound not in used and not marked:
+                    found.append(f"{name}:{alias.lineno} {bound}")
     assert found == []
 
 

@@ -131,15 +131,18 @@ def test_unknown_class():
 
 
 def test_nonsquare_state_matrix():
-    _expect(r"\$\.A.*square", _doc(A=[[1.0, 2.0]]))
+    # the plant type reads the matrices; its message names the one at fault
+    _expect(r"^\$: A has shape \(1, 2\), expected \(2, 2\)$", _doc(A=[[1.0, 2.0]]))
 
 
 def test_inconsistent_shapes_are_rejected():
-    _expect(r"\$\.E.*inconsistent", _doc(E=[[1.0]]))
-    _expect(r"\$\.C", _doc(C=[[1.0]]))
-    _expect(r"\$\.F.*column", _doc(F=[[1.0, 2.0]]))
+    _expect(r"^\$: E has shape \(1, 1\), expected \(2, 1\)$", _doc(E=[[1.0]]))
+    _expect(r"^\$: C has shape \(1, 1\), expected \(1, 2\)$", _doc(C=[[1.0]]))
+    _expect(r"^\$: F has shape \(1, 2\), expected \(1, 1\)$", _doc(F=[[1.0, 2.0]]))
     # C fixes the output count r; an F with other rows is the one blamed
-    _expect(r"\$\.F: shape 1x1 inconsistent", _doc(C=[[0.0, 1.0], [1.0, 0.0]]))
+    _expect(
+        r"^\$: F has shape \(1, 1\), expected \(2, 1\)$", _doc(C=[[0.0, 1.0], [1.0, 0.0]])
+    )
 
 
 def test_matrix_content_validation():
@@ -160,7 +163,7 @@ def test_delay_class_requires_h():
     }
     _expect(r"missing required key\(s\) h", doc)
     doc["h"] = -1.0
-    _expect(r"\$\.h.*nonnegative", doc)
+    _expect(r"^\$: delay h must be finite and nonnegative$", doc)
     doc["h"] = 1.0
     sys = parse_problem_dict(doc).system()
     assert isinstance(sys, DelaySystem)
@@ -183,14 +186,18 @@ def test_observer_defaults_and_bound_broadcast():
 
 def test_observer_bound_matrix_shape_checked():
     _expect(
-        r"\$\.observer\.gain_lower.*2x1",
+        r"^\$\.observer: gain_lower has shape \(1, 2\), expected \(2, 1\)$",
         _doc(observer={"gain_lower": [[0.0, 0.0]]}),
     )
 
 
 def test_observer_bad_form_and_epsilon():
-    _expect(r"\$\.observer\.form", _doc(observer={"form": "exotic"}))
-    _expect(r"\$\.observer\.epsilon", _doc(observer={"epsilon": 0.0}))
+    _expect(
+        r"^\$\.observer: unknown observer form 'exotic'$", _doc(observer={"form": "exotic"})
+    )
+    _expect(
+        r"^\$\.observer: epsilon must be a positive real$", _doc(observer={"epsilon": 0.0})
+    )
     _expect(r"\$\.observer.*unknown", _doc(observer={"margin": 1e-6}))
 
 
@@ -324,6 +331,37 @@ def test_simulation_section_lengths_checked():
     )
 
 
+_POPULATION = {
+    "decay": [2.0, 2.0, 3.0],
+    "growth": [3.0, 4.0],
+    "incidence_gain": 1.5,
+    "incidence_bounds": [1.0, 2.0],
+    "half_saturation": 1.0,
+}
+
+
+@pytest.mark.parametrize(
+    "klass, plant, n",
+    [
+        ("continuous", {k: BASE[k] for k in "AECF"}, 2),
+        ("discrete", {"A_d": [[0.5]], "E_d": [[1.0]], "C_d": [[1.0]], "F_d": [[1.0]]}, 1),
+        ("population", {"population": _POPULATION}, 3),
+        ("delay", {"A": [[-3.0]], "A_h": [[1.0]], "E": [[1.0]], "C": [[1.0]],
+                   "C_h": [[0.0]], "F": [[0.0]], "h": 1.0}, 1),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_history_is_read_only_where_a_simulator_reads_it(klass, plant, n):
+    sim = {"t_end": 1.0, "dt": 0.1, "x0": [0.5] * n, "x0_lo": [0.0] * n, "x0_hi": [1.0] * n}
+    doc = {"schema_version": "1", "class": klass, **plant, "simulation": sim}
+    sim["history"] = [{"type": "constant", "value": 0.5}] * n
+    if klass == "delay":
+        history = parse_problem_dict(doc).sim_config().history
+        assert [h(-0.5) for h in history] == [0.5]
+    else:
+        _expect(r"^\$\.simulation: unknown key\(s\) history$", doc)
+
+
 def test_missing_sections_reported_on_use():
     pf = parse_problem_dict(_doc())
     with pytest.raises(ProblemFileError, match=r"\$\.disturbance"):
@@ -333,7 +371,8 @@ def test_missing_sections_reported_on_use():
 
 
 def test_sim_config_errors_carry_the_json_path():
-    pf = parse_problem_dict(
+    _expect(
+        r"^\$\.simulation: x0 must lie inside \[x0_lo, x0_hi\]$",
         _doc(
             simulation={
                 "t_end": 1.0,
@@ -342,10 +381,8 @@ def test_sim_config_errors_carry_the_json_path():
                 "x0_lo": [0.0, 0.0],
                 "x0_hi": [1.0, 1.0],
             }
-        )
+        ),
     )
-    with pytest.raises(ProblemFileError, match=r"\$\.simulation"):
-        pf.sim_config()
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +411,7 @@ def test_population_dict_parses_constant_and_signal_gains():
     assert abs(model.gain_at(0.0) - 1.5) <= 1e-15
 
     doc["population"]["decay"] = [2.0, 2.0]
-    _expect(r"\$\.population\.decay", doc)
+    _expect(r"^\$\.population: decay takes 3 values, got 2$", doc)
 
 
 def test_population_rejects_matrix_keys():
@@ -405,9 +442,8 @@ def test_invalid_model_values_blamed_on_the_system():
             "half_saturation": 1.0,
         },
     }
-    pf = parse_problem_dict(doc)  # shape-valid, so parsing succeeds
-    with pytest.raises(ProblemFileError, match=r"population system"):
-        pf.system()
+    # parsing builds the model, so the file itself is refused
+    _expect(r"^\$\.population: incidence_gain must lie inside incidence_bounds$", doc)
 
 
 # ---------------------------------------------------------------------------

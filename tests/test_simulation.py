@@ -8,6 +8,7 @@ replaced.
 """
 
 import json
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -505,6 +506,21 @@ def test_population_model_validation():
         PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), 1.5, (2.0, 1.0), 1.0)
     with pytest.raises(SimulationError):
         PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), 1.5, (1.0, 2.0), 0.0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((1.0, 2.0), (3.0, 4.0), 1.5, (1.0, 2.0)), "decay takes 3 values, got 2"),
+        (((2.0, 2.0, 3.0), (3.0,), 1.5, (1.0, 2.0)), "growth takes 2 values, got 1"),
+        (((2.0, 2.0, 3.0), (3.0, 4.0), 1.5, (1.0, 1.5, 2.0)),
+         "incidence_bounds takes 2 values, got 3"),
+    ],
+    ids=["decay", "growth", "incidence_bounds"],
+)
+def test_population_model_counts_its_rates(args, message):
+    with pytest.raises(SimulationError, match=rf"^{re.escape(message)}$"):
+        PopulationModel(*args, 1.0)
 
 
 def test_population_linear_part_and_threshold():
