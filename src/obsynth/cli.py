@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,20 +56,27 @@ def _emit(doc: dict, out_path: str | None = None) -> None:
             fh.write(text + "\n")
 
 
-def _epsilon_fallback() -> float:
-    raw = os.environ.get("OBSYNTH_EPSILON")
-    if raw is None:
-        return DEFAULT_EPSILON
+def _named_epsilon(value, name: str) -> float:
+    """value as a strictness margin; an error names where it was set."""
     try:
-        return _positive_epsilon(raw)
+        return _positive_epsilon(value)
     except (ValueError, PreconditionError):
-        raise ObsynthError(f"OBSYNTH_EPSILON={raw!r} is not a positive real") from None
+        raise ObsynthError(f"{name}={value!r} is not a positive real") from None
+
+
+def _epsilons(args) -> dict:
+    """The margin options of observer_spec: --epsilon, which forces the
+    margin, and OBSYNTH_EPSILON, which stands in for a file's."""
+    raw = os.environ.get("OBSYNTH_EPSILON")
+    return {
+        "fallback": DEFAULT_EPSILON if raw is None else _named_epsilon(raw, "OBSYNTH_EPSILON"),
+        "epsilon": None if args.epsilon is None else _named_epsilon(args.epsilon, "--epsilon"),
+    }
 
 
 def _spec_for(pf: ProblemFile, args) -> tuple["ObserverSpec", "Plant"]:
     """The observer options and the plant they are read against."""
-    spec = pf.observer_spec(epsilon=args.epsilon, fallback=_epsilon_fallback())
-    return spec, pf.plant()
+    return pf.observer_spec(**_epsilons(args)), pf.plant()
 
 
 def _parse_matrix_flag(text: str, flag: str, rows: int | None, cols: int) -> np.ndarray:
@@ -93,24 +101,9 @@ def _parse_matrix_flag(text: str, flag: str, rows: int | None, cols: int) -> np.
 
 
 def _design_document(plant, spec, result) -> dict:
-    doc = {
-        "status": result.status,
-        "kind": result.kind,
-        "form": result.form,
-        "epsilon": result.epsilon,
-        "L": result.L,
-        "gamma": result.gamma,
-        "X_diag": result.X_diag,
-        "U": result.U,
-        "diagnostic": result.diagnostic,
-    }
+    doc = asdict(result)
     if result.status == "optimal":
-        report = certify(result, plant, spec)
-        doc["certification"] = {
-            "passed": report.passed,
-            "flags": report.flags,
-            "gamma_independent": report.gamma_independent,
-        }
+        doc["certification"] = asdict(certify(result, plant, spec))
     return doc
 
 
@@ -202,9 +195,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     # parsing builds every section; only the margin a flag or the
-    # environment may set is left to read
+    # environment may set is left to check
     pf = parse_problem(args.input)
-    pf.observer_spec(epsilon=args.epsilon, fallback=_epsilon_fallback())
+    _epsilons(args)
     _emit({"valid": True, "class": pf.klass, "file": args.input})
     return EXIT_OK
 

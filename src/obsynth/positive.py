@@ -103,16 +103,12 @@ class Plant:
         m[a] = _shaped(m[a], a)
         n = m[a].shape[0]
         if lag:
-            m[lag[0]] = _shaped(m[lag[0]], lag[0])
-            if m[lag[0]].shape[0] != n:
-                raise DimensionError(f"{a} and {lag[0]} sizes differ")
+            m[lag[0]] = _shaped(m[lag[0]], lag[0], n, n)
         m[e] = _shaped(m[e], e, n)
         m[c] = _shaped(m[c], c, cols=n)
         r = m[c].shape[0]
         if lag:
-            m[lag[1]] = _shaped(m[lag[1]], lag[1], cols=n)
-            if m[lag[1]].shape[0] != r:
-                raise DimensionError(f"{c} and {lag[1]} row counts differ")
+            m[lag[1]] = _shaped(m[lag[1]], lag[1], r, n)
         m[f] = _shaped(m[f], f, r, m[e].shape[1])
 
     @property

@@ -2,26 +2,28 @@
 
 A problem file names a plant class, its matrices, and optionally the
 observer options, the disturbance signals with their envelope, and the
-simulation grid.  Parsing checks the JSON shape here (objects, key sets,
-finite numbers, rectangular numeric arrays, the kind of each signal
-field) and what no type knows: x0 against n, and the signal counts
-against p and n.  It builds each section once through the type that
-checks it (the plant, ObserverSpec with check_form and bounds(n, r),
-each signal, DisturbanceModel, SimConfig) and reports what that type
-raises under the source and the section's JSON path, so a file that
-parses is one every command can use.  Parsed files normalize defaults
-once, a number given as a gain bound included, which makes
-parse(write(parse(f))) a fixed point.  One table, _SIGNALS, gives each
-signal type its class, fields and defaults, and one, _CLASSES, gives
-each matrix class its system type, whose MATRICES name the file's
-matrices and whose check_form says which observer forms it takes, so
-neither is dispatched anywhere else.
+simulation grid.  One reader, _section, reads every object of a file
+against a table of its fields: it checks the key set and hands each
+key to its field's parser, which checks the JSON shape (finite numbers,
+rectangular numeric arrays, the kind of each signal field) and what no
+type knows: x0 against n, and the signal counts against p and n.  Each
+section is then handed as it stands to the type that checks it (the
+plant, ObserverSpec with check_form and bounds(n, r), each signal,
+DisturbanceModel, SimConfig), whose errors are reported under the
+source and the section's JSON path, so a file that parses is one every
+command can use.  Parsed files normalize defaults once, a number given
+as a gain bound included, which makes parse(write(parse(f))) a fixed
+point.  One table, _SIGNALS, gives each signal type its class, fields
+and defaults, and one, _CLASSES, gives each matrix class its system
+type, whose MATRICES name the file's matrices and whose check_form says
+which observer forms it takes, so neither is dispatched anywhere else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +74,20 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], path: str) ->
         raise _fail(path, f"unknown key(s) {', '.join(unknown)}")
 
 
+def _section(value, path: str, fields: dict, optional=()) -> dict:
+    """The object at path, read through its field table: every field is
+    required unless listed in optional, no other key is allowed, and
+    each key present is read by its field's parser at path.key."""
+    obj = _expect_object(value, path)
+    required = set(fields).difference(optional)
+    _check_keys(obj, required, set(fields) - required, path)
+    return {key: read(obj[key], f"{path}.{key}") for key, read in fields.items() if key in obj}
+
+
+def _as_given(value, path: str):
+    return value
+
+
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, "expected a number")
@@ -80,10 +96,18 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _number_list(value, path: str) -> list[float]:
+def _number_list(value, path: str, size: int | None = None) -> list[float]:
     if not isinstance(value, list):
         raise _fail(path, "expected an array of numbers")
-    return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+    out = [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+    if size is not None and len(out) != size:
+        raise _fail(path, f"expected {size} entries, got {len(out)}")
+    return out
+
+
+def _number_or(read, kind: type, value, path: str):
+    """value read by read when it is a JSON `kind`, else as one number."""
+    return (read if isinstance(value, kind) else _number)(value, path)
 
 
 def _matrix(value, path: str) -> list[list[float]]:
@@ -115,16 +139,11 @@ _SIGNALS = {
 
 
 def _signal_dict(value, path: str) -> dict:
-    obj = _expect_object(value, path)
-    kind = obj.get("type")
+    kind = _expect_object(value, path).get("type")
     if not isinstance(kind, str) or kind not in _SIGNALS:
         raise _fail(f"{path}.type", f"expected one of {sorted(_SIGNALS)}, got {kind!r}")
     _, fields, defaults = _SIGNALS[kind]
-    _check_keys(obj, {"type", *fields} - set(defaults), set(defaults), path)
-    out = {"type": kind, **defaults}
-    for key, val in obj.items():
-        if key != "type":
-            out[key] = fields[key](val, f"{path}.{key}")
+    out = {**defaults, **_section(value, path, {"type": _as_given, **fields}, defaults)}
     _built(path, build_signal, out)
     return out
 
@@ -143,95 +162,71 @@ def _signal_list(value, path: str, expected: int) -> list[dict]:
     return [_signal_dict(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
 
+# a gain bound is one number or a matrix; ObserverSpec.bounds reads it at n x r
+_OBSERVER = {
+    "form": _as_given,
+    "epsilon": _number,
+    **dict.fromkeys(("gain_lower", "gain_upper"), partial(_number_or, _matrix, list)),
+}
+
+
 def _observer(value, path: str) -> dict:
-    obj = _expect_object(value, path)
-    _check_keys(obj, set(), {"form", "gain_lower", "gain_upper", "epsilon"}, path)
-    out = {"form": obj.get("form", "standard")}
-    if "epsilon" in obj:
-        # Left absent when the file does not set it, so callers can tell
-        # an explicit choice from the overridable default.
-        out["epsilon"] = _number(obj["epsilon"], f"{path}.epsilon")
-    for key in ("gain_lower", "gain_upper"):
-        if key in obj:
-            # one number or a matrix; ObserverSpec.bounds reads it at n x r
-            read = _matrix if isinstance(obj[key], list) else _number
-            out[key] = read(obj[key], f"{path}.{key}")
-    return out
+    # epsilon is left absent when the file does not set it, so callers
+    # can tell an explicit choice from the overridable default
+    return {"form": "standard", **_section(value, path, _OBSERVER, optional=_OBSERVER)}
 
 
 def _simulation(value, path: str, n: int, delayed: bool) -> dict:
-    obj = _expect_object(value, path)
-    # only a delayed plant reads a history, its state on [-h, 0]
-    required = {"t_end", "dt", "x0", "x0_lo", "x0_hi"}
-    _check_keys(obj, required, {"history"} if delayed else set(), path)
-    out = {
-        "t_end": _number(obj["t_end"], f"{path}.t_end"),
-        "dt": _number(obj["dt"], f"{path}.dt"),
-    }
-    for key in ("x0", "x0_lo", "x0_hi"):
-        out[key] = _number_list(obj[key], f"{path}.{key}")
-    if len(out["x0"]) != n:
-        raise _fail(f"{path}.x0", f"expected {n} entries, got {len(out['x0'])}")
-    if "history" in obj:
-        out["history"] = _signal_list(obj["history"], f"{path}.history", n)
-    return out
+    fields = {"t_end": _number, "dt": _number, "x0": partial(_number_list, size=n)}
+    fields |= dict.fromkeys(("x0_lo", "x0_hi"), _number_list)
+    if delayed:
+        # only a delayed plant reads a history, its state on [-h, 0]
+        fields["history"] = partial(_signal_list, expected=n)
+    return _section(value, path, fields, optional=("history",))
 
 
 def _disturbance(value, path: str, p: int) -> dict:
-    obj = _expect_object(value, path)
-    _check_keys(obj, {"w", "w_lo", "w_hi"}, set(), path)
-    return {
-        key: _signal_list(obj[key], f"{path}.{key}", p) for key in ("w", "w_lo", "w_hi")
-    }
+    signals = partial(_signal_list, expected=p)
+    return _section(value, path, dict.fromkeys(("w", "w_lo", "w_hi"), signals))
+
+
+# the true incidence gain is either a constant or a named signal
+_POPULATION = {
+    **dict.fromkeys(("decay", "growth", "incidence_bounds"), _number_list),
+    "incidence_gain": partial(_number_or, _signal_dict, dict),
+    "half_saturation": _number,
+}
 
 
 def _population(value, path: str) -> dict:
-    obj = _expect_object(value, path)
-    _check_keys(
-        obj,
-        {"decay", "growth", "incidence_gain", "incidence_bounds", "half_saturation"},
-        set(),
-        path,
-    )
-    out = {
-        key: _number_list(obj[key], f"{path}.{key}")
-        for key in ("decay", "growth", "incidence_bounds")
-    }
-    # the true incidence gain is either a constant or a named signal
-    gain = obj["incidence_gain"]
-    read = _signal_dict if isinstance(gain, dict) else _number
-    out["incidence_gain"] = read(gain, f"{path}.incidence_gain")
-    out["half_saturation"] = _number(obj["half_saturation"], f"{path}.half_saturation")
-    return out
+    return _section(value, path, _POPULATION)
 
 
 @dataclass
 class ProblemFile:
-    """One parsed, normalized problem description."""
+    """One parsed, normalized problem description, named by its source."""
 
     data: dict
+    source: str = "$"
 
     @property
     def klass(self) -> str:
         return self.data["class"]
 
+    def _required(self, name: str) -> dict:
+        if name not in self.data:
+            raise _fail(f"{self.source}.{name}", "section required but absent")
+        return self.data[name]
+
     def system(self):
         d = self.data
         if d["class"] in _CLASSES:
             cls = _CLASSES[d["class"]]
-            delay = {"h": d["h"]} if "h" in d else {}
-            return cls(**{k: np.array(d[k]) for k in cls.MATRICES}, **delay)
-        pop = d["population"]
-        gain = pop["incidence_gain"]
-        if isinstance(gain, dict):
-            gain = build_signal(gain)
-        return PopulationModel(
-            tuple(pop["decay"]),
-            tuple(pop["growth"]),
-            gain,
-            tuple(pop["incidence_bounds"]),
-            pop["half_saturation"],
-        )
+            return cls(**{k: v for k, v in d.items() if k in cls.MATRICES or k == "h"})
+        pop = dict(d["population"])
+        if isinstance(pop["incidence_gain"], dict):
+            pop["incidence_gain"] = build_signal(pop["incidence_gain"])
+        return PopulationModel(**pop)
 
     def plant(self):
         """The linear system the observer is designed for: the system
@@ -244,38 +239,24 @@ class ProblemFile:
     ) -> ObserverSpec:
         """Observer options; `epsilon` forces the margin, otherwise the
         file's value applies and `fallback` covers files that set none."""
-        obs = self.data["observer"]
-        if epsilon is None:
-            epsilon = obs.get("epsilon", fallback)
-        return ObserverSpec(
-            form=obs["form"],
-            gain_lower=None if "gain_lower" not in obs else np.array(obs["gain_lower"]),
-            gain_upper=None if "gain_upper" not in obs else np.array(obs["gain_upper"]),
-            epsilon=epsilon,
-        )
+        # the bounds stay arrays, since ObserverSpec keeps them as given
+        obs = {
+            key: np.array(value) if key.startswith("gain_") else value
+            for key, value in self.data["observer"].items()
+        }
+        if epsilon is not None:
+            obs["epsilon"] = epsilon
+        return ObserverSpec(**{"epsilon": fallback, **obs})
 
     def disturbance(self) -> DisturbanceModel:
-        dist = self.data.get("disturbance")
-        if dist is None:
-            raise ProblemFileError("$.disturbance: section required but absent")
-        return DisturbanceModel(
-            [build_signal(s) for s in dist["w"]],
-            [build_signal(s) for s in dist["w_lo"]],
-            [build_signal(s) for s in dist["w_hi"]],
-        )
+        dist = self._required("disturbance")
+        return DisturbanceModel(**{k: [build_signal(s) for s in v] for k, v in dist.items()})
 
     def sim_config(self) -> SimConfig:
-        sim = self.data.get("simulation")
-        if sim is None:
-            raise ProblemFileError("$.simulation: section required but absent")
-        history = None
+        sim = dict(self._required("simulation"))
         if "history" in sim:
-            history = [build_signal(s) for s in sim["history"]]
-        return SimConfig(
-            sim["t_end"], sim["dt"],
-            np.array(sim["x0"]), np.array(sim["x0_lo"]), np.array(sim["x0_hi"]),
-            history,
-        )
+            sim["history"] = [build_signal(s) for s in sim["history"]]
+        return SimConfig(**sim)
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True)
@@ -293,57 +274,42 @@ def parse_problem_dict(raw: dict, source: str = "$") -> ProblemFile:
             f"{source}.schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}"
         )
     klass = obj.get("class")
+    # the sections read against the plant's sizes are taken as given
+    # here and read below, once the plant that fixes them is built
+    fields = dict.fromkeys(("schema_version", "class", "observer", "simulation"), _as_given)
     if isinstance(klass, str) and klass in _CLASSES:
-        matrices = _CLASSES[klass].MATRICES
-        required = {"schema_version", "class", *matrices}
-        optional = {"observer", "disturbance", "simulation"}
+        fields.update(dict.fromkeys(_CLASSES[klass].MATRICES, _matrix))
+        fields["disturbance"] = _as_given
         if klass == "delay":
-            required.add("h")
-        _check_keys(obj, required, optional, source)
-        data: dict = {"schema_version": version, "class": klass}
-        for name in matrices:
-            data[name] = _matrix(obj[name], f"{source}.{name}")
-        if klass == "delay":
-            data["h"] = _number(obj["h"], f"{source}.h")
+            fields["h"] = _number
         plant_path = source
     elif klass == "population":
-        _check_keys(
-            obj,
-            {"schema_version", "class", "population"},
-            {"observer", "simulation"},
-            source,
-        )
+        fields["population"] = _population
         plant_path = f"{source}.population"
-        data = {
-            "schema_version": version,
-            "class": klass,
-            "population": _population(obj["population"], plant_path),
-        }
     else:
         raise _fail(
             f"{source}.class",
             f"expected one of {sorted([*_CLASSES, 'population'])}, got {klass!r}",
         )
+    data = _section(obj, source, fields, optional=("observer", "disturbance", "simulation"))
 
-    # each section is built as soon as it is read, so the plant fixes the
-    # sizes the later sections are read against
-    pf = ProblemFile(data)
+    pf = ProblemFile(data, source)
     plant = _built(plant_path, pf.plant)
     path = f"{source}.observer"
-    data["observer"] = _observer(obj.get("observer", {}), path)
+    data["observer"] = _observer(data.get("observer", {}), path)
     spec = _built(path, pf.observer_spec)
     _built(f"{path}.form", plant.check_form, spec.form)
     bounds = _built(path, spec.bounds, plant.n, plant.r)
     for key, bound in zip(("gain_lower", "gain_upper"), bounds):
         if bound is not None:
             data["observer"][key] = bound.tolist()
-    if "disturbance" in obj:
+    if "disturbance" in data:
         path = f"{source}.disturbance"
-        data["disturbance"] = _disturbance(obj["disturbance"], path, plant.p)
+        data["disturbance"] = _disturbance(data["disturbance"], path, plant.p)
         _built(path, pf.disturbance)
-    if "simulation" in obj:
+    if "simulation" in data:
         path = f"{source}.simulation"
-        data["simulation"] = _simulation(obj["simulation"], path, plant.n, klass == "delay")
+        data["simulation"] = _simulation(data["simulation"], path, plant.n, klass == "delay")
         _built(path, pf.sim_config)
     return pf
 

@@ -460,10 +460,32 @@ def test_check_refuses_what_a_later_build_would(
     assert err == f"error: {path}.{section}: {message}\n"
 
 
-def test_check_reads_the_epsilon_flag(capsys, corpus_dir):
-    code, _, err = _run(capsys, "check", _case(corpus_dir, "case2"), "--epsilon", "-1")
-    assert code == 1
-    assert "epsilon" in err
+def test_check_reads_the_epsilon_flag(capsys, corpus_dir, tmp_path, monkeypatch):
+    # every command that takes the flag checks it before any work, as
+    # OBSYNTH_EPSILON is checked, and names it
+    monkeypatch.chdir(tmp_path)
+    for command in ("check", "design", "gain", "simulate"):
+        for value in ("-1", "0", "nan", "inf"):
+            argv = (command, _case(corpus_dir, "case2"), "--epsilon", value)
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: --epsilon={float(value)!r} is not a positive real\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["simulation", "disturbance"])
+def test_simulate_names_the_file_missing_a_section(
+    capsys, corpus_dir, tmp_path, monkeypatch, section
+):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((corpus_dir / "case1.json").read_text())
+    del doc[section]
+    path = tmp_path / f"no_{section}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}.{section}: section required but absent\n"
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_bench_takes_no_epsilon(capsys):

@@ -175,7 +175,14 @@ def test_no_eigenvalue_is_computed_in_the_library():
 
 
 # the wordings a second shape rule has used for its messages
-SHAPE_MESSAGES = (" has shape ", "inconsistent with", "must be square", "expected shape")
+SHAPE_MESSAGES = (
+    " has shape ",
+    "inconsistent with",
+    "must be square",
+    "expected shape",
+    "sizes differ",
+    "row counts differ",
+)
 
 
 def test_only_linalg_checks_a_matrix_shape():
@@ -204,6 +211,22 @@ def test_only_linalg_checks_a_matrix_shape():
                 for node, called in _calls(tree)
                 if called == "LinearProgram" and id(node) not in inside
             ]
+    assert found == []
+
+
+def test_problem_reads_every_object_through_one_reader():
+    # problem._section is the one reader of a problem file's objects: it
+    # checks each object's key set against a field table, and no other
+    # problem code calls _check_keys.
+    (tree,) = [tree for name, tree in _library_trees() if name == "problem.py"]
+    (section,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_section"]
+    inside = {id(node) for node, called in _calls(section) if called == "_check_keys"}
+    assert inside, "_section no longer checks key sets"
+    found = [
+        f"problem.py:{node.lineno} _check_keys outside _section"
+        for node, called in _calls(tree)
+        if called == "_check_keys" and id(node) not in inside
+    ]
     assert found == []
 
 

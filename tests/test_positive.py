@@ -65,13 +65,13 @@ Z12 = np.zeros((1, 2))
     "build, error, message",
     [
         (lambda: DelaySystem(A_CASE1, np.eye(3), E2, C2, Z12, F2, 1.0),
-         DimensionError, "A and A_h sizes differ"),
+         DimensionError, "A_h has shape (3, 3), expected (2, 2)"),
         (lambda: DiscreteDelaySystem(0.5 * np.eye(2), np.eye(3), E2, C2, Z12, F2),
-         DimensionError, "A_d and A_dh sizes differ"),
+         DimensionError, "A_dh has shape (3, 3), expected (2, 2)"),
         (lambda: DelaySystem(A_CASE1, np.eye(2), E2, C2, np.zeros((2, 2)), F2, 1.0),
-         DimensionError, "C and C_h row counts differ"),
+         DimensionError, "C_h has shape (2, 2), expected (1, 2)"),
         (lambda: DiscreteDelaySystem(0.5 * np.eye(2), np.eye(2), E2, C2, np.zeros((2, 2)), F2),
-         DimensionError, "C_d and C_dh row counts differ"),
+         DimensionError, "C_dh has shape (2, 2), expected (1, 2)"),
         (lambda: ContinuousSystem(A_CASE1, E2, C2, F2, Fz=np.zeros((1, 1))),
          DimensionError, "Fz given without Cz"),
         (lambda: DelaySystem(A_CASE1, np.eye(2), E2, C2, Z12, F2, -1.0),
@@ -668,6 +668,15 @@ def test_performance_output_follows_the_same_rule():
     assert sys.Cz.shape == (1, 3) and np.array_equal(sys.Fz, np.full((1, 2), 0.25))
     with pytest.raises(DimensionError):
         _plant_with(3, 2, 1, Cz=np.ones((2, 3)), Fz=[1.0, 2.0])
+
+
+def test_delayed_maps_follow_the_same_rule():
+    # A_h is read at n x n and C_h at r x n, so a number fills either
+    sys = DelaySystem(A_CASE1, 0.0, E2, C2, 0.5, F2, 1.0)
+    assert np.array_equal(sys.A_h, np.zeros((2, 2)))
+    assert np.array_equal(sys.C_h, np.full((1, 2), 0.5))
+    with pytest.raises(DimensionError, match=r"^C_h has shape \(2, 1\), expected \(1, 2\)$"):
+        DelaySystem(A_CASE1, np.eye(2), E2, C2, np.ones((2, 1)), F2, 1.0)
 
 
 def test_loop_functions_follow_the_same_rule():
