@@ -26,6 +26,7 @@ from .errors import DimensionError, NonFiniteError, ObsynthError, PreconditionEr
 from .linalg import _shaped
 from .positive import (
     DEFAULT_EPSILON,
+    Plant,
     _positive_epsilon,
     gain_for_output,
     linf_gain_lp,
@@ -33,7 +34,7 @@ from .positive import (
 )
 from .problem import ProblemFile, parse_problem
 from .simulation import check_inclusion, empirical_peak_gain
-from .synthesis import certify, closed_loop, design
+from .synthesis import ObserverSpec, certify, closed_loop, design
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,7 +75,7 @@ def _epsilons(args) -> dict:
     }
 
 
-def _spec_for(pf: ProblemFile, args) -> tuple["ObserverSpec", "Plant"]:
+def _spec_for(pf: ProblemFile, args) -> tuple[ObserverSpec, Plant]:
     """The observer options and the plant they are read against."""
     return pf.observer_spec(**_epsilons(args)), pf.plant()
 
@@ -165,6 +166,10 @@ def cmd_gain(args) -> int:
 def cmd_simulate(args) -> int:
     pf = parse_problem(args.input)
     spec, plant = _spec_for(pf, args)
+    # a file lacking a section the simulation reads fails before the design
+    pf.sim_config()
+    if pf.klass != "population":
+        pf.disturbance()
     result = design(plant, spec)
     if result.status != "optimal":
         _emit({"status": result.status, "diagnostic": result.diagnostic})

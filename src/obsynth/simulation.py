@@ -1,23 +1,24 @@
 """Trajectory simulation for plants together with their interval observers.
 
-Plant and observers are linear in the state, so one classical RK4 step
-of x' = A x + u(t) is exactly the affine map
+Plant and observers are linear in the state, and their inputs are read
+on the time grid and held linear between grid values.  One step of
+x' = A x + u(t) is then exactly the affine map
 
-    x+ = Phi x + h (P1 u1 + P2 u2 + P3 u3 + P4 u4),
+    x+ = Phi x + W0 u_k + W1 u_{k+1},
 
-with Phi and the stage weights P1..P4 fixed polynomials in hA and u_s
-the input at RK4 stage s (see _rk4_maps).  The maps are built once per
-trace, the inputs on the grid and the half-step grid are evaluated in
-one vectorized pass, and the only per-step work left is the matrix
-recurrence.  The continuous case steps plant and both observer copies
-as one joint system.  The delayed case uses the method of steps: the
-step size is snapped to an integer fraction of the delay, and one array
-holds the history on the grid followed by the trace, so stage values at
-t - h are stored rows.  Half-step values come from the history, sampled
-once, or from a fourth-order four-point stencil on the trace, so the
-overall order of the integrator is preserved.  The population model is
-nonlinear, but its plant does not depend on the observers: the plant is
-stepped alone and its RK4 stage states then drive the observer pair
+with Phi = e^{hA} and the input weights W0, W1 taken from one matrix
+exponential (see _step_maps).  The maps are built once per trace, the
+inputs on the grid are evaluated in one vectorized pass, and the only
+per-step work left is the matrix recurrence.  Constant and linear
+inputs are therefore stepped exactly, and the step size does not
+decide stability.  The continuous case steps plant and both observer
+copies as one joint system.  The delayed case uses the method of
+steps: the step size is snapped to an integer fraction of the delay,
+and one array holds the history on the grid followed by the trace, so
+the state one delay back is a stored row and the lag is one more input
+held linear between rows.  The population model is nonlinear, but its
+plant does not depend on the observers: the plant is stepped alone by
+classical RK4 and its states on the grid then drive the observer pair
 through the same recurrence.  Discrete time is the exact recursion, run
 by the same loop.  The three linear simulators share their setup
 (_linear_setup) and their finish (_joint_trace).
@@ -40,10 +41,8 @@ from .positive import ContinuousSystem, DelaySystem, DiscreteSystem
 
 BOUND_TOL = 1e-12
 
-# Midpoint interpolation weights on four consecutive grid values:
-# centered about the midpoint, and one-sided for the first interval.
-_MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-_MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
+# Taylor degree of _expm; at a 1-norm below 1 the tail is below 1e-17
+_TAYLOR_DEGREE = 18
 
 
 class Signal:
@@ -307,25 +306,34 @@ def _joint_input(E, F, L, form) -> np.ndarray:
     return np.vstack([np.hstack([E, np.zeros((n, 2 * p))]), lo, hi])
 
 
-def _rk4_maps(A: np.ndarray, h: float):
-    """Phi and (h P1, h P2, h P3, h P4) for one classical RK4 step of
-    x' = A x + u, which is exactly x+ = Phi x + sum_s h P_s u_s with u_s
-    the input at stage s (times t, t + h/2, t + h/2, t + h).  With M = hA:
-    Phi = I + M + M^2/2 + M^3/6 + M^4/24, P1 = (I + M + M^2/2 + M^3/4)/6,
-    P2 = (2I + M + M^2/2)/6, P3 = (2I + M)/6 and P4 = I/6."""
-    eye = np.eye(A.shape[0])
-    M = h * A
-    M2 = M @ M
-    M3 = M2 @ M
-    phi = eye + M + M2 / 2.0 + M3 / 6.0 + M3 @ M / 24.0
-    weights = (eye + M + M2 / 2.0 + M3 / 4.0, 2.0 * eye + M + M2 / 2.0, 2.0 * eye + M, eye)
-    return phi, tuple(h / 6.0 * P for P in weights)
+def _expm(M: np.ndarray) -> np.ndarray:
+    """e^M by scaling and squaring: a Taylor sum of M / 2^s, with s the
+    least that brings its 1-norm below 1, squared s times."""
+    s = max(0, int(np.frexp(np.abs(M).sum(axis=0).max())[1]))
+    X = M / 2.0**s
+    eye = np.eye(M.shape[0])
+    E = eye
+    for j in range(_TAYLOR_DEGREE, 0, -1):
+        E = eye + X @ E / j
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
-def _midpoint_maps(hP, B: np.ndarray):
-    """The step's maps of an input fed through B and sampled at t, t + h/2
-    and t + h, stages 2 and 3 sharing the half-step value."""
-    return hP[0] @ B, (hP[1] + hP[2]) @ B, hP[3] @ B
+def _step_maps(A: np.ndarray, h: float):
+    """(Phi, W0, W1) of the exact step x+ = Phi x + W0 u_k + W1 u_{k+1} of
+    x' = A x + u over a step h, with u linear between its grid values:
+    Phi = e^{hA}, W0 = h (phi1 - phi2)(hA) and W1 = h phi2(hA).  The top
+    block row of e^{hM}, M = [[A, I, 0], [0, 0, I], [0, 0, 0]], is
+    [Phi, h phi1(hA), h^2 phi2(hA)] (Van Loan 1978)."""
+    k = A.shape[0]
+    eye, zero = np.eye(k), np.zeros((k, k))
+    M = np.block([[A, eye, zero], [zero, zero, eye], [zero, zero, zero]])
+    # an overflowing plant is reported once per trace, by _check_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, hphi1, hhphi2 = np.split(_expm(h * M)[:k], 3, axis=1)
+        W1 = hhphi2 / h
+        return phi, hphi1 - W1, W1
 
 
 def _recur(phi: np.ndarray, X0: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -354,11 +362,6 @@ def _check_finite(times: np.ndarray, *states: np.ndarray) -> None:
 def _grid(t_end: float, dt: float) -> np.ndarray:
     steps = max(1, int(np.ceil(t_end / dt - 1e-9)))
     return dt * np.arange(steps + 1)
-
-
-def _midpoints(times: np.ndarray) -> np.ndarray:
-    """Half-step times as t + (t_next - t) / 2, the way a stepper reaches them."""
-    return times[:-1] + np.diff(times) / 2.0
 
 
 def _check_x0(config: SimConfig, n: int) -> None:
@@ -392,12 +395,11 @@ def _joint_trace(times: np.ndarray, joint: np.ndarray, W: np.ndarray) -> Trace:
     return Trace(times, *np.split(joint, 3, axis=1), *np.split(W, 3, axis=1))
 
 
-def _disturbance_drive(hP, B, dist: DisturbanceModel, times: np.ndarray, W: np.ndarray):
-    """sum_s h P_s B W(t_s) for every step, from W on the grid and the
-    disturbance evaluated once on the half-step grid."""
-    q0, qm, q1 = _midpoint_maps(hP, B)
-    W_mid = np.hstack(dist.at(_midpoints(times)))
-    return W[:-1] @ q0.T + W_mid @ qm.T + W[1:] @ q1.T
+def _drive(W0: np.ndarray, W1: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W0 B W[k] + W1 B W[k+1] for every step: the input B W held linear
+    between its grid values."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return W[:-1] @ (W0 @ B).T + W[1:] @ (W1 @ B).T
 
 
 def simulate_ct(
@@ -407,10 +409,10 @@ def simulate_ct(
     config: SimConfig,
     form: str = "standard",
 ) -> Trace:
-    """Integrate plant and observers as one linear system under RK4."""
+    """Step plant and observers as one linear system by its exact step."""
     L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
-    phi, hP = _rk4_maps(_joint_state(sys.A, L @ sys.C), config.dt)
-    G = _disturbance_drive(hP, _joint_input(sys.E, sys.F, L, form), dist, times, W)
+    phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), config.dt)
+    G = _drive(W0, W1, _joint_input(sys.E, sys.F, L, form), W)
     return _joint_trace(times, _recur(phi, X0, G), W)
 
 
@@ -420,23 +422,21 @@ def simulate_delay(
     dist: DisturbanceModel,
     config: SimConfig,
 ) -> Trace:
-    """Method-of-steps RK4 for a delayed plant with its observers.
+    """Method of steps for a delayed plant with its observers.
 
-    The step is snapped to h / ceil(h / dt) so delayed stage times land
-    on the grid or at half steps, and must not exceed h / 4 so the
-    interpolation stencil stays inside known history.  One array X holds
-    the history on the grid in rows 0..m-1 (observers at their initial
-    bounds) and the trace from row m, so the state one delay back from
-    step k is row k; the history at half steps is sampled once as well.
-    At h = 0 the plant is its zero-delay aggregate, run by `simulate_ct`.
+    The step is snapped to h / m, the least m with h / m <= dt, so the
+    state one delay back lands on the grid; a step above h becomes h.
+    One array X holds the history on the grid in rows 0..m-1 (observers
+    at their initial bounds) and the trace from row m, so the state one
+    delay back from step k is row k.  The lag enters like any input, held
+    linear between rows k and k + 1.  At h = 0 the plant is its
+    zero-delay aggregate, run by `simulate_ct`.
     """
     if sys.h == 0.0:
         aggregate = ContinuousSystem(sys.A + sys.A_h, sys.E, sys.C + sys.C_h, sys.F)
         return simulate_ct(aggregate, L, dist, config)
     n = sys.n
-    if config.dt > sys.h / 4.0 + BOUND_TOL:
-        raise SimulationError("dt must be at most a quarter of the delay h")
-    m = int(np.ceil(sys.h / config.dt - 1e-9))
+    m = max(1, int(np.ceil(sys.h / config.dt - 1e-9)))
     dt = sys.h / m
     if abs(dt - config.dt) > 1e-12 * config.dt:
         warnings.warn(
@@ -457,26 +457,18 @@ def simulate_delay(
         theta = hist_grid[int(np.argmax(outside.any(axis=1)))]
         raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")
 
-    phi, hP = _rk4_maps(_joint_state(sys.A, L @ sys.C), dt)
-    G = _disturbance_drive(hP, _joint_input(sys.E, sys.F, L, "standard"), dist, times, W)
-    lag0, lag_mid, lag1 = _midpoint_maps(hP, _joint_state(sys.A_h, L @ sys.C_h))
+    phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), dt)
+    G = _drive(W0, W1, _joint_input(sys.E, sys.F, L, "standard"), W)
+    lag = _joint_state(sys.A_h, L @ sys.C_h)
 
     X = np.empty((m + times.size, 3 * n))
     X[:m, :n] = past[:-1]
     X[:m, n:] = X0[n:]
     X[m] = X0
-    mids = np.empty((m, 3 * n))
-    mids[:, :n] = _sample_all(plant_history, (np.arange(m) + 0.5 - m) * dt)
-    mids[:, n:] = X0[n:]
     with np.errstate(over="ignore", invalid="ignore"):
+        lag0, lag1 = W0 @ lag, W1 @ lag
         for k in range(times.size - 1):
-            if k < m:
-                mid = mids[k]
-            elif k == m:
-                mid = _MID_ONESIDED @ X[m : m + 4]
-            else:
-                mid = _MID_CENTERED @ X[k - 1 : k + 3]
-            X[m + k + 1] = phi @ X[m + k] + G[k] + lag0 @ X[k] + lag_mid @ mid + lag1 @ X[k + 1]
+            X[m + k + 1] = phi @ X[m + k] + G[k] + lag0 @ X[k] + lag1 @ X[k + 1]
     return _joint_trace(times, X[m:], W)
 
 
@@ -505,10 +497,10 @@ class PopulationModel:
     data.
     """
 
-    decay: tuple[float, float, float]
-    growth: tuple[float, float]
+    decay: list[float]
+    growth: list[float]
     incidence_gain: float  # or a time -> float callable
-    incidence_bounds: tuple[float, float]
+    incidence_bounds: list[float]
     half_saturation: float
 
     def __post_init__(self):
@@ -570,14 +562,10 @@ def _incidence_gains(model: PopulationModel, times: np.ndarray) -> np.ndarray:
 
 def _population_plant(
     model: PopulationModel, x0, gain: np.ndarray, gain_mid: np.ndarray, h: float
-):
+) -> np.ndarray:
     """Classical RK4 for the population plant alone, in Python floats,
     with the incidence gain given on the grid and on the half-step grid.
-
-    Returns the states on the grid, shape (len(gain), 3), and the
-    measured stage x3 at the four RK4 stages of every step, shape
-    (len(gain_mid), 4): the observers read the plant only through it.
-    """
+    Returns the states on the grid, shape (len(gain), 3)."""
     b1, b2, b3 = (float(v) for v in model.decay)
     a1, a2 = (float(v) for v in model.growth)
     sat = float(model.half_saturation)
@@ -587,23 +575,20 @@ def _population_plant(
 
     half = h / 2.0
     sixth = h / 6.0
-    # per step: the state at t_k, then x3 at stages 2, 3 and 4
-    out = np.empty((len(gain_mid), 6))
+    out = np.empty((len(gain), 3))
     x1, x2, x3 = (float(v) for v in x0)
     grid = memoryview(gain)
     for k, (g0, g_mid, g1) in enumerate(zip(grid, memoryview(gain_mid), grid[1:])):
         p1, p2, p3 = f(x1, x2, x3, g0)
-        y1, y2, y3 = x1 + half * p1, x2 + half * p2, x3 + half * p3
-        q1, q2, q3 = f(y1, y2, y3, g_mid)
-        z1, z2, z3 = x1 + half * q1, x2 + half * q2, x3 + half * q3
-        r1, r2, r3 = f(z1, z2, z3, g_mid)
-        v1, v2, v3 = x1 + h * r1, x2 + h * r2, x3 + h * r3
-        s1, s2, s3 = f(v1, v2, v3, g1)
-        out[k] = (x1, x2, x3, y3, z3, v3)
+        q1, q2, q3 = f(x1 + half * p1, x2 + half * p2, x3 + half * p3, g_mid)
+        r1, r2, r3 = f(x1 + half * q1, x2 + half * q2, x3 + half * q3, g_mid)
+        s1, s2, s3 = f(x1 + h * r1, x2 + h * r2, x3 + h * r3, g1)
+        out[k] = (x1, x2, x3)
         x1 += sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
         x2 += sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
         x3 += sixth * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
-    return np.vstack([out[:, :3], [[x1, x2, x3]]]), out[:, 2:]
+    out[-1] = (x1, x2, x3)
+    return out
 
 
 def simulate_population(
@@ -615,8 +600,8 @@ def simulate_population(
     bounds a_lo * y / (y + b) <= recruitment <= a_hi * y / (y + b).
 
     The plant does not depend on its observers, so it is stepped first;
-    the observer pair then follows the plant's RK4 stage values through
-    the affine recurrence, exactly as a joint RK4 step would.
+    the observer pair then reads the measured stage y on the grid, held
+    linear between grid values, through the exact step of A - L C.
     """
     sys = model.system()
     n = sys.n
@@ -626,26 +611,22 @@ def simulate_population(
         raise SimulationError("population bounds must be nonnegative")
     times = _grid(config.t_end, config.dt)
     gain = _incidence_gains(model, times)
-    x, y = _population_plant(
-        model, config.x0, gain, _incidence_gains(model, _midpoints(times)), config.dt
-    )
+    gain_mid = _incidence_gains(model, times[:-1] + config.dt / 2.0)
+    x = _population_plant(model, config.x0, gain, gain_mid, config.dt)
 
-    # at stage s both observers read L y_s, and recruitment a y_s / (y_s + b)
-    # enters through E with a = a_lo for x_lo and a = a_hi for x_hi
-    phi, hP = _rk4_maps(sys.A - L @ sys.C, config.dt)
-    read = np.stack([q @ L[:, 0] for q in hP])
-    push = np.stack([q @ sys.E[:, 0] for q in hP])
+    # both observers read y through L, and recruitment a y / (y + b)
+    # through E, with a = a_lo for x_lo and a = a_hi for x_hi
+    y = x[:, 2:]
+    read = np.hstack([y, y / (y + model.half_saturation)])
     bounds = np.array(model.incidence_bounds, dtype=float)
-    G = (y @ read)[:, :, None] + (y / (y + model.half_saturation) @ push)[:, :, None] * bounds
-    del y
+    phi, W0, W1 = _step_maps(sys.A - L @ sys.C, config.dt)
+    G = np.stack([_drive(W0, W1, np.hstack([L, a * sys.E]), read) for a in bounds], axis=2)
     X = _recur(phi, np.column_stack([config.x0_lo, config.x0_hi]), G)
-    del G
     _check_finite(times, x, X)
 
-    x3 = x[:, 2:]
-    w = model.incidence(x3, gain[:, None])
-    w_lo = model.incidence(x3, bounds[0])
-    w_hi = model.incidence(x3, bounds[1])
+    w = model.incidence(y, gain[:, None])
+    w_lo = model.incidence(y, bounds[0])
+    w_hi = model.incidence(y, bounds[1])
     bad = np.where((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))
     if bad[0].size:
         raise SimulationError(

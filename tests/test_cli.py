@@ -4,10 +4,12 @@ Exit codes are part of the public contract: 0 success, 1 input error,
 2 infeasible design, 3 inclusion violated in simulation.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 import obsynth
 import obsynth.cli as cli
+import obsynth.simulation as simulation
 from obsynth import Trace
 from obsynth.cli import main
 from obsynth.synthesis import DIAG_SIGN_CONFLICT
@@ -285,10 +288,14 @@ def test_simulate_runs_a_zero_delay_file(capsys, corpus_dir, tmp_path):
 
 
 def test_simulate_infeasible_design_exits_two(capsys, corpus_dir, tmp_path):
-    code, out, _ = _run(
-        capsys, "simulate", _case(corpus_dir, "case3"),
-        "--out", str(tmp_path / "t.csv"),
-    )
+    # case3 holds no simulation sections, which simulate reads before the
+    # design; case1's fit its sizes
+    doc = json.loads((corpus_dir / "case3.json").read_text())
+    sections = json.loads((corpus_dir / "case1.json").read_text())
+    doc.update({k: sections[k] for k in ("simulation", "disturbance")})
+    path = tmp_path / "case3_simulated.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "simulate", str(path), "--out", str(tmp_path / "t.csv"))
     assert code == 2
     assert json.loads(out)["status"] == "infeasible"
 
@@ -486,6 +493,35 @@ def test_simulate_names_the_file_missing_a_section(
     assert (code, out) == (1, "")
     assert err == f"error: {path}.{section}: section required but absent\n"
     assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["simulation", "disturbance"])
+def test_simulate_reads_its_sections_before_the_design(
+    capsys, corpus_dir, tmp_path, monkeypatch, section
+):
+    def no_design(*args, **kwargs):
+        raise AssertionError("design ran")
+
+    monkeypatch.setattr(cli, "design", no_design)
+    doc = json.loads((corpus_dir / "case1.json").read_text())
+    del doc[section]
+    path = tmp_path / f"no_{section}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "simulate", str(path), "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}.{section}: section required but absent\n"
+
+
+@pytest.mark.parametrize("module", [cli, simulation], ids=["cli", "simulation"])
+def test_every_annotation_resolves(module):
+    own = [
+        obj for obj in vars(module).values()
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__
+    ]
+    classes = [obj for obj in own if inspect.isclass(obj)]
+    methods = [m for c in classes for m in vars(c).values() if inspect.isfunction(m)]
+    for obj in own + methods:
+        typing.get_type_hints(obj)
 
 
 def test_bench_takes_no_epsilon(capsys):

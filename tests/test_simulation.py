@@ -1,14 +1,16 @@
 """Trajectory generation, inclusion checking, empirical gains.
 
-The integrator is checked against matrix-exponential solutions of the
-joint linear system (scipy supplies expm; it plays no role in the
-library itself), against the hand-rolled discrete recursion, and
-against the generic stage-by-stage RK4 loop that the affine recurrence
-replaced.
+The exponential step is checked against closed-form solutions of the
+joint linear system for constant and ramp inputs, and every simulator
+against a plain per-step loop that reads signals pointwise and steps
+with scipy's expm (scipy plays no role in the library itself), or
+against the hand-rolled discrete recursion.
 """
 
 import json
+import math
 import re
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -39,14 +41,12 @@ from obsynth import (
     simulate_population,
 )
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
+from obsynth.positive import linf_gain_closed
 from obsynth.problem import parse_problem, parse_problem_dict
-from obsynth.simulation import (
-    _grid,
-    _joint_input,
-    _joint_state,
-    _rk4_maps,
-)
-from obsynth.synthesis import design
+from obsynth.simulation import _grid, _joint_input, _joint_state
+from obsynth.synthesis import ObserverSpec, closed_loop, design
+
+from conftest import random_feasible_loop
 
 CASE1 = ContinuousSystem(
     [[-2.0, 1.0], [3.0, -5.0]], [[1.0], [2.0]], [[0.0, 1.0]], [[1.0]]
@@ -253,45 +253,46 @@ def test_trace_checks_reject_out_of_range_arguments():
 # continuous-time integration
 
 
-def _joint_affine(sys, L, w, w_lo, w_hi):
-    """Exact affine vector field of plant + observers, written from the
-    defining equations rather than the simulator's block matrix."""
-    n = sys.n
-    A, E, C, F = sys.A, sys.E, sys.C, sys.F
+def _joint_affine(sys, L):
+    """State and input maps of plant + observers for W = [w, w_lo, w_hi],
+    written from the defining equations rather than the simulator's
+    block matrices."""
+    n, p = sys.n, sys.p
     big = np.zeros((3 * n, 3 * n))
-    big[:n, :n] = A
-    big[n : 2 * n, :n] = L @ C
-    big[n : 2 * n, n : 2 * n] = A - L @ C
-    big[2 * n :, :n] = L @ C
-    big[2 * n :, 2 * n :] = A - L @ C
-    drive = np.concatenate(
-        [
-            E @ w,
-            (E - L @ F) @ w_lo + L @ F @ w,
-            (E - L @ F) @ w_hi + L @ F @ w,
-        ]
-    )
-    return big, drive
+    inputs = np.zeros((3 * n, 3 * p))
+    big[:n, :n] = sys.A
+    inputs[:n, :p] = sys.E
+    for j in (1, 2):
+        rows = slice(j * n, (j + 1) * n)
+        big[rows, :n] = L @ sys.C
+        big[rows, rows] = sys.A - L @ sys.C
+        inputs[rows, :p] = L @ sys.F  # y = C x + F w
+        inputs[rows, j * p : (j + 1) * p] = sys.E - L @ sys.F
+    return big, inputs
 
 
-def test_rk4_matches_matrix_exponential_and_is_fourth_order():
-    w_bar = np.array([0.3])
-    dist = _dist(ConstantSignal(0.3))
-    big, drive = _joint_affine(CASE1, L1, w_bar, np.array([-1.0]), np.array([1.0]))
-    aug = np.zeros((7, 7))
+@pytest.mark.parametrize("dt", [0.5, 0.01])
+@pytest.mark.parametrize("slope", [0.0, 0.4], ids=["constant", "ramp"])
+def test_constant_and_ramp_inputs_are_stepped_exactly(slope, dt):
+    # w = 0.3 + slope t inside [w - 1, w + 1], given as plain callables;
+    # with [slope t, 1] appended the joint state is autonomous, so one
+    # matrix exponential gives it at every time.  L feeds E - L F =
+    # [0.5, 1] into both errors.
+    L = np.array([[0.5], [1.0]])
+    ramp = lambda t: 0.3 + slope * t  # noqa: E731
+    dist = DisturbanceModel([ramp], [lambda t: ramp(t) - 1.0], [lambda t: ramp(t) + 1.0])
+    cfg = SimConfig(2.0, dt, [1.0, 0.0], [-2.0, -2.0], [2.0, 2.0])
+    trace = simulate_ct(CASE1, L, dist, cfg)
+    big, inputs = _joint_affine(CASE1, L)
+    aug = np.zeros((8, 8))
     aug[:6, :6] = big
-    aug[:6, 6] = drive
-    X0 = np.concatenate([[1.0, 0.0], [-2.0, -2.0], [2.0, 2.0], [1.0]])
-    exact = (expm(2.0 * aug) @ X0)[:6]
-
-    errs = []
-    for dt in (0.02, 0.01, 0.005):
-        cfg = SimConfig(2.0, dt, [1.0, 0.0], [-2.0, -2.0], [2.0, 2.0])
-        trace = simulate_ct(CASE1, L1, dist, cfg)
-        got = np.concatenate([trace.x[-1], trace.x_lo[-1], trace.x_hi[-1]])
-        errs.append(np.max(np.abs(got - exact)))
-    assert errs[0] / errs[1] == pytest.approx(16.0, abs=4.0)
-    assert errs[1] / errs[2] == pytest.approx(16.0, abs=4.0)
+    aug[:6, 6] = inputs @ np.ones(3)
+    aug[:6, 7] = inputs @ [0.3, -0.7, 1.3]
+    aug[6, 7] = slope
+    start = np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi, [0.0, 1.0]])
+    exact = np.array([(expm(t * aug) @ start)[:6] for t in trace.times])
+    got = np.hstack([trace.x, trace.x_lo, trace.x_hi])
+    assert np.max(np.abs(got - exact)) <= 1e-9
 
 
 def test_collapsed_envelope_collapses_the_interval():
@@ -325,19 +326,58 @@ def test_divergence_reports_a_time_stamp():
     wild = ContinuousSystem([[100.0]], [[0.0]], [[0.0]], [[0.0]])
     dist = _dist(ConstantSignal(0.0))
     cfg = SimConfig(100.0, 1.0, [1.0], [0.0], [2.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationError) as exc:
-            simulate_ct(wild, np.zeros((1, 1)), dist, cfg)
-    # x_hi starts at 2 and grows by the RK4 factor of z = h a = 100 per
-    # step; the report names the first grid time at which it overflows
-    z = 100.0
-    growth = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    x_hi, k = 2.0, 0
-    while np.isfinite(x_hi):
-        x_hi *= growth
-        k += 1
-    assert k == 47
+    with pytest.raises(SimulationError) as exc:
+        simulate_ct(wild, np.zeros((1, 1)), dist, cfg)
+    # x_hi starts at 2 and grows by e^{h a} = e^100 per step, so the first
+    # grid time at which it overflows is the least k > log(max / 2) / 100
+    k = math.ceil(math.log(np.finfo(float).max / 2.0) / 100.0)
+    assert k == 8
     assert str(exc.value).endswith(f"at t={k}")
+
+
+def test_overflowing_step_maps_report_the_first_step():
+    # e^{h a} itself overflows; every simulator still names t = h
+    dist, cfg = _dist(ConstantSignal(0.0)), SimConfig(5.0, 1.0, [0.0], [-1.0], [1.0])
+    for h in (1.0, 0.0):  # h = 0 runs simulate_ct on the zero-delay aggregate
+        wild = DelaySystem([[1000.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], h)
+        with pytest.raises(SimulationError, match=r"non-finite at t=1$"):
+            simulate_delay(wild, np.zeros((1, 1)), dist, cfg)
+    cfg = SimConfig(5.0, 1.0, [0.5] * 3, [0.0] * 3, [1.0] * 3)
+    with pytest.raises(SimulationError, match=r"non-finite at t=1$"):
+        simulate_population(POP, [[0.0], [0.0], [-1000.0]], cfg)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1])
+def test_relaxed_designs_with_large_gains_keep_inclusion(dt):
+    # max|L| is 2e6-1e7 on these certified designs, far outside the
+    # stability region of any explicit step at these step sizes
+    sines = [SineSignal(0.6, 1.0), SineSignal(0.6, 2.3, phase=0.5)]
+    dist = DisturbanceModel(sines, [ConstantSignal(-0.6)] * 2, [ConstantSignal(0.6)] * 2)
+    cfg = SimConfig(20.0, dt, np.zeros(4), -np.ones(4), np.ones(4))
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        sys = ContinuousSystem(*random_feasible_loop(rng, 4, 2, 3)[:4])
+        result = design(sys, ObserverSpec(form="relaxed"))
+        assert result.status == "optimal"
+        trace = simulate_ct(sys, result.L, dist, cfg, form="relaxed")
+        assert check_inclusion(trace, tol=1e-7).clean
+
+
+def test_constant_disturbance_at_the_envelope_edge_attains_the_certified_gain():
+    # w = w_hi with w_lo = w - delta: the lower error rests at its
+    # equilibrium delta (-S_cl)^{-1} B_cl 1 and the upper error at 0, so
+    # the trace is the worst case the certified gain bounds
+    sys = ContinuousSystem(*random_feasible_loop(np.random.default_rng(4), 4, 2, 3)[:4])
+    L = design(sys, ObserverSpec()).L
+    S, B = closed_loop(sys, L)
+    delta = 0.3
+    e_star = delta * np.linalg.solve(-S, B @ np.ones(2))
+    edge = [ConstantSignal(0.5)] * 2
+    dist = DisturbanceModel(edge, [ConstantSignal(0.5 - delta)] * 2, edge)
+    x0 = np.full(4, 0.2)
+    trace = simulate_ct(sys, L, dist, SimConfig(10.0, 0.01, x0, x0 - e_star, x0))
+    certified = linf_gain_closed(S, B, np.eye(4), 0.0)
+    assert empirical_peak_gain(trace) == pytest.approx(certified, rel=1e-9)
 
 
 def test_relaxed_form_inclusion_with_sign_indefinite_input():
@@ -365,11 +405,19 @@ def test_delay_step_snaps_to_divide_h():
     assert abs(trace.times[1] - 0.2) <= 1e-12
 
 
-def test_delay_step_above_quarter_h_is_rejected():
+def test_delay_step_up_to_h_is_kept_and_above_h_snaps_to_h():
     dist = _dist(SineSignal(1.0, 1.0))
-    cfg = SimConfig(4.0, 0.3, [0.0], [-1.0], [1.0])
-    with pytest.raises(SimulationError):
-        simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+    for dt in (0.5, 1.0):  # h / 2 and h divide the delay: no warning
+        cfg = SimConfig(4.0, dt, [0.0], [-1.0], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+        assert trace.times[1] == dt
+        assert check_inclusion(trace, tol=1e-7).clean
+    cfg = SimConfig(4.0, 1.5, [0.0], [-1.0], [1.0])
+    with pytest.warns(UserWarning, match="adjusted from 1.5 to 1 "):
+        trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+    assert trace.times[1] == 1.0
 
 
 def test_delay_history_must_respect_the_initial_interval():
@@ -593,134 +641,82 @@ def test_plain_callables_work_as_signals():
 
 
 # ---------------------------------------------------------------------------
-# the affine recurrence against the generic RK4 loop it replaced
+# the simulators against a plain per-step loop
 
 
-@pytest.mark.parametrize("z", [-2.5, -0.3, 0.4])
-def test_rk4_maps_are_one_classical_step(z):
-    phi, _ = _rk4_maps(np.array([[z]]), 1.0)
-    assert phi[0, 0] == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24, rel=1e-15)
-
-    rng = np.random.default_rng(5)
-    A, h = z * rng.standard_normal((3, 3)), 0.05
-    x, u = rng.standard_normal(3), rng.standard_normal((4, 3))
-    k1 = A @ x + u[0]
-    k2 = A @ (x + h / 2.0 * k1) + u[1]
-    k3 = A @ (x + h / 2.0 * k2) + u[2]
-    k4 = A @ (x + h * k3) + u[3]
-    phi, hP = _rk4_maps(A, h)
-    got = phi @ x + sum(q @ us for q, us in zip(hP, u))
-    assert np.allclose(got, x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), rtol=0.0, atol=1e-14)
-
-
-_MID_CENTERED = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
-_MID_ONESIDED = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
-
-
-def _delayed_lookup(stored: np.ndarray, history, k_float: float, dt: float):
-    """Value of the joint state at time index k_float (may be negative or
-    half-integral), as simulate_delay looked it up step by step before it
-    kept history and trace in one array.  Negative times use the history;
-    half steps use the four-point stencil on stored grid values."""
-    k_round = round(k_float)
-    if abs(k_float - k_round) < 1e-9:
-        k = int(k_round)
-        if k >= 0:
-            return stored[k]
-        return history(k * dt)
-    if k_float < 0.0:
-        return history(k_float * dt)
-    base = int(np.floor(k_float))
-    if base == 0:
-        return _MID_ONESIDED @ stored[0:4]
-    return _MID_CENTERED @ stored[base - 1 : base + 3]
-
-
-def _rk4_reference(f, X0, times, lag=None):
-    """The generic classical RK4 loop the simulators ran before they became
-    an affine recurrence.  With lag = (m, history, dt), f also receives the
-    joint state m steps back, looked up by _delayed_lookup."""
-    out = np.empty((times.size, X0.size))
-    out[0] = X0
-    for k in range(times.size - 1):
-        t, X = times[k], out[k]
-        dt = times[k + 1] - t
-        D = [None] * 3
-        if lag is not None:
-            D = [_delayed_lookup(out, lag[1], k + s - lag[0], lag[2]) for s in (0.0, 0.5, 1.0)]
-        k1 = f(t, X, D[0])
-        k2 = f(t + dt / 2.0, X + dt / 2.0 * k1, D[1])
-        k3 = f(t + dt / 2.0, X + dt / 2.0 * k2, D[1])
-        k4 = f(t + dt, X + dt * k3, D[2])
-        out[k + 1] = X + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out
-
-
-def _x0(cfg):
-    return np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi])
-
-
-def _reference_trace(times, joint, w, w_lo, w_hi):
-    n = joint.shape[1] // 3
-    return Trace(times, joint[:, :n], joint[:, n : 2 * n], joint[:, 2 * n :], w, w_lo, w_hi)
+def _exact_step(A, h):
+    """One step of x' = A x + u with u linear over the step, as a function
+    of x and u at both ends: the state [x, u, u'] is autonomous, so
+    scipy's expm of its generator steps it exactly."""
+    eye, zero = np.eye(A.shape[0]), np.zeros(A.shape)
+    gen = np.block([[A, eye, zero], [zero, zero, eye], [zero, zero, zero]])
+    top = expm(h * gen)[: A.shape[0]]
+    return lambda x, u0, u1: top @ np.concatenate([x, u0, (u1 - u0) / h])
 
 
 def _reference_linear(sys, L, dist, cfg, form="standard"):
-    """simulate_ct, simulate_delay or simulate_dt by the reference loops."""
+    """simulate_ct, simulate_delay or simulate_dt as a plain per-step loop
+    that reads every signal, and the history, at one time at a time."""
     W = lambda t: np.array([s(t) for s in dist.w + dist.w_lo + dist.w_hi])  # noqa: E731
+    joint = [np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi])]
     if isinstance(sys, DiscreteSystem):
         times = _grid(cfg.t_end, cfg.dt)
         big_a = _joint_state(sys.A_d, L @ sys.C_d)
         big_b = _joint_input(sys.E_d, sys.F_d, L, "standard")
-        joint = [_x0(cfg)]
         for t in times[:-1]:
             joint.append(big_a @ joint[-1] + big_b @ W(t))
-        joint = np.array(joint)
     else:
-        big_a = _joint_state(sys.A, L @ sys.C)
         big_b = _joint_input(sys.E, sys.F, L, form)
-        lag = None
-        if isinstance(sys, DelaySystem):
-            m = int(np.ceil(sys.h / cfg.dt - 1e-9))
-            big_ah = _joint_state(sys.A_h, L @ sys.C_h)
-            past = cfg.history or [ConstantSignal(v) for v in cfg.x0]
+        delayed = isinstance(sys, DelaySystem)
+        m = int(np.ceil(sys.h / cfg.dt - 1e-9)) if delayed else 0
+        dt = sys.h / m if delayed else cfg.dt
+        times = _grid(cfg.t_end, dt)
+        past = cfg.history or [ConstantSignal(v) for v in cfg.x0]
 
-            def history(t):
-                return np.concatenate([[s(t) for s in past], cfg.x0_lo, cfg.x0_hi])
+        def u(k):  # the input at grid time k, the lag one delay back included
+            if not delayed:
+                return big_b @ W(times[k])
+            back = joint[k - m] if k >= m else np.concatenate(
+                [[s((k - m) * dt) for s in past], cfg.x0_lo, cfg.x0_hi]
+            )
+            return big_b @ W(times[k]) + _joint_state(sys.A_h, L @ sys.C_h) @ back
 
-            lag = (m, history, sys.h / m)
-            times = _grid(cfg.t_end, sys.h / m)
-            f = lambda t, X, D: big_a @ X + big_ah @ D + big_b @ W(t)  # noqa: E731
-        else:
-            times = _grid(cfg.t_end, cfg.dt)
-            f = lambda t, X, D: big_a @ X + big_b @ W(t)  # noqa: E731
-        joint = _rk4_reference(f, _x0(cfg), times, lag)
+        step = _exact_step(_joint_state(sys.A, L @ sys.C), dt)
+        for k in range(times.size - 1):
+            joint.append(step(joint[k], u(k), u(k + 1)))
     w = np.array([W(t) for t in times])
-    return _reference_trace(times, joint, *np.split(w, 3, axis=1))
+    return Trace(times, *np.split(np.array(joint), 3, axis=1), *np.split(w, 3, axis=1))
 
 
 def _reference_population(model, L, cfg):
-    """simulate_population as the joint nonlinear RK4 it replaced."""
+    """simulate_population as a plain classical RK4 loop for the plant,
+    then the per-step loop for each observer, driven by the plant's
+    states on the grid."""
     sys = model.system()
-    A, E, C = sys.A, sys.E, sys.C
-    Acl, LC = A - L @ C, L @ C
-    a_lo, a_hi = model.incidence_bounds
+    times, h = _grid(cfg.t_end, cfg.dt), cfg.dt
 
-    def f(t, X, D):
-        x, xlo, xhi = X[:3], X[3:6], X[6:]
-        y = x[2]
-        dx = A @ x + E[:, 0] * model.incidence(y, model.gain_at(t))
-        dlo = Acl @ xlo + E[:, 0] * model.incidence(y, a_lo) + LC @ x
-        dhi = Acl @ xhi + E[:, 0] * model.incidence(y, a_hi) + LC @ x
-        return np.concatenate([dx, dlo, dhi])
+    def f(t, x):
+        return sys.A @ x + sys.E[:, 0] * model.incidence(x[2], model.gain_at(t))
 
-    times = _grid(cfg.t_end, cfg.dt)
-    joint = _rk4_reference(f, _x0(cfg), times)
-    x3 = joint[:, 2]
-    w = np.array([[model.incidence(v, model.gain_at(t))] for t, v in zip(times, x3)])
-    return _reference_trace(
-        times, joint, w, model.incidence(x3, a_lo)[:, None], model.incidence(x3, a_hi)[:, None]
-    )
+    x = [cfg.x0]
+    for t in times[:-1]:
+        k1 = f(t, x[-1])
+        k2 = f(t + h / 2.0, x[-1] + h / 2.0 * k1)
+        k3 = f(t + h / 2.0, x[-1] + h / 2.0 * k2)
+        k4 = f(t + h, x[-1] + h * k3)
+        x.append(x[-1] + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    y = np.array(x)[:, 2]
+    step = _exact_step(sys.A - L @ sys.C, h)
+    observers = []
+    for a, start in zip(model.incidence_bounds, (cfg.x0_lo, cfg.x0_hi)):
+        u = [L[:, 0] * v + sys.E[:, 0] * model.incidence(v, a) for v in y]
+        X = [start]
+        for k in range(times.size - 1):
+            X.append(step(X[k], u[k], u[k + 1]))
+        observers.append(np.array(X))
+    w = np.array([[model.incidence(v, model.gain_at(t))] for t, v in zip(times, y)])
+    edges = [model.incidence(y, a)[:, None] for a in model.incidence_bounds]
+    return Trace(times, np.array(x), *observers, w, *edges)
 
 
 def _assert_matches_reference(trace, ref, certified=None):
@@ -751,7 +747,7 @@ with open(MANIFEST) as _fh:
 
 
 @pytest.mark.parametrize("case", sorted(_SIMULATED))
-def test_corpus_traces_match_the_generic_rk4_loop(case):
+def test_corpus_traces_match_the_plain_step_loop(case):
     entry = _SIMULATED[case]
     pf = parse_problem(str(CORPUS_DIR / entry["file"]))
     result = design(pf.plant(), pf.observer_spec())
@@ -783,8 +779,8 @@ DELAY_2 = DelaySystem(
                 history=[lambda t: 0.5 * np.cos(t), SineSignal(0.4, 3.0)],
             ),
         ),
-        # dt = h / 4 exactly: the least m the stencil allows
-        (DELAY_SYS, np.array([[0.5]]), SimConfig(6.0, 0.25, [0.3], [-1.0], [1.0])),
+        # dt = h: the lag reads the row being stepped from
+        (DELAY_SYS, np.array([[0.5]]), SimConfig(6.0, 1.0, [0.3], [-1.0], [1.0])),
         (
             DELAY_2,
             np.array([[0.3], [1.0]]),
@@ -797,9 +793,9 @@ DELAY_2 = DelaySystem(
             ),
         ),
     ],
-    ids=["scalar", "two-state", "quarter-step", "held-history"],
+    ids=["scalar", "two-state", "whole-delay", "held-history"],
 )
-def test_delay_traces_match_the_generic_rk4_loop(sys, L, cfg):
+def test_delay_traces_match_the_plain_step_loop(sys, L, cfg):
     dist = _dist(SineSignal(1.0, 1.0))
     trace = simulate_delay(sys, L, dist, cfg)
     _assert_matches_reference(trace, _reference_linear(sys, L, dist, cfg))
@@ -817,7 +813,7 @@ def test_delay_traces_match_the_generic_rk4_loop(sys, L, cfg):
     ],
     ids=["time-varying", "collapsed"],
 )
-def test_population_traces_match_the_generic_rk4_loop(gain, bounds, cfg):
+def test_population_traces_match_the_plain_step_loop(gain, bounds, cfg):
     model = PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), gain, bounds, 1.0)
     L = np.array([[0.0], [0.0], [5.0]])
     trace = simulate_population(model, L, cfg)
