@@ -2,7 +2,10 @@
 
 Everything here works on plain ``numpy`` arrays of ``float64``.  The
 helpers are deliberately boring: validation, sign-pattern tests, the
-positive/negative part split, row sums, and a linear solve.  The solve
+positive/negative part split, row sums, and a linear solve.  The
+package's one shape rule is `_shaped`, and its one sign rule is
+`_sign_violations`, which `is_metzler`, `is_nonnegative` and the one
+sign precondition, `_require`, read.  The solve
 runs on LAPACK and keeps its answer only when a bound on the pivots,
 taken from the same factorization, proves that no pivot fell below the
 tolerance.  Otherwise a pivoted Gaussian elimination decides, and on
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SingularMatrixError
+from .errors import DimensionError, NonFiniteError, PreconditionError, SingularMatrixError
 
 # Tolerance for structural sign checks (Metzler pattern, nonnegativity).
 # Entries this far on the wrong side of zero are treated as violations;
@@ -81,14 +84,38 @@ def is_metzler(A: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"Metzler test needs a square matrix, got shape {A.shape}")
-    off = A - np.diag(np.diag(A))
-    return bool((off >= -tol).all())
+    return not _sign_violations([("A", A, True)], tol)
 
 
 def is_nonnegative(M: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
     """True when every entry of ``M`` is >= -tol."""
-    M = np.asarray(M, dtype=float)
-    return bool((M >= -tol).all())
+    return not _sign_violations([("M", np.asarray(M, dtype=float), False)], tol)
+
+
+def _sign_violations(maps: list[tuple[str, np.ndarray, bool]], tol: float) -> list[str]:
+    """A note for each (label, matrix, metzler) whose lowest entry, off
+    the diagonal when metzler, lies more than tol below zero."""
+    notes = []
+    for label, P, metzler in maps:
+        if metzler:
+            P = P.copy()
+            P.flat[:: P.shape[0] + 1] = np.inf
+        if P.size and not P.min() >= -tol:  # a NaN fails too
+            # plain ints print alike on numpy 1 and 2
+            worst = tuple(int(k) for k in np.unravel_index(np.argmin(P), P.shape))
+            kind = "is not Metzler: entry" if metzler else "has a negative entry:"
+            notes.append(f"{label} {kind} {worst} is {P[worst]:.6g}")
+    return notes
+
+
+def _require(caller: str, maps: list[tuple[str, np.ndarray, bool]]) -> None:
+    """Raise :class:`PreconditionError` "<caller> needs <Metzler|nonnegative>
+    <name>" at the first (name, matrix, metzler) of maps that breaks the
+    sign rule at the structural tolerance."""
+    for name, M, metzler in maps:
+        if _sign_violations([(name, M, metzler)], STRUCTURAL_TOL):
+            sign = "Metzler" if metzler else "nonnegative"
+            raise PreconditionError(f"{caller} needs {sign} {name}")
 
 
 def split_pos_neg(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,15 +14,15 @@ gain has the closed form
     gamma = max row sum of (-Cz A^{-1} E + Fz)
 
 so one solve (-A) [v | Y] = [1 | E] yields both the certificate and
-Y = -A^{-1} E; that is what the gain functions report.  Every
-observer-loop gain, and the row-wise test of the augmented matrices,
-comes from the one solve in `_admissible`, the judgement of a gain
-that `certify` shares.  The LP variant `linf_gain_lp` is an
-independent route that cross-validates the closed form.  The four
-plant types share one base, `Plant`, which coerces their matrices by
-the package's one shape rule, `linalg._shaped`, and reduces each to
-the undelayed continuous loop that design, `certify` and the delay and
-discrete gains read.
+Y = -A^{-1} E; that is what the gain functions report.  The LP variant
+`linf_gain_lp` is an independent route that cross-validates the closed
+form.  The four plant types share one base, `Plant`, which coerces
+their matrices by `linalg._shaped`, checks observer forms, and reduces
+each to the undelayed continuous loop that design, `certify` and the
+delay and discrete gains read.  `_admissible` is the one judgement of
+a gain on a plant: membership, every observer-loop gain and the
+row-wise test call it on a `ContinuousSystem`, `certify` on its plant.
+Sign conditions are judged by `linalg`'s one sign rule.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .errors import (
 )
 from .linalg import (
     STRUCTURAL_TOL,
+    _require,
     _shaped,
-    is_metzler,
-    is_nonnegative,
+    _sign_violations,
     max_row_sum,
     solve_linear,
     split_pos_neg,
@@ -95,7 +95,7 @@ class Plant:
     MATRICES: ClassVar[tuple[str, ...]]
     KIND: ClassVar[str]
     DISCRETE: ClassVar[bool] = False
-    RELAXED: ClassVar[bool] = False  # whether design takes the relaxed form
+    RELAXED: ClassVar[bool] = True  # whether design takes the relaxed form
 
     def __post_init__(self):
         a, e, c, f, *lag = self.MATRICES
@@ -125,6 +125,10 @@ class Plant:
 
     @classmethod
     def check_form(cls, form: str) -> None:
+        """The one check of an observer form, for a plant type or for
+        `Plant` itself, which knows every form."""
+        if form not in ("standard", "relaxed"):
+            raise PreconditionError(f"unknown observer form {form!r}")
         if form != "standard" and not cls.RELAXED:
             raise PreconditionError(f"{cls.KIND} design supports the standard form only")
 
@@ -135,10 +139,16 @@ class Plant:
         pairs = [(a, c, not self.DISCRETE)] + ([(*lag, False)] if lag else [])
         return [(f"{P} - L {Q}", getattr(self, P), getattr(self, Q), m) for P, Q, m in pairs]
 
-    def input_family(self) -> Family:
-        """E - L F >= 0, which the standard observer form requires."""
+    def loop_input(self, form: str) -> tuple[np.ndarray, np.ndarray, list[Family]]:
+        """The error loop's input pair (E, F), whose aggregate gain the
+        design's gamma bounds, and the sign family E - L F >= 0 that the
+        standard form adds.  The relaxed form drives the loop with the
+        identity, with no feedthrough, and drops that family."""
+        if form == "relaxed":
+            return np.eye(self.n), np.zeros((self.r, self.n)), []
         _, e, _, f, *_ = self.MATRICES
-        return f"{e} - L {f}", getattr(self, e), getattr(self, f), False
+        E, F = getattr(self, e), getattr(self, f)
+        return E, F, [(f"{e} - L {f}", E, F, False)]
 
     def stability_pair(self) -> tuple[np.ndarray, np.ndarray]:
         a, _, c, _, *lag = self.MATRICES
@@ -164,7 +174,6 @@ class ContinuousSystem(Plant):
 
     MATRICES = ("A", "E", "C", "F")
     KIND = "continuous"
-    RELAXED = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -191,6 +200,7 @@ class DelaySystem(Plant):
 
     MATRICES = ("A", "E", "C", "F", "A_h", "C_h")
     KIND = "delay"
+    RELAXED = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -211,6 +221,7 @@ class DiscreteSystem(Plant):
     MATRICES = ("A_d", "E_d", "C_d", "F_d")
     KIND = "discrete"
     DISCRETE = True
+    RELAXED = False
 
 
 @dataclass
@@ -232,6 +243,7 @@ class DiscreteDelaySystem(Plant):
     MATRICES = ("A_d", "E_d", "C_d", "F_d", "A_dh", "C_dh")
     KIND = "discrete-delay"
     DISCRETE = True
+    RELAXED = False
 
 
 @dataclass
@@ -273,8 +285,7 @@ def hurwitz_certificate(
     None.
     """
     A = _shaped(A, "A")
-    if not is_metzler(A):
-        raise PreconditionError("hurwitz_certificate needs a Metzler matrix")
+    _require("hurwitz_certificate", [("A", A, True)])
     if kind not in ("right", "left"):
         raise PreconditionError(f"unknown certificate kind {kind!r}")
     epsilon = _positive_epsilon(epsilon)
@@ -312,9 +323,7 @@ def _weights(M, N, n: int, p: int, names: tuple[str, str], caller: str):
     """Coerce an output weighting (q×n M, q×p N) and check it nonnegative."""
     M = _shaped(M, names[0], cols=n)
     N = _shaped(N, names[1], M.shape[0], p)
-    for name, W in zip(names, (M, N)):
-        if not is_nonnegative(W):
-            raise PreconditionError(f"{caller} needs nonnegative {name}")
+    _require(caller, [(names[0], M, False), (names[1], N, False)])
     return M, N
 
 
@@ -330,10 +339,7 @@ def _check_gain_structure(A, E, Cz, Fz):
     A = _shaped(A, "A")
     E = _shaped(E, "E", A.shape[0])
     Cz, Fz = _weights(Cz, Fz, *E.shape, ("Cz", "Fz"), "gain")
-    if not is_metzler(A):
-        raise PreconditionError("gain is defined for Metzler A only")
-    if not is_nonnegative(E):
-        raise PreconditionError("gain needs nonnegative E")
+    _require("gain", [("A", A, True), ("E", E, False)])
     return A, E, Cz, Fz
 
 
@@ -396,14 +402,11 @@ def linf_gain_lp(
 def _reduced_gain(sys: Plant, Cz, Fz) -> float:
     """Closed-form gain on the plant's stability matrix S after checking
     its state maps at L = 0 (see `Plant`)."""
-    for label, P, _, metzler in sys.sign_families():
-        if _sign_violations([(label, P, metzler)], STRUCTURAL_TOL):
-            name = label.split(" ", 1)[0]  # the label starts with P's name
-            condition = "Metzler" if metzler else "nonnegative"
-            raise PreconditionError(f"{sys.KIND} gain needs {condition} {name}")
+    # the state maps' names, in the order of their sign families
+    states = zip(sys.MATRICES[:1] + sys.MATRICES[4:5], sys.sign_families())
+    _require(f"{sys.KIND} gain", [(name, P, metzler) for name, (_, P, _, metzler) in states])
     S, _ = sys.stability_pair()
-    _, E, _, _ = sys.input_family()
-    return linf_gain_closed(S, E, Cz, Fz)
+    return linf_gain_closed(S, sys.loop_input("standard")[0], Cz, Fz)
 
 
 def linf_gain_discrete(sys: DiscreteSystem) -> float:
@@ -444,48 +447,36 @@ def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]
     judged at the structural tolerance.  The loop has state matrix
     A - LC and input B = E - LF, or its split [B+ B-] in relaxed form.
     """
-    A = _shaped(A, "A")
-    n = A.shape[0]
-    E = _shaped(E, "E", n)
-    C = _shaped(C, "C", cols=n)
-    F = _shaped(F, "F", C.shape[0], E.shape[1])
-    L = _shaped(L, "L", n, C.shape[0])
-    if form not in ("standard", "relaxed"):
-        raise PreconditionError(f"unknown observer form {form!r}")
-    Acl, B = A - L @ C, E - L @ F
-    states = [("A - L C", Acl, True)]
-    if form == "relaxed":
-        return _admissible(states, Acl, np.hstack(split_pos_neg(B)), [], STRUCTURAL_TOL)
-    return _admissible(states, Acl, B, [("E - L F", B, False)], STRUCTURAL_TOL)
+    plant = ContinuousSystem(A, E, C, F)
+    L = _shaped(L, "L", plant.n, plant.r)
+    plant.check_form(form)
+    return _admissible(plant, L, form, STRUCTURAL_TOL, "A - L C", split=True)
 
 
-def _sign_violations(maps: list[tuple[str, np.ndarray, bool]], tol: float) -> list[str]:
-    """A note for each (label, matrix, metzler) whose lowest entry, off
-    the diagonal when metzler, lies more than tol below zero."""
-    notes = []
-    for label, P, metzler in maps:
-        if metzler:
-            P = P.copy()
-            P.flat[:: P.shape[0] + 1] = np.inf
-        if P.size and not P.min() >= -tol:  # a NaN fails too
-            # plain ints print alike on numpy 1 and 2
-            worst = divmod(int(np.argmin(P)), P.shape[1])
-            kind = "is not Metzler: entry" if metzler else "has a negative entry:"
-            notes.append(f"{label} {kind} {worst} is {P[worst]:.6g}")
-    return notes
+def _admissible(plant: Plant, L, form: str, tol: float, stability: str, split: bool):
+    """Violations of the positive-loop condition at gain L, and the
+    loop's solved inputs Y = (-(S - L T))^{-1} B.
 
-
-def _admissible(states, Scl, B, inputs, tol: float, stability: str = "A - L C"):
-    """Violations of the positive-loop condition at a gain, and the
-    loop's solved inputs Y = (-Scl)^{-1} B.
-
-    states and inputs are the closed-loop state and input maps as
-    (label, P - L Q, metzler), Scl = S - L T and B the loop input.  Once
-    the state maps pass, the negatives of B and those of Scl off its
-    diagonal, which the checks bound by tol, are zeroed; that only
-    raises entries, so Y stays an upper bound.  One solve then
-    certifies Scl Hurwitz and gives Y, which is None otherwise.
+    From the plant's reduction: the state maps P - L Q, the matrix
+    S - L T (named stability) and B = E - L F, kept nonnegative in the
+    standard form; the relaxed form drives the loop with [B+ B-] when
+    split, else with the design's identity.  Once the state maps pass,
+    the negatives of B and of S - L T off its diagonal, bounded by tol,
+    are zeroed, which keeps Y an upper bound; one solve then certifies
+    S - L T Hurwitz and gives Y, which is None otherwise.
     """
+    S, T = plant.stability_pair()
+    Scl = S - L @ T
+    # a continuous plant's stability pair is its undelayed family (A, C)
+    states = [
+        (label, Scl if P is S and Q is T else P - L @ Q, metzler)
+        for label, P, Q, metzler in plant.sign_families()
+    ]
+    E, F, inputs = plant.loop_input("standard" if split else form)
+    B = E - L @ F
+    inputs = [(label, B, False) for label, *_ in inputs if form == "standard"]
+    if form == "relaxed" and split:
+        B = np.hstack(split_pos_neg(B))
     violations, Y = _sign_violations(states, tol), None
     if not violations:
         clipped = np.maximum(Scl, 0.0)
@@ -561,26 +552,17 @@ def common_certificate_rank_one(
     """
     W = _shaped(W, "W")
     n = W.shape[0]
-    if not is_metzler(W):
-        raise PreconditionError("common certificate needs Metzler W")
+    u = _shaped(u, "u", n, 1)
+    vs = [(f"v[{k}]", _shaped(v, f"v[{k}]", 1, n), False) for k, v in enumerate(vs)]
+    _require("common certificate", [("W", W, True), ("u", u, False), *vs])
     base = hurwitz_certificate(W, epsilon=epsilon)
     if base is None:
         raise PreconditionError("common certificate needs Hurwitz W")
-    u = _shaped(u, "u", n, 1)
-    if not is_nonnegative(u):
-        raise PreconditionError("u must be a nonnegative n-vector")
-    mats = []
-    for k, v in enumerate(vs):
-        v = _shaped(v, f"v[{k}]", 1, n)
-        if not is_nonnegative(v):
-            raise PreconditionError(f"v[{k}] must be a nonnegative n-vector")
-        mats.append(W + u @ v)
+    mats = [W + u @ v for _, v, _ in vs]
     if not mats:
         return base.vector
     lhs = np.vstack(mats + [-np.eye(n)])
-    rhs = np.concatenate(
-        [-epsilon * np.ones(n * len(mats)), np.zeros(n)]
-    )
+    rhs = np.concatenate([-epsilon * np.ones(n * len(mats)), np.zeros(n)])
     sol = solve(LinearProgram(np.ones(n), lhs, rhs))
     if sol.status is LpStatus.INFEASIBLE:
         return None

@@ -291,18 +291,16 @@ def _joint_input(E, F, L, form) -> np.ndarray:
     and steers each with the envelope edge that keeps the error one-sided.
     """
     n, p = E.shape
-    B = E - L @ F
     LF = L @ F
+    B = E - LF
     zero = np.zeros((n, p))
     if form == "standard":
         lo = np.hstack([LF, B, zero])
         hi = np.hstack([LF, zero, B])
-    elif form == "relaxed":
+    else:
         Bp, Bm = split_pos_neg(B)
         lo = np.hstack([LF, Bp, -Bm])
         hi = np.hstack([LF, -Bm, Bp])
-    else:
-        raise SimulationError(f"unknown observer form {form!r}")
     return np.vstack([np.hstack([E, np.zeros((n, 2 * p))]), lo, hi])
 
 
@@ -410,6 +408,7 @@ def simulate_ct(
     form: str = "standard",
 ) -> Trace:
     """Step plant and observers as one linear system by its exact step."""
+    sys.check_form(form)
     L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
     phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), config.dt)
     G = _drive(W0, W1, _joint_input(sys.E, sys.F, L, form), W)

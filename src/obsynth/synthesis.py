@@ -33,9 +33,10 @@ its scale, and any stronger floor (say X_ii >= 1) breaks the change of
 variables by letting U drift off the X L* ray when the floor binds,
 returning suboptimal gains.
 
-The plant supplies (S, T) and the sign families through its reduction
-(`positive.Plant`), which `design`, `certify` and `closed_loop` read;
-this module adds only what the observer form changes.
+The plant's reduction (`positive.Plant`) supplies (S, T), the sign
+families and the loop input, and checks every observer form;
+`design`, `certify` and `closed_loop` read it, and `certify` judges L
+with `positive._admissible`, as observer membership does.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .positive import (
     ContinuousSystem,
     DelaySystem,
     DiscreteSystem,
-    Family,
     Plant,
     _admissible,
     _positive_epsilon,
@@ -84,8 +84,7 @@ class ObserverSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.form not in ("standard", "relaxed"):
-            raise PreconditionError(f"unknown observer form {self.form!r}")
+        Plant.check_form(self.form)
         self.epsilon = _positive_epsilon(self.epsilon)
 
     def bounds(self, n: int, r: int) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -141,16 +140,6 @@ def _plant(system, form: str) -> Plant:
     return system
 
 
-def _loop_input(plant: Plant, form: str) -> tuple[np.ndarray, np.ndarray, list[Family]]:
-    """The error loop's input pair (E, F), whose aggregate gain gamma
-    bounds, and the sign family it adds.  The relaxed form drives the
-    loop with the identity, with no feedthrough, and drops E - L F >= 0."""
-    if form == "relaxed":
-        return np.eye(plant.n), np.zeros((plant.r, plant.n)), []
-    family = plant.input_family()
-    return family[1], family[2], [family]
-
-
 def _per_entry(W: np.ndarray) -> np.ndarray:
     """One row per entry (i, j) of W, row-major, holding W_ij in column i."""
     return np.repeat(np.eye(W.shape[0]), W.shape[1], axis=0) * W.reshape(-1, 1)
@@ -173,7 +162,7 @@ def _assemble(
     """
     n, r = plant.n, plant.r
     S, T = plant.stability_pair()
-    E, F, inputs = _loop_input(plant, form)
+    E, F, inputs = plant.loop_input(form)
     blocks = []  # (x part, U part, gamma coefficient, rhs)
     for _, P, Q, metzler in plant.sign_families() + inputs:
         keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
@@ -276,7 +265,7 @@ def closed_loop(system, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     plant = _plant(system, "standard")
     L = _shaped(L, "L", plant.n, plant.r)
     S, T = plant.stability_pair()
-    E, F, _ = _loop_input(plant, "standard")
+    E, F, _ = plant.loop_input("standard")
     return S - L @ T, E - L @ F
 
 
@@ -316,16 +305,10 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
         flags.append("L is not X^{-1} U")
 
     # the positive-loop condition at L, judged as membership is but with
-    # the tolerance scaled to the margin
-    S, T = plant.stability_pair()
-    E, F, inputs = _loop_input(plant, result.form)
-
-    def at_L(families):
-        return [(label, P - L @ Q, metzler) for label, P, Q, metzler in families]
-
+    # the tolerance scaled to the margin and the design's relaxed input
     violations, Y = _admissible(
-        at_L(plant.sign_families()), S - L @ T, E - L @ F, at_L(inputs),
-        max(STRUCTURAL_TOL, slack), "closed-loop stability matrix",
+        plant, L, result.form, max(STRUCTURAL_TOL, slack), "closed-loop stability matrix",
+        split=False,
     )
     flags += violations
     gamma_indep = None

@@ -39,6 +39,10 @@ def test_is_metzler_examples():
     assert is_metzler(np.eye(3), tol=0.0)
     with pytest.raises(DimensionError):
         is_metzler(np.zeros((2, 3)))
+    # the diagonal is free, whatever it holds; off it a NaN fails
+    for d in (np.inf, -np.inf, np.nan):
+        assert is_metzler(np.array([[d, 1.0], [0.5, -1.0]]))
+    assert not is_metzler(np.array([[-1.0, np.nan], [0.5, -1.0]]))
 
 
 def test_is_metzler_closed_under_addition():
@@ -227,6 +231,78 @@ def test_problem_reads_every_object_through_one_reader():
         for node, called in _calls(tree)
         if called == "_check_keys" and id(node) not in inside
     ]
+    assert found == []
+
+
+def _inside(tree: ast.AST, names: tuple[str, ...]) -> set[int]:
+    """ids of the nodes within the functions of tree named in names."""
+    return {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name in names
+        for node in ast.walk(func)
+    }
+
+
+def test_one_function_names_an_unknown_observer_form():
+    # Plant.check_form is the one check of an observer form; ObserverSpec,
+    # membership, certify and simulate_ct call it.
+    found, built = [], False
+    for name, tree in _library_trees():
+        inside = _inside(tree, ("check_form",)) if name == "positive.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and "unknown observer form" in str(node.value):
+                built |= id(node) in inside
+                if id(node) not in inside:
+                    found.append(f"{name}:{node.lineno} unknown form outside check_form")
+    assert built, "Plant.check_form no longer names an unknown form"
+    assert found == []
+
+
+# range checks of a number, not sign rules of a map
+SCALAR_MESSAGES = ("delay h must be finite and nonnegative", "tol must be a nonnegative real")
+
+
+def test_only_linalg_words_a_sign_precondition():
+    # A map that must be Metzler or nonnegative is refused by
+    # linalg._require, "<caller> needs <Metzler|nonnegative> <name>";
+    # no other module words that refusal itself.
+    found = []
+    for name, tree in _library_trees():
+        if name == "linalg.py":
+            continue
+        for call, called in _calls(tree):
+            if called != "PreconditionError":
+                continue
+            for node in ast.walk(call):
+                text = str(node.value) if isinstance(node, ast.Constant) else ""
+                sign = "Metzler" in text or "nonnegative" in text
+                if sign and not text.startswith(SCALAR_MESSAGES):
+                    found.append(f"{name}:{node.lineno} {text!r}")
+    assert found == []
+
+
+def test_only_the_judgement_of_a_gain_reads_the_raw_sign_rule():
+    # linalg._sign_violations is the one sign rule.  In positive and
+    # synthesis only _admissible, the one judgement of a gain, and
+    # is_positive_system read its notes; every other check goes through
+    # _require, is_metzler or is_nonnegative.
+    found = []
+    for name, tree in _library_trees():
+        found += [
+            f"{name}:{node.lineno} _sign_violations defined"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_sign_violations"
+            and name != "linalg.py"
+        ]
+        if name in ("positive.py", "synthesis.py"):
+            inside = _inside(tree, ("_admissible", "is_positive_system"))
+            found += [
+                f"{name}:{node.lineno} _sign_violations call"
+                for node, called in _calls(tree)
+                if called == "_sign_violations" and id(node) not in inside
+            ]
     assert found == []
 
 

@@ -43,7 +43,7 @@ from obsynth import (
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.positive import linf_gain_closed
 from obsynth.problem import parse_problem, parse_problem_dict
-from obsynth.simulation import _grid, _joint_input, _joint_state
+from obsynth.simulation import _grid
 from obsynth.synthesis import ObserverSpec, closed_loop, design
 
 from conftest import random_feasible_loop
@@ -253,21 +253,30 @@ def test_trace_checks_reject_out_of_range_arguments():
 # continuous-time integration
 
 
-def _joint_affine(sys, L):
+def _joint_affine(A, E, C, F, L, form="standard"):
     """State and input maps of plant + observers for W = [w, w_lo, w_hi],
     written from the defining equations rather than the simulator's
-    block matrices."""
-    n, p = sys.n, sys.p
+    block matrices.  Each observer runs A - L C and reads y = C x + F w
+    through L.  With B = E - L F, the standard form drives each with B
+    at its own envelope edge; the relaxed form drives each with B+ at
+    its own edge and -B- at the other."""
+    n, p = E.shape
+    B = E - L @ F
     big = np.zeros((3 * n, 3 * n))
     inputs = np.zeros((3 * n, 3 * p))
-    big[:n, :n] = sys.A
-    inputs[:n, :p] = sys.E
+    big[:n, :n] = A
+    inputs[:n, :p] = E
     for j in (1, 2):
         rows = slice(j * n, (j + 1) * n)
-        big[rows, :n] = L @ sys.C
-        big[rows, rows] = sys.A - L @ sys.C
-        inputs[rows, :p] = L @ sys.F  # y = C x + F w
-        inputs[rows, j * p : (j + 1) * p] = sys.E - L @ sys.F
+        own, other = slice(j * p, (j + 1) * p), slice((3 - j) * p, (4 - j) * p)
+        big[rows, :n] = L @ C
+        big[rows, rows] = A - L @ C
+        inputs[rows, :p] = L @ F
+        if form == "standard":
+            inputs[rows, own] = B
+        else:
+            inputs[rows, own] = np.maximum(B, 0.0)
+            inputs[rows, other] = -np.maximum(-B, 0.0)
     return big, inputs
 
 
@@ -283,7 +292,7 @@ def test_constant_and_ramp_inputs_are_stepped_exactly(slope, dt):
     dist = DisturbanceModel([ramp], [lambda t: ramp(t) - 1.0], [lambda t: ramp(t) + 1.0])
     cfg = SimConfig(2.0, dt, [1.0, 0.0], [-2.0, -2.0], [2.0, 2.0])
     trace = simulate_ct(CASE1, L, dist, cfg)
-    big, inputs = _joint_affine(CASE1, L)
+    big, inputs = _joint_affine(CASE1.A, CASE1.E, CASE1.C, CASE1.F, L)
     aug = np.zeros((8, 8))
     aug[:6, :6] = big
     aug[:6, 6] = inputs @ np.ones(3)
@@ -466,7 +475,7 @@ def test_simulators_refuse_mismatched_inputs():
          DimensionError, "disturbance has 2 channels, plant expects 1"),
         (lambda: simulate_ct(
             CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]), form="loose"),
-         SimulationError, "unknown observer form 'loose'"),
+         PreconditionError, "unknown observer form 'loose'"),
         (lambda: simulate_delay(
             DELAY_SYS, np.zeros((1, 1)), dist,
             SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0], history=[ConstantSignal(0.0)] * 2)),
@@ -661,12 +670,11 @@ def _reference_linear(sys, L, dist, cfg, form="standard"):
     joint = [np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi])]
     if isinstance(sys, DiscreteSystem):
         times = _grid(cfg.t_end, cfg.dt)
-        big_a = _joint_state(sys.A_d, L @ sys.C_d)
-        big_b = _joint_input(sys.E_d, sys.F_d, L, "standard")
+        big_a, big_b = _joint_affine(sys.A_d, sys.E_d, sys.C_d, sys.F_d, L)
         for t in times[:-1]:
             joint.append(big_a @ joint[-1] + big_b @ W(t))
     else:
-        big_b = _joint_input(sys.E, sys.F, L, form)
+        big_a, big_b = _joint_affine(sys.A, sys.E, sys.C, sys.F, L, form)
         delayed = isinstance(sys, DelaySystem)
         m = int(np.ceil(sys.h / cfg.dt - 1e-9)) if delayed else 0
         dt = sys.h / m if delayed else cfg.dt
@@ -679,9 +687,9 @@ def _reference_linear(sys, L, dist, cfg, form="standard"):
             back = joint[k - m] if k >= m else np.concatenate(
                 [[s((k - m) * dt) for s in past], cfg.x0_lo, cfg.x0_hi]
             )
-            return big_b @ W(times[k]) + _joint_state(sys.A_h, L @ sys.C_h) @ back
+            return big_b @ W(times[k]) + _joint_affine(sys.A_h, sys.E, sys.C_h, sys.F, L)[0] @ back
 
-        step = _exact_step(_joint_state(sys.A, L @ sys.C), dt)
+        step = _exact_step(big_a, dt)
         for k in range(times.size - 1):
             joint.append(step(joint[k], u(k), u(k + 1)))
     w = np.array([W(t) for t in times])

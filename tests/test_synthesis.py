@@ -490,6 +490,15 @@ def test_design_rejects_unknown_plants_and_mismatched_certify():
         certify(result, _scalar_delay(0.0), ObserverSpec())
 
 
+@pytest.mark.parametrize("system", [CASE1, _scalar_delay(0.0)], ids=["continuous", "delay"])
+def test_certify_refuses_an_unknown_form(system):
+    # the form is judged before any plant type reads it as standard
+    result = dataclasses.replace(design(system, ObserverSpec()), form="bogus")
+    with pytest.raises(PreconditionError) as exc:
+        certify(result, system, ObserverSpec())
+    assert str(exc.value) == "unknown observer form 'bogus'"
+
+
 def test_discrete_delay_system_validation():
     with pytest.raises(DimensionError):
         DiscreteDelaySystem(np.eye(2), np.eye(3), [[1.0], [1.0]], [[1.0, 0.0]], [[0.0, 0.0]], [[0.0]])
@@ -585,8 +594,6 @@ def _ref_dt_delay(sys, form):
 
 
 def test_plant_reduction_matches_the_per_type_builders():
-    from obsynth.synthesis import _loop_input
-
     rng = np.random.default_rng(1511)
     for _ in range(6):
         n, p, r = (int(k) for k in rng.integers(1, 5, size=3))
@@ -610,7 +617,7 @@ def test_plant_reduction_matches_the_per_type_builders():
                 assert np.array_equal(P, P_ref) and np.array_equal(Q, Q_ref)
             S_got, T_got = sys.stability_pair()
             assert np.array_equal(S_got, S) and np.array_equal(T_got, T)
-            E_got, F_got, inputs = _loop_input(sys, form)
+            E_got, F_got, inputs = sys.loop_input(form)
             assert np.array_equal(E_got, E_ref) and np.array_equal(F_got, F_ref)
             if input_label is None:
                 assert inputs == []
