@@ -7,21 +7,26 @@ x' = A x + u(t) is then exactly the affine map
     x+ = Phi x + W0 u_k + W1 u_{k+1},
 
 with Phi = e^{hA} and the input weights W0, W1 taken from one matrix
-exponential (see _step_maps).  The maps are built once per trace, the
-inputs on the grid are evaluated in one vectorized pass, and the only
-per-step work left is the matrix recurrence.  Constant and linear
-inputs are therefore stepped exactly, and the step size does not
-decide stability.  The continuous case steps plant and both observer
-copies as one joint system.  The delayed case uses the method of
-steps: the step size is snapped to an integer fraction of the delay,
-and one array holds the history on the grid followed by the trace, so
-the state one delay back is a stored row and the lag is one more input
-held linear between rows.  The population model is nonlinear, but its
+exponential (see _step_maps).  The maps are built once per trace and
+the inputs on the grid are evaluated in one vectorized pass.  Constant
+and linear inputs are therefore stepped exactly, and the step size does
+not decide stability.  The continuous case steps plant and both observer
+copies as one joint system.  The population model is nonlinear, but its
 plant does not depend on the observers: the plant is stepped alone by
-classical RK4 and its states on the grid then drive the observer pair
-through the same recurrence.  Discrete time is the exact recursion, run
-by the same loop.  The three linear simulators share their setup
-(_linear_setup) and their finish (_joint_trace).
+classical RK4 and its states on the grid then drive the observer pair.
+Discrete time is the exact recursion.  These three run one blocked
+recurrence (_recur): the K steps of x+ = Phi x + g_k are cut into
+chunks of about sqrt(K), and all chunks advance at once.  Each chunk's
+start is carried through Phi^B, B the chunk length, and its rows are
+then stepped one by one from that start, so the trace agrees with
+sequential stepping to rounding; B halves while Phi^B overflows.  The
+delayed case uses the method of steps: the step size is snapped to an
+integer fraction of the delay, and one array holds the history on the
+grid followed by the trace, so the state one delay back is a stored row
+and the lag is one more input held linear between rows.  That lag
+couples rows one delay apart, so the delayed case keeps a plain step
+loop.  The three linear simulators share their setup (_linear_setup)
+and their finish (_joint_trace).
 
 Signals are evaluated by one zero-order hold, PiecewiseConstantSignal,
 and by SineSignal; constant and sampled signals are holds.  Each defines
@@ -30,6 +35,7 @@ the vectorized at(times), and a call at one time is at() at that time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -336,21 +342,50 @@ def _step_maps(A: np.ndarray, h: float):
 
 def _recur(phi: np.ndarray, X0: np.ndarray, G: np.ndarray) -> np.ndarray:
     """X[k+1] = Phi X[k] + G[k] from X[0] = X0; a matrix X0 steps its
-    columns side by side."""
-    out = np.empty((len(G) + 1,) + X0.shape)
-    out[0] = X0
-    out[1:] = G
+    columns side by side.
+
+    The K = len(G) steps are cut into chunks of B, about sqrt(K), and
+    every loop below runs over all chunks at once: each chunk is first
+    stepped from zero, which gives its end offset; the chunk starts are
+    then carried through P = Phi^B; and each chunk is stepped again from
+    its start, row by row.  So every row comes from its chunk's start by
+    the one-step formula, and the trace agrees with sequential stepping
+    to rounding.  B halves while Phi^B has a non-finite entry, down to 1,
+    the plain loop, so a diverging trace turns non-finite at the same row.
+    """
+    K, n = len(G), phi.shape[0]
+    # rows hold the state along their last axis, stepped as x+ = x Phi^T + g
+    G = np.moveaxis(G, 1, -1)
+    out = np.empty((K + 1,) + G.shape[1:])
+    out[0] = np.moveaxis(X0, 0, -1)
+    step = phi.T
+
+    def advance(Z, g):
+        return (Z[: len(g)].reshape(-1, n) @ step).reshape(g.shape) + g
+
     # a diverging state is reported once per trace, by _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, nxt in zip(out, out[1:]):
-            nxt += phi @ prev
-    return out
+        B = max(1, math.isqrt(K))
+        while B > 1 and not np.isfinite(np.linalg.matrix_power(phi, B)).all():
+            B //= 2
+        P = np.linalg.matrix_power(step, B)
+        # chunk q steps rows qB .. qB + B, and every chunk before the last
+        # is full; ends holds their end offsets, each stepped from zero
+        ends = np.zeros(((K - 1) // B,) + G.shape[1:])
+        for j in range(B):
+            ends = advance(ends, G[j::B][: len(ends)])
+        for q, end in enumerate(ends):
+            out[(q + 1) * B] = out[q * B] @ P + end
+        Z = out[:K:B]
+        for j in range(B):
+            Z = out[j + 1 :: B] = advance(Z, G[j::B])
+    return np.moveaxis(out, -1, 1)
 
 
 def _check_finite(times: np.ndarray, *states: np.ndarray) -> None:
     """Raise at the first grid time at which any state is non-finite."""
     ok = np.logical_and.reduce(
-        [np.isfinite(s.reshape(times.size, -1)).all(axis=1) for s in states]
+        [np.isfinite(s).reshape(times.size, -1).all(axis=1) for s in states]
     )
     if not ok.all():
         k = int(np.argmin(ok))
@@ -507,10 +542,10 @@ class PopulationModel:
             got = len(getattr(self, name))
             if got != count:
                 raise SimulationError(f"{name} takes {count} values, got {got}")
-        b1, b2, b3 = (float(v) for v in self.decay)
-        a1, a2 = (float(v) for v in self.growth)
-        if min(b1, b2, b3) <= 0.0 or min(a1, a2) <= 0.0:
-            raise SimulationError("decay and growth rates must be positive")
+        for name in ("decay", "growth", "half_saturation"):
+            # a NaN fails the comparison, so it is refused too
+            if not all(0.0 < float(v) < math.inf for v in np.ravel(getattr(self, name))):
+                raise SimulationError(f"{name} must be positive and finite")
         lo, hi = (float(v) for v in self.incidence_bounds)
         if not 0.0 <= lo <= hi:
             raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi")
@@ -522,8 +557,6 @@ class PopulationModel:
             raise SimulationError(
                 "incidence_gain must lie inside incidence_bounds"
             )
-        if self.half_saturation <= 0.0:
-            raise SimulationError("half_saturation must be positive")
 
     def gain_at(self, t: float) -> float:
         return float(_incidence_gains(self, np.array([float(t)]))[0])

@@ -7,6 +7,7 @@ with scipy's expm (scipy plays no role in the library itself), or
 against the hand-rolled discrete recursion.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -43,7 +44,7 @@ from obsynth import (
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.positive import linf_gain_closed
 from obsynth.problem import parse_problem, parse_problem_dict
-from obsynth.simulation import _grid
+from obsynth.simulation import _grid, _recur
 from obsynth.synthesis import ObserverSpec, closed_loop, design
 
 from conftest import random_feasible_loop
@@ -580,6 +581,16 @@ def test_population_model_counts_its_rates(args, message):
         PopulationModel(*args, 1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("decay", (math.nan, 2.0, 3.0)), ("growth", (math.inf, 4.0)), ("half_saturation", math.nan)],
+    ids=["decay", "growth", "half_saturation"],
+)
+def test_population_model_refuses_non_finite_rates(field, value):
+    with pytest.raises(SimulationError, match=rf"^{field} must be positive and finite$"):
+        dataclasses.replace(POP, **{field: value})
+
+
 def test_population_linear_part_and_threshold():
     sys = POP.system()
     assert np.array_equal(
@@ -647,6 +658,62 @@ def test_plain_callables_work_as_signals():
     a, b = (simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, c) for c in cfgs)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.x_hi, b.x_hi)
+
+
+# ---------------------------------------------------------------------------
+# the blocked recurrence against a plain per-step loop
+
+
+def _plain_recur(phi, X0, G):
+    out = [X0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in G:
+            out.append(phi @ out[-1] + g)
+    return np.array(out)
+
+
+def _step_matrix(kind, n, rng):
+    """A positive matrix with every row sum equal, so its spectral radius
+    is that sum: below, at and above 1."""
+    if kind == "identity":
+        return np.eye(n)
+    M = rng.random((n, n))
+    return M / M.sum(axis=1, keepdims=True) * {"stable": 0.98, "growing": 1.0003}[kind]
+
+
+@pytest.mark.parametrize("columns", [None, 2], ids=["vector", "matrix"])
+@pytest.mark.parametrize("kind", ["stable", "identity", "growing"])
+@pytest.mark.parametrize("K", [1, 2, 3, 15, 16, 17, 4000, 13001])
+def test_recur_matches_the_plain_loop(K, kind, columns):
+    rng = np.random.default_rng(K)
+    phi = _step_matrix(kind, 4, rng)
+    shape = (4,) if columns is None else (4, columns)
+    X0, G = rng.random(shape), rng.standard_normal((K,) + shape)
+    got, want = _recur(phi, X0, G), _plain_recur(phi, X0, G)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_recur_chunk_starts_do_not_drift_over_a_long_loop():
+    rng = np.random.default_rng(9)
+    phi = _step_matrix("stable", 9, rng)
+    X0, G = rng.random(9), rng.random((10**5, 9))
+    got, want = _recur(phi, X0, G), _plain_recur(phi, X0, G)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rate, x0", [(50.0, 1.0), (100.0, 1e-300)])
+def test_recur_turns_non_finite_at_the_plain_loops_row(rate, x0):
+    # 100 steps give chunks of 10.  For e^50 the tenth power is finite
+    # but the third chunk start, e^1000, overflows; for e^100 the tenth
+    # power overflows and the chunks shrink to 5.  Either way x_k =
+    # x0 e^{rate k} first overflows at k = 15.
+    phi, X0, G = np.array([[math.exp(rate)]]), np.array([x0]), np.zeros((100, 1))
+
+    def first_non_finite(X):
+        return int(np.argmin(np.isfinite(X).all(axis=1)))
+
+    assert first_non_finite(_recur(phi, X0, G)) == first_non_finite(_plain_recur(phi, X0, G)) == 15
 
 
 # ---------------------------------------------------------------------------
