@@ -13,7 +13,9 @@ and linear inputs are therefore stepped exactly, and the step size does
 not decide stability.  The continuous case steps plant and both observer
 copies as one joint system.  The population model is nonlinear, but its
 plant does not depend on the observers: the plant is stepped alone by
-classical RK4 and its states on the grid then drive the observer pair.
+classical RK4, in one flat loop of Python floats that stores each state
+row through a memoryview of one preallocated array, and its states on
+the grid then drive the observer pair.
 Discrete time is the exact recursion.  These three run one blocked
 recurrence (_recur): the K steps of x+ = Phi x + g_k are cut into
 chunks of about sqrt(K), and all chunks advance at once.  Each chunk's
@@ -547,8 +549,8 @@ class PopulationModel:
             if not all(0.0 < float(v) < math.inf for v in np.ravel(getattr(self, name))):
                 raise SimulationError(f"{name} must be positive and finite")
         lo, hi = (float(v) for v in self.incidence_bounds)
-        if not 0.0 <= lo <= hi:
-            raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi < inf")
         # a time-varying gain is only checkable sample by sample, which
         # simulate_population does; a constant is checked here
         if not callable(self.incidence_gain) and not (
@@ -597,30 +599,35 @@ def _population_plant(
 ) -> np.ndarray:
     """Classical RK4 for the population plant alone, in Python floats,
     with the incidence gain given on the grid and on the half-step grid.
-    Returns the states on the grid, shape (len(gain), 3)."""
+    Returns the states on the grid, shape (len(gain), 3), stored row by
+    row through a memoryview of one preallocated array.  The stages are
+    written out in the expression order the tests pin bit for bit."""
     b1, b2, b3 = (float(v) for v in model.decay)
     a1, a2 = (float(v) for v in model.growth)
     sat = float(model.half_saturation)
-
-    def f(x1, x2, x3, g):
-        return -b1 * x1 + g * x3 / (x3 + sat), a1 * x1 - b2 * x2, a2 * x2 - b3 * x3
-
+    nb1 = -b1
     half = h / 2.0
     sixth = h / 6.0
-    out = np.empty((len(gain), 3))
+    flat = np.empty(3 * len(gain))
+    out = memoryview(flat)
     x1, x2, x3 = (float(v) for v in x0)
     grid = memoryview(gain)
-    for k, (g0, g_mid, g1) in enumerate(zip(grid, memoryview(gain_mid), grid[1:])):
-        p1, p2, p3 = f(x1, x2, x3, g0)
-        q1, q2, q3 = f(x1 + half * p1, x2 + half * p2, x3 + half * p3, g_mid)
-        r1, r2, r3 = f(x1 + half * q1, x2 + half * q2, x3 + half * q3, g_mid)
-        s1, s2, s3 = f(x1 + h * r1, x2 + h * r2, x3 + h * r3, g1)
-        out[k] = (x1, x2, x3)
-        x1 += sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
-        x2 += sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
-        x3 += sixth * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
-    out[-1] = (x1, x2, x3)
-    return out
+    i = 0
+    for g0, g_mid, g1 in zip(grid, memoryview(gain_mid), grid[1:]):
+        out[i], out[i + 1], out[i + 2] = x1, x2, x3
+        i += 3
+        p1, p2, p3 = nb1 * x1 + g0 * x3 / (x3 + sat), a1 * x1 - b2 * x2, a2 * x2 - b3 * x3
+        y1, y2, y3 = x1 + half * p1, x2 + half * p2, x3 + half * p3
+        q1, q2, q3 = nb1 * y1 + g_mid * y3 / (y3 + sat), a1 * y1 - b2 * y2, a2 * y2 - b3 * y3
+        y1, y2, y3 = x1 + half * q1, x2 + half * q2, x3 + half * q3
+        r1, r2, r3 = nb1 * y1 + g_mid * y3 / (y3 + sat), a1 * y1 - b2 * y2, a2 * y2 - b3 * y3
+        y1, y2, y3 = x1 + h * r1, x2 + h * r2, x3 + h * r3
+        # the bracket is the fourth stage, added last as in p + 2q + 2r + s
+        x1 += sixth * (p1 + 2.0 * q1 + 2.0 * r1 + (nb1 * y1 + g1 * y3 / (y3 + sat)))
+        x2 += sixth * (p2 + 2.0 * q2 + 2.0 * r2 + (a1 * y1 - b2 * y2))
+        x3 += sixth * (p3 + 2.0 * q3 + 2.0 * r3 + (a2 * y2 - b3 * y3))
+    out[i], out[i + 1], out[i + 2] = x1, x2, x3
+    return flat.reshape(len(gain), 3)
 
 
 def simulate_population(

@@ -1,6 +1,7 @@
 """Problem-file parsing: strictness, normalization, and round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -444,6 +445,21 @@ def test_invalid_model_values_blamed_on_the_system():
     }
     # parsing builds the model, so the file itself is refused
     _expect(r"^\$\.population: incidence_gain must lie inside incidence_bounds$", doc)
+
+
+def test_population_file_refuses_an_infinite_incidence_bound():
+    doc = {
+        "schema_version": "1",
+        "class": "population",
+        "population": {
+            "decay": [2.0, 2.0, 3.0],
+            "growth": [3.0, 4.0],
+            "incidence_gain": 1.5,
+            "incidence_bounds": [1.0, math.inf],
+            "half_saturation": 1.0,
+        },
+    }
+    _expect(r"^\$\.population\.incidence_bounds\[1\]: number must be finite$", doc)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from obsynth import (
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.positive import linf_gain_closed
 from obsynth.problem import parse_problem, parse_problem_dict
-from obsynth.simulation import _grid, _recur
+from obsynth.simulation import _grid, _incidence_gains, _population_plant, _recur
 from obsynth.synthesis import ObserverSpec, closed_loop, design
 
 from conftest import random_feasible_loop
@@ -591,6 +591,13 @@ def test_population_model_refuses_non_finite_rates(field, value):
         dataclasses.replace(POP, **{field: value})
 
 
+def test_population_model_refuses_an_infinite_incidence_bound():
+    with pytest.raises(
+        SimulationError, match=r"^incidence_bounds must satisfy 0 <= lo <= hi < inf$"
+    ):
+        PopulationModel((2, 2, 3), (3, 4), 1.5, (1.0, math.inf), 1.0)
+
+
 def test_population_linear_part_and_threshold():
     sys = POP.system()
     assert np.array_equal(
@@ -636,6 +643,69 @@ def test_population_gain_leaving_envelope_aborts():
     cfg = SimConfig(60.0, 0.01, [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(SimulationError):
         simulate_population(model, np.array([[0.0], [0.0], [5.0]]), cfg)
+
+
+def _closure_population_plant(model, x0, gain, gain_mid, h):
+    """Reference RK4 stepper for the population plant, with one closure
+    per stage evaluation and a numpy row store per step; the flat loop
+    must match it bit for bit."""
+    b1, b2, b3 = (float(v) for v in model.decay)
+    a1, a2 = (float(v) for v in model.growth)
+    sat = float(model.half_saturation)
+
+    def f(x1, x2, x3, g):
+        return -b1 * x1 + g * x3 / (x3 + sat), a1 * x1 - b2 * x2, a2 * x2 - b3 * x3
+
+    half = h / 2.0
+    sixth = h / 6.0
+    out = np.empty((len(gain), 3))
+    x1, x2, x3 = (float(v) for v in x0)
+    grid = memoryview(gain)
+    for k, (g0, g_mid, g1) in enumerate(zip(grid, memoryview(gain_mid), grid[1:])):
+        p1, p2, p3 = f(x1, x2, x3, g0)
+        q1, q2, q3 = f(x1 + half * p1, x2 + half * p2, x3 + half * p3, g_mid)
+        r1, r2, r3 = f(x1 + half * q1, x2 + half * q2, x3 + half * q3, g_mid)
+        s1, s2, s3 = f(x1 + h * r1, x2 + h * r2, x3 + h * r3, g1)
+        out[k] = (x1, x2, x3)
+        x1 += sixth * (p1 + 2.0 * q1 + 2.0 * r1 + s1)
+        x2 += sixth * (p2 + 2.0 * q2 + 2.0 * r2 + s2)
+        x3 += sixth * (p3 + 2.0 * q3 + 2.0 * r3 + s3)
+    out[-1] = (x1, x2, x3)
+    return out
+
+
+def _both_population_plants(gain, dt, t_end):
+    model = dataclasses.replace(POP, incidence_gain=gain)
+    times = _grid(t_end, dt)
+    args = (
+        model,
+        [0.1, 0.0, 0.0],
+        _incidence_gains(model, times),
+        _incidence_gains(model, times[:-1] + dt / 2.0),
+        dt,
+    )
+    return _population_plant(*args), _closure_population_plant(*args)
+
+
+@pytest.mark.parametrize(
+    "gain",
+    [1.5, SineSignal(0.5, 0.1, offset=1.5), lambda t: 1.5 + 0.5 * np.sin(0.1 * t)],
+    ids=["constant", "sine", "lambda"],
+)
+def test_population_plant_matches_the_closure_loop_bit_for_bit(gain):
+    got, want = _both_population_plants(gain, 0.01, 60.0)
+    assert got.shape == (6001, 3)
+    assert np.array_equal(got, want)
+
+
+def test_population_plant_turns_non_finite_like_the_closure_loop():
+    got, want = _both_population_plants(1.5, 2.0, 2000.0)
+    assert np.array_equal(got, want, equal_nan=True)
+    first = [int(np.argmin(np.isfinite(x).all(axis=1))) for x in (got, want)]
+    assert first[0] == first[1] > 0
+    cfg = SimConfig(2000.0, 2.0, [0.1, 0.0, 0.0], [0.01, 0.0, 0.0], [0.6, 0.8, 1.1])
+    with pytest.raises(SimulationError, match=r"^state became non-finite at t=414$"):
+        simulate_population(POP, np.array([[0.0], [0.0], [5.0]]), cfg)
 
 
 def test_plain_callables_work_as_signals():
