@@ -13,22 +13,22 @@ and linear inputs are therefore stepped exactly, and the step size does
 not decide stability.  The continuous case steps plant and both observer
 copies as one joint system.  The population model is nonlinear, but its
 plant does not depend on the observers: the plant is stepped alone by
-classical RK4, in one flat loop of Python floats that stores each state
-row through a memoryview of one preallocated array, and its states on
-the grid then drive the observer pair.
-Discrete time is the exact recursion.  These three run one blocked
+classical RK4 in one flat loop of Python floats (a state it drives below
+zero is refused), and its states on the grid drive the observer pair,
+one system of two block-diagonal copies of A - L C.  Discrete time is
+the exact recursion.  The delayed case uses the method of steps: the
+step is snapped to h / m, and one array holds the history on the grid
+followed by the trace, so the state one delay back is a stored row and
+the lag is one more input held linear between rows; each delay interval
+of m steps reads only stored rows, so its drive is known in advance.
+Every linear trace, a delayed one interval by interval, runs one blocked
 recurrence (_recur): the K steps of x+ = Phi x + g_k are cut into
 chunks of about sqrt(K), and all chunks advance at once.  Each chunk's
 start is carried through Phi^B, B the chunk length, and its rows are
 then stepped one by one from that start, so the trace agrees with
 sequential stepping to rounding; B halves while Phi^B overflows.  The
-delayed case uses the method of steps: the step size is snapped to an
-integer fraction of the delay, and one array holds the history on the
-grid followed by the trace, so the state one delay back is a stored row
-and the lag is one more input held linear between rows.  That lag
-couples rows one delay apart, so the delayed case keeps a plain step
-loop.  The three linear simulators share their setup (_linear_setup)
-and their finish (_joint_trace).
+three linear simulators share their setup (_linear_setup) and their
+finish (_joint_trace).
 
 Signals are evaluated by one zero-order hold, PiecewiseConstantSignal,
 and by SineSignal; constant and sampled signals are holds.  Each defines
@@ -342,9 +342,8 @@ def _step_maps(A: np.ndarray, h: float):
         return phi, hphi1 - W1, W1
 
 
-def _recur(phi: np.ndarray, X0: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """X[k+1] = Phi X[k] + G[k] from X[0] = X0; a matrix X0 steps its
-    columns side by side.
+def _recur(phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """x[k+1] = Phi x[k] + G[k] from x[0] = x0.
 
     The K = len(G) steps are cut into chunks of B, about sqrt(K), and
     every loop below runs over all chunks at once: each chunk is first
@@ -355,16 +354,11 @@ def _recur(phi: np.ndarray, X0: np.ndarray, G: np.ndarray) -> np.ndarray:
     to rounding.  B halves while Phi^B has a non-finite entry, down to 1,
     the plain loop, so a diverging trace turns non-finite at the same row.
     """
-    K, n = len(G), phi.shape[0]
-    # rows hold the state along their last axis, stepped as x+ = x Phi^T + g
-    G = np.moveaxis(G, 1, -1)
-    out = np.empty((K + 1,) + G.shape[1:])
-    out[0] = np.moveaxis(X0, 0, -1)
+    K = len(G)
+    out = np.empty((K + 1, phi.shape[0]))
+    out[0] = x0
+    # rows hold the state, stepped as x+ = x Phi^T + g
     step = phi.T
-
-    def advance(Z, g):
-        return (Z[: len(g)].reshape(-1, n) @ step).reshape(g.shape) + g
-
     # a diverging state is reported once per trace, by _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
         B = max(1, math.isqrt(K))
@@ -373,22 +367,20 @@ def _recur(phi: np.ndarray, X0: np.ndarray, G: np.ndarray) -> np.ndarray:
         P = np.linalg.matrix_power(step, B)
         # chunk q steps rows qB .. qB + B, and every chunk before the last
         # is full; ends holds their end offsets, each stepped from zero
-        ends = np.zeros(((K - 1) // B,) + G.shape[1:])
+        ends = np.zeros(((K - 1) // B, phi.shape[0]))
         for j in range(B):
-            ends = advance(ends, G[j::B][: len(ends)])
+            ends = ends @ step + G[j::B][: len(ends)]
         for q, end in enumerate(ends):
             out[(q + 1) * B] = out[q * B] @ P + end
         Z = out[:K:B]
         for j in range(B):
-            Z = out[j + 1 :: B] = advance(Z, G[j::B])
-    return np.moveaxis(out, -1, 1)
+            Z = out[j + 1 :: B] = Z[: len(G[j::B])] @ step + G[j::B]
+    return out
 
 
 def _check_finite(times: np.ndarray, *states: np.ndarray) -> None:
     """Raise at the first grid time at which any state is non-finite."""
-    ok = np.logical_and.reduce(
-        [np.isfinite(s).reshape(times.size, -1).all(axis=1) for s in states]
-    )
+    ok = np.logical_and.reduce([np.isfinite(s).all(axis=1) for s in states])
     if not ok.all():
         k = int(np.argmin(ok))
         raise SimulationError(f"state became non-finite at t={times[k]:.6g}")
@@ -465,7 +457,9 @@ def simulate_delay(
     One array X holds the history on the grid in rows 0..m-1 (observers
     at their initial bounds) and the trace from row m, so the state one
     delay back from step k is row k.  The lag enters like any input, held
-    linear between rows k and k + 1.  At h = 0 the plant is its
+    linear between rows k and k + 1.  The m steps from row m + k read
+    rows k .. k + m, all stored, so `_recur` steps one delay interval
+    at a time on a drive known in advance.  At h = 0 the plant is its
     zero-delay aggregate, run by `simulate_ct`.
     """
     if sys.h == 0.0:
@@ -502,9 +496,11 @@ def simulate_delay(
     X[:m, n:] = X0[n:]
     X[m] = X0
     with np.errstate(over="ignore", invalid="ignore"):
-        lag0, lag1 = W0 @ lag, W1 @ lag
-        for k in range(times.size - 1):
-            X[m + k + 1] = phi @ X[m + k] + G[k] + lag0 @ X[k] + lag1 @ X[k + 1]
+        lag0, lag1 = (W0 @ lag).T, (W1 @ lag).T
+        for k in range(0, len(G), m):
+            j = min(m, len(G) - k)  # the last interval may be shorter
+            g = G[k : k + j] + X[k : k + j] @ lag0 + X[k + 1 : k + j + 1] @ lag1
+            X[m + k : m + k + j + 1] = _recur(phi, X[m + k], g)
     return _joint_trace(times, X[m:], W)
 
 
@@ -643,9 +639,8 @@ def simulate_population(
     linear between grid values, through the exact step of A - L C.
     """
     sys = model.system()
-    n = sys.n
-    L = _shaped(L, "L", n, sys.r)
-    _check_x0(config, n)
+    L = _shaped(L, "L", sys.n, sys.r)
+    _check_x0(config, sys.n)
     if np.any(config.x0_lo < 0.0):
         raise SimulationError("population bounds must be nonnegative")
     times = _grid(config.t_end, config.dt)
@@ -657,18 +652,21 @@ def simulate_population(
     # through E, with a = a_lo for x_lo and a = a_hi for x_hi
     y = x[:, 2:]
     read = np.hstack([y, y / (y + model.half_saturation)])
-    bounds = np.array(model.incidence_bounds, dtype=float)
-    phi, W0, W1 = _step_maps(sys.A - L @ sys.C, config.dt)
-    G = np.stack([_drive(W0, W1, np.hstack([L, a * sys.E]), read) for a in bounds], axis=2)
-    X = _recur(phi, np.column_stack([config.x0_lo, config.x0_hi]), G)
+    bounds = [float(a) for a in model.incidence_bounds]
+    phi, W0, W1 = _step_maps(np.kron(np.eye(2), sys.A - L @ sys.C), config.dt)
+    G = _drive(W0, W1, np.block([[L, a * sys.E] for a in bounds]), read)
+    X = _recur(phi, np.concatenate([config.x0_lo, config.x0_hi]), G)
     _check_finite(times, x, X)
+    negative = (x < 0.0).any(axis=1)
+    if negative.any():
+        raise SimulationError(
+            f"plant state became negative at t={times[negative.argmax()]:.6g}: "
+            f"the RK4 step dt={config.dt:.6g} is too large for this plant"
+        )
 
     w = model.incidence(y, gain[:, None])
-    w_lo = model.incidence(y, bounds[0])
-    w_hi = model.incidence(y, bounds[1])
-    bad = np.where((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))
-    if bad[0].size:
-        raise SimulationError(
-            f"recruitment leaves its envelope at t={times[int(bad[0][0])]:.6g}"
-        )
-    return Trace(times, x, X[:, :, 0], X[:, :, 1], w, w_lo, w_hi)
+    w_lo, w_hi = (model.incidence(y, a) for a in bounds)
+    bad = ((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))[:, 0]
+    if bad.any():
+        raise SimulationError(f"recruitment leaves its envelope at t={times[bad.argmax()]:.6g}")
+    return Trace(times, x, *np.split(X, 2, axis=1), w, w_lo, w_hi)

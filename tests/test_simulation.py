@@ -708,6 +708,19 @@ def test_population_plant_turns_non_finite_like_the_closure_loop():
         simulate_population(POP, np.array([[0.0], [0.0], [5.0]]), cfg)
 
 
+@pytest.mark.parametrize("dt, t", [(0.7, 0.7), (1.0, 3.0)])
+def test_population_refuses_a_negative_plant_state(dt, t):
+    # RK4 at these steps drives a plant that starts nonnegative below
+    # zero; at dt 0.7 the recruitment envelope used to take the blame,
+    # and at dt 1.0 a trace with x3 near -1e11 was returned
+    x = _both_population_plants(1.5, dt, 60.0)[1]
+    assert x[: round(t / dt)].min() >= 0.0 > x[round(t / dt)].min()
+    cfg = SimConfig(60.0, dt, [0.1, 0.0, 0.0], [0.01, 0.0, 0.0], [0.6, 0.8, 1.1])
+    message = rf"^plant state became negative at t={t:g}: the RK4 step dt={dt:g} is too large"
+    with pytest.raises(SimulationError, match=message):
+        simulate_population(POP, np.array([[0.0], [0.0], [5.0]]), cfg)
+
+
 def test_plain_callables_work_as_signals():
     # a lambda must act exactly like the signal object it restates
     def pop(gain):
@@ -755,11 +768,19 @@ def _step_matrix(kind, n, rng):
 @pytest.mark.parametrize("kind", ["stable", "identity", "growing"])
 @pytest.mark.parametrize("K", [1, 2, 3, 15, 16, 17, 4000, 13001])
 def test_recur_matches_the_plain_loop(K, kind, columns):
+    # `matrix` steps its columns as the blocks of one block-diagonal
+    # loop, the way the population observer pair is stepped
     rng = np.random.default_rng(K)
     phi = _step_matrix(kind, 4, rng)
     shape = (4,) if columns is None else (4, columns)
     X0, G = rng.random(shape), rng.standard_normal((K,) + shape)
-    got, want = _recur(phi, X0, G), _plain_recur(phi, X0, G)
+    want = _plain_recur(phi, X0, G)
+    if columns is None:
+        got = _recur(phi, X0, G)
+    else:
+        G = np.swapaxes(G, 1, 2).reshape(K, -1)
+        joint = _recur(np.kron(np.eye(columns), phi), X0.T.ravel(), G)
+        got = np.swapaxes(joint.reshape(K + 1, columns, 4), 1, 2)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -817,6 +838,8 @@ def _reference_linear(sys, L, dist, cfg, form="standard"):
         dt = sys.h / m if delayed else cfg.dt
         times = _grid(cfg.t_end, dt)
         past = cfg.history or [ConstantSignal(v) for v in cfg.x0]
+        if delayed:
+            lag = _joint_affine(sys.A_h, sys.E, sys.C_h, sys.F, L)[0]
 
         def u(k):  # the input at grid time k, the lag one delay back included
             if not delayed:
@@ -824,7 +847,7 @@ def _reference_linear(sys, L, dist, cfg, form="standard"):
             back = joint[k - m] if k >= m else np.concatenate(
                 [[s((k - m) * dt) for s in past], cfg.x0_lo, cfg.x0_hi]
             )
-            return big_b @ W(times[k]) + _joint_affine(sys.A_h, sys.E, sys.C_h, sys.F, L)[0] @ back
+            return big_b @ W(times[k]) + lag @ back
 
         step = _exact_step(big_a, dt)
         for k in range(times.size - 1):
@@ -937,13 +960,32 @@ DELAY_2 = DelaySystem(
                 ],
             ),
         ),
+        # m = 80 steps per delay interval, 250 intervals
+        (
+            DELAY_2,
+            np.array([[0.3], [1.0]]),
+            SimConfig(200.0, 0.01, [0.5, 0.0], [-1.0, -1.0], [1.0, 1.0]),
+        ),
+        # x' = 10 x + x(t - 1/2) grows like e^{10t} and overflows near t = 71
+        (
+            DelaySystem([[10.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], 0.5),
+            np.zeros((1, 1)),
+            SimConfig(100.0, 0.05, [0.5], [-1.0], [1.0]),
+        ),
     ],
-    ids=["scalar", "two-state", "whole-delay", "held-history"],
+    ids=["scalar", "two-state", "whole-delay", "held-history", "long", "diverging"],
 )
 def test_delay_traces_match_the_plain_step_loop(sys, L, cfg):
     dist = _dist(SineSignal(1.0, 1.0))
-    trace = simulate_delay(sys, L, dist, cfg)
-    _assert_matches_reference(trace, _reference_linear(sys, L, dist, cfg))
+    with np.errstate(all="ignore"):
+        ref = _reference_linear(sys, L, dist, cfg)
+    finite = np.isfinite(np.hstack([ref.x, ref.x_lo, ref.x_hi])).all(axis=1)
+    if finite.all():
+        _assert_matches_reference(simulate_delay(sys, L, dist, cfg), ref)
+        return
+    t = ref.times[int(np.argmin(finite))]
+    with pytest.raises(SimulationError, match=rf"^state became non-finite at t={t:.6g}$"):
+        simulate_delay(sys, L, dist, cfg)
 
 
 @pytest.mark.parametrize(
