@@ -15,6 +15,8 @@ of LAPACK's opaque error codes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NonFiniteError, PreconditionError, SingularMatrixError
@@ -140,13 +142,13 @@ def max_row_sum(M: np.ndarray) -> float:
     return float(M.sum(axis=1).max())
 
 
-def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def solve_linear(A: np.ndarray, B: np.ndarray, ones: bool = False) -> np.ndarray:
     """Solve ``A X = B`` with partial pivoting.
 
     ``B`` may be a vector or a matrix of right-hand sides; the result
-    matches its shape.  Raises :class:`SingularMatrixError` carrying the
-    elimination step at which the best available pivot was smaller than
-    ``PIVOT_RTOL * max|A|``.
+    matches its shape; ``ones`` solves ``A [v | X] = [1 | B]`` instead.
+    Raises :class:`SingularMatrixError` carrying the elimination step at
+    which the best available pivot was smaller than ``PIVOT_RTOL * max|A|``.
 
     LAPACK solves ``A [X | Z] = [B | I]`` first.  Partial pivoting keeps
     the multipliers of ``PA = LU`` at most 1 in magnitude, and
@@ -162,8 +164,8 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionError(f"solve_linear needs a square matrix, got shape {A.shape}")
     n = A.shape[0]
     b = np.asarray(B, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
+    vector_rhs = b.ndim == 1 and not ones
+    if b.ndim == 1:
         b = b.reshape(-1, 1)
     if b.shape[0] != n:
         raise DimensionError(
@@ -172,22 +174,29 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteError("solve_linear inputs contain non-finite entries")
 
-    m = b.shape[1]
+    lead = int(ones)
+    m = lead + b.shape[1]
+    rhs = np.eye(n, m + n, m)  # [1 | B | I], or [B | I]
+    rhs[:, :lead] = 1.0
+    rhs[:, lead:m] = b
     floor = _PIVOT_MARGIN * PIVOT_RTOL * np.abs(A).max(initial=0.0)
     X = None
     # Near-singular input can overflow here; the bound then fails the
     # test and the elimination loop takes over.
     with np.errstate(all="ignore"):
         try:
-            XZ = np.linalg.solve(A, np.hstack([b, np.eye(n)]))
+            XZ = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:  # an exactly zero pivot
             XZ = None
         if XZ is not None and np.isfinite(XZ).all():
-            bound = 1.0 / (np.linalg.norm(XZ[:, m:]) * np.sqrt(n * (n + 1) / 2))
-            if bound > floor:
+            # ||Z||_F summed as np.linalg.norm sums it; a norm that
+            # underflows to 0 gives an infinite bound, which passes
+            z = XZ[:, m:].ravel(order="K")
+            scale = math.sqrt(z @ z) * math.sqrt(n * (n + 1) / 2)
+            if scale == 0.0 or 1.0 / scale > floor:
                 X = XZ[:, :m]
     if X is None:
-        X = _eliminate(A, b)
+        X = _eliminate(A, rhs[:, :m])
     return X.reshape(-1) if vector_rhs else X
 
 

@@ -16,16 +16,18 @@ without changing that sequence:
 
 - the tableau is condensed: it keeps one column per nonbasic variable,
   with ``nonbasic`` giving each column's index in
-  [z+ | z- | slacks | artificials], and the reduced costs as its last
-  row.  The m basic columns are unit vectors and are not stored.  In a
-  pivot the leaving variable takes the entering column's slot: the slot
-  is set to the unit vector e_row and eliminated with the other
-  columns.  That is what the full m x (2N + m) tableau computes for the
-  leaving column, because there a basic column holds e_row exactly: it
-  is re-zeroed when its variable enters, and no later elimination
-  touches it, since its entry in every pivot row is zero.  So every
-  stored value is the full tableau's (up to the sign of a zero, which
-  changes no pivot and no nonzero value);
+  [z+ | z- | slacks | artificials], then b as its last column, and the
+  reduced costs as its last row (their entry in b's column is never
+  read), so the division of the pivot row and the elimination update b
+  in the same calls as the rest.  The m basic columns are unit vectors
+  and are not stored.  In a pivot the leaving variable takes the
+  entering column's slot: the slot is set to the unit vector e_row and
+  eliminated with the other columns.  That is what the full
+  m x (2N + m) tableau computes for the leaving column, because there a
+  basic column holds e_row exactly: it is re-zeroed when its variable
+  enters, and no later elimination touches it, since its entry in every
+  pivot row is zero.  So every stored value is the full tableau's (up to
+  the sign of a zero, which changes no pivot and no nonzero value);
 - the entering column is the improving one with the smallest index.
   The full tableau prices every column afresh, ``cost - cost[basis] @
   T``, before every pivot.  Here the last row is priced that way when
@@ -38,7 +40,10 @@ without changing that sequence:
   the choice (see ``_leaving_row``), usually one row;
 - elimination touches only the entries whose row has a nonzero in the
   pivot column and whose column has a nonzero in the pivot row.  Every
-  other entry would have 0 · x subtracted.
+  other entry would have 0 · x subtracted.  A design-LP pivot touches
+  about 1,400 entries on average, so numpy's per-call overhead is most
+  of its cost: the entering choice, the leaving row and the elimination
+  take about 25 array calls, none of them over the whole tableau.
 
 An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
 subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
@@ -125,14 +130,7 @@ class LpSolution:
     dual: np.ndarray | None = None
 
 
-def _pivot(
-    T: np.ndarray,
-    b: np.ndarray,
-    basis: np.ndarray,
-    nonbasic: np.ndarray,
-    row: int,
-    slot: int,
-):
+def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slot: int):
     """The variable of column ``slot`` enters the basis at ``row``; the
     leaving variable takes the slot."""
     factors = T[:, slot].copy()
@@ -141,18 +139,17 @@ def _pivot(
     # it with the others turns it into its new nonbasic column
     T[:, slot] = 0.0
     T[row, slot] = 1.0
-    T[row] /= piv
-    b[row] /= piv
+    prow = T[row]
+    prow /= piv
     factors[row] = 0.0
-    b -= factors[:-1] * b[row]
     # an entry changes only where both its pivot-column factor and its
     # pivot-row entry are nonzero; elsewhere 0 * x would be subtracted
     rows = factors.nonzero()[0]
-    cols = T[row].nonzero()[0]
+    cols = prow.nonzero()[0]
     # T is C-contiguous, so reshape gives a view; one flat index per
     # entry is cheaper than a (rows, cols) index pair
-    at = (rows * T.shape[1])[:, None] + cols
-    T.reshape(-1)[at] -= np.multiply.outer(factors[rows], T[row, cols])
+    at = np.add.outer(rows * T.shape[1], cols)
+    T.reshape(-1)[at] -= np.multiply.outer(factors[rows], prow[cols])
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
@@ -176,13 +173,14 @@ def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
     if cand.size < 2:
         return int(cand[0]) if cand.size else -1
     ratios = b[cand] / col[cand]
-    inside = ratios <= ratios.min() + (cand.size + 1) * TIE
-    cand = cand[inside]
-    if cand.size == 1:
-        return int(cand[0])
+    low = ratios.argmin()
+    inside = ratios <= ratios[low] + (cand.size + 1) * TIE
+    if np.count_nonzero(inside) == 1:
+        return int(cand[low])
+    window = inside.nonzero()[0]
     leave = -1
     best = np.inf
-    for i, ratio in zip(cand.tolist(), ratios[inside].tolist()):
+    for i, ratio in zip(cand[window].tolist(), ratios[window].tolist()):
         if ratio < best - TIE or (
             abs(ratio - best) <= TIE and (leave < 0 or basis[i] < basis[leave])
         ):
@@ -191,14 +189,8 @@ def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
     return leave
 
 
-def _price(T: np.ndarray, cost: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray):
-    """Price the nonbasic columns afresh into the last row of T."""
-    T[-1] = cost[nonbasic] - cost[basis] @ T[:-1]
-
-
 def _simplex(
     T: np.ndarray,
-    b: np.ndarray,
     cost: np.ndarray,
     basis: np.ndarray,
     nonbasic: np.ndarray,
@@ -207,21 +199,23 @@ def _simplex(
 ) -> tuple[str, int]:
     """Run Bland-rule simplex until optimal or unbounded.
 
-    T, b, basis and nonbasic are mutated in place.  Returns (verdict,
-    iterations) where verdict is "optimal" or "unbounded".  The carried
+    T, basis and nonbasic are mutated in place.  Returns (verdict,
+    iterations) where verdict is "optimal" or "unbounded".  The last row
+    is priced afresh when the phase starts.  From then on the carried
     reduced costs decide an entering column only when it improves by
     more than DRIFT beyond the threshold; otherwise, and before the
     phase ends, the row is priced afresh and decides.
     """
-    reduced = T[-1]
-    _price(T, cost, basis, nonbasic)
+    reduced = T[-1, :-1]
+    b = T[:-1, -1]
     fresh = True
     it = used
     while True:
+        if fresh:
+            reduced[:] = cost[nonbasic] - cost[basis] @ T[:-1, :-1]
         improving = (reduced < -EPS).nonzero()[0]
         slot = int(improving[nonbasic[improving].argmin()]) if improving.size else -1
         if not fresh and (slot < 0 or reduced[slot] > -EPS - DRIFT):
-            _price(T, cost, basis, nonbasic)
             fresh = True
             continue
         if slot < 0:
@@ -231,10 +225,8 @@ def _simplex(
             return "unbounded", it
         it += 1
         if it > max_iter:
-            raise SolverFailureError(
-                f"simplex exceeded the iteration cap ({max_iter})"
-            )
-        _pivot(T, b, basis, nonbasic, leave, slot)
+            raise SolverFailureError(f"simplex exceeded the iteration cap ({max_iter})")
+        _pivot(T, basis, nonbasic, leave, slot)
         fresh = False
 
 
@@ -244,8 +236,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     Raises :class:`SolverFailureError` when the iteration cap is hit,
     which is a numerical failure, not a statement about the problem.
     """
-    n = lp.num_vars
-    m = lp.num_constraints
+    n, m = lp.num_vars, lp.num_constraints
     if max_iter is None:
         max_iter = 50 * (n + m)
 
@@ -253,58 +244,56 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     # a negative right-hand side are negated and start with an
     # artificial basic; the rest start with their own slack basic.
     width = 2 * n + m
-    b = lp.ineq_rhs.astype(float)
-    flip = b < 0.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
+    art_rows = np.flatnonzero(lp.ineq_rhs < 0.0)
     k = art_rows.size
     arts = np.arange(k)
     basis = np.arange(2 * n, width)
     basis[art_rows] = width + arts
     nonbasic = np.concatenate([np.arange(2 * n), 2 * n + art_rows])
 
-    # one column per nonbasic variable, and the reduced costs as last
-    # row; T stays C-contiguous (_pivot relies on it)
-    T = np.zeros((m + 1, 2 * n + k))
+    # one column per nonbasic variable, then b; the reduced costs are the
+    # last row.  T stays C-contiguous (_pivot relies on it)
+    T = np.zeros((m + 1, 2 * n + k + 1))
     T[:m, :n] = lp.ineq_lhs
     np.negative(lp.ineq_lhs, out=T[:m, n : 2 * n])
     T[art_rows, 2 * n + arts] = 1.0
+    T[:m, -1] = lp.ineq_rhs
     T[art_rows] *= -1.0
 
     iterations = 0
     if k:
         cost1 = np.zeros(width + k)
         cost1[width:] = 1.0
-        verdict, iterations = _simplex(T, b, cost1, basis, nonbasic, max_iter, iterations)
+        verdict, iterations = _simplex(T, cost1, basis, nonbasic, max_iter, iterations)
         if verdict == "unbounded":
             raise SolverFailureError("phase-1 objective reported unbounded")
-        phase1 = float(cost1[basis] @ b)
+        phase1 = float(cost1[basis] @ T[:-1, -1])
         if phase1 > FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
         # pivot leftover artificials out of the basis (degenerate rows) on
         # the lowest-index column with an entry; every row keeps its own
         # slack column, so none is all zero
         for i in np.flatnonzero(basis >= width):
-            entries = np.flatnonzero((np.abs(T[i]) > EPS) & (nonbasic < width))
+            entries = np.flatnonzero((np.abs(T[i, :-1]) > EPS) & (nonbasic < width))
             if entries.size == 0:  # pragma: no cover - nonzero slack entry
                 raise SolverFailureError("phase 1 left an artificial on a zero row")
             iterations += 1
-            _pivot(T, b, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
+            _pivot(T, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
         keep = nonbasic < width
-        T = T.compress(keep, axis=1)
+        T = T.compress(np.append(keep, True), axis=1)
         nonbasic = nonbasic[keep]
 
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _simplex(T, b, cost2, basis, nonbasic, max_iter, iterations)
+    verdict, iterations = _simplex(T, cost2, basis, nonbasic, max_iter, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
     full = np.zeros(width)
-    full[basis] = b
+    full[basis] = T[:-1, -1]
     z = full[:n] - full[n : 2 * n]
     # a basic variable's reduced cost is 0
     reduced = np.zeros(width)
-    reduced[nonbasic] = T[-1]
+    reduced[nonbasic] = T[-1, :-1]
     return LpSolution(
         LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations, reduced[2 * n :]
     )

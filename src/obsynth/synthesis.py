@@ -140,11 +140,6 @@ def _plant(system, form: str) -> Plant:
     return system
 
 
-def _per_entry(W: np.ndarray) -> np.ndarray:
-    """One row per entry (i, j) of W, row-major, holding W_ij in column i."""
-    return np.repeat(np.eye(W.shape[0]), W.shape[1], axis=0) * W.reshape(-1, 1)
-
-
 def _assemble(
     plant: Plant,
     form: str,
@@ -155,30 +150,49 @@ def _assemble(
     """The design LP: minimize gamma s.t. lhs z <= rhs over
     z = [x, U row-major, gamma].
 
-    Each constraint family is one block of rows.  A sign row
-    (X P - U Q)_ij >= 0 has x part -P_ij e_i and U part row (i, j) of
-    kron(I_n, Q^T); a Metzler family skips its diagonal, and a row
-    whose Q column is zero is kept only when P_ij < 0 (module docstring).
+    lhs is allocated once and each constraint family is scattered into
+    its block of rows.  A sign row (X P - U Q)_ij >= 0 holds -P_ij at
+    column i and Q[:, j] at U's row i; a Metzler family skips its
+    diagonal, and a row whose Q column is zero is kept only when
+    P_ij < 0 (module docstring).
     """
     n, r = plant.n, plant.r
     S, T = plant.stability_pair()
     E, F, inputs = plant.loop_input(form)
-    blocks = []  # (x part, U part, gamma coefficient, rhs)
+    signs = []  # (P, Q, kept entries (i, j) in row-major order)
     for _, P, Q, metzler in plant.sign_families() + inputs:
         keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
         if metzler:
             keep &= ~np.eye(n, dtype=bool)
-        keep = keep.reshape(-1)
-        blocks.append((_per_entry(-P)[keep], np.kron(np.eye(n), Q.T)[keep], 0.0, 0.0))
-    blocks.append((S.T, np.tile(-T.T, n), 0.0, -1.0 - epsilon))
+        signs.append((P, Q, keep.nonzero()))
+    bounds = [(B, sign) for B, sign in ((lo, 1.0), (hi, -1.0)) if B is not None]
+    rows = sum(i.size for _, _, (i, _) in signs) + 2 * n + 1 + len(bounds) * n * r
+    lhs = np.zeros((rows, n + n * r + 1))
+    rhs = np.zeros(rows)
+    U = lhs[:, n:-1].reshape(rows, n, r)  # a view; U[row, i] holds U's row i
+    at = 0
+    for P, Q, (i, j) in signs:
+        kept = at + np.arange(i.size)
+        lhs[kept, i] = -P[i, j]
+        U[kept, i] = Q[:, j].T
+        at += i.size
+    # stability rows, the gamma row, then x >= eps
+    lhs[at : at + n, :n] = S.T
+    U[at : at + n] = -T.T[:, None, :]
     ones = np.ones(E.shape[1])
-    blocks.append(([E @ ones], [np.tile(-(F @ ones), n)], -1.0, -epsilon))
-    blocks.append((-np.eye(n), np.zeros((n, n * r)), 0.0, -epsilon))
-    for B, sign in ((lo, 1.0), (hi, -1.0)):
-        if B is not None:
-            blocks.append((_per_entry(sign * B), -sign * np.eye(n * r), 0.0, 0.0))
-    lhs = np.vstack([np.column_stack([x, u, np.full(len(x), g)]) for x, u, g, _ in blocks])
-    rhs = np.concatenate([np.full(len(x), b) for x, _, _, b in blocks])
+    lhs[at + n, :n] = E @ ones
+    U[at + n] = -(F @ ones)
+    lhs[at + n, -1] = -1.0
+    lhs[at + n + 1 + np.arange(n), np.arange(n)] = -1.0
+    rhs[at : at + n] = -1.0 - epsilon
+    rhs[at + n : at + 2 * n + 1] = -epsilon
+    at += 2 * n + 1
+    # a bound B on entry (i, k) reads sign * (B_ik x_i - U_ik) <= 0
+    entries = np.arange(n * r)
+    for B, sign in bounds:
+        lhs[at + entries, entries // r] = sign * B.reshape(-1)
+        lhs[at + entries, n + entries] = -sign
+        at += n * r
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
     return LinearProgram(objective, lhs, rhs)
@@ -201,32 +215,20 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
     sol = solve(_assemble(plant, spec.form, eps, lo, hi))
+    common = (plant.KIND, spec.form, eps)
     if sol.status is LpStatus.OPTIMAL:
         x = sol.primal[:n]
         U = sol.primal[n : n + n * r].reshape(n, r)
-        return DesignResult(
-            status="optimal",
-            kind=plant.KIND,
-            form=spec.form,
-            epsilon=eps,
-            L=U / x[:, None],
-            gamma=float(sol.primal[-1]),
-            X_diag=x,
-            U=U,
-        )
+        gamma = float(sol.primal[-1])
+        return DesignResult("optimal", *common, L=U / x[:, None], gamma=gamma, X_diag=x, U=U)
     if sol.status is not LpStatus.INFEASIBLE:  # pragma: no cover - gamma bounded
         raise PreconditionError("design LP reported unbounded")
     # feasible relaxed rows leave E - L F >= 0 as the conflict (module docstring)
     conflict = spec.form == "standard" and check_feasible(
         _assemble(plant, "relaxed", eps, lo, hi)
     )
-    return DesignResult(
-        status="infeasible",
-        kind=plant.KIND,
-        form=spec.form,
-        epsilon=eps,
-        diagnostic=DIAG_SIGN_CONFLICT if conflict else DIAG_NO_STABILIZER,
-    )
+    diagnostic = DIAG_SIGN_CONFLICT if conflict else DIAG_NO_STABILIZER
+    return DesignResult("infeasible", *common, diagnostic=diagnostic)
 
 
 def _design_as(cls, form: str, system, spec: ObserverSpec) -> DesignResult:

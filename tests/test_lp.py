@@ -25,7 +25,8 @@ from obsynth import (
     design,
     solve,
 )
-from obsynth.synthesis import _assemble
+import obsynth.synthesis as synthesis
+from obsynth.synthesis import DIAG_SIGN_CONFLICT, _assemble
 
 from conftest import random_feasible_loop, random_metzler_hurwitz, random_schur
 
@@ -388,13 +389,51 @@ def _design_lp(plant, form="standard"):
     return _assemble(plant, form, 1e-6, None, None)
 
 
+def _bounds_around(rng, L):
+    """Gain bounds that keep L feasible: lower only, upper only, both, and
+    both with about half the entries pinned at L (lo == hi)."""
+    lo, hi = L - 0.25, L + 0.25
+    pinned = rng.random(L.shape) < 0.5
+    return [(lo, None), (None, hi), (lo, hi), (np.where(pinned, L, lo), np.where(pinned, L, hi))]
+
+
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
 def test_kernel_matches_reference_on_design_lps(klass):
     rng = np.random.default_rng(47)
     form = "relaxed" if klass == "relaxed" else "standard"
     for n in (4, 6, 8, 10, 12):
-        sol = _assert_same_as_reference(_design_lp(_design_plant(rng, klass, n), form))
+        plant = _design_plant(rng, klass, n)
+        sol = _assert_same_as_reference(_design_lp(plant, form))
         assert sol.status is LpStatus.OPTIMAL
+        if n > 8:
+            continue
+        # the same plant with gain bounds around its optimal gain
+        L = design(plant, ObserverSpec(form=form)).L
+        for lo, hi in _bounds_around(np.random.default_rng(n), L):
+            sol = _assert_same_as_reference(_assemble(plant, form, 1e-6, lo, hi))
+            assert sol.status is LpStatus.OPTIMAL
+
+
+def test_kernel_matches_reference_through_an_infeasible_design(monkeypatch):
+    # F = 0 leaves E - L F = E, which has a negative entry whatever L is,
+    # while L0 makes A - L C Metzler and Hurwitz: the standard LP is
+    # infeasible, and check_feasible then solves the relaxed rows
+    A, E, C, F, _ = random_feasible_loop(np.random.default_rng(73), 6, 2, 3)
+    E[0, 0] = -0.5
+    plant = ContinuousSystem(A, E, C, np.zeros_like(F))
+    programs = []
+    real = lp_module.solve
+
+    def recording(lp):
+        programs.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(lp_module, "solve", recording)
+    monkeypatch.setattr(synthesis, "solve", recording)
+    result = design(plant, ObserverSpec())
+    assert (result.status, result.diagnostic) == ("infeasible", DIAG_SIGN_CONFLICT)
+    statuses = [_assert_same_as_reference(lp).status for lp in programs]
+    assert statuses == [LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
 
 
 @pytest.mark.parametrize("klass, n, rows", [("continuous", 16, 305), ("delay", 12, 325)])
@@ -410,13 +449,15 @@ def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, row
 def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch):
     # after every pivot, move each carried reduced cost in [-EPS, DRIFT/2)
     # just below -EPS, as rounding drift might: a choice that close to
-    # the threshold is priced afresh, so the pivots stay the reference's
+    # the threshold is priced afresh, so the pivots stay the reference's.
+    # The last column of T is b, so its corner is no reduced cost
     real = lp_module._pivot
 
-    def drifting(T, b, basis, nonbasic, row, slot):
-        real(T, b, basis, nonbasic, row, slot)
-        near = (T[-1] >= -lp_module.EPS) & (T[-1] < lp_module.DRIFT / 2)
-        T[-1, near] = -2.0 * lp_module.EPS
+    def drifting(T, basis, nonbasic, row, slot):
+        real(T, basis, nonbasic, row, slot)
+        reduced = T[-1, :-1]
+        near = (reduced >= -lp_module.EPS) & (reduced < lp_module.DRIFT / 2)
+        reduced[near] = -2.0 * lp_module.EPS
 
     monkeypatch.setattr(lp_module, "_pivot", drifting)
     rng = np.random.default_rng(67)

@@ -814,11 +814,14 @@ def test_recur_turns_non_finite_at_the_plain_loops_row(rate, x0):
 def _exact_step(A, h):
     """One step of x' = A x + u with u linear over the step, as a function
     of x and u at both ends: the state [x, u, u'] is autonomous, so
-    scipy's expm of its generator steps it exactly."""
+    scipy's expm of its generator steps it exactly.  The slope
+    u' = (u1 - u0) / h is folded into the step matrix, so that no input
+    is inflated before it is stepped."""
     eye, zero = np.eye(A.shape[0]), np.zeros(A.shape)
     gen = np.block([[A, eye, zero], [zero, zero, eye], [zero, zero, zero]])
-    top = expm(h * gen)[: A.shape[0]]
-    return lambda x, u0, u1: top @ np.concatenate([x, u0, (u1 - u0) / h])
+    phi, to_u, to_slope = np.split(expm(h * gen)[: A.shape[0]], 3, axis=1)
+    step = np.hstack([phi, to_u - to_slope / h, to_slope / h])
+    return lambda x, u0, u1: step @ np.concatenate([x, u0, u1])
 
 
 def _reference_linear(sys, L, dist, cfg, form="standard"):
@@ -972,8 +975,18 @@ DELAY_2 = DelaySystem(
             np.zeros((1, 1)),
             SimConfig(100.0, 0.05, [0.5], [-1.0], [1.0]),
         ),
+        # x' = 5 x + 20 x(t - 1/2): the delayed term drives the growth, and
+        # the trace first turns non-finite at t = 118.1
+        (
+            DelaySystem([[5.0]], [[20.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], 0.5),
+            np.zeros((1, 1)),
+            SimConfig(130.0, 0.05, [0.5], [-1.0], [1.0]),
+        ),
     ],
-    ids=["scalar", "two-state", "whole-delay", "held-history", "long", "diverging"],
+    ids=[
+        "scalar", "two-state", "whole-delay", "held-history", "long", "diverging",
+        "diverging-through-the-delay",
+    ],
 )
 def test_delay_traces_match_the_plain_step_loop(sys, L, cfg):
     dist = _dist(SineSignal(1.0, 1.0))

@@ -16,6 +16,7 @@ from obsynth import (
     DimensionError,
     DiscreteDelaySystem,
     DiscreteSystem,
+    LinearProgram,
     NonFiniteError,
     ObserverSpec,
     PreconditionError,
@@ -24,7 +25,10 @@ from obsynth import (
     gain_for_output,
     hurwitz_certificate,
     linf_gain_closed,
+    solve,
 )
+from obsynth.benchmarks import CORPUS_DIR
+from obsynth.problem import parse_problem
 from obsynth.synthesis import (
     DIAG_NO_STABILIZER,
     DIAG_SIGN_CONFLICT,
@@ -661,3 +665,91 @@ def test_certify_names_a_failing_discrete_family():
     report = certify(result, sys, ObserverSpec())
     assert not report.passed
     assert any(flag.startswith("A_d - L C_d") for flag in report.flags)
+
+
+# ---------------------------------------------------------------------------
+# the scattered design LP against the block-stacked one it replaced
+
+
+def _per_entry(W):
+    """One row per entry (i, j) of W, row-major, holding W_ij in column i."""
+    return np.repeat(np.eye(W.shape[0]), W.shape[1], axis=0) * W.reshape(-1, 1)
+
+
+def _reference_assemble(plant, form, epsilon, lo, hi):
+    """The design LP stacked from one block per constraint family: a sign
+    row (X P - U Q)_ij >= 0 has x part -P_ij e_i and U part row (i, j) of
+    kron(I_n, Q^T), then come the stability rows, the gamma row, x >= eps
+    and the gain bounds."""
+    n, r = plant.n, plant.r
+    S, T = plant.stability_pair()
+    E, F, inputs = plant.loop_input(form)
+    blocks = []  # (x part, U part, gamma coefficient, rhs)
+    for _, P, Q, metzler in plant.sign_families() + inputs:
+        keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
+        if metzler:
+            keep &= ~np.eye(n, dtype=bool)
+        keep = keep.reshape(-1)
+        blocks.append((_per_entry(-P)[keep], np.kron(np.eye(n), Q.T)[keep], 0.0, 0.0))
+    blocks.append((S.T, np.tile(-T.T, n), 0.0, -1.0 - epsilon))
+    ones = np.ones(E.shape[1])
+    blocks.append(([E @ ones], [np.tile(-(F @ ones), n)], -1.0, -epsilon))
+    blocks.append((-np.eye(n), np.zeros((n, n * r)), 0.0, -epsilon))
+    for B, sign in ((lo, 1.0), (hi, -1.0)):
+        if B is not None:
+            blocks.append((_per_entry(sign * B), -sign * np.eye(n * r), 0.0, 0.0))
+    lhs = np.vstack([np.column_stack([x, u, np.full(len(x), g)]) for x, u, g, _ in blocks])
+    rhs = np.concatenate([np.full(len(x), b) for x, _, _, b in blocks])
+    objective = np.zeros(lhs.shape[1])
+    objective[-1] = 1.0
+    return LinearProgram(objective, lhs, rhs)
+
+
+def _assembly_cases():
+    """(plant, form, epsilon, lo, hi) for every plant type, in both forms
+    where the type takes them, with no bounds, lower only, upper only,
+    both, and both with pinned entries; then every corpus file with its
+    own bounds."""
+    rng = np.random.default_rng(2121)
+    cases = []
+    for kind in ("continuous", "delay", "discrete", "discrete-delay"):
+        for draw in range(3):
+            sys, _ = _random_design_problem(rng, kind)
+            L = rng.uniform(-1.0, 1.0, size=(sys.n, sys.r))
+            lo, hi = L - 0.5, L + 0.5
+            pinned = rng.random(L.shape) < 0.5
+            bounds = {
+                "unbounded": (None, None),
+                "lower": (lo, None),
+                "upper": (None, hi),
+                "both": (lo, hi),
+                "pinned": (np.where(pinned, L, lo), np.where(pinned, L, hi)),
+            }
+            for form in ("standard", "relaxed") if kind == "continuous" else ("standard",):
+                cases += [
+                    pytest.param(sys, form, EPS, *bound, id=f"{kind}-{draw}-{form}-{name}")
+                    for name, bound in bounds.items()
+                ]
+    for path in sorted(CORPUS_DIR.glob("*.json")):
+        if path.name != "expected.json":
+            problem = parse_problem(str(path))
+            plant, spec = problem.plant(), problem.observer_spec()
+            bound = spec.bounds(plant.n, plant.r)
+            cases.append(pytest.param(plant, spec.form, spec.epsilon, *bound, id=path.stem))
+    return cases
+
+
+@pytest.mark.parametrize("plant, form, epsilon, lo, hi", _assembly_cases())
+def test_scattered_design_lp_matches_the_stacked_blocks(plant, form, epsilon, lo, hi):
+    # the same rows in the same order with the same values (a zero may
+    # change its sign), so the solver returns the same bytes
+    got = _assemble(plant, form, epsilon, lo, hi)
+    want = _reference_assemble(plant, form, epsilon, lo, hi)
+    for name in ("ineq_lhs", "ineq_rhs", "objective"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    a, b = solve(got), solve(want)
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    if b.primal is not None:
+        assert a.primal.tobytes() == b.primal.tobytes()
+        assert a.dual.tobytes() == b.dual.tobytes()
