@@ -142,13 +142,13 @@ def max_row_sum(M: np.ndarray) -> float:
     return float(M.sum(axis=1).max())
 
 
-def solve_linear(A: np.ndarray, B: np.ndarray, ones: bool = False) -> np.ndarray:
+def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``A X = B`` with partial pivoting.
 
     ``B`` may be a vector or a matrix of right-hand sides; the result
-    matches its shape; ``ones`` solves ``A [v | X] = [1 | B]`` instead.
-    Raises :class:`SingularMatrixError` carrying the elimination step at
-    which the best available pivot was smaller than ``PIVOT_RTOL * max|A|``.
+    matches its shape.  Raises :class:`SingularMatrixError` carrying the
+    elimination step at which the best available pivot was smaller than
+    ``PIVOT_RTOL * max|A|``.
 
     LAPACK solves ``A [X | Z] = [B | I]`` first.  Partial pivoting keeps
     the multipliers of ``PA = LU`` at most 1 in magnitude, and
@@ -164,8 +164,8 @@ def solve_linear(A: np.ndarray, B: np.ndarray, ones: bool = False) -> np.ndarray
         raise DimensionError(f"solve_linear needs a square matrix, got shape {A.shape}")
     n = A.shape[0]
     b = np.asarray(B, dtype=float)
-    vector_rhs = b.ndim == 1 and not ones
-    if b.ndim == 1:
+    vector_rhs = b.ndim == 1
+    if vector_rhs:
         b = b.reshape(-1, 1)
     if b.shape[0] != n:
         raise DimensionError(
@@ -174,11 +174,9 @@ def solve_linear(A: np.ndarray, B: np.ndarray, ones: bool = False) -> np.ndarray
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise NonFiniteError("solve_linear inputs contain non-finite entries")
 
-    lead = int(ones)
-    m = lead + b.shape[1]
-    rhs = np.eye(n, m + n, m)  # [1 | B | I], or [B | I]
-    rhs[:, :lead] = 1.0
-    rhs[:, lead:m] = b
+    m = b.shape[1]
+    rhs = np.eye(n, m + n, m)  # [B | I] in one array
+    rhs[:, :m] = b
     floor = _PIVOT_MARGIN * PIVOT_RTOL * np.abs(A).max(initial=0.0)
     X = None
     # Near-singular input can overflow here; the bound then fails the
@@ -196,7 +194,7 @@ def solve_linear(A: np.ndarray, B: np.ndarray, ones: bool = False) -> np.ndarray
             if scale == 0.0 or 1.0 / scale > floor:
                 X = XZ[:, :m]
     if X is None:
-        X = _eliminate(A, rhs[:, :m])
+        X = _eliminate(A, b)
     return X.reshape(-1) if vector_rhs else X
 
 

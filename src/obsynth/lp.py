@@ -27,7 +27,9 @@ without changing that sequence:
   basic column holds e_row exactly: it is re-zeroed when its variable
   enters, and no later elimination touches it, since its entry in every
   pivot row is zero.  So every stored value is the full tableau's (up to
-  the sign of a zero, which changes no pivot and no nonzero value);
+  the sign of a zero, which changes no pivot and no nonzero value; a
+  zero in b keeps the -0.0 a negative pivot of the artificial sweep
+  leaves, so the read-out turns it to +0.0);
 - the entering column is the improving one with the smallest index.
   The full tableau prices every column afresh, ``cost - cost[basis] @
   T``, before every pivot.  Here the last row is priced that way when
@@ -225,7 +227,9 @@ def _simplex(
             return "unbounded", it
         it += 1
         if it > max_iter:
-            raise SolverFailureError(f"simplex exceeded the iteration cap ({max_iter})")
+            raise SolverFailureError(
+                f"simplex exceeded the iteration cap ({max_iter})"
+            )
         _pivot(T, basis, nonbasic, leave, slot)
         fresh = False
 
@@ -236,7 +240,8 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     Raises :class:`SolverFailureError` when the iteration cap is hit,
     which is a numerical failure, not a statement about the problem.
     """
-    n, m = lp.num_vars, lp.num_constraints
+    n = lp.num_vars
+    m = lp.num_constraints
     if max_iter is None:
         max_iter = 50 * (n + m)
 
@@ -288,8 +293,9 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
+    # + 0.0: a basic variable at level zero reads +0.0 (module docstring)
     full = np.zeros(width)
-    full[basis] = T[:-1, -1]
+    full[basis] = T[:-1, -1] + 0.0
     z = full[:n] - full[n : 2 * n]
     # a basic variable's reduced cost is 0
     reduced = np.zeros(width)

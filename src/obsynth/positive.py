@@ -303,8 +303,9 @@ def _certified_solve(
     computed W v < 0, which proves W Hurwitz; otherwise (None, None).
     Then Y = -W^{-1} B >= 0 whenever B >= 0.
     """
+    n = W.shape[0]
     try:
-        VY = solve_linear(-W, B, ones=True)
+        VY = solve_linear(-W, np.hstack([np.ones((n, 1)), B]))
     except SingularMatrixError:
         return None, None
     v = VY[:, 0]

@@ -215,20 +215,32 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
     sol = solve(_assemble(plant, spec.form, eps, lo, hi))
-    common = (plant.KIND, spec.form, eps)
     if sol.status is LpStatus.OPTIMAL:
         x = sol.primal[:n]
         U = sol.primal[n : n + n * r].reshape(n, r)
-        gamma = float(sol.primal[-1])
-        return DesignResult("optimal", *common, L=U / x[:, None], gamma=gamma, X_diag=x, U=U)
+        return DesignResult(
+            status="optimal",
+            kind=plant.KIND,
+            form=spec.form,
+            epsilon=eps,
+            L=U / x[:, None],
+            gamma=float(sol.primal[-1]),
+            X_diag=x,
+            U=U,
+        )
     if sol.status is not LpStatus.INFEASIBLE:  # pragma: no cover - gamma bounded
         raise PreconditionError("design LP reported unbounded")
     # feasible relaxed rows leave E - L F >= 0 as the conflict (module docstring)
     conflict = spec.form == "standard" and check_feasible(
         _assemble(plant, "relaxed", eps, lo, hi)
     )
-    diagnostic = DIAG_SIGN_CONFLICT if conflict else DIAG_NO_STABILIZER
-    return DesignResult("infeasible", *common, diagnostic=diagnostic)
+    return DesignResult(
+        status="infeasible",
+        kind=plant.KIND,
+        form=spec.form,
+        epsilon=eps,
+        diagnostic=DIAG_SIGN_CONFLICT if conflict else DIAG_NO_STABILIZER,
+    )
 
 
 def _design_as(cls, form: str, system, spec: ObserverSpec) -> DesignResult:

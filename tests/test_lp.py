@@ -305,7 +305,8 @@ def _assert_same_as_reference(lp):
     if ref.primal is None:
         assert got.primal is None and got.dual is None
     else:
-        assert np.array_equal(got.primal, ref.primal)
+        # bytes, so a -0.0 where the reference holds +0.0 fails too
+        assert got.primal.tobytes() == ref.primal.tobytes()
         assert got.objective_value == ref.objective_value
         _assert_dual_certifies(lp, got)
     return got
@@ -353,6 +354,11 @@ def test_kernel_matches_reference_on_degenerate_lps():
         # the same vertex reached from a shifted origin needs phase 1
         shift = rng.uniform(0.5, 1.5, size=n)
         _assert_same_as_reference(_lp(c, lhs, rhs - lhs @ shift))
+    # phase 1 leaves row 4's artificial basic at level 0; the sweep brings
+    # row 1's slack in on a -1 entry, which turns that row's zero in b
+    # into -0.0, and phase 2 then makes z+_0 basic in that row at level 0
+    G = [[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
+    _assert_same_as_reference(_lp([-1.0, -1.0], G, [1.0, 1.0, 0.0, -1.0, -1.0]))
 
 
 def test_kernel_matches_reference_when_near_ties_decide():
