@@ -37,6 +37,12 @@ PIVOT_RTOL = 1e-12
 _PIVOT_MARGIN = 100.0
 
 
+def _finite(M: np.ndarray) -> bool:
+    """True when every entry of M is finite.  Counting the finite
+    entries is one C call, where ``.all()`` sets up a ufunc reduction."""
+    return np.count_nonzero(np.isfinite(M)) == M.size
+
+
 def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce M to a rows×cols matrix by the package's one reading rule.
 
@@ -57,7 +63,7 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
         M = M.reshape((1, -1) if rows == 1 else (-1, 1))
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
-    if not np.isfinite(M).all():
+    if not _finite(M):
         raise NonFiniteError(f"{name} contains non-finite entries")
     if rows is None and cols is None:
         rows = M.shape[1]  # square
@@ -74,7 +80,7 @@ def as_vector(v, name: str, size: int = -1) -> np.ndarray:
         x = x.reshape(-1)
     if x.ndim != 1:
         raise DimensionError(f"{name} must be a vector, got ndim={x.ndim}")
-    if not np.isfinite(x).all():
+    if not _finite(x):
         raise NonFiniteError(f"{name} contains non-finite entries")
     if size >= 0 and x.size != size:
         raise DimensionError(f"{name} has length {x.size}, expected {size}")
@@ -171,13 +177,16 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"right-hand side has {b.shape[0]} rows, matrix has {n}"
         )
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    # the pivot floor's max|A| is NaN or inf exactly when A has such an entry
+    top = np.abs(A).max(initial=0.0)
+    if not (math.isfinite(top) and _finite(b)):
         raise NonFiniteError("solve_linear inputs contain non-finite entries")
 
     m = b.shape[1]
-    rhs = np.eye(n, m + n, m)  # [B | I] in one array
+    rhs = np.zeros((n, m + n))  # [B | I] in one array
     rhs[:, :m] = b
-    floor = _PIVOT_MARGIN * PIVOT_RTOL * np.abs(A).max(initial=0.0)
+    rhs.flat[m :: m + n + 1] = 1.0
+    floor = _PIVOT_MARGIN * PIVOT_RTOL * top
     X = None
     # Near-singular input can overflow here; the bound then fails the
     # test and the elimination loop takes over.
@@ -186,7 +195,7 @@ def solve_linear(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             XZ = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:  # an exactly zero pivot
             XZ = None
-        if XZ is not None and np.isfinite(XZ).all():
+        if XZ is not None and _finite(XZ):
             # ||Z||_F summed as np.linalg.norm sums it; a norm that
             # underflows to 0 gives an infinite bound, which passes
             z = XZ[:, m:].ravel(order="K")

@@ -44,8 +44,11 @@ without changing that sequence:
   pivot column and whose column has a nonzero in the pivot row.  Every
   other entry would have 0 · x subtracted.  A design-LP pivot touches
   about 1,400 entries on average, so numpy's per-call overhead is most
-  of its cost: the entering choice, the leaving row and the elimination
-  take about 25 array calls, none of them over the whole tableau.
+  of its cost: the entering choice, the leaving row (one candidate) and
+  the elimination take about 30 numpy operations, none of them over the
+  whole tableau.  The flat indices and the update are broadcast from
+  the pivot column's rows and the pivot row's columns, which costs less
+  than ``np.add.outer`` and ``np.multiply.outer``.
 
 An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
 subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
@@ -150,8 +153,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slo
     cols = prow.nonzero()[0]
     # T is C-contiguous, so reshape gives a view; one flat index per
     # entry is cheaper than a (rows, cols) index pair
-    at = np.add.outer(rows * T.shape[1], cols)
-    T.reshape(-1)[at] -= np.multiply.outer(factors[rows], prow[cols])
+    at = (rows * T.shape[1])[:, None] + cols
+    T.reshape(-1)[at] -= factors[rows][:, None] * prow[cols]
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
@@ -249,7 +252,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     # a negative right-hand side are negated and start with an
     # artificial basic; the rest start with their own slack basic.
     width = 2 * n + m
-    art_rows = np.flatnonzero(lp.ineq_rhs < 0.0)
+    art_rows = (lp.ineq_rhs < 0.0).nonzero()[0]
     k = art_rows.size
     arts = np.arange(k)
     basis = np.arange(2 * n, width)
@@ -278,15 +281,16 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         # pivot leftover artificials out of the basis (degenerate rows) on
         # the lowest-index column with an entry; every row keeps its own
         # slack column, so none is all zero
-        for i in np.flatnonzero(basis >= width):
-            entries = np.flatnonzero((np.abs(T[i, :-1]) > EPS) & (nonbasic < width))
+        for i in (basis >= width).nonzero()[0]:
+            entries = ((np.abs(T[i, :-1]) > EPS) & (nonbasic < width)).nonzero()[0]
             if entries.size == 0:  # pragma: no cover - nonzero slack entry
                 raise SolverFailureError("phase 1 left an artificial on a zero row")
             iterations += 1
             _pivot(T, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
-        keep = nonbasic < width
-        T = T.compress(np.append(keep, True), axis=1)
-        nonbasic = nonbasic[keep]
+        keep = np.ones(T.shape[1], dtype=bool)  # b's column stays
+        np.less(nonbasic, width, out=keep[:-1])
+        T = T.compress(keep, axis=1)
+        nonbasic = nonbasic[keep[:-1]]
 
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
     verdict, iterations = _simplex(T, cost2, basis, nonbasic, max_iter, iterations)

@@ -44,7 +44,6 @@ from .linalg import (
     _require,
     _shaped,
     _sign_violations,
-    max_row_sum,
     solve_linear,
     split_pos_neg,
 )
@@ -303,16 +302,19 @@ def _certified_solve(
     computed W v < 0, which proves W Hurwitz; otherwise (None, None).
     Then Y = -W^{-1} B >= 0 whenever B >= 0.
     """
-    n = W.shape[0]
+    rhs = np.empty((W.shape[0], 1 + B.shape[1]))  # [1 | B] in one array
+    rhs[:, 0] = 1.0
+    rhs[:, 1:] = B
     try:
-        VY = solve_linear(-W, np.hstack([np.ones((n, 1)), B]))
+        VY = solve_linear(-W, rhs)
     except SingularMatrixError:
         return None, None
     v = VY[:, 0]
     decay = -(W @ v)
-    if not ((v > 0.0).all() and (decay > 0.0).all()):
+    low = decay.min()
+    if not (v.min() > 0.0 and low > 0.0):  # a NaN fails too
         return None, None
-    return v * (epsilon / decay.min()), VY[:, 1:]
+    return v * (epsilon / low), VY[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,7 @@ def _weighted_gain(Y, M, N) -> float:
     the loop has no input or no output."""
     if Y.shape[1] == 0 or M.shape[0] == 0:
         return 0.0
-    return max_row_sum(M @ Y + N)
+    return float((M @ Y + N).sum(axis=1).max())
 
 
 def _check_gain_structure(A, E, Cz, Fz):
@@ -379,14 +381,15 @@ def linf_gain_lp(
             raise InstabilityError("A is not Hurwitz stable; the gain is undefined")
         return 0.0, cert.vector
     # variables z = [lambda (n), gamma]
+    ones = np.ones(p)
     lhs = np.zeros((n + q + n, n + 1))
     rhs = np.zeros(n + q + n)
     lhs[:n, :n] = A
-    rhs[:n] = -E @ np.ones(p) - epsilon
+    rhs[:n] = -(E @ ones) - epsilon
     lhs[n : n + q, :n] = Cz
     lhs[n : n + q, n] = -1.0
-    rhs[n : n + q] = -Fz @ np.ones(p) - epsilon
-    lhs[n + q :, :n] = -np.eye(n)
+    rhs[n : n + q] = -(Fz @ ones) - epsilon
+    lhs[n + q :].flat[:: n + 2] = -1.0  # -I in the lambda columns
     objective = np.zeros(n + 1)
     objective[n] = 1.0
     sol = solve(LinearProgram(objective, lhs, rhs))
@@ -480,7 +483,7 @@ def _admissible(plant: Plant, L, form: str, tol: float, stability: str, split: b
     violations, Y = _sign_violations(states, tol), None
     if not violations:
         clipped = np.maximum(Scl, 0.0)
-        np.fill_diagonal(clipped, Scl.diagonal())
+        clipped.flat[:: clipped.shape[0] + 1] = Scl.diagonal()
         vector, Y = _certified_solve(clipped, np.maximum(B, 0.0))
         if vector is None:
             violations.append(f"{stability} is not Hurwitz stable")

@@ -405,7 +405,8 @@ def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
     if dist.p != sys.p:
         raise DimensionError(f"disturbance has {dist.p} channels, plant expects {sys.p}")
     w, w_lo, w_hi = dist.at(times)
-    bad = np.where((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))
+    # written as "not inside" so that a NaN sample or bound is outside
+    bad = np.where(~((w_lo - BOUND_TOL <= w) & (w <= w_hi + BOUND_TOL)))
     if bad[0].size:
         k = int(bad[0][0])
         raise SimulationError(
@@ -482,7 +483,7 @@ def simulate_delay(
         raise DimensionError("history needs one signal per plant state")
     hist_grid = dt * np.arange(-m, 1)
     past = _sample_all(plant_history, hist_grid)
-    outside = (past < config.x0_lo - BOUND_TOL) | (past > config.x0_hi + BOUND_TOL)
+    outside = ~((config.x0_lo - BOUND_TOL <= past) & (past <= config.x0_hi + BOUND_TOL))
     if outside.any():
         theta = hist_grid[int(np.argmax(outside.any(axis=1)))]
         raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")

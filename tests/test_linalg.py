@@ -115,6 +115,24 @@ def test_solve_linear_singular_reports_pivot():
     assert exc.value.pivot_index == 1
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "target, index",
+    [("A", (1, 1)), ("A", (2, 0)), ("B", (1, 0))],
+    ids=["A-diagonal", "A-off-diagonal", "B"],
+)
+def test_solve_linear_refuses_non_finite_inputs(value, target, index):
+    # A's finiteness is read from the largest |A_ij| of the pivot floor
+    mats = {
+        "A": np.array([[-2.0, 1.0, 0.0], [3.0, -5.0, 1.0], [0.0, 1.0, -4.0]]),
+        "B": np.ones((3, 2)),
+    }
+    mats[target][index] = value
+    for rhs in (mats["B"], mats["B"][:, 0]):
+        with pytest.raises(NonFiniteError, match="^solve_linear inputs contain non-finite entries$"):
+            solve_linear(mats["A"], rhs)
+
+
 def test_solve_linear_residual_on_random_systems():
     rng = np.random.default_rng(23)
     for _ in range(25):

@@ -325,11 +325,18 @@ def test_certified_design_keeps_inclusion():
 
 
 def test_disturbance_outside_envelope_aborts():
-    dist = _dist(ConstantSignal(2.0))  # outside [-1, 1]
-    cfg = SimConfig(1.0, 0.01, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
-    with pytest.raises(SimulationError) as exc:
-        simulate_ct(CASE1, L1, dist, cfg)
-    assert "channel" in str(exc.value)
+    cfg = SimConfig(2.0, 0.01, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    cases = [
+        (_dist(ConstantSignal(2.0)), "0"),  # outside [-1, 1]
+        # a NaN sample or bound is outside its envelope, not a divergence
+        (_dist(lambda t: math.nan if t > 1.0 else 0.5, 0.0, 1.0), "1.01"),
+        (_dist(ConstantSignal(0.5), math.nan, 1.0), "0"),
+        (_dist(ConstantSignal(0.5), 0.0, math.nan), "0"),
+    ]
+    for dist, when in cases:
+        with pytest.raises(SimulationError) as exc:
+            simulate_ct(CASE1, L1, dist, cfg)
+        assert str(exc.value) == f"disturbance leaves its envelope at t={when} (channel 1)"
 
 
 def test_divergence_reports_a_time_stamp():
@@ -432,11 +439,17 @@ def test_delay_step_up_to_h_is_kept_and_above_h_snaps_to_h():
 
 def test_delay_history_must_respect_the_initial_interval():
     dist = _dist(SineSignal(1.0, 1.0))
-    cfg = SimConfig(
-        4.0, 0.1, [0.0], [-1.0], [1.0], history=[ConstantSignal(5.0)]
-    )
-    with pytest.raises(SimulationError):
-        simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+    cases = [
+        (ConstantSignal(5.0), 0.1, "-1"),
+        # a NaN history is outside [x0_lo, x0_hi], not a divergence
+        (lambda t: math.nan if t < -0.5 else 0.0, 0.05, "-1"),
+        (lambda t: math.nan if t >= -0.5 else 0.0, 0.05, "-0.5"),
+    ]
+    for history, dt, when in cases:
+        cfg = SimConfig(4.0, dt, [0.0], [-1.0], [1.0], history=[history])
+        with pytest.raises(SimulationError) as exc:
+            simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+        assert str(exc.value) == f"plant history leaves [x0_lo, x0_hi] at t={when}"
 
 
 def test_delay_inclusion_scalar_scenario():
