@@ -52,7 +52,8 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
     otherwise.  A flat sequence runs along the one free size (an input
     map n×p is a column, an output map q×n a row) or, with both sizes
     given, along the one that is not 1 (a row when rows is 1); any
-    other input that is not 2-D is rejected, as is a non-finite entry.
+    other input that is not 2-D is rejected, as is a non-finite entry
+    and a square matrix with no rows.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim == 0:
@@ -65,11 +66,14 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
         raise DimensionError(f"{name} must be a 2-D matrix, got ndim={M.ndim}")
     if not _finite(M):
         raise NonFiniteError(f"{name} contains non-finite entries")
-    if rows is None and cols is None:
-        rows = M.shape[1]  # square
+    square = rows is None and cols is None
+    if square:
+        rows = M.shape[1]
     want = (M.shape[0] if rows is None else rows, M.shape[1] if cols is None else cols)
     if M.shape != want:
         raise DimensionError(f"{name} has shape {M.shape}, expected {want}")
+    if square and not rows:
+        raise DimensionError(f"{name} is a square matrix with no rows")
     return M
 
 

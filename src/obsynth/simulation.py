@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, SimulationError, UndefinedGainError
-from .linalg import _shaped, as_vector, split_pos_neg
+from .linalg import _finite, _shaped, as_vector, split_pos_neg
 from .positive import ContinuousSystem, DelaySystem, DiscreteSystem
 
 BOUND_TOL = 1e-12
@@ -351,7 +351,7 @@ def _recur(phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
     then carried through P = Phi^B; and each chunk is stepped again from
     its start, row by row.  So every row comes from its chunk's start by
     the one-step formula, and the trace agrees with sequential stepping
-    to rounding.  B halves while Phi^B has a non-finite entry, down to 1,
+    to rounding.  B halves while P has a non-finite entry, down to 1,
     the plain loop, so a diverging trace turns non-finite at the same row.
     """
     K = len(G)
@@ -362,9 +362,10 @@ def _recur(phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
     # a diverging state is reported once per trace, by _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
         B = max(1, math.isqrt(K))
-        while B > 1 and not np.isfinite(np.linalg.matrix_power(phi, B)).all():
-            B //= 2
         P = np.linalg.matrix_power(step, B)
+        while B > 1 and not _finite(P):
+            B //= 2
+            P = np.linalg.matrix_power(step, B)
         # chunk q steps rows qB .. qB + B, and every chunk before the last
         # is full; ends holds their end offsets, each stepped from zero
         ends = np.zeros(((K - 1) // B, phi.shape[0]))
@@ -391,6 +392,13 @@ def _grid(t_end: float, dt: float) -> np.ndarray:
     return dt * np.arange(steps + 1)
 
 
+def _outside(v: np.ndarray, lo, hi) -> tuple[np.ndarray, ...]:
+    """Indices, in row-major order, of the entries of v outside [lo, hi]
+    widened by BOUND_TOL; written as "not inside" so that a NaN value or
+    bound is outside."""
+    return np.nonzero(~((lo - BOUND_TOL <= v) & (v <= hi + BOUND_TOL)))
+
+
 def _check_x0(config: SimConfig, n: int) -> None:
     if config.x0.size != n:
         raise DimensionError(f"x0 has size {config.x0.size}, plant has {n} states")
@@ -405,8 +413,7 @@ def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
     if dist.p != sys.p:
         raise DimensionError(f"disturbance has {dist.p} channels, plant expects {sys.p}")
     w, w_lo, w_hi = dist.at(times)
-    # written as "not inside" so that a NaN sample or bound is outside
-    bad = np.where(~((w_lo - BOUND_TOL <= w) & (w <= w_hi + BOUND_TOL)))
+    bad = _outside(w, w_lo, w_hi)
     if bad[0].size:
         k = int(bad[0][0])
         raise SimulationError(
@@ -483,9 +490,9 @@ def simulate_delay(
         raise DimensionError("history needs one signal per plant state")
     hist_grid = dt * np.arange(-m, 1)
     past = _sample_all(plant_history, hist_grid)
-    outside = ~((config.x0_lo - BOUND_TOL <= past) & (past <= config.x0_hi + BOUND_TOL))
-    if outside.any():
-        theta = hist_grid[int(np.argmax(outside.any(axis=1)))]
+    outside = _outside(past, config.x0_lo, config.x0_hi)[0]
+    if outside.size:
+        theta = hist_grid[outside[0]]
         raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")
 
     phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), dt)
@@ -635,8 +642,9 @@ def simulate_population(
     """Nonlinear plant with linear observers fed by online envelope
     bounds a_lo * y / (y + b) <= recruitment <= a_hi * y / (y + b).
 
-    The plant does not depend on its observers, so it is stepped first;
-    the observer pair then reads the measured stage y on the grid, held
+    The plant does not depend on its observers, so it is stepped first,
+    once every gain sample it reads lies inside incidence_bounds; the
+    observer pair then reads the measured stage y on the grid, held
     linear between grid values, through the exact step of A - L C.
     """
     sys = model.system()
@@ -645,15 +653,21 @@ def simulate_population(
     if np.any(config.x0_lo < 0.0):
         raise SimulationError("population bounds must be nonnegative")
     times = _grid(config.t_end, config.dt)
-    gain = _incidence_gains(model, times)
-    gain_mid = _incidence_gains(model, times[:-1] + config.dt / 2.0)
-    x = _population_plant(model, config.x0, gain, gain_mid, config.dt)
+    # the plant reads the gain on the grid and at the half steps between
+    steps = np.empty(2 * times.size - 1)
+    steps[::2], steps[1::2] = times, times[:-1] + config.dt / 2.0
+    gains = _incidence_gains(model, steps)
+    bounds = [float(a) for a in model.incidence_bounds]
+    bad = _outside(gains, *bounds)[0]
+    if bad.size:
+        raise SimulationError(f"recruitment leaves its envelope at t={steps[bad[0]]:.6g}")
+    gain = gains[::2]
+    x = _population_plant(model, config.x0, gain, gains[1::2], config.dt)
 
     # both observers read y through L, and recruitment a y / (y + b)
     # through E, with a = a_lo for x_lo and a = a_hi for x_hi
     y = x[:, 2:]
     read = np.hstack([y, y / (y + model.half_saturation)])
-    bounds = [float(a) for a in model.incidence_bounds]
     phi, W0, W1 = _step_maps(np.kron(np.eye(2), sys.A - L @ sys.C), config.dt)
     G = _drive(W0, W1, np.block([[L, a * sys.E] for a in bounds]), read)
     X = _recur(phi, np.concatenate([config.x0_lo, config.x0_hi]), G)
@@ -667,7 +681,4 @@ def simulate_population(
 
     w = model.incidence(y, gain[:, None])
     w_lo, w_hi = (model.incidence(y, a) for a in bounds)
-    bad = ((w < w_lo - BOUND_TOL) | (w > w_hi + BOUND_TOL))[:, 0]
-    if bad.any():
-        raise SimulationError(f"recruitment leaves its envelope at t={times[bad.argmax()]:.6g}")
     return Trace(times, x, *np.split(X, 2, axis=1), w, w_lo, w_hi)

@@ -273,6 +273,25 @@ def test_gain_degenerate_dimensions_are_zero():
         linf_gain_lp([[1.0]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda A: hurwitz_certificate(A),
+        lambda A: linf_gain_closed(A, np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((1, 1))),
+        lambda A: gain_for_output(
+            A, np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((1, 1)),
+            np.zeros((0, 1)), np.zeros((1, 0)), np.zeros((1, 1)),
+        ),
+    ],
+    ids=["hurwitz_certificate", "linf_gain_closed", "gain_for_output"],
+)
+def test_a_zero_state_loop_is_refused_by_the_shape_rule(call):
+    # numpy's reductions have no identity on a 0×0 map; the shape rule
+    # refuses it by name before any of them runs
+    with pytest.raises(DimensionError, match=r"^A is a square matrix with no rows$"):
+        call(np.zeros((0, 0)))
+
+
 def test_gain_lp_of_an_unstable_loop_is_infeasible():
     with pytest.raises(InstabilityError) as exc:
         linf_gain_lp([[1.0]], [[1.0]], [[1.0]], 0.0)

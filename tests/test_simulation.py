@@ -734,6 +734,18 @@ def test_population_refuses_a_negative_plant_state(dt, t):
         simulate_population(POP, np.array([[0.0], [0.0], [5.0]]), cfg)
 
 
+@pytest.mark.parametrize("late", [math.nan, 3.0], ids=["nan", "above"])
+def test_population_refuses_a_gain_outside_its_bounds(late):
+    # the gain leaves [1, 2] after t = 1; the first sample the RK4 plant
+    # reads there is the half step at t = 1.005, and a NaN is outside too
+    model = PopulationModel(
+        (2, 2, 3), (3, 4), lambda t: late if t > 1 else 1.5, (1.0, 2.0), 1.0
+    )
+    cfg = SimConfig(5, 0.01, [0.1, 0, 0], [0.01, 0, 0], [0.6, 0.8, 1.1])
+    with pytest.raises(SimulationError, match=r"^recruitment leaves its envelope at t=1\.005$"):
+        simulate_population(model, [[0], [0], [5]], cfg)
+
+
 def test_plain_callables_work_as_signals():
     # a lambda must act exactly like the signal object it restates
     def pop(gain):
