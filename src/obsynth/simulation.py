@@ -121,11 +121,18 @@ class SampledSignal(PiecewiseConstantSignal):
 
 
 def _sample(signal, times: np.ndarray) -> np.ndarray:
-    """A signal at every time: vectorized through its `at`, point by point
-    for a plain callable."""
-    if hasattr(signal, "at"):
+    """A signal at every time: vectorized through a `Signal`'s `at`, point
+    by point for any other callable (a numpy ufunc has an unrelated `at`)."""
+    if isinstance(signal, Signal):
         return signal.at(times)
     return np.array([signal(t) for t in times], dtype=float)
+
+
+def _require_callables(signals: list, name: str) -> None:
+    """Refuse a signal list entry that cannot be called with a time."""
+    for k, signal in enumerate(signals):
+        if not callable(signal):
+            raise SimulationError(f"{name}[{k}] is not callable")
 
 
 def _sample_all(signals: list, times: np.ndarray) -> np.ndarray:
@@ -147,6 +154,8 @@ class DisturbanceModel:
     def __post_init__(self):
         if not (len(self.w) == len(self.w_lo) == len(self.w_hi)):
             raise DimensionError("disturbance channel lists differ in length")
+        for name in ("w", "w_lo", "w_hi"):
+            _require_callables(getattr(self, name), name)
 
     @property
     def p(self) -> int:
@@ -186,6 +195,8 @@ class SimConfig:
         self.x0_hi = as_vector(self.x0_hi, "x0_hi", self.x0.size)
         if np.any(self.x0 < self.x0_lo) or np.any(self.x0 > self.x0_hi):
             raise SimulationError("x0 must lie inside [x0_lo, x0_hi]")
+        if self.history is not None:
+            _require_callables(self.history, "history")
 
 
 @dataclass
@@ -471,8 +482,8 @@ def simulate_delay(
     zero-delay aggregate, run by `simulate_ct`.
     """
     if sys.h == 0.0:
-        aggregate = ContinuousSystem(sys.A + sys.A_h, sys.E, sys.C + sys.C_h, sys.F)
-        return simulate_ct(aggregate, L, dist, config)
+        S, T = sys.stability_pair()
+        return simulate_ct(ContinuousSystem(S, sys.E, T, sys.F), L, dist, config)
     n = sys.n
     m = max(1, int(np.ceil(sys.h / config.dt - 1e-9)))
     dt = sys.h / m

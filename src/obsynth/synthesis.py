@@ -9,11 +9,13 @@ summed, no feedthrough) becomes a finite LP:
     minimize gamma over (X, U, gamma) such that
       (X A - U C)_ij       >= 0          for i != j (A - LC Metzler)
       X E - U F            >= 0          (standard form only)
+      X hi - U, U - X lo   >= 0          (the gain bounds, where given)
       sum_i (X S - U T)_ij + 1 <= -eps   for every column j (stability)
       sum_ij (X E - U F)_ij - gamma <= -eps
 
 with (S, T) = (A, C) in continuous time, (A + A_h, C + C_h) with delay,
-and the Schur shift (A_d - I, C_d) in discrete time.  The Metzler
+and the Schur shift (A_d - I, C_d) in discrete time.  Gain bounds are
+the nonnegative sign families (hi, I) and (-lo, -I).  The Metzler
 condition leaves the diagonal of A - LC free, so it has off-diagonal
 rows only.  A sign row (X P - U Q)_ij >= 0 whose Q column is zero
 reads P_ij x_i >= 0, which x_i >= eps implies unless P_ij < 0; only
@@ -151,29 +153,33 @@ def _assemble(
     its block of rows.  A sign row (X P - U Q)_ij >= 0 holds -P_ij at
     column i and Q[:, j] at U's row i; a Metzler family skips its
     diagonal, and a row whose Q column is zero is kept only when
-    P_ij < 0 (module docstring).
+    P_ij < 0 (module docstring).  The gain-bound families follow the
+    stability, gamma and x >= eps rows; 0.0 - I keeps -0.0 out of the LP.
     """
     n, r = plant.n, plant.r
     S, T = plant.stability_pair()
     E, F, inputs = plant.loop_input(form)
+    bounds = [("L - lo", -lo, 0.0 - np.eye(r), False)] if lo is not None else []
+    bounds += [("hi - L", hi, np.eye(r), False)] if hi is not None else []
     signs = []  # (P, Q, kept entries (i, j) in row-major order)
-    for _, P, Q, metzler in plant.sign_families() + inputs:
+    for _, P, Q, metzler in plant.sign_families() + inputs + bounds:
         keep = (P < 0.0) | np.any(Q != 0.0, axis=0)
         if metzler:
             keep &= ~np.eye(n, dtype=bool)
         signs.append((P, Q, keep.nonzero()))
-    bounds = [(B, sign) for B, sign in ((lo, 1.0), (hi, -1.0)) if B is not None]
-    rows = sum(i.size for _, _, (i, _) in signs) + 2 * n + 1 + len(bounds) * n * r
+    stable = len(signs) - len(bounds)  # the stability, gamma and x >= eps rows go here
+    rows = sum(i.size for _, _, (i, _) in signs) + 2 * n + 1
     lhs = np.zeros((rows, n + n * r + 1))
     rhs = np.zeros(rows)
     U = lhs[:, n:-1].reshape(rows, n, r)  # a view; U[row, i] holds U's row i
     at = 0
-    for P, Q, (i, j) in signs:
+    for f, (P, Q, (i, j)) in enumerate(signs):
+        at += 2 * n + 1 if f == stable else 0
         kept = at + np.arange(i.size)
         lhs[kept, i] = -P[i, j]
         U[kept, i] = Q[:, j].T
         at += i.size
-    # stability rows, the gamma row, then x >= eps
+    at = sum(i.size for _, _, (i, _) in signs[:stable])
     lhs[at : at + n, :n] = S.T
     U[at : at + n] = -T.T[:, None, :]
     ones = np.ones(E.shape[1])
@@ -183,13 +189,6 @@ def _assemble(
     lhs[at + n + 1 + np.arange(n), np.arange(n)] = -1.0
     rhs[at : at + n] = -1.0 - epsilon
     rhs[at + n : at + 2 * n + 1] = -epsilon
-    at += 2 * n + 1
-    # a bound B on entry (i, k) reads sign * (B_ik x_i - U_ik) <= 0
-    entries = np.arange(n * r)
-    for B, sign in bounds:
-        lhs[at + entries, entries // r] = sign * B.reshape(-1)
-        lhs[at + entries, n + entries] = -sign
-        at += n * r
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
     return LinearProgram(objective, lhs, rhs)

@@ -81,3 +81,15 @@ def test_format_table_lists_every_case_and_note():
     assert table.splitlines()[0].startswith("case")
     assert "dt_scalar" in table
     assert table.endswith("1/1 cases passed")
+    # a weight the harness does not know makes the case an error, noted under it
+    with open(MANIFEST) as fh:
+        manifest = json.load(fh)
+    entry = dict(manifest["case2"], gains=[{"weight": "diag", "value": 0.0, "tol": 1e-6}])
+    report = run_bench(manifest={"case2": entry})
+    (case,) = report.cases
+    assert (case.status, case.passed) == ("error", False)
+    assert case.notes == ["error: manifest weight 'diag' not recognized"]
+    lines = format_table(report).splitlines()
+    assert lines[1].split() == ["case2", "error", "FAIL"]
+    assert lines[2].strip() == "- error: manifest weight 'diag' not recognized"
+    assert lines[3] == "0/1 cases passed"

@@ -31,6 +31,13 @@ def test_as_matrix_rejects_nonfinite_and_bad_shape():
         _shaped([[1.0, 2.0]], "A", 2, 2)
     with pytest.raises(DimensionError):
         as_vector([1.0, 2.0], "v", 3)
+    # a single row or column reads as a vector; a wider array or a NaN does not
+    for v in ([[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]]):
+        assert as_vector(v, "v", 3).tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(DimensionError, match=r"^v must be a vector, got ndim=2$"):
+        as_vector(np.eye(2), "v")
+    with pytest.raises(NonFiniteError, match=r"^v contains non-finite entries$"):
+        as_vector([1.0, float("nan")], "v")
 
 
 def test_is_metzler_examples():
@@ -103,6 +110,13 @@ def test_solve_linear_hand_checked_2x2():
     A = np.array([[-2.0, 0.0], [3.0, -7.0]])
     x = solve_linear(A, np.array([[2.0], [0.0]]))
     assert np.allclose(x, [[-1.0], [-3.0 / 7.0]], atol=1e-14)
+
+
+def test_solve_linear_refuses_mismatched_shapes():
+    with pytest.raises(DimensionError, match=r"^solve_linear needs a square matrix, got shape \(2, 3\)$"):
+        solve_linear(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(DimensionError, match=r"^right-hand side has 3 rows, matrix has 2$"):
+        solve_linear(np.eye(2), np.ones((3, 1)))
 
 
 def test_solve_linear_singular_reports_pivot():

@@ -87,6 +87,8 @@ def test_dimension_validation():
         _lp([1.0, 2.0], [[1.0]], [0.0])
     with pytest.raises(DimensionError):
         _lp([1.0], [[1.0], [2.0]], [0.0])
+    with pytest.raises(DimensionError, match="^LinearProgram needs at least one variable$"):
+        LinearProgram([], [], [])
 
 
 def test_iteration_cap_is_a_distinct_failure():

@@ -148,6 +148,9 @@ def test_inconsistent_shapes_are_rejected():
 
 def test_matrix_content_validation():
     _expect(r"\$\.A\[0\]\[1\].*number", _doc(A=[[-1.0, "x"], [0.0, -1.0]]))
+    _expect(r"^\$\.A: expected a nonempty nested numeric array$", _doc(A=[]))
+    _expect(r"^\$\.A: expected rows as arrays$", _doc(A=[1, 2]))
+    _expect(r"^\$\.A: rows must be nonempty and of equal length$", _doc(A=[[1, 2], [3]]))
     _expect(r"\$\.A.*finite", json.loads(json.dumps(_doc()).replace("-2.0", "1e999")))
 
 
@@ -260,6 +263,8 @@ def test_signal_objects_validated_in_place():
     _expect(r"\$\.disturbance\.w\[0\]\.type", _doc(disturbance=bad))
     bad["w"] = [{"type": "piecewise", "breakpoints": [1.0], "levels": [0.0]}]
     _expect(r"\$\.disturbance\.w\[0\].*level", _doc(disturbance=bad))
+    bad["w"] = {}
+    _expect(r"^\$\.disturbance\.w: expected an array of signal objects$", _doc(disturbance=bad))
 
 
 @pytest.mark.parametrize(

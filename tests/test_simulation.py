@@ -152,6 +152,11 @@ def test_disturbance_model_at_stacks_the_channels():
 def test_disturbance_model_validation():
     with pytest.raises(DimensionError):
         DisturbanceModel([ConstantSignal(0.0)], [], [ConstantSignal(1.0)])
+    # an entry that cannot be called is refused here, not when simulated
+    with pytest.raises(SimulationError, match=r"^w\[0\] is not callable$"):
+        _dist(0.5)
+    with pytest.raises(SimulationError, match=r"^w_hi\[1\] is not callable$"):
+        DisturbanceModel([np.sin, np.cos], [ConstantSignal(-1.0)] * 2, [ConstantSignal(1.0), 1.0])
     d = _dist(ConstantSignal(0.25))
     w, lo, hi = d.eval(3.0)
     assert w.tolist() == [0.25]
@@ -170,6 +175,8 @@ def test_sim_config_validation():
         SimConfig(10.0, -0.1, [0.0], [-1.0], [1.0])
     with pytest.raises(SimulationError):
         SimConfig(0.0, 0.1, [0.0], [-1.0], [1.0])
+    with pytest.raises(SimulationError, match=r"^history\[1\] is not callable$"):
+        SimConfig(10.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], history=[np.sin, 0.0])
 
 
 def test_trace_errors_and_outputs():
@@ -766,6 +773,24 @@ def test_plain_callables_work_as_signals():
     a, b = (simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, c) for c in cfgs)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.x_hi, b.x_hi)
+
+    # a numpy ufunc has an `at` method of its own, yet it is sampled
+    # point by point like the lambda that wraps it
+    ct_cfg = SimConfig(5.0, 0.01, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    a, b = (
+        simulate_ct(CASE1, L1, _dist(w, -2.0, 2.0), ct_cfg)
+        for w in (np.sin, lambda t: np.sin(t))
+    )
+    for name in ("x", "x_lo", "x_hi", "w"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    tanh = PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), np.tanh, (0.0, 1.0), 1.0)
+    assert tanh.gain_at(0.5) == np.tanh(0.5)
+    a, b = (
+        simulate_population(dataclasses.replace(tanh, incidence_gain=g), L, cfg)
+        for g in (np.tanh, lambda t: np.tanh(t))
+    )
+    for name in ("x", "x_lo", "x_hi", "w", "w_lo", "w_hi"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
