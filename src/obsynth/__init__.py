@@ -28,18 +28,14 @@ from .positive import (
     DelaySystem,
     DiscreteDelaySystem,
     DiscreteSystem,
-    StabilityCertificate,
-    common_certificate_rank_one,
     gain_for_output,
     hurwitz_certificate,
-    is_positive_system,
     linf_gain_closed,
     linf_gain_delay,
     linf_gain_discrete,
     linf_gain_lp,
     observer_membership,
     relaxed_error_gain,
-    rowwise_gain_decomposition,
 )
 from .problem import ProblemFile, parse_problem, parse_problem_dict
 from .simulation import (
@@ -100,20 +96,17 @@ __all__ = [
     "SineSignal",
     "SingularMatrixError",
     "SolverFailureError",
-    "StabilityCertificate",
     "Trace",
     "UndefinedGainError",
     "certify",
     "check_feasible",
     "check_inclusion",
-    "common_certificate_rank_one",
     "design",
     "empirical_peak_gain",
     "gain_for_output",
     "hurwitz_certificate",
     "is_metzler",
     "is_nonnegative",
-    "is_positive_system",
     "linf_gain_closed",
     "linf_gain_delay",
     "linf_gain_discrete",
@@ -123,7 +116,6 @@ __all__ = [
     "parse_problem",
     "parse_problem_dict",
     "relaxed_error_gain",
-    "rowwise_gain_decomposition",
     "simulate_ct",
     "simulate_delay",
     "simulate_dt",

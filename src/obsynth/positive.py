@@ -20,8 +20,8 @@ form.  The four plant types share one base, `Plant`, which coerces
 their matrices by `linalg._shaped`, checks observer forms, and reduces
 each to the undelayed continuous loop that design, `certify` and the
 delay and discrete gains read.  `_admissible` is the one judgement of
-a gain on a plant: membership, every observer-loop gain and the
-row-wise test call it on a `ContinuousSystem`, `certify` on its plant.
+a gain on a plant: membership and every observer-loop gain call it on
+a `ContinuousSystem`, `certify` on its plant.
 Sign conditions are judged by `linalg`'s one sign rule.
 """
 
@@ -245,52 +245,25 @@ class DiscreteDelaySystem(Plant):
     RELAXED = False
 
 
-@dataclass
-class StabilityCertificate:
-    """Positive vector proving a Metzler matrix Hurwitz.
-
-    kind "right" means A @ vector < 0 entrywise (margin >= margin);
-    kind "left" means vector @ A < 0 entrywise.
-    """
-
-    kind: str
-    vector: np.ndarray
-    margin: float
-
-
 # ---------------------------------------------------------------------------
-# structural checks and certificates
+# certificates
 
 
-def is_positive_system(sys: ContinuousSystem, tol: float = STRUCTURAL_TOL) -> bool:
-    """A Metzler and E (plus Cz, Fz when present) nonnegative."""
-    maps = [("A", sys.A, True)] + [(k, getattr(sys, k), False) for k in ("E", "Cz", "Fz")]
-    return not _sign_violations([m for m in maps if m[1] is not None], tol)
-
-
-def hurwitz_certificate(
-    A,
-    kind: str = "right",
-    epsilon: float = DEFAULT_EPSILON,
-) -> StabilityCertificate | None:
+def hurwitz_certificate(A, *, epsilon: float = DEFAULT_EPSILON) -> np.ndarray | None:
     """Stability certificate for a Metzler matrix from one linear solve.
 
-    Returns a positive vector mu with A mu <= -epsilon (kind "right") or
-    mu^T A <= -epsilon (kind "left"), or None when no such vector exists.
-    With W = A (or A^T), mu is v scaled so that min(-W v) becomes
-    epsilon, where v solves (-W) v = 1; this is the smallest such
-    vector, epsilon (-W)^{-1} 1.  For Metzler A, None is equivalent to A
+    Returns the positive vector mu with A mu <= -epsilon, or None when no
+    such vector exists.  mu is v scaled so that min(-A v) becomes
+    epsilon, where v solves (-A) v = 1; this is the smallest such
+    vector, epsilon (-A)^{-1} 1.  For Metzler A, None is equivalent to A
     not being Hurwitz, and a matrix singular to working precision gets
-    None.
+    None.  A^T is Metzler exactly when A is, so a left certificate,
+    mu^T A <= -epsilon, is hurwitz_certificate(A.T).
     """
     A = _shaped(A, "A")
     _require("hurwitz_certificate", [("A", A, True)])
-    if kind not in ("right", "left"):
-        raise PreconditionError(f"unknown certificate kind {kind!r}")
-    epsilon = _positive_epsilon(epsilon)
-    W = A if kind == "right" else A.T
-    vector, _ = _certified_solve(W, np.zeros((W.shape[0], 0)), epsilon)
-    return None if vector is None else StabilityCertificate(kind, vector, epsilon)
+    vector, _ = _certified_solve(A, np.zeros((A.shape[0], 0)), _positive_epsilon(epsilon))
+    return vector
 
 
 def _certified_solve(
@@ -376,10 +349,10 @@ def linf_gain_lp(
     p = E.shape[1]
     q = Cz.shape[0]
     if p == 0 or q == 0:
-        cert = hurwitz_certificate(A, epsilon=epsilon)
-        if cert is None:
+        vector = hurwitz_certificate(A, epsilon=epsilon)
+        if vector is None:
             raise InstabilityError("A is not Hurwitz stable; the gain is undefined")
-        return 0.0, cert.vector
+        return 0.0, vector
     # variables z = [lambda (n), gamma]
     ones = np.ones(p)
     lhs = np.zeros((n + q + n, n + 1))
@@ -523,52 +496,3 @@ def relaxed_error_gain(A, E, C, F, L, M) -> float:
     Hurwitz is required of L.
     """
     return _observer_gain(A, E, C, F, L, M, 0.0, "relaxed", "relaxed_error_gain")
-
-
-def rowwise_gain_decomposition(A, E, C, F, L, M, N, gamma: float) -> bool:
-    """Row-by-row gain test of the augmented Metzler matrices.
-
-    True iff for every output row i the (n+1)x(n+1) matrix
-
-        [[A-LC,   (E-LF) 1],
-         [e_i^T M, e_i^T N 1 - gamma]]
-
-    is Metzler and Hurwitz.  For an admissible L its Schur complement
-    e_i^T (M Y + N) 1 - gamma, with Y = (-(A-LC))^{-1} (E-LF), must be
-    negative, so the test is exactly "loop gain < gamma" and reads the
-    gain from the same solve.
-    """
-    if not gamma > 0.0:
-        raise PreconditionError("rowwise decomposition needs gamma > 0")
-    gain = _observer_gain(A, E, C, F, L, M, N, "standard", "rowwise decomposition")
-    return gain < gamma
-
-
-def common_certificate_rank_one(
-    W, u, vs, epsilon: float = DEFAULT_EPSILON
-) -> np.ndarray | None:
-    """Common positive vector psi with (W + u v_i^T) psi < 0 for all i.
-
-    Such a psi exists exactly when every rank-one perturbation W + u v_i^T
-    is Hurwitz (W Metzler Hurwitz, u and all v_i nonnegative).  Returns
-    None when the family is not simultaneously stabilizable.
-    """
-    W = _shaped(W, "W")
-    n = W.shape[0]
-    u = _shaped(u, "u", n, 1)
-    vs = [(f"v[{k}]", _shaped(v, f"v[{k}]", 1, n), False) for k, v in enumerate(vs)]
-    _require("common certificate", [("W", W, True), ("u", u, False), *vs])
-    base = hurwitz_certificate(W, epsilon=epsilon)
-    if base is None:
-        raise PreconditionError("common certificate needs Hurwitz W")
-    mats = [W + u @ v for _, v, _ in vs]
-    if not mats:
-        return base.vector
-    lhs = np.vstack(mats + [-np.eye(n)])
-    rhs = np.concatenate([-epsilon * np.ones(n * len(mats)), np.zeros(n)])
-    sol = solve(LinearProgram(np.ones(n), lhs, rhs))
-    if sol.status is LpStatus.INFEASIBLE:
-        return None
-    if sol.status is not LpStatus.OPTIMAL:  # pragma: no cover - cost >= 0
-        raise PreconditionError("common certificate LP reported unbounded")
-    return sol.primal

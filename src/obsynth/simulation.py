@@ -38,6 +38,7 @@ the vectorized at(times), and a call at one time is at() at that time.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -566,14 +567,15 @@ class PopulationModel:
         lo, hi = (float(v) for v in self.incidence_bounds)
         if not 0.0 <= lo <= hi < math.inf:
             raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi < inf")
+        gain = self.incidence_gain
+        if not (callable(gain) or isinstance(gain, numbers.Real)):
+            raise SimulationError(
+                f"incidence_gain must be a real number or callable, not {type(gain).__name__}"
+            )
         # a time-varying gain is only checkable sample by sample, which
         # simulate_population does; a constant is checked here
-        if not callable(self.incidence_gain) and not (
-            lo <= self.incidence_gain <= hi
-        ):
-            raise SimulationError(
-                "incidence_gain must lie inside incidence_bounds"
-            )
+        if not callable(gain) and not lo <= gain <= hi:
+            raise SimulationError("incidence_gain must lie inside incidence_bounds")
 
     def gain_at(self, t: float) -> float:
         return float(_incidence_gains(self, np.array([float(t)]))[0])

@@ -201,6 +201,26 @@ def _calls(tree: ast.AST):
             yield node, func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def test_the_public_surface_is_what_the_package_imports():
+    # __all__ is sorted, names each export once, and lists exactly the
+    # public names __init__ imports, so a stale export fails here
+    import obsynth
+
+    exported = obsynth.__all__
+    assert exported == sorted(exported)
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(obsynth, name)] == []
+    init = ast.parse((LIBRARY / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert set(exported) == imported
+
+
 def test_no_eigenvalue_is_computed_in_the_library():
     # Verdicts rest on certificate vectors, never on a spectrum.
     banned = {"eig", "eigvals", "eigh", "eigvalsh"}
@@ -316,9 +336,9 @@ def test_only_linalg_words_a_sign_precondition():
 
 def test_only_the_judgement_of_a_gain_reads_the_raw_sign_rule():
     # linalg._sign_violations is the one sign rule.  In positive and
-    # synthesis only _admissible, the one judgement of a gain, and
-    # is_positive_system read its notes; every other check goes through
-    # _require, is_metzler or is_nonnegative.
+    # synthesis only _admissible, the one judgement of a gain, reads its
+    # notes; every other check goes through _require, is_metzler or
+    # is_nonnegative.
     found = []
     for name, tree in _library_trees():
         found += [
@@ -329,7 +349,7 @@ def test_only_the_judgement_of_a_gain_reads_the_raw_sign_rule():
             and name != "linalg.py"
         ]
         if name in ("positive.py", "synthesis.py"):
-            inside = _inside(tree, ("_admissible", "is_positive_system"))
+            inside = _inside(tree, ("_admissible",))
             found += [
                 f"{name}:{node.lineno} _sign_violations call"
                 for node, called in _calls(tree)

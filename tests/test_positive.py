@@ -19,17 +19,14 @@ from obsynth import (
     MembershipError,
     ObserverSpec,
     PreconditionError,
-    common_certificate_rank_one,
     gain_for_output,
     hurwitz_certificate,
-    is_positive_system,
     linf_gain_closed,
     linf_gain_delay,
     linf_gain_discrete,
     linf_gain_lp,
     observer_membership,
     relaxed_error_gain,
-    rowwise_gain_decomposition,
 )
 from obsynth.linalg import is_metzler
 from obsynth.lp import LinearProgram, LpStatus, solve
@@ -94,46 +91,28 @@ def test_performance_output_is_optional():
         ContinuousSystem(A_CASE1, E2, C2, F2, Fz=np.zeros((1, 1)))
 
 
-def test_is_positive_system():
-    closed = ContinuousSystem(
-        np.array([[-2.0, 0.0], [3.0, -7.0]]),
-        np.array([[2.0], [0.0]]),
-        C2,
-        F2,
-    )
-    assert is_positive_system(closed)
-    assert not is_positive_system(ContinuousSystem(A_CASE2, E2, C2, F2))
-    zero = ContinuousSystem(
-        np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-        Cz=np.zeros((1, 1)), Fz=np.zeros((1, 1)),
-    )
-    assert is_positive_system(zero)
-
-
 def test_hurwitz_certificate_right_and_left():
-    cert = hurwitz_certificate(A_CASE1)
-    assert cert is not None and cert.kind == "right"
-    assert np.all(cert.vector > 0.0)
-    assert np.all(A_CASE1 @ cert.vector < 0.0)
+    # a left certificate of A is the right certificate of A^T
+    for W in (A_CASE1, A_CASE1.T):
+        mu = hurwitz_certificate(W)
+        assert mu is not None and np.all(mu > 0.0)
+        assert np.all(W @ mu < 0.0)
     # the all-ones vector already certifies this matrix
     assert np.all(A_CASE1 @ np.ones(2) == np.array([-1.0, -2.0]))
-
-    left = hurwitz_certificate(A_CASE1, kind="left")
-    assert np.all(left.vector @ A_CASE1 < 0.0)
 
     assert hurwitz_certificate(np.array([[1.0]])) is None
     assert hurwitz_certificate(-np.eye(3)) is not None
     with pytest.raises(PreconditionError):
         hurwitz_certificate(A_CASE2)
-    with pytest.raises(PreconditionError):
-        hurwitz_certificate(A_CASE1, kind="sideways")
+    # epsilon is keyword-only, so a call that still names a side fails
+    with pytest.raises(TypeError):
+        hurwitz_certificate(A_CASE1, "left")
 
 
-def _lp_certificate(A, kind, epsilon=DEFAULT_EPSILON):
+def _lp_certificate(W, epsilon=DEFAULT_EPSILON):
     """Reference route: minimize 1^T mu subject to W mu <= -epsilon,
-    mu >= 0, with W = A or A^T; None when the LP is infeasible."""
-    n = A.shape[0]
-    W = A if kind == "right" else A.T
+    mu >= 0; None when the LP is infeasible."""
+    n = W.shape[0]
     lhs = np.vstack([W, -np.eye(n)])
     rhs = np.concatenate([-epsilon * np.ones(n), np.zeros(n)])
     sol = solve(LinearProgram(np.ones(n), lhs, rhs))
@@ -155,18 +134,16 @@ def test_hurwitz_certificate_matches_the_certificate_lp():
     for _ in range(60):
         n = int(rng.integers(1, 16))
         A = random_metzler_hurwitz(rng, n)
-        for kind in ("right", "left"):
-            W = A if kind == "right" else A.T
-            cert = hurwitz_certificate(A, kind)
-            ref = _lp_certificate(A, kind)
-            assert cert.kind == kind and cert.margin == DEFAULT_EPSILON
-            assert np.max(np.abs(cert.vector - ref)) <= 1e-12 * np.max(ref)
-            assert np.all(cert.vector > 0.0)
-            assert np.all(W @ cert.vector <= -DEFAULT_EPSILON * (1.0 - 1e-12))
+        for W in (A, A.T):
+            mu = hurwitz_certificate(W)
+            ref = _lp_certificate(W)
+            assert np.max(np.abs(mu - ref)) <= 1e-12 * np.max(ref)
+            assert np.all(mu > 0.0)
+            assert np.all(W @ mu <= -DEFAULT_EPSILON * (1.0 - 1e-12))
         B = _not_hurwitz(rng, n)
-        for kind in ("right", "left"):
-            assert hurwitz_certificate(B, kind) is None
-            assert _lp_certificate(B, kind) is None
+        for W in (B, B.T):
+            assert hurwitz_certificate(W) is None
+            assert _lp_certificate(W) is None
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])
@@ -181,13 +158,12 @@ def test_hurwitz_verdict_flips_where_the_row_sum_crosses_zero(n):
         for s in (-0.5, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.5):
             A = off.copy()
             A[np.diag_indices(n)] = s - off.sum(axis=1)
-            for kind in ("right", "left"):
-                cert = hurwitz_certificate(A, kind)
-                assert (cert is not None) == (s < 0.0), (n, s, kind)
-                if cert is not None:
-                    W = A if kind == "right" else A.T
-                    assert np.all(cert.vector > 0.0)
-                    assert np.all(W @ cert.vector <= -DEFAULT_EPSILON * (1.0 - 1e-9))
+            for side, W in (("right", A), ("left", A.T)):
+                mu = hurwitz_certificate(W)
+                assert (mu is not None) == (s < 0.0), (n, s, side)
+                if mu is not None:
+                    assert np.all(mu > 0.0)
+                    assert np.all(W @ mu <= -DEFAULT_EPSILON * (1.0 - 1e-9))
 
 
 def test_gain_closed_scalar_lag():
@@ -290,6 +266,16 @@ def test_a_zero_state_loop_is_refused_by_the_shape_rule(call):
     # refuses it by name before any of them runs
     with pytest.raises(DimensionError, match=r"^A is a square matrix with no rows$"):
         call(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 0)], ids=["no-input", "no-output"])
+def test_gain_lp_of_a_degenerate_loop_returns_the_hurwitz_certificate(p, q):
+    # with no input or no output the gain is 0 and lambda is the
+    # certificate itself, at the margin the LP was asked for
+    A = random_metzler_hurwitz(np.random.default_rng(73), 4)
+    gamma, lam = linf_gain_lp(A, np.ones((4, p)), np.ones((q, 4)), np.zeros((q, p)), epsilon=1e-3)
+    assert gamma == 0.0
+    assert np.array_equal(lam, hurwitz_certificate(A, epsilon=1e-3))
 
 
 def test_gain_lp_of_an_unstable_loop_is_infeasible():
@@ -492,25 +478,6 @@ def test_relaxed_error_gain_hand_values():
         relaxed_error_gain(A_CASE2, E2, C2, F2, L, -np.eye(2))
 
 
-def test_rowwise_decomposition_examples():
-    L = [[-1.0], [2.0]]
-    assert rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, np.eye(2), 0.0, 1.1)
-    assert not rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, np.eye(2), 0.0, 0.9)
-    assert rowwise_gain_decomposition(
-        A_CASE2, E2, C2, F2, L, np.zeros((2, 2)), 0.0, 0.5
-    )
-    with pytest.raises(PreconditionError):
-        rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, np.eye(2), 0.0, 0.0)
-    # L = 0 leaves A_CASE2 - L C with a negative off-diagonal entry
-    with pytest.raises(MembershipError):
-        rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[0.0], [0.0]], np.eye(2), 0.0, 1.1)
-    with pytest.raises(DimensionError):
-        rowwise_gain_decomposition(A_CASE2, E2, C2, F2, [[-1.0, 0.0], [2.0, 0.0]], np.eye(2), 0.0, 1.1)
-    for M, N in ((-np.eye(2), 0.0), (np.eye(2), -1.0)):
-        with pytest.raises(PreconditionError, match="rowwise decomposition needs nonnegative"):
-            rowwise_gain_decomposition(A_CASE2, E2, C2, F2, L, M, N, 1.1)
-
-
 def _augmented_rowwise_test(A, E, C, F, L, M, N, gamma) -> bool:
     """Reference: each augmented matrix [[A-LC, (E-LF)1], [M_i, N_i 1 - gamma]]
     must be Metzler and carry a Hurwitz certificate."""
@@ -528,6 +495,8 @@ def _augmented_rowwise_test(A, E, C, F, L, M, N, gamma) -> bool:
 
 
 def test_rowwise_decomposition_matches_gain_threshold():
+    # the augmented matrices' Schur complement is e_i^T (M Y + N) 1 - gamma,
+    # so the row-wise test passes exactly when the loop gain is below gamma
     rng = np.random.default_rng(59)
     for trial in range(15):
         n = int(rng.integers(1, 5))
@@ -542,51 +511,9 @@ def test_rowwise_decomposition_matches_gain_threshold():
         gamma = gain_for_output(A, E, C, F, L, M, N)
         for scale in (0.5, 0.999, 1.001, 2.0):
             g = gamma * scale if gamma > 0.0 else scale
-            got = rowwise_gain_decomposition(A, E, C, F, L, M, N, g)
+            got = gamma < g
             assert got == _augmented_rowwise_test(A, E, C, F, L, M, N, g)
             assert got == (scale > 1.0 or q == 0)
-
-
-def test_common_certificate_rank_one():
-    psi = common_certificate_rank_one(-np.eye(2), np.zeros(2), [[1, 0], [0, 1]])
-    assert psi is not None and np.all(psi > 0.0)
-
-    W = np.array([[-2.0, 0.0], [3.0, -7.0]])
-    u = np.zeros(2)
-    psi = common_certificate_rank_one(W, u, [[1.0, 0.0]])
-    assert np.all((W + np.outer(u, [1.0, 0.0])) @ psi < 0.0)
-
-    # W + u v^T = [[1, 0], [0, -1]] is not Hurwitz
-    assert (
-        common_certificate_rank_one(-np.eye(2), [1.0, 0.0], [[2.0, 0.0]]) is None
-    )
-
-    # empty family falls back to a certificate for W alone
-    psi = common_certificate_rank_one(-np.eye(3), np.zeros(3), [])
-    assert np.all(-np.eye(3) @ psi < 0.0)
-
-    with pytest.raises(PreconditionError):
-        common_certificate_rank_one(np.eye(2), np.zeros(2), [[1.0, 0.0]])
-    with pytest.raises(PreconditionError):
-        common_certificate_rank_one(-np.eye(2), [-1.0, 0.0], [[1.0, 0.0]])
-
-
-def test_common_certificate_on_random_stable_families():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        W = random_metzler_hurwitz(rng, n)
-        u = rng.uniform(0.0, 0.2, size=n)
-        vs = [rng.uniform(0.0, 0.2, size=n) for _ in range(3)]
-        psi = common_certificate_rank_one(W, u, vs)
-        if psi is None:
-            # some perturbation must then be unstable on its own
-            assert any(
-                hurwitz_certificate(W + np.outer(u, v)) is None for v in vs
-            )
-        else:
-            for v in vs:
-                assert np.all((W + np.outer(u, v)) @ psi < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,24 +643,12 @@ def test_loop_functions_follow_the_same_rule():
             observer_membership(*args)
     with pytest.raises(DimensionError):
         hurwitz_certificate([-1.0, -2.0])
-    assert hurwitz_certificate(-3.0).vector.shape == (1,)
+    assert hurwitz_certificate(-3.0).shape == (1,)
     # L is n x r: a scalar fills it, and a wrong shape names both
     assert observer_membership(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), 0.0, 0.0) == []
     with pytest.raises(DimensionError) as exc:
         observer_membership(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), 0.0, np.ones((1, 2)))
     assert str(exc.value) == "L has shape (1, 2), expected (2, 1)"
-    # u is an n x 1 column and every v_i a 1 x n row
-    W = -np.eye(2)
-    assert common_certificate_rank_one(W, 0.0, [[1.0, 0.0]]) is not None
-    assert common_certificate_rank_one(W, [[0.5], [0.0]], [np.ones((1, 2))]) is not None
-    for u, vs in (
-        ([1.0, 0.0, 0.0], [[1.0, 0.0]]),
-        ([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0, 0.0]]),
-        ([1.0, 0.0], [np.ones((2, 1))]),
-        (np.ones((1, 2)), [[1.0, 0.0]]),
-    ):
-        with pytest.raises(DimensionError):
-            common_certificate_rank_one(W, u, vs)
 
 
 def test_gain_bounds_name_their_expected_shape():
@@ -751,10 +666,8 @@ def test_every_epsilon_taker_rejects_a_non_positive_margin(epsilon):
     A = np.array([[-2.0, 1.0], [1.0, -3.0]])
     calls = (
         lambda: hurwitz_certificate(A, epsilon=epsilon),
-        lambda: hurwitz_certificate(A, kind="left", epsilon=epsilon),
         lambda: linf_gain_lp(A, np.ones((2, 1)), np.ones((1, 2)), 0.0, epsilon=epsilon),
         lambda: linf_gain_lp(A, np.zeros((2, 0)), np.ones((1, 2)), 0.0, epsilon=epsilon),
-        lambda: common_certificate_rank_one(A, np.zeros(2), [np.ones(2)], epsilon=epsilon),
         lambda: ObserverSpec(epsilon=epsilon),
     )
     for call in calls:

@@ -611,6 +611,13 @@ def test_population_model_refuses_non_finite_rates(field, value):
         dataclasses.replace(POP, **{field: value})
 
 
+@pytest.mark.parametrize("gain, kind", [("x", "str"), (None, "NoneType")])
+def test_population_model_refuses_a_gain_that_is_neither_number_nor_callable(gain, kind):
+    message = f"incidence_gain must be a real number or callable, not {kind}"
+    with pytest.raises(SimulationError, match=rf"^{message}$"):
+        dataclasses.replace(POP, incidence_gain=gain)
+
+
 def test_population_model_refuses_an_infinite_incidence_bound():
     with pytest.raises(
         SimulationError, match=r"^incidence_bounds must satisfy 0 <= lo <= hi < inf$"
