@@ -7,12 +7,26 @@ of nonnegative parts, every row gets its own slack, and phase 1 drives
 artificial variables out of the rows whose right-hand side had to be
 negated.
 
-Bland's rule is used for both the entering and the leaving choice, so
-the solver cannot cycle and identical inputs always produce identical
-solutions.  The rule must stay Bland: when the optimum is not unique
-(many design LPs), which optimal vertex comes back, and so the returned
-gain L, depends on the pivot sequence.  Each pivot is made cheap
-without changing that sequence:
+The entering column is the one with the most negative reduced cost
+(Dantzig's rule, the first slot on exact ties); the leaving row is the
+minimum ratio, with ties going to the lower basic index.  Three guards
+keep the rule safe:
+
+- a phase ends, optimal or unbounded, only on a fresh price (below);
+- a pivot entry below PIVOT_RATIO times its column's largest is not
+  taken: that pivot's entering column is chosen by Bland's rule (the
+  improving one with the smallest variable index) instead;
+- after STALL consecutive degenerate pivots, Bland's rule chooses the
+  entering column until a pivot is nondegenerate.  Cycling needs an
+  endless run of degenerate pivots, which Bland's rule cannot make,
+  and every nondegenerate pivot lowers the objective, so the solver
+  terminates.
+
+The rule is deterministic, so identical inputs always produce identical
+solutions.  When the optimum is not unique (many design LPs), which
+optimal vertex comes back, and so the returned gain L, depends on the
+pivot sequence.  Each pivot is made cheap without changing that
+sequence:
 
 - the tableau is condensed: it keeps one column per nonbasic variable,
   with ``nonbasic`` giving each column's index in
@@ -30,20 +44,20 @@ without changing that sequence:
   the sign of a zero, which changes no pivot and no nonzero value; a
   zero in b keeps the -0.0 a negative pivot of the artificial sweep
   leaves, so the read-out turns it to +0.0);
-- the entering column is the improving one with the smallest index.
-  The full tableau prices every column afresh, ``cost - cost[basis] @
-  T``, before every pivot.  Here the last row is priced that way when
-  a phase starts, and from then on the elimination updates it like any
-  other row.  The update drifts from a fresh price by rounding, so a
-  phase ends, and an entering column within DRIFT of the threshold is
-  chosen, only on a fresh price;
-- the leaving row runs Bland's sequential tie rule only over the rows
+- the reduced costs are carried: the last row is priced afresh,
+  ``cost - cost[basis] @ T``, when a phase starts, and from then on the
+  elimination updates it like any other row, so the entering choice is
+  one ``argmin`` over it.  The update drifts from a fresh price by
+  rounding, so a phase ends, and an entering column within DRIFT of the
+  threshold is chosen, only on a fresh price;
+- the leaving row runs the sequential tie rule only over the rows
   whose ratio is close enough to the minimum to be chosen or to change
-  the choice (see ``_leaving_row``), usually one row;
+  the choice (see ``_leaving_row``), usually one row, and when those
+  ratios are all equal it takes the lowest basic index in one step;
 - elimination touches only the entries whose row has a nonzero in the
   pivot column and whose column has a nonzero in the pivot row.  Every
   other entry would have 0 · x subtracted.  A design-LP pivot touches
-  about 1,400 entries on average, so numpy's per-call overhead is most
+  about 1,050 entries on average, so numpy's per-call overhead is most
   of its cost: the entering choice, the leaving row (one candidate) and
   the elimination take about 30 numpy operations, none of them over the
   whole tableau.  The flat indices and the update are broadcast from
@@ -72,15 +86,26 @@ from .linalg import _shaped, as_vector
 # column entry above EPS.
 EPS = 1e-9
 
-# Leaving-row ratios within TIE of each other are tied; Bland's rule
-# then picks the row whose basic variable has the lower index.
+# Leaving-row ratios within TIE of each other are tied; the row whose
+# basic variable has the lower index is then picked.
 TIE = 1e-12
 
 # The reduced costs that elimination carries drift from a fresh price
 # by rounding (up to 3e-8 on design LPs of about 1,000 rows).  An
 # entering column whose carried reduced cost lies within DRIFT of -EPS
-# is chosen only on a fresh price.
+# is chosen only on a fresh price, and a phase ends (optimal or
+# unbounded) only on a fresh price.
 DRIFT = 1e-6
+
+# A pivot entry below PIVOT_RATIO times the largest entry of the most
+# negative reduced cost's column is not taken; that pivot is chosen by
+# Bland's rule instead.
+PIVOT_RATIO = 1e-3
+
+# After STALL consecutive degenerate pivots (b[leave] == 0) the entering
+# column is chosen by Bland's rule until a pivot is nondegenerate, so
+# the solver cannot cycle.
+STALL = 5
 
 # Phase-1 objective above this value certifies infeasibility.
 FEAS_TOL = 1e-9
@@ -159,7 +184,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slo
 
 
 def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
-    """Bland's leaving row for one entering column, or -1 if unbounded.
+    """The leaving row for one entering column, or -1 if unbounded.
 
     The rule is sequential: scanning the candidate rows in order, a
     ratio more than TIE below the best so far replaces it, and one
@@ -180,8 +205,15 @@ def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
     ratios = b[cand] / col[cand]
     low = ratios.argmin()
     inside = ratios <= ratios[low] + (cand.size + 1) * TIE
-    if np.count_nonzero(inside) == 1:
+    count = np.count_nonzero(inside)
+    if count == 1:
         return int(cand[low])
+    tied = ratios == ratios[low]
+    if np.count_nonzero(tied) == count:
+        # every ratio in the window equals the minimum, so each row ties
+        # with the best so far and the scan keeps the lowest basic index
+        rows = cand[tied]
+        return int(rows[basis[rows].argmin()])
     window = inside.nonzero()[0]
     leave = -1
     best = np.inf
@@ -194,6 +226,17 @@ def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
     return leave
 
 
+def _entering(reduced: np.ndarray, nonbasic: np.ndarray, bland: bool) -> int:
+    """The entering slot, or -1 if no reduced cost is below -EPS: the most
+    negative reduced cost (the first slot on exact ties), or by Bland's
+    rule the improving column with the smallest variable index."""
+    if bland:
+        improving = (reduced < -EPS).nonzero()[0]
+        return int(improving[nonbasic[improving].argmin()]) if improving.size else -1
+    slot = int(reduced.argmin())
+    return slot if reduced[slot] < -EPS else -1
+
+
 def _simplex(
     T: np.ndarray,
     cost: np.ndarray,
@@ -202,39 +245,55 @@ def _simplex(
     max_iter: int,
     used: int,
 ) -> tuple[str, int]:
-    """Run Bland-rule simplex until optimal or unbounded.
+    """Run the simplex method until optimal or unbounded.
 
     T, basis and nonbasic are mutated in place.  Returns (verdict,
-    iterations) where verdict is "optimal" or "unbounded".  The last row
-    is priced afresh when the phase starts.  From then on the carried
+    iterations) where verdict is "optimal" or "unbounded".  The column
+    with the most negative reduced cost enters (Dantzig's rule), except
+    that Bland's rule chooses a pivot whose entry would be below
+    PIVOT_RATIO of its column's largest, and every pivot after STALL
+    consecutive degenerate ones until one is not.  The last row is
+    priced afresh when the phase starts.  From then on the carried
     reduced costs decide an entering column only when it improves by
-    more than DRIFT beyond the threshold; otherwise, and before the
-    phase ends, the row is priced afresh and decides.
+    more than DRIFT beyond the threshold and has a leaving row;
+    otherwise the row is priced afresh and decides, so either verdict
+    rests on a fresh price.
     """
     reduced = T[-1, :-1]
     b = T[:-1, -1]
     fresh = True
+    bland = False  # set by the pivot-size guard for one pivot
+    stall = 0
     it = used
     while True:
         if fresh:
             reduced[:] = cost[nonbasic] - cost[basis] @ T[:-1, :-1]
-        improving = (reduced < -EPS).nonzero()[0]
-        slot = int(improving[nonbasic[improving].argmin()]) if improving.size else -1
+        by_bland = bland or stall >= STALL
+        slot = _entering(reduced, nonbasic, by_bland)
         if not fresh and (slot < 0 or reduced[slot] > -EPS - DRIFT):
             fresh = True
             continue
         if slot < 0:
             return "optimal", it
-        leave = _leaving_row(b, T[:-1, slot], basis)
+        col = T[:-1, slot]
+        leave = _leaving_row(b, col, basis)
         if leave < 0:
-            return "unbounded", it
+            if fresh:
+                return "unbounded", it
+            fresh = True
+            continue
+        # col is a strided view, which argmax reads in half the time of max
+        if not by_bland and col[leave] < PIVOT_RATIO * col[col.argmax()]:
+            bland = True
+            continue
         it += 1
         if it > max_iter:
             raise SolverFailureError(
                 f"simplex exceeded the iteration cap ({max_iter})"
             )
+        stall = stall + 1 if b[leave] == 0.0 else 0
         _pivot(T, basis, nonbasic, leave, slot)
-        fresh = False
+        fresh = bland = False
 
 
 def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:

@@ -91,9 +91,13 @@ def _as_given(value, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, "expected a number")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = np.inf
+    if not np.isfinite(number):
         raise _fail(path, "number must be finite")
-    return float(value)
+    return number
 
 
 def _number_list(value, path: str, size: int | None = None) -> list[float]:

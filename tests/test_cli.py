@@ -411,6 +411,19 @@ def test_check_rejects_bad_file(capsys, tmp_path, corpus_dir):
         assert err.startswith(f"error: {path}{key}:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "design"])
+def test_an_integer_literal_beyond_float_range_is_one_error_line(
+    capsys, corpus_dir, tmp_path, command
+):
+    doc = json.loads((corpus_dir / "case1.json").read_text())
+    doc["simulation"]["t_end"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}.simulation.t_end: number must be finite\n"
+
+
 def test_check_refuses_a_form_design_refuses(capsys, tmp_path, corpus_dir):
     doc = json.loads((corpus_dir / "dt_scalar.json").read_text())
     doc["observer"]["form"] = "relaxed"

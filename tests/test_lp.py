@@ -203,15 +203,27 @@ def test_infeasibility_agrees_with_scipy():
 # ---------------------------------------------------------------------------
 # the condensed kernel, against a transcription of the full-tableau solve
 #
-# The reference keeps a column for every variable, basic or not,
-# recomputes the reduced costs as cost - cost[basis] @ T before every
-# pivot, scans every column for the entering choice and every row for
-# the leaving choice, and subtracts an outer product from the whole
-# tableau.  The kernel must make the same pivots and return the same
+# The reference keeps a column for every variable, basic or not, and
+# subtracts an outer product from the whole tableau.  It carries its
+# own reduced-cost row through that elimination and prices it afresh at
+# the moments the kernel does.  It scans the kernel's slot order for the
+# most negative reduced cost (so exact ties go the kernel's way), every
+# variable for Bland's entering choice and every row for the leaving
+# choice.  The kernel must make the same pivots and return the same
 # bytes: on non-unique optima the returned point depends on the pivots.
 
 
-def _ref_pivot(T, b, basis, row, col):
+@pytest.fixture(params=["dantzig", "bland"])
+def rule(request, monkeypatch):
+    """Run a test under the kernel's rule, and again with the anti-cycling
+    fallback in force from the first pivot, so that Bland's path is
+    pinned to the reference too."""
+    if request.param == "bland":
+        monkeypatch.setattr(lp_module, "STALL", -1)
+    return request.param
+
+
+def _ref_pivot(T, b, reduced, basis, slots, row, col):
     piv = T[row, col]
     T[row] /= piv
     b[row] /= piv
@@ -219,8 +231,12 @@ def _ref_pivot(T, b, basis, row, col):
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     b -= factors * b[row]
+    reduced -= reduced[col] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
+    reduced[col] = 0.0
+    # the leaving variable takes the entering column's slot
+    slots[slots.index(col)] = int(basis[row])
     basis[row] = col
 
 
@@ -239,25 +255,48 @@ def _ref_leaving_row(b, col, basis):
     return leave
 
 
-def _ref_simplex(T, b, cost, basis, max_iter, used):
-    m = T.shape[0]
+def _ref_entering(reduced, slots, bland):
+    if bland:
+        for j in sorted(slots):
+            if reduced[j] < -lp_module.EPS:
+                return j
+        return -1
+    enter = slots[0]
+    for j in slots:
+        if reduced[j] < reduced[enter]:
+            enter = j
+    return enter if reduced[enter] < -lp_module.EPS else -1
+
+
+def _ref_simplex(T, b, cost, basis, slots, max_iter, used):
+    reduced = np.zeros(T.shape[1])
+    fresh, bland, stall = True, False, 0
     it = used
     while True:
-        reduced = cost - cost[basis] @ T if m else cost.copy()
-        enter = -1
-        for j in range(reduced.size):
-            if reduced[j] < -lp_module.EPS:
-                enter = j
-                break
+        if fresh:
+            reduced[:] = cost - cost[basis] @ T
+        by_bland = bland or stall >= lp_module.STALL
+        enter = _ref_entering(reduced, slots, by_bland)
+        if not fresh and (enter < 0 or reduced[enter] > -lp_module.EPS - lp_module.DRIFT):
+            fresh = True
+            continue
         if enter < 0:
             return "optimal", it
         leave = _ref_leaving_row(b, T[:, enter], basis)
         if leave < 0:
-            return "unbounded", it
+            if fresh:
+                return "unbounded", it
+            fresh = True
+            continue
+        if not by_bland and T[leave, enter] < lp_module.PIVOT_RATIO * T[:, enter].max():
+            bland = True
+            continue
         it += 1
         if it > max_iter:
             raise SolverFailureError(f"simplex exceeded the iteration cap ({max_iter})")
-        _ref_pivot(T, b, basis, leave, enter)
+        stall = stall + 1 if b[leave] == 0.0 else 0
+        _ref_pivot(T, b, reduced, basis, slots, leave, enter)
+        fresh = bland = False
 
 
 def _ref_solve(lp):
@@ -273,6 +312,8 @@ def _ref_solve(lp):
     art_rows = np.flatnonzero(flip)
     basis = np.arange(2 * n, width)
     basis[art_rows] = width + np.arange(art_rows.size)
+    # the kernel's slot order: z+, z-, then the slacks the artificials keep out
+    slots = list(range(2 * n)) + [2 * n + int(i) for i in art_rows]
     iterations = 0
     if art_rows.size:
         art_cols = np.zeros((m, art_rows.size))
@@ -280,17 +321,18 @@ def _ref_solve(lp):
         T = np.hstack([T, art_cols])
         cost1 = np.zeros(T.shape[1])
         cost1[width:] = 1.0
-        verdict, iterations = _ref_simplex(T, b, cost1, basis, max_iter, iterations)
+        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, max_iter, iterations)
         assert verdict == "optimal"
         if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
         for i in np.flatnonzero(basis >= width):
             entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
             iterations += 1
-            _ref_pivot(T, b, basis, i, int(entries[0]))
+            _ref_pivot(T, b, np.zeros(T.shape[1]), basis, slots, i, int(entries[0]))
         T = T[:, :width]
+        slots = [j for j in slots if j < width]
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _ref_simplex(T, b, cost2, basis, max_iter, iterations)
+    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, max_iter, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
     full = np.zeros(width)
@@ -325,7 +367,7 @@ def _assert_dual_certifies(lp, sol):
     assert abs(value - sol.objective_value) <= 1e-9 * (1.0 + abs(sol.objective_value))
 
 
-def test_kernel_matches_reference_on_random_lps():
+def test_kernel_matches_reference_on_random_lps(rule):
     rng = np.random.default_rng(41)
     statuses = set()
     for _ in range(40):
@@ -340,9 +382,10 @@ def test_kernel_matches_reference_on_random_lps():
     assert statuses == set(LpStatus)
 
 
-def test_kernel_matches_reference_on_degenerate_lps():
+def test_kernel_matches_reference_on_degenerate_lps(rule):
     # many rows through one vertex: every ratio test starts with exact
-    # zero-ratio ties, which Bland's lower-index rule must break
+    # zero-ratio ties, which the leaving rule breaks by the lower basic
+    # index, and runs of degenerate pivots bring in the Bland fallback
     rng = np.random.default_rng(43)
     for _ in range(15):
         n = int(rng.integers(2, 7))
@@ -363,7 +406,7 @@ def test_kernel_matches_reference_on_degenerate_lps():
     _assert_same_as_reference(_lp([-1.0, -1.0], G, [1.0, 1.0, 0.0, -1.0, -1.0]))
 
 
-def test_kernel_matches_reference_when_near_ties_decide():
+def test_kernel_matches_reference_when_near_ties_decide(rule):
     # maximize z subject to z <= h_i: the ratios are the h_i, spaced
     # 0.5e-12 apart and falling, so the sequential 1e-12 tie rule keeps
     # an earlier row rather than the smallest ratio
@@ -406,7 +449,7 @@ def _bounds_around(rng, L):
 
 
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
-def test_kernel_matches_reference_on_design_lps(klass):
+def test_kernel_matches_reference_on_design_lps(klass, rule):
     rng = np.random.default_rng(47)
     form = "relaxed" if klass == "relaxed" else "standard"
     for n in (4, 6, 8, 10, 12):
@@ -422,7 +465,7 @@ def test_kernel_matches_reference_on_design_lps(klass):
             assert sol.status is LpStatus.OPTIMAL
 
 
-def test_kernel_matches_reference_through_an_infeasible_design(monkeypatch):
+def test_kernel_matches_reference_through_an_infeasible_design(monkeypatch, rule):
     # F = 0 leaves E - L F = E, which has a negative entry whatever L is,
     # while L0 makes A - L C Metzler and Hurwitz: the standard LP is
     # infeasible, and check_feasible then solves the relaxed rows
@@ -445,7 +488,7 @@ def test_kernel_matches_reference_through_an_infeasible_design(monkeypatch):
 
 
 @pytest.mark.parametrize("klass, n, rows", [("continuous", 16, 305), ("delay", 12, 325)])
-def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, rows):
+def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, rows, rule):
     # the condensed tableau drops the m basic columns, which here are
     # most of the full tableau's 2N + m
     lp = _design_lp(_design_plant(np.random.default_rng(59), klass, n))
@@ -454,7 +497,7 @@ def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, row
     assert sol.status is LpStatus.OPTIMAL
 
 
-def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch):
+def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch, rule):
     # after every pivot, move each carried reduced cost in [-EPS, DRIFT/2)
     # just below -EPS, as rounding drift might: a choice that close to
     # the threshold is priced afresh, so the pivots stay the reference's.
@@ -473,6 +516,30 @@ def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch):
         _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 6)))
     for _ in range(10):
         _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
+
+
+def test_pivot_size_guard_keeps_a_half_pinned_relaxed_design_certified():
+    # the relaxed n = 4 plant of test_kernel_matches_reference_on_design_lps
+    # with about half its gain entries pinned (the last _bounds_around
+    # case).  Entering by the most negative reduced cost alone takes a
+    # pivot entry far below its column's largest; the rounding that
+    # spreads from there leaves a dual residual of about 6.5e5
+    plant = _design_plant(np.random.default_rng(47), "relaxed", 4)
+    L = design(plant, ObserverSpec(form="relaxed")).L
+    lo, hi = _bounds_around(np.random.default_rng(4), L)[3]
+    lp = _assemble(plant, "relaxed", 1e-6, lo, hi)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    _assert_dual_certifies(lp, sol)
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.ineq_lhs,
+        b_ub=lp.ineq_rhs,
+        bounds=[(None, None)] * lp.num_vars,
+        method="highs",
+    )
+    assert ref.status == 0
+    assert abs(sol.objective_value - ref.fun) <= 1e-9 * abs(ref.fun)
 
 
 def test_ratio_window_matches_the_full_scan():
@@ -499,6 +566,18 @@ def test_ratio_window_matches_the_full_scan():
         basis = rng.permutation(3 * m)[:m]
         if rng.random() < 0.5:
             basis.sort()
+        assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
+    # windows whose ratios all equal the minimum, as on most design-LP
+    # ratio tests with a tie: exact duplicates among rows just outside the
+    # window, rows far outside it and rows that are no candidates
+    for _ in range(1000):
+        m = int(rng.integers(2, 16))
+        ratios = np.full(m, rng.choice([0.0, 0.37, 1.0, 3.0]))
+        outside = rng.random(size=m) < 0.3
+        ratios[outside] += tie * rng.choice([m + 1.001, m + 2.0, 1e6], size=outside.sum())
+        col = rng.choice([1.0, 0.5, 2.0, 0.0, -1.0], size=m)
+        b = ratios * col
+        basis = rng.permutation(3 * m)[:m]
         assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
 
 

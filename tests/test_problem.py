@@ -154,6 +154,19 @@ def test_matrix_content_validation():
     _expect(r"\$\.A.*finite", json.loads(json.dumps(_doc()).replace("-2.0", "1e999")))
 
 
+def test_integer_literals_beyond_float_range_are_not_finite():
+    # JSON integers are exact: one of 401 digits has no float value, and
+    # is refused as a non-finite number; one of 25 digits has one
+    huge = 10**400
+    _expect(r"^\$\.A\[0\]\[1\]: number must be finite$", _doc(A=[[-2.0, huge], [3.0, -5.0]]))
+    sim = {"t_end": huge, "dt": 0.1, "x0": [0.0, 0.0], "x0_lo": [0.0, 0.0], "x0_hi": [1.0, 1.0]}
+    _expect(r"^\$\.simulation\.t_end: number must be finite$", _doc(simulation=sim))
+    sim["t_end"] = 2 * 10**24
+    pf = parse_problem_dict(_doc(A=[[-2.0, 2 * 10**24], [3.0, -5.0]], simulation=sim))
+    assert pf.system().A[0, 1] == 2e24
+    assert pf.sim_config().t_end == 2e24
+
+
 def test_delay_class_requires_h():
     doc = {
         "schema_version": "1",
