@@ -21,7 +21,10 @@ their matrices by `linalg._shaped`, checks observer forms, and reduces
 each to the undelayed continuous loop that design, `certify` and the
 delay and discrete gains read.  `_admissible` is the one judgement of
 a gain on a plant: membership and every observer-loop gain call it on
-a `ContinuousSystem`, `certify` on its plant.
+a `ContinuousSystem`, `certify` on its plant.  The observer-loop gains
+reuse the last error loop solved when they are handed the same loop,
+so one membership check and any number of weighted gains of a gain L
+cost one solve.
 Sign conditions are judged by `linalg`'s one sign rule.
 """
 
@@ -413,20 +416,42 @@ def observer_membership(A, E, C, F, L, form: str = "standard") -> list[str]:
     """Reasons (possibly none) why L is not an admissible observer gain.
 
     Standard form needs A - LC Metzler and Hurwitz and E - LF >= 0; the
-    relaxed form drops the E - LF condition.
+    relaxed form drops the E - LF condition.  The verdict always comes
+    from a fresh solve, which the gain functions may then reuse.
     """
-    return _error_loop(A, E, C, F, L, form)[0]
+    return _error_loop(A, E, C, F, L, form, reuse=False)[0]
 
 
-def _error_loop(A, E, C, F, L, form: str) -> tuple[list[str], np.ndarray | None]:
+# The last error loop solved: (key, violations, Y) with Y read-only.
+# It is replaced whole, never mutated, so a reader needs no lock.
+_last_loop: tuple | None = None
+
+
+def _error_loop(
+    A, E, C, F, L, form: str, reuse: bool
+) -> tuple[list[str], np.ndarray | None]:
     """Membership violations of a gain and the error loop's solved inputs,
     judged at the structural tolerance.  The loop has state matrix
     A - LC and input B = E - LF, or its split [B+ B-] in relaxed form.
+
+    Every call validates its arguments.  One that may reuse returns the
+    last loop solved when its form and the bytes and shapes of its
+    validated A, E, C, F and L are the same, which is what a fresh solve
+    would return; every solve replaces that loop.
     """
+    global _last_loop
     plant = ContinuousSystem(A, E, C, F)
     L = _shaped(L, "L", plant.n, plant.r)
     plant.check_form(form)
-    return _admissible(plant, L, form, STRUCTURAL_TOL, "A - L C", split=True)
+    key = (form, *((M.shape, M.tobytes()) for M in (plant.A, plant.E, plant.C, plant.F, L)))
+    last = _last_loop
+    if reuse and last is not None and last[0] == key:
+        return list(last[1]), last[2]
+    violations, Y = _admissible(plant, L, form, STRUCTURAL_TOL, "A - L C", split=True)
+    if Y is not None:
+        Y.flags.writeable = False
+    _last_loop = (key, tuple(violations), Y)
+    return violations, Y
 
 
 def _admissible(plant: Plant, L, form: str, tol: float, stability: str, split: bool):
@@ -466,7 +491,7 @@ def _admissible(plant: Plant, L, form: str, tol: float, stability: str, split: b
 def _observer_gain(A, E, C, F, L, M, N, form: str, caller: str) -> float:
     """Gain of the error loop of an admissible L under the weighting
     (M, N); :class:`MembershipError` lists the violated conditions."""
-    violations, Y = _error_loop(A, E, C, F, L, form)
+    violations, Y = _error_loop(A, E, C, F, L, form, reuse=True)
     if violations:
         raise MembershipError(
             "gain not defined: L is not an admissible observer gain ("

@@ -518,6 +518,57 @@ def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch, rule):
         _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
 
 
+def _slack_start_lp(rng, n, m):
+    """Bounded LP whose origin is feasible: every row starts on its
+    slack, so the solve is phase 2 alone."""
+    G = rng.normal(size=(m, n))
+    h = rng.uniform(0.1, 2.0, size=m)
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    return _lp(rng.normal(size=n), np.vstack([G, box]), np.concatenate([h, 3.0 * np.ones(2 * n)]))
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_an_unbounded_verdict_on_a_carried_price_is_priced_afresh(monkeypatch, phase):
+    # the first ratio test after the first pivot runs on carried reduced
+    # costs; reporting no leaving row there must send the solve back to a
+    # fresh price, not end the phase as unbounded
+    events = []
+    real_pivot, real_leaving = lp_module._pivot, lp_module._leaving_row
+
+    def pivot(*args):
+        events.append("pivot")
+        real_pivot(*args)
+
+    def leaving(*args):
+        if events[-1:] == ["pivot"] and "forced" not in events:
+            events.append("forced")
+            return -1
+        events.append("ratio")
+        return real_leaving(*args)
+
+    monkeypatch.setattr(lp_module, "_pivot", pivot)
+    monkeypatch.setattr(lp_module, "_leaving_row", leaving)
+    rng = np.random.default_rng(71)
+    if phase == 1:
+        lp = _design_lp(_design_plant(rng, "continuous", 4))
+    else:
+        lp = _slack_start_lp(rng, 4, 8)
+    assert (lp.ineq_rhs < 0.0).any() == (phase == 1)
+    sol = solve(lp)
+    assert "forced" in events
+    # the fresh price asks the same question again before any pivot
+    assert events[events.index("forced") + 1] == "ratio"
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.ineq_lhs,
+        b_ub=lp.ineq_rhs,
+        bounds=[(None, None)] * lp.num_vars,
+        method="highs",
+    )
+    assert sol.status is LpStatus.OPTIMAL and ref.status == 0
+    assert abs(sol.objective_value - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+
+
 def test_pivot_size_guard_keeps_a_half_pinned_relaxed_design_certified():
     # the relaxed n = 4 plant of test_kernel_matches_reference_on_design_lps
     # with about half its gain entries pinned (the last _bounds_around

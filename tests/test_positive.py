@@ -28,12 +28,13 @@ from obsynth import (
     observer_membership,
     relaxed_error_gain,
 )
+from obsynth import positive
 from obsynth.linalg import is_metzler
 from obsynth.lp import LinearProgram, LpStatus, solve
 from obsynth.positive import DEFAULT_EPSILON
 from obsynth.simulation import ConstantSignal, DisturbanceModel, SimConfig, _linear_setup
 
-from conftest import random_metzler_hurwitz, random_schur
+from conftest import random_feasible_loop, random_metzler_hurwitz, random_schur
 
 # the two-state loops used throughout: one with a Metzler plant, one
 # whose plant needs the observer to restore Metzler structure
@@ -691,3 +692,143 @@ def test_error_loop_zeroes_off_diagonal_entries_within_the_tolerance():
     got = gain_for_output(Acl + L @ C, E, C, F, L, M, N)
     want = gain_for_output(clipped + L @ C, E, C, F, L, M, N)
     assert abs(got - want) <= 1e-13 * want
+
+
+# ---------------------------------------------------------------------------
+# reuse of the last error loop solved
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Count the error-loop solves, starting with no loop stored."""
+    count = [0]
+    inner = positive.solve_linear
+
+    def counting(*args):
+        count[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(positive, "solve_linear", counting)
+    monkeypatch.setattr(positive, "_last_loop", None)
+    return count
+
+
+def _fresh_gain(gain, *args):
+    """The gain of a loop solved afresh: the stored loop is dropped."""
+    positive._last_loop = None
+    return gain(*args)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_LOOP = random_feasible_loop(np.random.default_rng(28), 5, 2, 3)
+_FORMS = {
+    "standard": lambda A, E, C, F, L: gain_for_output(A, E, C, F, L, np.eye(5), np.ones((5, 2))),
+    "relaxed": lambda A, E, C, F, L: relaxed_error_gain(A, E, C, F, L, np.eye(5)),
+}
+
+
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_a_reused_gain_is_the_fresh_solve(solves, form):
+    loop = [M.copy() for M in _LOOP]
+    assert observer_membership(*loop, form=form) == []
+    reused = _FORMS[form](*loop)
+    assert solves[0] == 1
+    _, Y = positive._last_loop[1:]
+    assert not Y.flags.writeable
+    fresh = _fresh_gain(_FORMS[form], *loop)
+    assert solves[0] == 2
+    assert _bits(reused) == _bits(fresh)
+    assert positive._last_loop[2].tobytes() == Y.tobytes()
+
+
+def _nudged(loop, index, in_place):
+    """The loop with 2^-40, far inside every tolerance, added to entry
+    (0, 0) of one matrix, in place or on a copy."""
+    loop = list(loop)
+    M = loop[index] if in_place else loop[index].copy()
+    M[0, 0] += 2.0**-40
+    loop[index] = M
+    return loop
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+@pytest.mark.parametrize("index", range(5), ids=list("AECFL"))
+@pytest.mark.parametrize("form", list(_FORMS))
+def test_any_changed_input_solves_again(solves, form, index, in_place):
+    loop = [M.copy() for M in _LOOP]
+    assert observer_membership(*loop, form=form) == []
+    changed = _nudged(loop, index, in_place)
+    got = _FORMS[form](*changed)
+    assert solves[0] == 2
+    assert _bits(got) == _bits(_fresh_gain(_FORMS[form], *changed))
+
+
+def test_a_changed_form_solves_again(solves):
+    assert observer_membership(*_LOOP, form="standard") == []
+    relaxed = _FORMS["relaxed"](*_LOOP)
+    assert solves[0] == 2
+    assert observer_membership(*_LOOP, form="relaxed") == []
+    standard = _FORMS["standard"](*_LOOP)
+    assert solves[0] == 4
+    assert _bits(relaxed) == _bits(_fresh_gain(_FORMS["relaxed"], *_LOOP))
+    assert _bits(standard) == _bits(_fresh_gain(_FORMS["standard"], *_LOOP))
+
+
+def test_one_membership_and_k_gains_solve_once(solves):
+    rng = np.random.default_rng(5)
+    assert observer_membership(*_LOOP) == []
+    for _ in range(7):
+        M = rng.uniform(0.0, 1.0, size=(2, 5))
+        N = rng.uniform(0.0, 1.0, size=(2, 2))
+        gain_for_output(*_LOOP, M, N)
+    assert solves[0] == 1
+    # a membership verdict never rests on a stored loop
+    for k in (2, 3):
+        assert observer_membership(*_LOOP) == []
+        assert solves[0] == k
+    # a gain that solves stores its loop for the next gain
+    _FORMS["relaxed"](*_LOOP)
+    _FORMS["relaxed"](*_LOOP)
+    assert solves[0] == 4
+
+
+@pytest.mark.parametrize(
+    "A, L, solved",
+    [
+        (A_CASE1, [[0.0], [-100.0]], 1),
+        (A_CASE2, [[-1.0], [3.0]], 1),
+        (A_CASE1, [[5.0], [0.0]], 0),
+    ],
+    ids=["not-hurwitz", "negative-input", "not-metzler"],
+)
+def test_a_reused_inadmissible_gain_raises_the_same_error(solves, A, L, solved):
+    violations = observer_membership(A, E2, C2, F2, L)
+    assert violations
+    with pytest.raises(MembershipError) as reused:
+        gain_for_output(A, E2, C2, F2, L, np.eye(2), 0.0)
+    assert solves[0] == solved
+    with pytest.raises(MembershipError) as fresh:
+        _fresh_gain(gain_for_output, A, E2, C2, F2, L, np.eye(2), 0.0)
+    assert str(reused.value) == str(fresh.value)
+    assert reused.value.violations == fresh.value.violations == violations
+
+
+def test_a_returned_membership_list_is_the_callers_own(solves):
+    admissible = observer_membership(*_LOOP)
+    admissible.append("appended by the caller")
+    assert gain_for_output(*_LOOP, np.eye(5), 0.0) > 0.0
+    L = [[2.0], [0.0]]
+    violations = observer_membership(A_CASE1, E2, C2, F2, L)
+    want = list(violations)
+    violations.clear()
+    with pytest.raises(MembershipError) as exc:
+        gain_for_output(A_CASE1, E2, C2, F2, L, np.eye(2), 0.0)
+    assert exc.value.violations == want
+    exc.value.violations.append("appended by the caller")
+    with pytest.raises(MembershipError) as again:
+        gain_for_output(A_CASE1, E2, C2, F2, L, np.eye(2), 0.0)
+    assert again.value.violations == want
+    assert observer_membership(A_CASE1, E2, C2, F2, L) == want
