@@ -51,10 +51,11 @@ def _numpy_to_json(value):
 
 def _emit(doc: dict, out_path: str | None = None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, default=_numpy_to_json)
-    print(text)
+    # the file first: a path that cannot be written fails with stdout empty
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _named_epsilon(value, name: str) -> float:

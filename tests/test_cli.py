@@ -60,6 +60,17 @@ def test_design_out_flag_duplicates_stdout(capsys, corpus_dir, tmp_path):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize("command", ["design", "gain"])
+@pytest.mark.parametrize("case", ["case1", "case3"])
+def test_an_unwritable_out_path_fails_with_stdout_empty(capsys, corpus_dir, tmp_path, command, case):
+    # case1 designs optimally and case3 is infeasible: either way the
+    # document goes nowhere, and the write error is the one exit code
+    code, out, err = _run(capsys, command, _case(corpus_dir, case), "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_design_infeasible_exits_two(capsys, corpus_dir):
     code, out, _ = _run(capsys, "design", _case(corpus_dir, "case3"))
     assert code == 2

@@ -274,7 +274,11 @@ def _ref_simplex(T, b, cost, basis, slots, max_iter, used):
     it = used
     while True:
         if fresh:
-            reduced[:] = cost - cost[basis] @ T
+            # the kernel's price: one row per nonbasic column, in its
+            # slot order, times cost[basis] (the same BLAS summation);
+            # a basic variable's reduced cost is 0
+            reduced[:] = 0.0
+            reduced[slots] = cost[slots] - np.ascontiguousarray(T[:, slots].T) @ cost[basis]
         by_bland = bland or stall >= lp_module.STALL
         enter = _ref_entering(reduced, slots, by_bland)
         if not fresh and (enter < 0 or reduced[enter] > -lp_module.EPS - lp_module.DRIFT):
@@ -497,16 +501,49 @@ def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, row
     assert sol.status is LpStatus.OPTIMAL
 
 
+@pytest.mark.parametrize("block", [1, 100])
+def test_elimination_in_blocks_makes_the_same_pivots(monkeypatch, block, rule):
+    # one slot (BLOCK = 1) or a few go per numpy call, so every pivot
+    # of these small LPs spans several blocks, as only the largest
+    # LPs' pivots do at the real BLOCK
+    monkeypatch.setattr(lp_module, "BLOCK", block)
+    rng = np.random.default_rng(79)
+    for klass in ("continuous", "relaxed", "delay", "discrete"):
+        form = "relaxed" if klass == "relaxed" else "standard"
+        _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 4), form))
+    for _ in range(5):
+        _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
+
+
+def test_solve_never_writes_into_its_input():
+    # solve builds its tableau from a transposed copy of ineq_lhs and
+    # negates the rows with a negative right-hand side in it for phase 1;
+    # the caller's arrays keep their bytes
+    design_lp = _design_lp(_design_plant(np.random.default_rng(71), "continuous", 4))
+    assert (design_lp.ineq_rhs < 0.0).any()
+    cases = [
+        (design_lp, LpStatus.OPTIMAL),
+        (_lp([0.0], [[1.0], [-1.0]], [-1.0, -1.0]), LpStatus.INFEASIBLE),
+        (_lp([-1.0, 0.5], [[-1.0, 0.0], [1.0, -1.0]], [-2.0, 0.0]), LpStatus.UNBOUNDED),
+        (_lp([0.0, 0.0], np.zeros((0, 2)), np.zeros(0)), LpStatus.OPTIMAL),
+    ]
+    for lp, status in cases:
+        before = [a.copy() for a in (lp.objective, lp.ineq_lhs, lp.ineq_rhs)]
+        assert solve(lp).status is status
+        after = (lp.objective, lp.ineq_lhs, lp.ineq_rhs)
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+
+
 def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch, rule):
     # after every pivot, move each carried reduced cost in [-EPS, DRIFT/2)
     # just below -EPS, as rounding drift might: a choice that close to
     # the threshold is priced afresh, so the pivots stay the reference's.
-    # The last column of T is b, so its corner is no reduced cost
+    # The last row of T is b, so its corner is no reduced cost
     real = lp_module._pivot
 
     def drifting(T, basis, nonbasic, row, slot):
         real(T, basis, nonbasic, row, slot)
-        reduced = T[-1, :-1]
+        reduced = T[:-1, -1]
         near = (reduced >= -lp_module.EPS) & (reduced < lp_module.DRIFT / 2)
         reduced[near] = -2.0 * lp_module.EPS
 
