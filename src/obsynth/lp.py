@@ -61,11 +61,11 @@ sequence:
   (``T[slots] -= prow[slots, None] * factors``), whole rows at a time
   and with no index into single entries.  An entry whose pivot-column
   factor is zero has 0 · x subtracted, which changes at most the sign
-  of a zero.  The rows go at most BLOCK entries per call, so the
-  temporaries stay in cache at any size.  On the benchmark's design
-  sweep a pivot changes 15 of about 90 slots, each 128 entries long, on
-  average, in one call; only the largest LPs' pivots span several
-  blocks.
+  of a zero.  The slots go BLOCK entries (at least one slot) per call,
+  so the temporaries stay in cache while a slot's row fits in BLOCK.
+  On the benchmark's design sweep a pivot changes 15 of about 90 slots,
+  each 128 entries long, on average, in one call; only the largest
+  LPs' pivots span several blocks.
 
 An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
 subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
@@ -110,12 +110,13 @@ PIVOT_RATIO = 1e-3
 # the solver cannot cycle.
 STALL = 5
 
-# Elimination updates at most BLOCK tableau entries per numpy call, so
-# its two temporaries (512 KB each) stay in cache.  On a 2-core Xeon
-# with 2 MB of L2 per core, whole rows at once ran the n = 64 design
-# LPs about 1.7x slower, and at n = 96 (9,505 rows) malloc handed each
-# 1.7 MB temporary back to the OS, so every pivot faulted its pages in
-# again (100k faults per solve).
+# Elimination updates at most BLOCK tableau entries per numpy call, or
+# one slot's row where that is longer (m + 1 > BLOCK), so its two
+# temporaries (512 KB each) stay in cache.  On a 2-core Xeon with 2 MB
+# of L2 per core, whole rows at once ran the n = 64 design LPs about
+# 1.7x slower, and at n = 96 (9,505 rows) malloc handed each 1.7 MB
+# temporary back to the OS, so every pivot faulted its pages in again
+# (100k faults per solve).
 BLOCK = 65536
 
 # Phase-1 objective above this value certifies infeasibility.
@@ -186,16 +187,13 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slo
     factors[row] = 0.0
     # only the slots with a nonzero pivot-row entry change, each by a
     # multiple of the pivot column (reduced cost included); elsewhere
-    # 0 * x would be subtracted.  One call when they fit in BLOCK
-    # entries, as on all but the largest LPs, else BLOCK at a time
+    # 0 * x would be subtracted.  BLOCK entries (at least one slot) at a
+    # time, which on all but the largest LPs is every slot in one call
     slots = prow.nonzero()[0]
     step = max(1, BLOCK // T.shape[1])
-    if slots.size <= step:
-        T[slots] -= prow[slots, None] * factors
-    else:
-        for at in range(0, slots.size, step):
-            block = slots[at : at + step]
-            T[block] -= prow[block, None] * factors
+    for at in range(0, slots.size, step):
+        block = slots[at : at + step]
+        T[block] -= prow[block, None] * factors
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
