@@ -8,9 +8,11 @@ artificial variables out of the rows whose right-hand side had to be
 negated.
 
 The entering column is the one with the most negative reduced cost
-(Dantzig's rule, the first slot on exact ties); the leaving row is the
-minimum ratio, with ties going to the lower basic index.  Three guards
-keep the rule safe:
+(Dantzig's rule, the first slot on exact ties).  The leaving row is,
+of the rows whose ratio lies within TIE of the minimum ratio, the one
+whose basic variable has the lowest index; so exact ties, the ones
+Bland's anti-cycling argument needs, go to the lowest index.  Three
+guards keep the rule safe:
 
 - a phase ends, optimal or unbounded, only on a fresh price (below);
 - a pivot entry below PIVOT_RATIO times its column's largest is not
@@ -52,10 +54,6 @@ sequence:
   entry, so the entering choice is one ``argmin``.  The update drifts
   from a fresh price by rounding, so a phase ends, and an entering
   column within DRIFT of the threshold is chosen, only on a fresh price;
-- the leaving row runs the sequential tie rule only over the rows
-  whose ratio is close enough to the minimum to be chosen or to change
-  the choice (see ``_leaving_row``), usually one row, and when those
-  ratios are all equal it takes the lowest basic index in one step;
 - elimination changes only the slots whose entry in the pivot row is
   nonzero, each by a multiple of the pivot column
   (``T[slots] -= prow[slots, None] * factors``), whole rows at a time
@@ -63,9 +61,6 @@ sequence:
   factor is zero has 0 · x subtracted, which changes at most the sign
   of a zero.  The slots go BLOCK entries (at least one slot) per call,
   so the temporaries stay in cache while a slot's row fits in BLOCK.
-  On the benchmark's design sweep a pivot changes 15 of about 90 slots,
-  each 128 entries long, on average, in one call; only the largest
-  LPs' pivots span several blocks.
 
 An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
 subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
@@ -89,8 +84,8 @@ from .linalg import _shaped, as_vector
 # column entry above EPS.
 EPS = 1e-9
 
-# Leaving-row ratios within TIE of each other are tied; the row whose
-# basic variable has the lower index is then picked.
+# Leaving-row ratios within TIE of the minimum ratio are tied; of those
+# rows, the one whose basic variable has the lowest index leaves.
 TIE = 1e-12
 
 # The reduced costs that elimination carries drift from a fresh price
@@ -121,6 +116,10 @@ BLOCK = 65536
 
 # Phase-1 objective above this value certifies infeasibility.
 FEAS_TOL = 1e-9
+
+# A solve of n variables and m rows that needs more than
+# ITERATION_CAP * (n + m) pivots raises SolverFailureError.
+ITERATION_CAP = 50
 
 
 class LpStatus(Enum):
@@ -198,46 +197,17 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slo
 
 
 def _leaving_row(b: np.ndarray, col: np.ndarray, basis: np.ndarray) -> int:
-    """The leaving row for one entering column, or -1 if unbounded.
-
-    The rule is sequential: scanning the candidate rows in order, a
-    ratio more than TIE below the best so far replaces it, and one
-    within TIE of it replaces it when its basic variable has the lower
-    index.  With k candidates, a row whose ratio is more than
-    (k + 1) * TIE above the minimum can neither be chosen nor change the
-    choice, so the scan runs over the rows inside that window only.  A
-    tie moves the best by at most TIE, and a clearly smaller ratio
-    replaces the best in both scans unless it ties with one of them; so
-    while the full and the windowed scan disagree after c rows, both
-    bests lie more than (k + 2 - c) * TIE above the minimum.  The
-    minimum's row (c <= k) brings both within TIE of it, after which the
-    scans agree and the best stays too low for an outside row to tie.
-    """
+    """The leaving row for one entering column, or -1 if unbounded: of the
+    candidate rows (column entry above EPS) whose ratio lies within TIE
+    of the minimum ratio, the one whose basic variable has the lowest
+    index."""
     cand = (col > EPS).nonzero()[0]
     if cand.size < 2:
         return int(cand[0]) if cand.size else -1
     ratios = b[cand] / col[cand]
-    low = ratios.argmin()
-    inside = ratios <= ratios[low] + (cand.size + 1) * TIE
-    count = np.count_nonzero(inside)
-    if count == 1:
-        return int(cand[low])
-    tied = ratios == ratios[low]
-    if np.count_nonzero(tied) == count:
-        # every ratio in the window equals the minimum, so each row ties
-        # with the best so far and the scan keeps the lowest basic index
-        rows = cand[tied]
-        return int(rows[basis[rows].argmin()])
-    window = inside.nonzero()[0]
-    leave = -1
-    best = np.inf
-    for i, ratio in zip(cand[window].tolist(), ratios[window].tolist()):
-        if ratio < best - TIE or (
-            abs(ratio - best) <= TIE and (leave < 0 or basis[i] < basis[leave])
-        ):
-            best = ratio
-            leave = i
-    return leave
+    # argmin is a C method; min goes through a Python wrapper first
+    rows = cand[ratios <= ratios[ratios.argmin()] + TIE]
+    return int(rows[basis[rows].argmin()])
 
 
 def _entering(reduced: np.ndarray, nonbasic: np.ndarray, bland: bool) -> int:
@@ -256,22 +226,16 @@ def _simplex(
     cost: np.ndarray,
     basis: np.ndarray,
     nonbasic: np.ndarray,
-    max_iter: int,
+    cap: int,
     used: int,
 ) -> tuple[str, int]:
-    """Run the simplex method until optimal or unbounded.
+    """Run one phase, by the rules of the module docstring, until optimal
+    or unbounded.
 
     T, basis and nonbasic are mutated in place.  Returns (verdict,
-    iterations) where verdict is "optimal" or "unbounded".  The column
-    with the most negative reduced cost enters (Dantzig's rule), except
-    that Bland's rule chooses a pivot whose entry would be below
-    PIVOT_RATIO of its column's largest, and every pivot after STALL
-    consecutive degenerate ones until one is not.  The reduced costs,
-    T's last column, are priced afresh when the phase starts.  From then
-    on the carried reduced costs decide an entering column only when it
-    improves by more than DRIFT beyond the threshold and has a leaving
-    row; otherwise they are priced afresh and decide, so either verdict
-    rests on a fresh price.
+    iterations), verdict "optimal" or "unbounded", with iterations
+    counted on from ``used``; beyond ``cap`` of them it raises
+    :class:`SolverFailureError`.
     """
     body = T[:-1, :-1]
     reduced = T[:-1, -1]
@@ -302,25 +266,23 @@ def _simplex(
             bland = True
             continue
         it += 1
-        if it > max_iter:
-            raise SolverFailureError(
-                f"simplex exceeded the iteration cap ({max_iter})"
-            )
+        if it > cap:
+            raise SolverFailureError(f"simplex exceeded the iteration cap ({cap})")
         stall = stall + 1 if b[leave] == 0.0 else 0
         _pivot(T, basis, nonbasic, leave, slot)
         fresh = bland = False
 
 
-def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP; statuses Optimal / Infeasible / Unbounded.
 
-    Raises :class:`SolverFailureError` when the iteration cap is hit,
-    which is a numerical failure, not a statement about the problem.
+    Raises :class:`SolverFailureError` after ITERATION_CAP * (n + m)
+    pivots, which is a numerical failure, not a statement about the
+    problem.
     """
     n = lp.num_vars
     m = lp.num_constraints
-    if max_iter is None:
-        max_iter = 50 * (n + m)
+    cap = ITERATION_CAP * (n + m)
 
     # variables: [z+ (n) | z- (n) | slacks (m) | artificials].  Rows with
     # a negative right-hand side are negated and start with an
@@ -347,7 +309,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     if k:
         cost1 = np.zeros(width + k)
         cost1[width:] = 1.0
-        verdict, iterations = _simplex(T, cost1, basis, nonbasic, max_iter, iterations)
+        verdict, iterations = _simplex(T, cost1, basis, nonbasic, cap, iterations)
         if verdict == "unbounded":
             raise SolverFailureError("phase-1 objective reported unbounded")
         phase1 = float(cost1[basis] @ T[-1, :-1])
@@ -368,7 +330,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         nonbasic = nonbasic[keep[:-1]]
 
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _simplex(T, cost2, basis, nonbasic, max_iter, iterations)
+    verdict, iterations = _simplex(T, cost2, basis, nonbasic, cap, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 

@@ -338,13 +338,18 @@ def linf_gain_closed(A, E, Cz, Fz) -> float:
 def linf_gain_lp(
     A, E, Cz, Fz, epsilon: float = DEFAULT_EPSILON
 ) -> tuple[float, np.ndarray]:
-    """L∞-gain via the certificate LP.
+    """L∞-gain via the certificate LP of n + q rows.
 
-    minimize gamma over lambda > 0 subject to
+    minimize gamma subject to
         A lambda + E 1 < 0
         Cz lambda + Fz 1 - gamma 1 < 0
     (strict inequalities encoded with the epsilon margin).  Returns
-    (gamma, lambda); gamma exceeds the closed form by O(epsilon).
+    (gamma, lambda); gamma exceeds the closed form by O(epsilon).  For
+    Metzler Hurwitz A, (-A)^{-1} >= 0 has a positive diagonal, so the
+    first rows force lambda > 0; conversely an optimal lambda > 0 with
+    A lambda < 0 proves A Hurwitz.  Any other outcome (infeasible,
+    unbounded, or optimal with some lambda_i <= 0) raises
+    :class:`InstabilityError`.
     """
     A, E, Cz, Fz = _check_gain_structure(A, E, Cz, Fz)
     epsilon = _positive_epsilon(epsilon)
@@ -358,23 +363,20 @@ def linf_gain_lp(
         return 0.0, vector
     # variables z = [lambda (n), gamma]
     ones = np.ones(p)
-    lhs = np.zeros((n + q + n, n + 1))
-    rhs = np.zeros(n + q + n)
+    lhs = np.zeros((n + q, n + 1))
+    rhs = np.empty(n + q)
     lhs[:n, :n] = A
     rhs[:n] = -(E @ ones) - epsilon
-    lhs[n : n + q, :n] = Cz
-    lhs[n : n + q, n] = -1.0
-    rhs[n : n + q] = -(Fz @ ones) - epsilon
-    lhs[n + q :].flat[:: n + 2] = -1.0  # -I in the lambda columns
+    lhs[n:, :n] = Cz
+    lhs[n:, n] = -1.0
+    rhs[n:] = -(Fz @ ones) - epsilon
     objective = np.zeros(n + 1)
     objective[n] = 1.0
     sol = solve(LinearProgram(objective, lhs, rhs))
-    if sol.status is LpStatus.INFEASIBLE:
+    if sol.status is not LpStatus.OPTIMAL or not sol.primal[:n].min() > 0.0:
         raise InstabilityError(
-            "gain LP infeasible: A is not Hurwitz stable for this margin"
+            "gain LP has no positive certificate: A is not Hurwitz stable for this margin"
         )
-    if sol.status is not LpStatus.OPTIMAL:  # pragma: no cover - gamma >= 0
-        raise InstabilityError("gain LP reported unbounded")
     return float(sol.objective_value), sol.primal[:n]
 
 

@@ -43,6 +43,8 @@ with `positive._admissible`, as observer membership does.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,9 +264,15 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
     closed loop at L as observer membership does, at a tolerance scaled
     to the slack, and checks that its closed-form gain stays below
     gamma.  Flags are human-readable violation notes; none means sound.
+    A result that is not optimal, whose gamma is not a finite real or
+    whose epsilon is not positive raises :class:`PreconditionError`.
     """
     if result.status != "optimal":
         raise PreconditionError("certify needs an optimal DesignResult")
+    gamma = result.gamma
+    if not (isinstance(gamma, numbers.Real) and math.isfinite(gamma)):
+        raise PreconditionError("certify needs a finite real gamma")
+    eps = _positive_epsilon(result.epsilon)
     plant = _plant(system, result.form)
     if plant.KIND != result.kind:
         raise PreconditionError(
@@ -273,12 +281,11 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
     n, r = plant.n, plant.r
     L, U = _shaped(result.L, "L", n, r), _shaped(result.U, "U", n, r)
     x = as_vector(result.X_diag, "X_diag", n)
-    eps = result.epsilon
     slack = 10.0 * eps
     flags: list[str] = []
 
     lp = _assemble(plant, result.form, eps, *spec.bounds(n, r))
-    z = np.concatenate([x, U.reshape(-1), [result.gamma]])
+    z = np.concatenate([x, U.reshape(-1), [gamma]])
     residual = lp.ineq_lhs @ z - lp.ineq_rhs
     worst = int(np.argmax(residual))
     if residual[worst] > slack:
@@ -300,10 +307,9 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
     if Y is not None:
         # the aggregate output 1^T with no feedthrough
         gamma_indep = float(np.sum(Y))
-        if gamma_indep > result.gamma + slack:
+        if gamma_indep > gamma + slack:
             flags.append(
-                f"independent gain {gamma_indep:.6g} exceeds certified "
-                f"gamma {result.gamma:.6g}"
+                f"independent gain {gamma_indep:.6g} exceeds certified gamma {gamma:.6g}"
             )
 
     return CertificationReport(not flags, flags, gamma_indep)

@@ -91,12 +91,15 @@ def test_dimension_validation():
         LinearProgram([], [], [])
 
 
-def test_iteration_cap_is_a_distinct_failure():
-    # a few pivots are needed; a cap of one cannot finish phase 1
+def test_iteration_cap_is_a_distinct_failure(monkeypatch):
+    # phase 1 needs three pivots; a cap of 0 * (n + m) stops the first
     G = -np.eye(3)
     h = -np.ones(3)
-    with pytest.raises(SolverFailureError):
-        solve(_lp(np.ones(3), G, h), max_iter=1)
+    lp = _lp(np.ones(3), G, h)
+    assert solve(lp).status is LpStatus.OPTIMAL
+    monkeypatch.setattr(lp_module, "ITERATION_CAP", 0)
+    with pytest.raises(SolverFailureError, match=r"^simplex exceeded the iteration cap \(0\)$"):
+        solve(lp)
 
 
 def test_determinism_bytes():
@@ -241,18 +244,14 @@ def _ref_pivot(T, b, reduced, basis, slots, row, col):
 
 
 def _ref_leaving_row(b, col, basis):
-    leave = -1
-    best = np.inf
-    for i in range(col.size):
-        if col[i] > lp_module.EPS:
-            ratio = b[i] / col[i]
-            if ratio < best - 1e-12 or (
-                abs(ratio - best) <= 1e-12
-                and (leave < 0 or basis[i] < basis[leave])
-            ):
-                best = ratio
-                leave = i
-    return leave
+    # of the candidate rows whose ratio lies within 1e-12 of the minimum,
+    # the one whose basic variable has the lowest index
+    rows = [i for i in range(col.size) if col[i] > lp_module.EPS]
+    if not rows:
+        return -1
+    low = min(b[i] / col[i] for i in rows)
+    tied = [i for i in rows if b[i] / col[i] <= low + 1e-12]
+    return min(tied, key=lambda i: basis[i])
 
 
 def _ref_entering(reduced, slots, bland):
@@ -268,7 +267,7 @@ def _ref_entering(reduced, slots, bland):
     return enter if reduced[enter] < -lp_module.EPS else -1
 
 
-def _ref_simplex(T, b, cost, basis, slots, max_iter, used):
+def _ref_simplex(T, b, cost, basis, slots, cap, used):
     reduced = np.zeros(T.shape[1])
     fresh, bland, stall = True, False, 0
     it = used
@@ -296,8 +295,8 @@ def _ref_simplex(T, b, cost, basis, slots, max_iter, used):
             bland = True
             continue
         it += 1
-        if it > max_iter:
-            raise SolverFailureError(f"simplex exceeded the iteration cap ({max_iter})")
+        if it > cap:
+            raise SolverFailureError(f"simplex exceeded the iteration cap ({cap})")
         stall = stall + 1 if b[leave] == 0.0 else 0
         _ref_pivot(T, b, reduced, basis, slots, leave, enter)
         fresh = bland = False
@@ -305,7 +304,7 @@ def _ref_simplex(T, b, cost, basis, slots, max_iter, used):
 
 def _ref_solve(lp):
     n, m = lp.num_vars, lp.num_constraints
-    max_iter = 50 * (n + m)
+    cap = lp_module.ITERATION_CAP * (n + m)
     # columns: [z+ (n) | z- (n) | slacks (m) | artificials]
     width = 2 * n + m
     T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
@@ -325,7 +324,7 @@ def _ref_solve(lp):
         T = np.hstack([T, art_cols])
         cost1 = np.zeros(T.shape[1])
         cost1[width:] = 1.0
-        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, max_iter, iterations)
+        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, cap, iterations)
         assert verdict == "optimal"
         if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
@@ -336,7 +335,7 @@ def _ref_solve(lp):
         T = T[:, :width]
         slots = [j for j in slots if j < width]
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, max_iter, iterations)
+    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, cap, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
     full = np.zeros(width)
@@ -412,12 +411,13 @@ def test_kernel_matches_reference_on_degenerate_lps(rule):
 
 def test_kernel_matches_reference_when_near_ties_decide(rule):
     # maximize z subject to z <= h_i: the ratios are the h_i, spaced
-    # 0.5e-12 apart and falling, so the sequential 1e-12 tie rule keeps
-    # an earlier row rather than the smallest ratio
+    # 0.5e-12 apart and falling, so rows 5, 6 and 7 lie within 1e-12 of
+    # the smallest ratio (row 7's) and row 5, whose slack has the lowest
+    # index of the three, leaves
     h = 1.0 + 0.5e-12 * np.arange(8.0)[::-1]
     lp = _lp([-1.0], np.ones((8, 1)), h)
     sol = _assert_same_as_reference(lp)
-    assert sol.primal[0] != h.min()
+    assert sol.primal[0] == h[5] != h.min()
     assert sol.iterations == 1
 
 
@@ -630,12 +630,11 @@ def test_pivot_size_guard_keeps_a_half_pinned_relaxed_design_certified():
     assert abs(sol.objective_value - ref.fun) <= 1e-9 * abs(ref.fun)
 
 
-def test_ratio_window_matches_the_full_scan():
+def test_leaving_row_matches_the_scan_on_near_ties():
     # near-tie ratio sets: chains that fall, in scan order, by about one
-    # tie width per row (the order in which a row outside the window
-    # could hand its tie on to a later one), exact duplicates and rows
-    # at the window's edge, with basic-variable indices often rising so
-    # that ties keep the earlier row
+    # tie width per row, exact duplicates, and rows a few tie widths or
+    # far above the minimum, with basic-variable indices often rising so
+    # that a sequential scan would keep an earlier row
     rng = np.random.default_rng(53)
     tie = 1e-12
     for _ in range(4000):
@@ -655,9 +654,9 @@ def test_ratio_window_matches_the_full_scan():
         if rng.random() < 0.5:
             basis.sort()
         assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
-    # windows whose ratios all equal the minimum, as on most design-LP
-    # ratio tests with a tie: exact duplicates among rows just outside the
-    # window, rows far outside it and rows that are no candidates
+    # ratio sets tied at the minimum, as on most design-LP ratio tests
+    # with a tie, with rows just above the tie width, rows far above it
+    # and rows that are no candidates
     for _ in range(1000):
         m = int(rng.integers(2, 16))
         ratios = np.full(m, rng.choice([0.0, 0.37, 1.0, 3.0]))

@@ -218,7 +218,7 @@ def test_gain_lp_matches_closed_form():
         # the certificate itself must satisfy the defining rows
         A = np.asarray(A)
         E = np.asarray(E)
-        assert np.all(lam >= 0.0)
+        assert np.all(lam > 0.0)
         assert np.all(A @ lam + E @ np.ones(E.shape[1]) <= 0.0)
 
 
@@ -279,10 +279,52 @@ def test_gain_lp_of_a_degenerate_loop_returns_the_hurwitz_certificate(p, q):
     assert np.array_equal(lam, hurwitz_certificate(A, epsilon=1e-3))
 
 
-def test_gain_lp_of_an_unstable_loop_is_infeasible():
+@pytest.fixture
+def gain_lps(monkeypatch):
+    """The LPs that linf_gain_lp solves, with their solutions."""
+    seen = []
+
+    def recording(lp):
+        seen.append((lp, solve(lp)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(positive, "solve", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "A, E, Cz, status",
+    [
+        ([[1.0, 0.0], [0.0, -1.0]], [[1.0], [1.0]], [[0.0, 1.0]], LpStatus.OPTIMAL),
+        ([[1.0]], [[1.0]], [[1.0]], LpStatus.UNBOUNDED),
+        ([[0.0]], [[1.0]], [[1.0]], LpStatus.INFEASIBLE),
+    ],
+    ids=["optimal-with-a-negative-lambda", "unbounded", "infeasible"],
+)
+def test_gain_lp_of_a_non_hurwitz_loop_raises_one_error(gain_lps, A, E, Cz, status):
+    # a non-Hurwitz A reaches every LP outcome; all but an optimum with
+    # lambda > 0 are the one verdict
     with pytest.raises(InstabilityError) as exc:
-        linf_gain_lp([[1.0]], [[1.0]], [[1.0]], 0.0)
-    assert str(exc.value) == "gain LP infeasible: A is not Hurwitz stable for this margin"
+        linf_gain_lp(A, E, Cz, 0.0)
+    assert str(exc.value) == (
+        "gain LP has no positive certificate: A is not Hurwitz stable for this margin"
+    )
+    ((_, sol),) = gain_lps
+    assert sol.status is status
+    if status is LpStatus.OPTIMAL:
+        assert sol.primal[0] < 0.0
+
+
+def test_gain_lp_has_one_row_per_state_and_output(gain_lps):
+    # no lambda >= 0 rows: A lambda < 0 with A Metzler Hurwitz forces
+    # lambda > 0 already
+    rng = np.random.default_rng(71)
+    A = random_metzler_hurwitz(rng, 5)
+    gamma, lam = linf_gain_lp(A, np.ones((5, 2)), rng.uniform(size=(3, 5)), np.zeros((3, 2)))
+    ((lp, sol),) = gain_lps
+    assert (lp.num_constraints, lp.num_vars) == (5 + 3, 5 + 1)
+    assert sol.status is LpStatus.OPTIMAL and gamma == sol.objective_value
+    assert lam.min() > 0.0
 
 
 def test_gain_lp_random_agreement():

@@ -369,6 +369,28 @@ def test_certify_rejects_infeasible_results():
         certify(result, CASE3, ObserverSpec())
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("gamma", float("nan"), "certify needs a finite real gamma"),
+        ("gamma", float("inf"), "certify needs a finite real gamma"),
+        ("gamma", -float("inf"), "certify needs a finite real gamma"),
+        ("gamma", None, "certify needs a finite real gamma"),
+        ("epsilon", 0.0, "epsilon must be a positive real"),
+        ("epsilon", -1.0, "epsilon must be a positive real"),
+    ],
+)
+def test_certify_refuses_a_gamma_or_epsilon_it_cannot_judge(field, value, message):
+    # a NaN gamma or a zero margin fails no comparison, so each would
+    # otherwise pass every check of a sound design
+    result = design(CASE1, ObserverSpec())
+    assert certify(result, CASE1, ObserverSpec()).passed
+    tampered = dataclasses.replace(result, **{field: value})
+    with pytest.raises(PreconditionError) as exc:
+        certify(tampered, CASE1, ObserverSpec())
+    assert str(exc.value) == message
+
+
 # three-stage chain: recruitment disturbs stage one, stage three is
 # measured, and only its gain entry affects the optimum
 POPULATION = ContinuousSystem(
