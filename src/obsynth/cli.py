@@ -62,7 +62,7 @@ def _named_epsilon(value, name: str) -> float:
     """value as a strictness margin; an error names where it was set."""
     try:
         return _positive_epsilon(value)
-    except (ValueError, PreconditionError):
+    except PreconditionError:
         raise ObsynthError(f"{name}={value!r} is not a positive real") from None
 
 

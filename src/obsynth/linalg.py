@@ -123,7 +123,10 @@ def _sign_violations(maps: list[tuple[str, np.ndarray, bool]], tol: float) -> li
 def _require(caller: str, maps: list[tuple[str, np.ndarray, bool]]) -> None:
     """Raise :class:`PreconditionError` "<caller> needs <Metzler|nonnegative>
     <name>" at the first (name, matrix, metzler) of maps that breaks the
-    sign rule at the structural tolerance."""
+    sign rule at the structural tolerance.  The maps are judged together,
+    and one by one only to name the first that breaks the rule."""
+    if not _sign_violations(maps, STRUCTURAL_TOL):
+        return
     for name, M, metzler in maps:
         if _sign_violations([(name, M, metzler)], STRUCTURAL_TOL):
             sign = "Metzler" if metzler else "nonnegative"

@@ -62,8 +62,12 @@ DEFAULT_EPSILON = 1e-6
 
 
 def _positive_epsilon(epsilon) -> float:
-    """The strictness margin, checked to be a positive real."""
-    epsilon = float(epsilon)
+    """The strictness margin, checked to be a positive real.  Anything
+    float() reads counts, so a margin may come as text."""
+    try:
+        epsilon = float(epsilon)
+    except (TypeError, ValueError, OverflowError):
+        epsilon = np.nan
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise PreconditionError("epsilon must be a positive real")
     return epsilon
@@ -297,11 +301,13 @@ def _certified_solve(
 # peak-to-peak gains
 
 
-def _weights(M, N, n: int, p: int, names: tuple[str, str], caller: str):
-    """Coerce an output weighting (q×n M, q×p N) and check it nonnegative."""
+def _weights(M, N, n: int, p: int, names: tuple[str, str], caller: str, *maps):
+    """Coerce an output weighting (q×n M, q×p N) and check it nonnegative,
+    then the sign of each further (name, matrix, metzler) of maps, in one
+    `_require`."""
     M = _shaped(M, names[0], cols=n)
     N = _shaped(N, names[1], M.shape[0], p)
-    _require(caller, [(names[0], M, False), (names[1], N, False)])
+    _require(caller, [(names[0], M, False), (names[1], N, False), *maps])
     return M, N
 
 
@@ -316,8 +322,7 @@ def _weighted_gain(Y, M, N) -> float:
 def _check_gain_structure(A, E, Cz, Fz):
     A = _shaped(A, "A")
     E = _shaped(E, "E", A.shape[0])
-    Cz, Fz = _weights(Cz, Fz, *E.shape, ("Cz", "Fz"), "gain")
-    _require("gain", [("A", A, True), ("E", E, False)])
+    Cz, Fz = _weights(Cz, Fz, *E.shape, ("Cz", "Fz"), "gain", ("A", A, True), ("E", E, False))
     return A, E, Cz, Fz
 
 
@@ -436,19 +441,23 @@ def _error_loop(
     judged at the structural tolerance.  The loop has state matrix
     A - LC and input B = E - LF, or its split [B+ B-] in relaxed form.
 
-    Every call validates its arguments.  One that may reuse returns the
-    last loop solved when its form and the bytes and shapes of its
-    validated A, E, C, F and L are the same, which is what a fresh solve
-    would return; every solve replaces that loop.
+    The loop is keyed by its form and the shapes and bytes of A, E, C, F
+    and L as float arrays, before any validation.  A call that may reuse
+    returns the last loop solved when the keys match: validation is a
+    function of those bytes alone, and the last loop passed it, so that
+    is what validating and solving afresh would return.  Any other call
+    validates its arguments and solves, and every solve replaces the
+    last loop.
     """
     global _last_loop
-    plant = ContinuousSystem(A, E, C, F)
-    L = _shaped(L, "L", plant.n, plant.r)
-    plant.check_form(form)
-    key = (form, *((M.shape, M.tobytes()) for M in (plant.A, plant.E, plant.C, plant.F, L)))
+    raw = [np.asarray(M, dtype=float) for M in (A, E, C, F, L)]
+    key = (form, *((M.shape, M.tobytes()) for M in raw))
     last = _last_loop
     if reuse and last is not None and last[0] == key:
         return list(last[1]), last[2]
+    plant = ContinuousSystem(*raw[:4])
+    L = _shaped(raw[4], "L", plant.n, plant.r)
+    plant.check_form(form)
     violations, Y = _admissible(plant, L, form, STRUCTURAL_TOL, "A - L C", split=True)
     if Y is not None:
         Y.flags.writeable = False

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 import obsynth.lp as lp_module
+import obsynth.positive as positive
 from obsynth import (
     ContinuousSystem,
     DelaySystem,
@@ -243,10 +244,12 @@ def _ref_pivot(T, b, reduced, basis, slots, row, col):
     basis[row] = col
 
 
-def _ref_leaving_row(b, col, basis):
+def _ref_leaving_row(b, col, basis, free):
     # of the candidate rows whose ratio lies within 1e-12 of the minimum,
-    # the one whose basic variable has the lowest index
-    rows = [i for i in range(col.size) if col[i] > lp_module.EPS]
+    # the one whose basic variable has the lowest index; a row whose basic
+    # variable is one of the first free (a part of the sign-free z) is no
+    # candidate
+    rows = [i for i in range(col.size) if col[i] > lp_module.EPS and basis[i] >= free]
     if not rows:
         return -1
     low = min(b[i] / col[i] for i in rows)
@@ -267,7 +270,7 @@ def _ref_entering(reduced, slots, bland):
     return enter if reduced[enter] < -lp_module.EPS else -1
 
 
-def _ref_simplex(T, b, cost, basis, slots, cap, used):
+def _ref_simplex(T, b, cost, basis, slots, free, cap, used):
     reduced = np.zeros(T.shape[1])
     fresh, bland, stall = True, False, 0
     it = used
@@ -285,7 +288,7 @@ def _ref_simplex(T, b, cost, basis, slots, cap, used):
             continue
         if enter < 0:
             return "optimal", it
-        leave = _ref_leaving_row(b, T[:, enter], basis)
+        leave = _ref_leaving_row(b, T[:, enter], basis, free)
         if leave < 0:
             if fresh:
                 return "unbounded", it
@@ -324,7 +327,7 @@ def _ref_solve(lp):
         T = np.hstack([T, art_cols])
         cost1 = np.zeros(T.shape[1])
         cost1[width:] = 1.0
-        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, cap, iterations)
+        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, 2 * n, cap, iterations)
         assert verdict == "optimal"
         if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
@@ -335,7 +338,7 @@ def _ref_solve(lp):
         T = T[:, :width]
         slots = [j for j in slots if j < width]
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, cap, iterations)
+    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, 2 * n, cap, iterations)
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
     full = np.zeros(width)
@@ -653,7 +656,9 @@ def test_leaving_row_matches_the_scan_on_near_ties():
         basis = rng.permutation(3 * m)[:m]
         if rng.random() < 0.5:
             basis.sort()
-        assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
+        for free in (0, m):  # no free rows, or about a third of them
+            got = lp_module._leaving_row(b, col, basis, free)
+            assert got == _ref_leaving_row(b, col, basis, free)
     # ratio sets tied at the minimum, as on most design-LP ratio tests
     # with a tie, with rows just above the tie width, rows far above it
     # and rows that are no candidates
@@ -665,7 +670,9 @@ def test_leaving_row_matches_the_scan_on_near_ties():
         col = rng.choice([1.0, 0.5, 2.0, 0.0, -1.0], size=m)
         b = ratios * col
         basis = rng.permutation(3 * m)[:m]
-        assert lp_module._leaving_row(b, col, basis) == _ref_leaving_row(b, col, basis)
+        for free in (0, m):  # no free rows, or about a third of them
+            got = lp_module._leaving_row(b, col, basis, free)
+            assert got == _ref_leaving_row(b, col, basis, free)
 
 
 @pytest.mark.parametrize("klass, rows", [("continuous", 649), ("delay", 1225)])
@@ -686,3 +693,54 @@ def test_design_at_n24_is_optimal_certified_and_matches_highs(klass, rows):
     )
     assert ref.status == 0
     assert abs(result.gamma - ref.fun) <= 1e-7 * abs(ref.fun)
+
+
+# ---------------------------------------------------------------------------
+# free rows: z is sign-free, so once a part of z is basic no ratio test
+# can make it leave
+
+
+@pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
+def test_no_pivot_of_a_design_lp_makes_a_part_of_z_leave(monkeypatch, klass):
+    left = []  # the variable that leaves the basis at each pivot
+    real = lp_module._pivot
+
+    def recording(T, basis, nonbasic, row, slot):
+        left.append(int(basis[row]))
+        real(T, basis, nonbasic, row, slot)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording)
+    rng = np.random.default_rng(83)
+    form = "relaxed" if klass == "relaxed" else "standard"
+    for n in (4, 8, 12):
+        lp = _design_lp(_design_plant(rng, klass, n), form)
+        left.clear()
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert len(left) == sol.iterations > 0
+        assert min(left) >= 2 * lp.num_vars
+
+
+def test_gain_lp_with_one_output_takes_one_pivot_per_row(monkeypatch):
+    # the certificate LP of linf_gain_lp has n + 1 rows at q = 1, each
+    # with a negative right-hand side and so an artificial, and n + 1
+    # variables (lambda, gamma).  A phase-1 pivot drives out at most one
+    # artificial, so n + 1 pivots is the floor.  With no part of z ever
+    # leaving, every draw takes exactly that many (when a part of z could
+    # leave, about one draw in five took more)
+    counts = []
+    real = positive.solve
+
+    def counting(lp):
+        sol = real(lp)
+        counts.append((lp.num_constraints, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(positive, "solve", counting)
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        A, E, C, F, L0 = random_feasible_loop(rng, n, 2, 2)
+        M = rng.uniform(0.0, 1.0, size=(1, n))
+        positive.linf_gain_lp(A - L0 @ C, E - L0 @ F, M, 0.0)
+    assert [rows for rows, _ in counts] == [pivots for _, pivots in counts]

@@ -17,6 +17,7 @@ from obsynth import (
     DiscreteSystem,
     InstabilityError,
     MembershipError,
+    NonFiniteError,
     ObserverSpec,
     PreconditionError,
     gain_for_output,
@@ -704,7 +705,9 @@ def test_gain_bounds_name_their_expected_shape():
     assert str(exc.value) == "gain_upper has shape (1, 3), expected (3, 1)"
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize(
+    "epsilon", [0.0, -1.0, np.inf, np.nan, None, "x", pytest.param(10**400, id="1e400")]
+)
 def test_every_epsilon_taker_rejects_a_non_positive_margin(epsilon):
     A = np.array([[-2.0, 1.0], [1.0, -3.0]])
     calls = (
@@ -806,6 +809,44 @@ def test_any_changed_input_solves_again(solves, form, index, in_place):
     got = _FORMS[form](*changed)
     assert solves[0] == 2
     assert _bits(got) == _bits(_fresh_gain(_FORMS[form], *changed))
+
+
+def test_an_in_place_edit_of_A_after_membership_solves_again(solves):
+    # the stored loop is keyed by a copy of the bytes, so an edit that
+    # leaves A - L C Metzler but not Hurwitz is judged, not the stored
+    # verdict
+    loop = [M.copy() for M in _LOOP]
+    assert observer_membership(*loop) == []
+    loop[0][0, 0] += 100.0
+    with pytest.raises(MembershipError) as exc:
+        _FORMS["standard"](*loop)
+    assert solves[0] == 2
+    assert exc.value.violations == observer_membership(*loop) == ["A - L C is not Hurwitz stable"]
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+def test_a_non_finite_gain_after_a_valid_call_is_refused(solves, in_place):
+    loop = [M.copy() for M in _LOOP]
+    assert observer_membership(*loop) == []
+    _FORMS["standard"](*loop)
+    L = loop[4] if in_place else loop[4].copy()
+    L[1, 2] = np.nan
+    with pytest.raises(NonFiniteError) as exc:
+        _FORMS["standard"](*loop[:4], L)
+    assert str(exc.value) == "L contains non-finite entries"
+    assert solves[0] == 1
+
+
+def test_list_and_array_inputs_give_the_same_gain(solves):
+    rng = np.random.default_rng(7)
+    M = rng.uniform(0.0, 1.0, size=(2, 5))
+    N = rng.uniform(0.0, 1.0, size=(2, 2))
+    assert observer_membership(*_LOOP) == []
+    arrays = gain_for_output(*_LOOP, M, N)
+    lists = gain_for_output(*(X.tolist() for X in _LOOP), M.tolist(), N.tolist())
+    assert solves[0] == 1
+    assert _bits(lists) == _bits(arrays)
+    assert _bits(lists) == _bits(_fresh_gain(gain_for_output, *_LOOP, M, N))
 
 
 def test_a_changed_form_solves_again(solves):

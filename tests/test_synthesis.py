@@ -378,6 +378,8 @@ def test_certify_rejects_infeasible_results():
         ("gamma", None, "certify needs a finite real gamma"),
         ("epsilon", 0.0, "epsilon must be a positive real"),
         ("epsilon", -1.0, "epsilon must be a positive real"),
+        ("epsilon", None, "epsilon must be a positive real"),
+        ("epsilon", "x", "epsilon must be a positive real"),
     ],
 )
 def test_certify_refuses_a_gamma_or_epsilon_it_cannot_judge(field, value, message):
