@@ -30,9 +30,8 @@ from .positive import (
     DiscreteSystem,
     gain_for_output,
     hurwitz_certificate,
+    linf_gain,
     linf_gain_closed,
-    linf_gain_delay,
-    linf_gain_discrete,
     linf_gain_lp,
     observer_membership,
     relaxed_error_gain,
@@ -107,9 +106,8 @@ __all__ = [
     "hurwitz_certificate",
     "is_metzler",
     "is_nonnegative",
+    "linf_gain",
     "linf_gain_closed",
-    "linf_gain_delay",
-    "linf_gain_discrete",
     "linf_gain_lp",
     "max_row_sum",
     "observer_membership",

@@ -19,7 +19,7 @@ negative (z+ - z- still reads z); once basic, a part of z stays basic
 Techniques of the Simplex Method*, 2003).  The certificate LP of
 `positive.linf_gain_lp` at q = 1, n + 1 rows that each start on an
 artificial, then takes n + 1 pivots, the fewest a phase 1 can, and a
-pass of the benchmark's design sweep 5,849 (7,106 when z could leave).
+pass of the benchmark's design sweep 5,849.
 Three guards keep the rule safe:
 
 - a phase ends, optimal or unbounded, only on a fresh price (below);

@@ -19,7 +19,7 @@ Y = -A^{-1} E; that is what the gain functions report.  The LP variant
 form.  The four plant types share one base, `Plant`, which coerces
 their matrices by `linalg._shaped`, checks observer forms, and reduces
 each to the undelayed continuous loop that design, `certify` and the
-delay and discrete gains read.  `_admissible` is the one judgement of
+plant gain `linf_gain` read.  `_admissible` is the one judgement of
 a gain on a plant: membership and every observer-loop gain call it on
 a `ContinuousSystem`, `certify` on its plant.  The observer-loop gains
 reuse the last error loop solved when they are handed the same loop,
@@ -36,7 +36,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (
-    DimensionError,
     InstabilityError,
     MembershipError,
     PreconditionError,
@@ -89,13 +88,13 @@ class Plant:
     MATRICES names a type's maps by role: state, input, output and
     feedthrough (A, E, C, F), then the delayed state and output maps
     (A_h, C_h) of a delayed type.  The reduction is what design, certify
-    and the delay and discrete gains read: the sign families an
-    admissible gain must keep, and the stability pair (S, T) of the
-    equivalent undelayed continuous loop S - L T.  A delayed plant
-    aggregates its maps (A + A_h, C + C_h), since a positive delayed
-    loop is stable exactly when its zero-delay aggregate is; a discrete
-    one shifts its state map by - I, since a nonnegative A_d is Schur
-    exactly when A_d - I is Hurwitz.
+    and `linf_gain` read: the sign families an admissible gain must
+    keep, and the stability pair (S, T) of the equivalent undelayed
+    continuous loop S - L T.  A delayed plant aggregates its maps
+    (A + A_h, C + C_h), since a positive delayed loop is stable exactly
+    when its zero-delay aggregate is; a discrete one shifts its state
+    map by - I, since a nonnegative A_d is Schur exactly when A_d - I
+    is Hurwitz.
     """
 
     MATRICES: ClassVar[tuple[str, ...]]
@@ -168,27 +167,15 @@ class Plant:
 
 @dataclass
 class ContinuousSystem(Plant):
-    """dx/dt = A x + E w, measured y = C x + F w, optional performance
-    output z = Cz x + Fz w."""
+    """dx/dt = A x + E w, measured y = C x + F w."""
 
     A: np.ndarray
     E: np.ndarray
     C: np.ndarray
     F: np.ndarray
-    Cz: np.ndarray | None = None
-    Fz: np.ndarray | None = None
 
     MATRICES = ("A", "E", "C", "F")
     KIND = "continuous"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.Cz is not None:
-            self.Cz = _shaped(self.Cz, "Cz", cols=self.n)
-            q = self.Cz.shape[0]
-            self.Fz = _shaped(self.Fz if self.Fz is not None else 0.0, "Fz", q, self.p)
-        elif self.Fz is not None:
-            raise DimensionError("Fz given without Cz")
 
 
 @dataclass
@@ -385,34 +372,28 @@ def linf_gain_lp(
     return float(sol.objective_value), sol.primal[:n]
 
 
-def _reduced_gain(sys: Plant, Cz, Fz) -> float:
-    """Closed-form gain on the plant's stability matrix S after checking
-    its state maps at L = 0 (see `Plant`)."""
-    # the state maps' names, in the order of their sign families
-    states = zip(sys.MATRICES[:1] + sys.MATRICES[4:5], sys.sign_families())
-    _require(f"{sys.KIND} gain", [(name, P, metzler) for name, (_, P, _, metzler) in states])
-    S, _ = sys.stability_pair()
-    return linf_gain_closed(S, sys.loop_input("standard")[0], Cz, Fz)
-
-
-def linf_gain_discrete(sys: DiscreteSystem) -> float:
-    """ℓ∞-gain of a nonnegative Schur system.
-
-    A nonnegative A_d is Schur exactly when A_d - I is (Metzler) Hurwitz,
-    and the discrete gain equals the continuous gain of the shifted
-    system, so this is literally the closed form on (A_d - I, E_d, C_d, F_d).
-    """
-    return _reduced_gain(sys, sys.C_d, sys.F_d)
-
-
-def linf_gain_delay(sys: DelaySystem, Cz, Fz) -> float:
-    """L∞-gain of a positive delay system; independent of the delay h.
-
-    Stability and gain of a positive delayed system coincide with those
-    of the zero-delay aggregate, so the value is the closed form on
-    (A + A_h, E, Cz, Fz) after validating the delayed structure.
-    """
-    return _reduced_gain(sys, Cz, Fz)
+def linf_gain(plant: Plant, Cz, Fz) -> float:
+    """L∞-gain (ℓ∞ if discrete) of a positive plant of any type to the
+    output z = Cz x + Fz w: the closed form on the plant's stability
+    matrix S (see `Plant`), so a delayed plant's gain is independent of
+    the delay and a discrete one's is that of A_d - I.  Its state and
+    input maps, Cz and Fz are judged by one sign rule; an unstable plant
+    raises :class:`InstabilityError`."""
+    a, e, _, _, *lag = plant.MATRICES
+    states = [a, *lag[:1]]  # named in the order of their sign families
+    E = getattr(plant, e)
+    Cz = _shaped(Cz, "Cz", cols=plant.n)
+    Fz = _shaped(Fz, "Fz", Cz.shape[0], plant.p)
+    maps = [(name, P, metzler) for name, (_, P, _, metzler) in zip(states, plant.sign_families())]
+    _require(f"{plant.KIND} gain", [*maps, (e, E, False), ("Cz", Cz, False), ("Fz", Fz, False)])
+    vector, Y = _certified_solve(plant.stability_pair()[0], E)
+    if vector is None:
+        judged = " + ".join(states)
+        stable = "Schur" if plant.DISCRETE else "Hurwitz"
+        raise InstabilityError(
+            f"{plant.KIND} gain: {judged} is not {stable} stable; the gain is undefined"
+        )
+    return _weighted_gain(Y, Cz, Fz)
 
 
 # ---------------------------------------------------------------------------

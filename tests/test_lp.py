@@ -15,6 +15,7 @@ from obsynth import (
     ContinuousSystem,
     DelaySystem,
     DimensionError,
+    DiscreteDelaySystem,
     DiscreteSystem,
     LinearProgram,
     LpSolution,
@@ -440,6 +441,14 @@ def _design_plant(rng, klass, n, p=2, r=3):
         return DelaySystem(
             S - Ah_cl + L0 @ C, Ah_cl + L0 @ C_h, Bcl + L0 @ F, C, C_h, F, 1.0
         )
+    if klass == "discrete-delay":
+        # the Schur matrix split between the current and the delayed state
+        W = random_schur(rng, n)
+        share = rng.uniform(0.2, 0.8, size=(n, n))
+        C_dh = rng.uniform(0.0, 0.5, size=(r, n))
+        return DiscreteDelaySystem(
+            share * W + L0 @ C, (1.0 - share) * W + L0 @ C_dh, Bcl + L0 @ F, C, C_dh, F
+        )
     return DiscreteSystem(random_schur(rng, n) + L0 @ C, Bcl + L0 @ F, C, F)
 
 
@@ -455,7 +464,7 @@ def _bounds_around(rng, L):
     return [(lo, None), (None, hi), (lo, hi), (np.where(pinned, L, lo), np.where(pinned, L, hi))]
 
 
-@pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
+@pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete", "discrete-delay"])
 def test_kernel_matches_reference_on_design_lps(klass, rule):
     rng = np.random.default_rng(47)
     form = "relaxed" if klass == "relaxed" else "standard"

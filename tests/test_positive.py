@@ -22,9 +22,8 @@ from obsynth import (
     PreconditionError,
     gain_for_output,
     hurwitz_certificate,
+    linf_gain,
     linf_gain_closed,
-    linf_gain_delay,
-    linf_gain_discrete,
     linf_gain_lp,
     observer_membership,
     relaxed_error_gain,
@@ -71,8 +70,6 @@ Z12 = np.zeros((1, 2))
          DimensionError, "C_h has shape (2, 2), expected (1, 2)"),
         (lambda: DiscreteDelaySystem(0.5 * np.eye(2), np.eye(2), E2, C2, np.zeros((2, 2)), F2),
          DimensionError, "C_dh has shape (2, 2), expected (1, 2)"),
-        (lambda: ContinuousSystem(A_CASE1, E2, C2, F2, Fz=np.zeros((1, 1))),
-         DimensionError, "Fz given without Cz"),
         (lambda: DelaySystem(A_CASE1, np.eye(2), E2, C2, Z12, F2, -1.0),
          PreconditionError, "delay h must be finite and nonnegative"),
     ],
@@ -81,16 +78,6 @@ def test_system_type_errors_name_the_matrices(build, error, message):
     with pytest.raises(error) as exc:
         build()
     assert str(exc.value) == message
-
-
-def test_performance_output_is_optional():
-    sys = ContinuousSystem(A_CASE1, E2, C2, F2)
-    assert sys.Cz is None and sys.Fz is None
-    # giving Cz alone fills in a zero feedthrough of matching shape
-    sys = ContinuousSystem(A_CASE1, E2, C2, F2, Cz=np.ones((1, 2)))
-    assert np.array_equal(sys.Fz, np.zeros((1, 1)))
-    with pytest.raises(DimensionError):
-        ContinuousSystem(A_CASE1, E2, C2, F2, Fz=np.zeros((1, 1)))
 
 
 def test_hurwitz_certificate_right_and_left():
@@ -359,13 +346,13 @@ def test_gain_monotone_in_input_matrix():
 
 def test_discrete_gain_examples():
     assert (
-        linf_gain_discrete(DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[0.0]])) == 2.0
+        linf_gain(DiscreteSystem([[0.5]], [[1.0]], [[1.0]], [[0.0]]), [[1.0]], [[0.0]]) == 2.0
     )
     assert (
-        linf_gain_discrete(DiscreteSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]])) == 1.0
+        linf_gain(DiscreteSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]]), [[1.0]], [[0.0]]) == 1.0
     )
     assert (
-        linf_gain_discrete(DiscreteSystem([[0.5]], [[0.0]], [[0.0]], [[3.0]])) == 3.0
+        linf_gain(DiscreteSystem([[0.5]], [[0.0]], [[0.0]], [[3.0]]), [[0.0]], [[3.0]]) == 3.0
     )
 
 
@@ -380,38 +367,83 @@ def test_discrete_gain_is_the_shifted_continuous_gain():
             rng.uniform(0.0, 1.0, size=(1, 2)),
         )
         direct = linf_gain_closed(sys.A_d - np.eye(n), sys.E_d, sys.C_d, sys.F_d)
-        assert linf_gain_discrete(sys) == direct
+        assert linf_gain(sys, sys.C_d, sys.F_d) == direct
 
 
 def test_discrete_gain_rejects_unstable_or_negative():
     with pytest.raises(InstabilityError):
-        linf_gain_discrete(DiscreteSystem([[1.5]], [[1.0]], [[1.0]], [[0.0]]))
-    # a negative A_d, E_d, C_d or F_d
+        linf_gain(DiscreteSystem([[1.5]], [[1.0]], [[1.0]], [[0.0]]), [[1.0]], [[0.0]])
+    # a negative A_d, E_d, C_d or F_d, the gain read at the measured output
     for args in (
         ([[-0.5]], [[1.0]], [[1.0]], [[0.0]]),
         ([[0.5]], [[-1.0]], [[1.0]], [[0.0]]),
         ([[0.5]], [[1.0]], [[-1.0]], [[0.0]]),
         ([[0.5]], [[1.0]], [[1.0]], [[-1.0]]),
     ):
+        sys = DiscreteSystem(*args)
         with pytest.raises(PreconditionError):
-            linf_gain_discrete(DiscreteSystem(*args))
+            linf_gain(sys, sys.C_d, sys.F_d)
+
+
+ONES12 = np.ones((1, 2))
+
+
+def _ct(A=A_CASE1, E=E2):
+    return ContinuousSystem(A, E, C2, F2)
+
+
+def _delay(A=A_CASE1, A_h=np.eye(2), E=E2):
+    return DelaySystem(A, A_h, E, C2, Z12, F2, 1.0)
+
+
+def _dt(A_d=0.5, E_d=1.0, C_d=1.0):
+    return DiscreteSystem(A_d, E_d, C_d, 0.0)
+
+
+def _dt_delay(A_d=0.5, A_dh=0.2, E_d=1.0):
+    return DiscreteDelaySystem(A_d, A_dh, E_d, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
     "gain, message",
     [
-        (lambda: linf_gain_delay(
-            DelaySystem(A_CASE2, np.eye(2), E2, C2, Z12, F2, 1.0), np.ones((1, 2)), 0.0),
-         "delay gain needs Metzler A"),
-        (lambda: linf_gain_delay(
-            DelaySystem(A_CASE1, -np.eye(2), E2, C2, Z12, F2, 1.0), np.ones((1, 2)), 0.0),
+        (lambda: linf_gain(_ct(A=A_CASE2), ONES12, 0.0), "continuous gain needs Metzler A"),
+        (lambda: linf_gain(_ct(E=-E2), ONES12, 0.0), "continuous gain needs nonnegative E"),
+        (lambda: linf_gain(_ct(), -ONES12, 0.0), "continuous gain needs nonnegative Cz"),
+        (lambda: linf_gain(_ct(A=A_CASE1 + 3.0 * np.eye(2)), ONES12, 0.0),
+         "continuous gain: A is not Hurwitz stable; the gain is undefined"),
+        (lambda: linf_gain(_delay(A=A_CASE2), ONES12, 0.0), "delay gain needs Metzler A"),
+        (lambda: linf_gain(_delay(A_h=-np.eye(2)), ONES12, 0.0),
          "delay gain needs nonnegative A_h"),
-        (lambda: linf_gain_discrete(DiscreteSystem([[-0.5]], [[1.0]], [[1.0]], [[0.0]])),
-         "discrete gain needs nonnegative A_d"),
+        (lambda: linf_gain(_delay(E=-E2), ONES12, 0.0), "delay gain needs nonnegative E"),
+        (lambda: linf_gain(_delay(), ONES12, -1.0), "delay gain needs nonnegative Fz"),
+        # A alone is Hurwitz; the aggregate A + A_h is not
+        (lambda: linf_gain(_delay(A_h=3.0 * np.eye(2)), ONES12, 0.0),
+         "delay gain: A + A_h is not Hurwitz stable; the gain is undefined"),
+        (lambda: linf_gain(_dt(A_d=-0.5), 1.0, 0.0), "discrete gain needs nonnegative A_d"),
+        (lambda: linf_gain(_dt(E_d=-1.0), 1.0, 0.0), "discrete gain needs nonnegative E_d"),
+        # the measured output as the performance output is the caller's Cz
+        (lambda: linf_gain(sys := _dt(C_d=-1.0), sys.C_d, sys.F_d),
+         "discrete gain needs nonnegative Cz"),
+        (lambda: linf_gain(_dt(A_d=1.5), 1.0, 0.0),
+         "discrete gain: A_d is not Schur stable; the gain is undefined"),
+        (lambda: linf_gain(_dt_delay(A_d=-0.5), 1.0, 0.0),
+         "discrete-delay gain needs nonnegative A_d"),
+        (lambda: linf_gain(_dt_delay(A_dh=-0.2), 1.0, 0.0),
+         "discrete-delay gain needs nonnegative A_dh"),
+        (lambda: linf_gain(_dt_delay(E_d=-1.0), 1.0, 0.0),
+         "discrete-delay gain needs nonnegative E_d"),
+        (lambda: linf_gain(_dt_delay(), -1.0, 0.0), "discrete-delay gain needs nonnegative Cz"),
+        # A_d alone is Schur; the aggregate A_d + A_dh is not
+        (lambda: linf_gain(_dt_delay(A_dh=0.6), 1.0, 0.0),
+         "discrete-delay gain: A_d + A_dh is not Schur stable; the gain is undefined"),
     ],
 )
 def test_delay_and_discrete_gains_name_the_sign_violation(gain, message):
-    with pytest.raises(PreconditionError) as exc:
+    # a sign error names what the gain needs; an unstable plant, the
+    # matrix that is not stable
+    error = PreconditionError if " needs " in message else InstabilityError
+    with pytest.raises(error) as exc:
         gain()
     assert str(exc.value) == message
 
@@ -439,12 +471,12 @@ def test_discrete_gain_matches_impulse_response():
             rng.uniform(0.0, 1.0, size=(1, n)),
             rng.uniform(0.0, 1.0, size=(1, 1)),
         )
-        assert abs(linf_gain_discrete(sys) - _impulse_sum(sys)) <= 1e-6
+        assert abs(linf_gain(sys, sys.C_d, sys.F_d) - _impulse_sum(sys)) <= 1e-6
 
 
 def test_delay_gain_scalar_example():
     sys = DelaySystem([[-3.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], 1.0)
-    assert linf_gain_delay(sys, [[1.0]], [[0.0]]) == 0.5
+    assert linf_gain(sys, [[1.0]], [[0.0]]) == 0.5
 
 
 def test_delay_gain_reduces_and_ignores_h():
@@ -453,13 +485,11 @@ def test_delay_gain_reduces_and_ignores_h():
     Cz = np.ones((1, 2))
     Fz = np.zeros((1, 1))
     zero_h = DelaySystem(A, np.zeros((2, 2)), E, Cz, np.zeros((1, 2)), Fz, 2.0)
-    assert linf_gain_delay(zero_h, Cz, Fz) == linf_gain_closed(A, E, Cz, Fz)
+    assert linf_gain(zero_h, Cz, Fz) == linf_gain_closed(A, E, Cz, Fz)
 
     Ah = np.array([[0.0, 0.2], [0.1, 0.0]])
     values = {
-        linf_gain_delay(
-            DelaySystem(A, Ah, E, Cz, np.zeros((1, 2)), Fz, h), Cz, Fz
-        )
+        linf_gain(DelaySystem(A, Ah, E, Cz, np.zeros((1, 2)), Fz, h), Cz, Fz)
         for h in (0.1, 1.0, 10.0)
     }
     assert len(values) == 1
@@ -651,13 +681,6 @@ def test_matrix_arguments_follow_one_reading_rule(sizes, role, value, shape):
     assert M.shape == shape
     want = np.full(shape, value) if np.ndim(value) == 0 else np.reshape(value, shape)
     assert np.array_equal(M, want)
-
-
-def test_performance_output_follows_the_same_rule():
-    sys = _plant_with(3, 2, 1, Cz=[1.0, 2.0, 3.0], Fz=0.25)
-    assert sys.Cz.shape == (1, 3) and np.array_equal(sys.Fz, np.full((1, 2), 0.25))
-    with pytest.raises(DimensionError):
-        _plant_with(3, 2, 1, Cz=np.ones((2, 3)), Fz=[1.0, 2.0])
 
 
 def test_delayed_maps_follow_the_same_rule():

@@ -25,6 +25,7 @@ from obsynth import (
     design,
     gain_for_output,
     hurwitz_certificate,
+    linf_gain,
     linf_gain_closed,
     solve,
 )
@@ -310,6 +311,59 @@ def test_dt_delay_unstable_sum_is_infeasible():
     )
     assert result.status == "infeasible"
     assert result.diagnostic == DIAG_NO_STABILIZER
+
+
+def _lifted(sys, d):
+    """A discrete-delay plant as a DiscreteSystem on the stacked state
+    [x(k); x(k-1); ...; x(k-d)]: its delayed state is a state of the
+    lift, whose gain and design need no zero-delay aggregate."""
+    n = sys.n
+    A = np.zeros((n * (d + 1), n * (d + 1)))
+    A[:n, :n] = sys.A_d
+    A[:n, -n:] = sys.A_dh
+    A[n:, :-n] = np.eye(n * d)  # each block takes the one above it
+    E = np.vstack([sys.E_d, np.zeros((n * d, sys.p))])
+    C = np.hstack([sys.C_d, np.zeros((sys.r, n * (d - 1))), sys.C_dh])
+    return DiscreteSystem(A, E, C, sys.F_d)
+
+
+def test_discrete_delay_gain_and_design_match_the_lifted_plant():
+    rng = np.random.default_rng(89)
+    p, r = 2, 3
+    for _ in range(12):
+        n, d = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        # a positive Schur loop, split between the current and the delayed state
+        W = random_schur(rng, n)
+        share = rng.uniform(0.2, 0.8, size=(n, n))
+        C, C_h = rng.uniform(0.0, 1.0, size=(r, n)), rng.uniform(0.0, 0.5, size=(r, n))
+        F = rng.uniform(0.0, 0.5, size=(r, p))
+        Bcl = rng.uniform(0.0, 1.0, size=(n, p))
+        Cz, Fz = rng.uniform(0.0, 1.0, size=(2, n)), rng.uniform(0.0, 1.0, size=(2, p))
+
+        loop = DiscreteDelaySystem(share * W, (1.0 - share) * W, Bcl, C, C_h, F)
+        want = linf_gain(_lifted(loop, d), np.hstack([Cz, np.zeros((2, n * d))]), Fz)
+        assert abs(linf_gain(loop, Cz, Fz) - want) <= 1e-12 * want
+
+        # the plant whose admissible gains include L0, designed both ways;
+        # the lift's gain is L on x(k) and 0 on the shift rows
+        L0 = rng.uniform(-0.5, 0.5, size=(n, r))
+        plant = DiscreteDelaySystem(
+            loop.A_d + L0 @ C, loop.A_dh + L0 @ C_h, Bcl + L0 @ F, C, C_h, F
+        )
+        aggregate = design(plant, ObserverSpec())
+        bound = np.zeros((n * (d + 1), r))
+        bound[:n] = 1e3
+        spec = ObserverSpec(gain_lower=-bound, gain_upper=bound)
+        lift = _lifted(plant, d)
+        lifted = design(lift, spec)
+        assert aggregate.status == lifted.status == "optimal"
+        assert np.max(np.abs(lifted.L[:n] - aggregate.L)) <= 1e-10
+        assert not lifted.L[n:].any()
+        # at a constant worst-case input every block of the lift's error
+        # settles where the aggregate's does, so the lift sums d + 1 copies
+        gamma = aggregate.gamma
+        assert abs(lifted.gamma / (d + 1) - gamma) <= 1e-6 * (1.0 + gamma)
+        assert certify(lifted, lift, spec).passed
 
 
 def test_bound_activation_matches_analysis_gain():
