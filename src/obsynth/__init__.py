@@ -49,9 +49,7 @@ from .simulation import (
     Trace,
     check_inclusion,
     empirical_peak_gain,
-    simulate_ct,
-    simulate_delay,
-    simulate_dt,
+    simulate,
     simulate_population,
 )
 from .synthesis import (
@@ -114,9 +112,7 @@ __all__ = [
     "parse_problem",
     "parse_problem_dict",
     "relaxed_error_gain",
-    "simulate_ct",
-    "simulate_delay",
-    "simulate_dt",
+    "simulate",
     "simulate_population",
     "solve",
     "solve_linear",

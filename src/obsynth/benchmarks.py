@@ -48,6 +48,8 @@ def simulate_problem(pf: ProblemFile, L: np.ndarray, form: str) -> Trace:
     if pf.klass == "population":
         return simulate_population(system, L, config)
     dist = pf.disturbance()
+    # the three names are simulate itself, called by name because
+    # perfbench/tracer.py patches each of them here
     if pf.klass == "continuous":
         return simulate_ct(system, L, dist, config, form=form)
     if pf.klass == "delay":

@@ -5,7 +5,9 @@ helpers are deliberately boring: validation, sign-pattern tests, the
 positive/negative part split, row sums, and a linear solve.  The
 package's one shape rule is `_shaped`, and its one sign rule is
 `_sign_violations`, which `is_metzler`, `is_nonnegative` and the one
-sign precondition, `_require`, read.  The solve
+sign precondition, `_require`, read.  Its one scalar reader is
+`_real`, and what numpy cannot read as real numbers is a
+DimensionError (`_floats`).  The solve
 runs on LAPACK and keeps its answer only when a bound on the pivots,
 taken from the same factorization, proves that no pivot fell below the
 tolerance.  Otherwise a pivoted Gaussian elimination decides, and on
@@ -43,6 +45,35 @@ def _finite(M: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(M)) == M.size
 
 
+def _real(value) -> float:
+    """float(value), or NaN where float() cannot read it (None, "x",
+    10**400), so that the caller's range check, which a NaN fails,
+    refuses it in the caller's own words."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _finite_real(value, name: str) -> float:
+    """value read by `_real`, refused with NonFiniteError naming it
+    unless it is finite."""
+    real = _real(value)
+    if not math.isfinite(real):
+        raise NonFiniteError(f"{name} must be a finite real, got {value!r}")
+    return real
+
+
+def _floats(M, name: str, kind: str = "matrix") -> np.ndarray:
+    """M as a float array, or DimensionError "<name> must be a <kind> of
+    real numbers" where numpy cannot read it as one (text, ragged rows,
+    an integer beyond float range)."""
+    try:
+        return np.asarray(M, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DimensionError(f"{name} must be a {kind} of real numbers") from None
+
+
 def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Coerce M to a rows×cols matrix by the package's one reading rule.
 
@@ -55,7 +86,7 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
     other input that is not 2-D is rejected, as is a non-finite entry
     and a square matrix with no rows.
     """
-    M = np.asarray(M, dtype=float)
+    M = _floats(M, name)
     if M.ndim == 0:
         M = np.full((1, 1) if None in (rows, cols) else (rows, cols), float(M))
     elif M.ndim == 1 and (rows is None) != (cols is None):
@@ -79,7 +110,7 @@ def _shaped(M, name: str, rows: int | None = None, cols: int | None = None) -> n
 
 def as_vector(v, name: str, size: int = -1) -> np.ndarray:
     """Coerce ``v`` to a 1-D float array of length ``size`` (if given)."""
-    x = np.asarray(v, dtype=float)
+    x = _floats(v, name, "vector")
     if x.ndim == 2 and 1 in x.shape:
         x = x.reshape(-1)
     if x.ndim != 1:

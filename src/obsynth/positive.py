@@ -43,6 +43,8 @@ from .errors import (
 )
 from .linalg import (
     STRUCTURAL_TOL,
+    _floats,
+    _real,
     _require,
     _shaped,
     _sign_violations,
@@ -63,10 +65,7 @@ DEFAULT_EPSILON = 1e-6
 def _positive_epsilon(epsilon) -> float:
     """The strictness margin, checked to be a positive real.  Anything
     float() reads counts, so a margin may come as text."""
-    try:
-        epsilon = float(epsilon)
-    except (TypeError, ValueError, OverflowError):
-        epsilon = np.nan
+    epsilon = _real(epsilon)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise PreconditionError("epsilon must be a positive real")
     return epsilon
@@ -197,7 +196,7 @@ class DelaySystem(Plant):
 
     def __post_init__(self):
         super().__post_init__()
-        self.h = float(self.h)
+        self.h = _real(self.h)
         if not np.isfinite(self.h) or self.h < 0.0:
             raise PreconditionError("delay h must be finite and nonnegative")
 
@@ -431,7 +430,7 @@ def _error_loop(
     last loop.
     """
     global _last_loop
-    raw = [np.asarray(M, dtype=float) for M in (A, E, C, F, L)]
+    raw = [_floats(M, name) for name, M in zip("AECFL", (A, E, C, F, L))]
     key = (form, *((M.shape, M.tobytes()) for M in raw))
     last = _last_loop
     if reuse and last is not None and last[0] == key:

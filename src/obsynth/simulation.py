@@ -1,8 +1,16 @@
 """Trajectory simulation for plants together with their interval observers.
 
-Plant and observers are linear in the state, and their inputs are read
-on the time grid and held linear between grid values.  One step of
-x' = A x + u(t) is then exactly the affine map
+`simulate(plant, L, dist, config, form)` is the one simulator of the
+linear plant types.  Like design, it reads the plant's roles
+(`MATRICES`, `DISCRETE`, the lag maps and the delay h): a discrete
+plant takes the exact recursion, a continuous one the exact step, and a
+delayed one the method of steps, or at h = 0 the exact step of its
+zero-delay aggregate.  Plant and both observer copies are stepped as
+one joint system.  `simulate_ct`, `simulate_delay` and `simulate_dt`
+are `simulate` itself, kept as names for the benchmark's tracer.
+
+Inputs are read on the time grid and held linear between grid values.
+One step of x' = A x + u(t) is then exactly the affine map
 
     x+ = Phi x + W0 u_k + W1 u_{k+1},
 
@@ -10,29 +18,22 @@ with Phi = e^{hA} and the input weights W0, W1 taken from one matrix
 exponential (see _step_maps).  The maps are built once per trace and
 the inputs on the grid are evaluated in one vectorized pass.  Constant
 and linear inputs are therefore stepped exactly, and the step size does
-not decide stability.  The continuous case steps plant and both observer
-copies as one joint system.  The population model is nonlinear, but its
+not decide stability.  The population model is nonlinear, but its
 plant does not depend on the observers: the plant is stepped alone by
 classical RK4 in one flat loop of Python floats (a state it drives below
 zero is refused), and its states on the grid drive the observer pair,
-one system of two block-diagonal copies of A - L C.  Discrete time is
-the exact recursion.  The delayed case uses the method of steps: the
-step is snapped to h / m, and one array holds the history on the grid
-followed by the trace, so the state one delay back is a stored row and
-the lag is one more input held linear between rows; each delay interval
-of m steps reads only stored rows, so its drive is known in advance.
-Every linear trace, a delayed one interval by interval, runs one blocked
+one system of two block-diagonal copies of A - L C.  Every linear
+trace, a delayed one interval by interval, runs one blocked
 recurrence (_recur): the K steps of x+ = Phi x + g_k are cut into
 chunks of about sqrt(K), and all chunks advance at once.  Each chunk's
 start is carried through Phi^B, B the chunk length, and its rows are
 then stepped one by one from that start, so the trace agrees with
-sequential stepping to rounding; B halves while Phi^B overflows.  The
-three linear simulators share their setup (_linear_setup) and their
-finish (_joint_trace).
+sequential stepping to rounding; B halves while Phi^B overflows.
 
 Signals are evaluated by one zero-order hold, PiecewiseConstantSignal,
 and by SineSignal; constant and sampled signals are holds.  Each defines
 the vectorized at(times), and a call at one time is at() at that time.
+Every signal parameter must be a finite real.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, SimulationError, UndefinedGainError
-from .linalg import _finite, _shaped, as_vector, split_pos_neg
-from .positive import ContinuousSystem, DelaySystem, DiscreteSystem
+from .linalg import _finite, _finite_real, _real, _shaped, as_vector, split_pos_neg
+from .positive import ContinuousSystem, DelaySystem, DiscreteSystem, Plant
 
 BOUND_TOL = 1e-12
 
@@ -66,10 +67,10 @@ class SineSignal(Signal):
     """offset + amplitude * sin(omega * t + phase)."""
 
     def __init__(self, amplitude: float, omega: float, phase: float = 0.0, offset: float = 0.0):
-        self.amplitude = float(amplitude)
-        self.omega = float(omega)
-        self.phase = float(phase)
-        self.offset = float(offset)
+        self.amplitude = _finite_real(amplitude, "amplitude")
+        self.omega = _finite_real(omega, "omega")
+        self.phase = _finite_real(phase, "phase")
+        self.offset = _finite_real(offset, "offset")
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """The signal at every time."""
@@ -86,8 +87,8 @@ class PiecewiseConstantSignal(Signal):
     """
 
     def __init__(self, breakpoints, levels):
-        self.breakpoints = [float(t) for t in breakpoints]
-        self.levels = [float(v) for v in levels]
+        self.breakpoints = as_vector(breakpoints, "breakpoints").tolist()
+        self.levels = as_vector(levels, "levels").tolist()
         if sorted(self.breakpoints) != self.breakpoints:
             raise DimensionError("breakpoints must be ascending")
         if len(self.levels) != len(self.breakpoints) + 1:
@@ -102,7 +103,7 @@ class ConstantSignal(PiecewiseConstantSignal):
     """Scalar signal frozen at one value: one level, no breakpoint."""
 
     def __init__(self, value: float):
-        super().__init__([], [value])
+        super().__init__([], [_finite_real(value, "value")])
 
 
 class SampledSignal(PiecewiseConstantSignal):
@@ -113,7 +114,8 @@ class SampledSignal(PiecewiseConstantSignal):
     """
 
     def __init__(self, times, values):
-        times = [float(t) for t in times]
+        times = as_vector(times, "times").tolist()
+        values = as_vector(values, "values")
         if len(times) != len(values) or not times:
             raise DimensionError("times and values must be equal-length and nonempty")
         if sorted(times) != times:
@@ -185,8 +187,8 @@ class SimConfig:
     history: list | None = None
 
     def __post_init__(self):
-        self.t_end = float(self.t_end)
-        self.dt = float(self.dt)
+        self.t_end = _real(self.t_end)
+        self.dt = _real(self.dt)
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise SimulationError("t_end must be a positive real")
         if not (np.isfinite(self.dt) and 0.0 < self.dt <= self.t_end):
@@ -250,8 +252,9 @@ class InclusionReport:
 def check_inclusion(trace: Trace, tol: float = 1e-7) -> InclusionReport:
     """Verify x_lo <= x <= x_hi along the whole trace within tol >= 0
     (tol = inf passes every trace)."""
+    given, tol = tol, _real(tol)
     if not tol >= 0.0:  # a NaN fails too
-        raise PreconditionError(f"tol must be a nonnegative real, got {tol!r}")
+        raise PreconditionError(f"tol must be a nonnegative real, got {given!r}")
     lower, upper = trace.e_lo, trace.e_hi
     min_margin = float(min(lower.min(), upper.min()))
     if min_margin >= -tol:
@@ -278,8 +281,9 @@ def empirical_peak_gain(trace: Trace, burn_in: float = 0.5) -> float:
     max(||w_hi - w||, ||w - w_lo||) over the same window.  A degenerate
     denominator (exactly known disturbance) has no finite ratio.
     """
+    given, burn_in = burn_in, _real(burn_in)
     if not (np.isfinite(burn_in) and burn_in <= 1.0):
-        raise PreconditionError(f"burn_in must be a finite real at most 1, got {burn_in!r}")
+        raise PreconditionError(f"burn_in must be a finite real at most 1, got {given!r}")
     start = burn_in * trace.times[-1]
     window = trace.times >= start - BOUND_TOL
     num = max(
@@ -416,14 +420,14 @@ def _check_x0(config: SimConfig, n: int) -> None:
         raise DimensionError(f"x0 has size {config.x0.size}, plant has {n} states")
 
 
-def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
+def _linear_setup(plant: Plant, L, dist: DisturbanceModel, config: SimConfig, dt: float):
     """The checked gain, the grid of step dt, W = [w, w_lo, w_hi] on it
     (each channel inside its envelope) and X0 = [x0, x0_lo, x0_hi]."""
-    L = _shaped(L, "L", sys.n, sys.r)
-    _check_x0(config, sys.n)
+    L = _shaped(L, "L", plant.n, plant.r)
+    _check_x0(config, plant.n)
     times = _grid(config.t_end, dt)
-    if dist.p != sys.p:
-        raise DimensionError(f"disturbance has {dist.p} channels, plant expects {sys.p}")
+    if dist.p != plant.p:
+        raise DimensionError(f"disturbance has {dist.p} channels, plant expects {plant.p}")
     w, w_lo, w_hi = dist.at(times)
     bad = _outside(w, w_lo, w_hi)
     if bad[0].size:
@@ -436,12 +440,6 @@ def _linear_setup(sys, L, dist: DisturbanceModel, config: SimConfig, dt: float):
     return L, times, np.hstack([w, w_lo, w_hi]), X0
 
 
-def _joint_trace(times: np.ndarray, joint: np.ndarray, W: np.ndarray) -> Trace:
-    """The Trace of joint states [x, x_lo, x_hi] driven by W = [w, w_lo, w_hi]."""
-    _check_finite(times, joint)
-    return Trace(times, *np.split(joint, 3, axis=1), *np.split(W, 3, axis=1))
-
-
 def _drive(W0: np.ndarray, W1: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.ndarray:
     """W0 B W[k] + W1 B W[k+1] for every step: the input B W held linear
     between its grid values."""
@@ -449,91 +447,93 @@ def _drive(W0: np.ndarray, W1: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.n
         return W[:-1] @ (W0 @ B).T + W[1:] @ (W1 @ B).T
 
 
-def simulate_ct(
-    sys: ContinuousSystem,
+def simulate(
+    plant: Plant,
     L: np.ndarray,
     dist: DisturbanceModel,
     config: SimConfig,
     form: str = "standard",
 ) -> Trace:
-    """Step plant and observers as one linear system by its exact step."""
-    sys.check_form(form)
-    L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
-    phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), config.dt)
-    G = _drive(W0, W1, _joint_input(sys.E, sys.F, L, form), W)
-    return _joint_trace(times, _recur(phi, X0, G), W)
+    """Step plant and observers as one joint linear system.
 
-
-def simulate_delay(
-    sys: DelaySystem,
-    L: np.ndarray,
-    dist: DisturbanceModel,
-    config: SimConfig,
-) -> Trace:
-    """Method of steps for a delayed plant with its observers.
-
-    The step is snapped to h / m, the least m with h / m <= dt, so the
+    The plant's roles decide the step.  A discrete plant takes the exact
+    recursion, dt its sample period.  A continuous plant, and a delayed
+    one at h = 0 as its zero-delay aggregate (A + A_h, C + C_h), takes
+    the exact step.  A delayed plant at h > 0 takes the method of steps:
+    the step is snapped to h / m, the least m with h / m <= dt, so the
     state one delay back lands on the grid; a step above h becomes h.
     One array X holds the history on the grid in rows 0..m-1 (observers
     at their initial bounds) and the trace from row m, so the state one
     delay back from step k is row k.  The lag enters like any input, held
     linear between rows k and k + 1.  The m steps from row m + k read
     rows k .. k + m, all stored, so `_recur` steps one delay interval
-    at a time on a drive known in advance.  At h = 0 the plant is its
-    zero-delay aggregate, run by `simulate_ct`.
+    at a time on a drive known in advance.  A `DiscreteDelaySystem`
+    stores no delay d, so it has no trace.
     """
-    if sys.h == 0.0:
-        S, T = sys.stability_pair()
-        return simulate_ct(ContinuousSystem(S, sys.E, T, sys.F), L, dist, config)
-    n = sys.n
-    m = max(1, int(np.ceil(sys.h / config.dt - 1e-9)))
-    dt = sys.h / m
-    if abs(dt - config.dt) > 1e-12 * config.dt:
-        warnings.warn(
-            f"step adjusted from {config.dt:.6g} to {dt:.6g} to divide the delay",
-            stacklevel=2,
+    kinds = (ContinuousSystem, DelaySystem, DiscreteSystem)
+    if not isinstance(plant, kinds):
+        names = ", ".join(kind.__name__ for kind in kinds)
+        raise PreconditionError(
+            f"cannot simulate a {type(plant).__name__}; expected one of {names}"
         )
-    L, times, W, X0 = _linear_setup(sys, L, dist, config, dt)
+    plant.check_form(form)
+    a, e, c, f, *lag = plant.MATRICES
+    A, E, C, F = (getattr(plant, name) for name in (a, e, c, f))
+    delayed = bool(lag) and plant.h > 0.0
+    if lag and not delayed:
+        A, C = plant.stability_pair()
+    dt = config.dt
+    if delayed:
+        m = max(1, int(np.ceil(plant.h / dt - 1e-9)))
+        dt = plant.h / m
+        if abs(dt - config.dt) > 1e-12 * config.dt:
+            warnings.warn(
+                f"step adjusted from {config.dt:.6g} to {dt:.6g} to divide the delay",
+                stacklevel=2,
+            )
 
-    plant_history = config.history
-    if plant_history is None:
-        plant_history = [ConstantSignal(v) for v in config.x0]
-    if len(plant_history) != n:
-        raise DimensionError("history needs one signal per plant state")
-    hist_grid = dt * np.arange(-m, 1)
-    past = _sample_all(plant_history, hist_grid)
-    outside = _outside(past, config.x0_lo, config.x0_hi)[0]
-    if outside.size:
-        theta = hist_grid[outside[0]]
-        raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")
+    L, times, W, X0 = _linear_setup(plant, L, dist, config, dt)
+    joint, B = _joint_state(A, L @ C), _joint_input(E, F, L, form)
 
-    phi, W0, W1 = _step_maps(_joint_state(sys.A, L @ sys.C), dt)
-    G = _drive(W0, W1, _joint_input(sys.E, sys.F, L, "standard"), W)
-    lag = _joint_state(sys.A_h, L @ sys.C_h)
+    if plant.DISCRETE:
+        X = _recur(joint, X0, W[:-1] @ B.T)
+    elif not delayed:
+        phi, W0, W1 = _step_maps(joint, dt)
+        X = _recur(phi, X0, _drive(W0, W1, B, W))
+    else:
+        n = plant.n
+        history = config.history
+        if history is None:
+            history = [ConstantSignal(v) for v in config.x0]
+        if len(history) != n:
+            raise DimensionError("history needs one signal per plant state")
+        hist_grid = dt * np.arange(-m, 1)
+        past = _sample_all(history, hist_grid)
+        outside = _outside(past, config.x0_lo, config.x0_hi)[0]
+        if outside.size:
+            theta = hist_grid[outside[0]]
+            raise SimulationError(f"plant history leaves [x0_lo, x0_hi] at t={theta:.6g}")
 
-    X = np.empty((m + times.size, 3 * n))
-    X[:m, :n] = past[:-1]
-    X[:m, n:] = X0[n:]
-    X[m] = X0
-    with np.errstate(over="ignore", invalid="ignore"):
-        lag0, lag1 = (W0 @ lag).T, (W1 @ lag).T
-        for k in range(0, len(G), m):
-            j = min(m, len(G) - k)  # the last interval may be shorter
-            g = G[k : k + j] + X[k : k + j] @ lag0 + X[k + 1 : k + j + 1] @ lag1
-            X[m + k : m + k + j + 1] = _recur(phi, X[m + k], g)
-    return _joint_trace(times, X[m:], W)
+        phi, W0, W1 = _step_maps(joint, dt)
+        G = _drive(W0, W1, B, W)
+        delay = _joint_state(getattr(plant, lag[0]), L @ getattr(plant, lag[1]))
+        X = np.empty((m + times.size, 3 * n))
+        X[:m, :n] = past[:-1]
+        X[:m, n:] = X0[n:]
+        X[m] = X0
+        with np.errstate(over="ignore", invalid="ignore"):
+            lag0, lag1 = (W0 @ delay).T, (W1 @ delay).T
+            for k in range(0, len(G), m):
+                j = min(m, len(G) - k)  # the last interval may be shorter
+                g = G[k : k + j] + X[k : k + j] @ lag0 + X[k + 1 : k + j + 1] @ lag1
+                X[m + k : m + k + j + 1] = _recur(phi, X[m + k], g)
+        X = X[m:]
+    _check_finite(times, X)
+    return Trace(times, *np.split(X, 3, axis=1), *np.split(W, 3, axis=1))
 
 
-def simulate_dt(
-    sys: DiscreteSystem,
-    L: np.ndarray,
-    dist: DisturbanceModel,
-    config: SimConfig,
-) -> Trace:
-    """Exact recursion for a discrete-time plant; dt is the sample period."""
-    L, times, W, X0 = _linear_setup(sys, L, dist, config, config.dt)
-    G = W[:-1] @ _joint_input(sys.E_d, sys.F_d, L, "standard").T
-    return _joint_trace(times, _recur(_joint_state(sys.A_d, L @ sys.C_d), X0, G), W)
+# perfbench/tracer.py patches these names in benchmarks, where simulate_problem calls them
+simulate_ct = simulate_delay = simulate_dt = simulate
 
 
 @dataclass
@@ -562,9 +562,9 @@ class PopulationModel:
                 raise SimulationError(f"{name} takes {count} values, got {got}")
         for name in ("decay", "growth", "half_saturation"):
             # a NaN fails the comparison, so it is refused too
-            if not all(0.0 < float(v) < math.inf for v in np.ravel(getattr(self, name))):
+            if not all(0.0 < _real(v) < math.inf for v in np.ravel(getattr(self, name))):
                 raise SimulationError(f"{name} must be positive and finite")
-        lo, hi = (float(v) for v in self.incidence_bounds)
+        lo, hi = (_real(v) for v in self.incidence_bounds)
         if not 0.0 <= lo <= hi < math.inf:
             raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi < inf")
         gain = self.incidence_gain

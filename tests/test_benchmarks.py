@@ -1,13 +1,15 @@
 """Regression harness behavior: the corpus itself is exercised by
 test_acceptance, so this only covers the harness mechanics."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 import obsynth.benchmarks as benchmarks
 from obsynth.benchmarks import MANIFEST, format_table, run_bench
-from obsynth.simulation import Trace
+from obsynth.simulation import DisturbanceModel, Trace
 
 
 def test_full_bench_passes():
@@ -93,3 +95,21 @@ def test_format_table_lists_every_case_and_note():
     assert lines[1].split() == ["case2", "error", "FAIL"]
     assert lines[2].strip() == "- error: manifest weight 'diag' not recognized"
     assert lines[3] == "0/1 cases passed"
+
+
+def test_every_name_the_tracer_patches_is_there_and_restored():
+    # perfbench/tracer.py patches library names from outside; one that a
+    # change deletes or renames fails here, before any benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _ in tracer.PATCHES]
+    originals.append((DisturbanceModel, "eval", DisturbanceModel.eval))
+    restore = tracer.Tracer().install()
+    try:
+        assert all(getattr(module, attr) is not original for module, attr, original in originals)
+    finally:
+        restore()
+    assert [f"{module.__name__}.{attr}" for module, attr, original in originals
+            if getattr(module, attr) is not original] == []

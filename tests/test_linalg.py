@@ -8,12 +8,24 @@ import numpy as np
 import pytest
 
 from obsynth import (
+    ContinuousSystem,
+    DelaySystem,
     DimensionError,
+    LinearProgram,
     NonFiniteError,
+    PopulationModel,
+    PreconditionError,
+    SimConfig,
+    SimulationError,
     SingularMatrixError,
+    Trace,
+    check_inclusion,
+    empirical_peak_gain,
+    gain_for_output,
     is_metzler,
     is_nonnegative,
     max_row_sum,
+    observer_membership,
     solve_linear,
     split_pos_neg,
 )
@@ -38,6 +50,51 @@ def test_as_matrix_rejects_nonfinite_and_bad_shape():
         as_vector(np.eye(2), "v")
     with pytest.raises(NonFiniteError, match=r"^v contains non-finite entries$"):
         as_vector([1.0, float("nan")], "v")
+
+
+# two samples of x = 0 in [-1, 1] driven by w = 0 in [-1, 1]
+_TRACE = Trace(np.array([0.0, 1.0]), *(np.full((2, 1), v) for v in (0.0, -1.0, 1.0) * 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ContinuousSystem([["a"]], 1.0, 1.0, 0.0),
+         DimensionError, "A must be a matrix of real numbers"),
+        (lambda: ContinuousSystem([[-1.0, 0.0], [0.0]], 1.0, 1.0, 0.0),
+         DimensionError, "A must be a matrix of real numbers"),
+        (lambda: observer_membership([[-1.0]], 1.0, 1.0, 0.0, [["a"]]),
+         DimensionError, "L must be a matrix of real numbers"),
+        (lambda: gain_for_output([[-1.0], [0.0, 1.0]], 1.0, 1.0, 0.0, 0.0, 1.0, 0.0),
+         DimensionError, "A must be a matrix of real numbers"),
+        (lambda: LinearProgram(["x"], [[1.0]], [1.0]),
+         DimensionError, "objective must be a vector of real numbers"),
+        (lambda: as_vector("ab", "x0"), DimensionError, "x0 must be a vector of real numbers"),
+        (lambda: as_vector([10**400], "x0"), DimensionError, "x0 must be a vector of real numbers"),
+        (lambda: SimConfig(t_end="x", dt=0.1, x0=[0.0], x0_lo=[0.0], x0_hi=[0.0]),
+         SimulationError, "t_end must be a positive real"),
+        (lambda: SimConfig(t_end=1.0, dt=None, x0=[0.0], x0_lo=[0.0], x0_hi=[0.0]),
+         SimulationError, "dt must lie in (0, t_end]"),
+        (lambda: DelaySystem(-1.0, 0.0, 1.0, 1.0, 0.0, 0.0, h="x"),
+         PreconditionError, "delay h must be finite and nonnegative"),
+        (lambda: PopulationModel(["a", 1, 1], [1.0, 1.0], 1.0, [1.0, 1.0], 1.0),
+         SimulationError, "decay must be positive and finite"),
+        (lambda: check_inclusion(_TRACE, tol="x"),
+         PreconditionError, "tol must be a nonnegative real, got 'x'"),
+        (lambda: empirical_peak_gain(_TRACE, burn_in="x"),
+         PreconditionError, "burn_in must be a finite real at most 1, got 'x'"),
+    ],
+    ids=[
+        "text-matrix", "ragged-matrix", "membership", "loop-gain", "text-objective",
+        "text-vector", "huge-int", "t_end", "dt", "h", "decay", "tol", "burn_in",
+    ],
+)
+def test_unreadable_arguments_raise_package_errors(call, error, message):
+    # each of these once escaped as numpy's or float()'s bare
+    # ValueError or TypeError
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_is_metzler_examples():
@@ -298,7 +355,7 @@ def _inside(tree: ast.AST, names: tuple[str, ...]) -> set[int]:
 
 def test_one_function_names_an_unknown_observer_form():
     # Plant.check_form is the one check of an observer form; ObserverSpec,
-    # membership, certify and simulate_ct call it.
+    # membership, certify and simulate call it.
     found, built = [], False
     for name, tree in _library_trees():
         inside = _inside(tree, ("check_form",)) if name == "positive.py" else set()

@@ -8,6 +8,7 @@ against the hand-rolled discrete recursion.
 """
 
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -23,8 +24,10 @@ from obsynth import (
     ContinuousSystem,
     DelaySystem,
     DimensionError,
+    DiscreteDelaySystem,
     DiscreteSystem,
     DisturbanceModel,
+    NonFiniteError,
     PiecewiseConstantSignal,
     PopulationModel,
     PreconditionError,
@@ -36,15 +39,20 @@ from obsynth import (
     UndefinedGainError,
     check_inclusion,
     empirical_peak_gain,
-    simulate_ct,
-    simulate_delay,
-    simulate_dt,
+    simulate,
     simulate_population,
 )
 from obsynth.benchmarks import CORPUS_DIR, MANIFEST, simulate_problem
 from obsynth.positive import linf_gain_closed
 from obsynth.problem import parse_problem, parse_problem_dict
-from obsynth.simulation import _grid, _incidence_gains, _population_plant, _recur
+from obsynth.simulation import (
+    _grid,
+    _incidence_gains,
+    _population_plant,
+    _recur,
+    simulate_ct,
+    simulate_delay,
+)
 from obsynth.synthesis import ObserverSpec, closed_loop, design
 
 from conftest import random_feasible_loop
@@ -95,6 +103,43 @@ def test_sampled_signal_holds_and_clamps():
     with pytest.raises(DimensionError) as exc:
         SampledSignal([1.0, 0.0], [0.0, 1.0])
     assert str(exc.value) == "sample times must be ascending"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PiecewiseConstantSignal([math.nan], [0.0, 0.5]),
+         NonFiniteError, "breakpoints contains non-finite entries"),
+        (lambda: PiecewiseConstantSignal([0.0], [0.0, math.inf]),
+         NonFiniteError, "levels contains non-finite entries"),
+        (lambda: PiecewiseConstantSignal([0.0], 1.0),
+         DimensionError, "levels must be a vector, got ndim=0"),
+        (lambda: SampledSignal([0.0, math.nan], [1.0, 2.0]),
+         NonFiniteError, "times contains non-finite entries"),
+        (lambda: SampledSignal([0.0, 1.0], [1.0, -math.inf]),
+         NonFiniteError, "values contains non-finite entries"),
+        (lambda: SampledSignal([0.0, 1.0], 5.0),
+         DimensionError, "values must be a vector, got ndim=0"),
+        (lambda: ConstantSignal(math.inf), NonFiniteError, "value must be a finite real, got inf"),
+        (lambda: SineSignal(math.nan, 1.0),
+         NonFiniteError, "amplitude must be a finite real, got nan"),
+        (lambda: SineSignal(1.0, math.inf), NonFiniteError, "omega must be a finite real, got inf"),
+        (lambda: SineSignal(1.0, 1.0, phase=math.nan),
+         NonFiniteError, "phase must be a finite real, got nan"),
+        (lambda: SineSignal(1.0, 1.0, offset="x"),
+         NonFiniteError, "offset must be a finite real, got 'x'"),
+    ],
+    ids=[
+        "breakpoint", "level", "scalar-levels", "sample-time", "sample-value",
+        "scalar-values", "constant", "amplitude", "omega", "phase", "offset",
+    ],
+)
+def test_signals_refuse_non_finite_parameters(build, error, message):
+    # a NaN level once read 0.0 everywhere, and a NaN envelope edge was
+    # blamed on the disturbance; now the signal names the field it refuses
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -193,7 +238,7 @@ def test_trace_errors_and_outputs():
 def test_csv_round_trip_is_exact(tmp_path):
     dist = _dist(SineSignal(0.5, 1.0))
     cfg = SimConfig(2.0, 0.01, [1.0, 0.0], [-2.0, -2.0], [2.0, 2.0])
-    trace = simulate_ct(CASE1, L1, dist, cfg)
+    trace = simulate(CASE1, L1, dist, cfg)
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
     header = path.read_text().splitlines()[0]
@@ -299,7 +344,7 @@ def test_constant_and_ramp_inputs_are_stepped_exactly(slope, dt):
     ramp = lambda t: 0.3 + slope * t  # noqa: E731
     dist = DisturbanceModel([ramp], [lambda t: ramp(t) - 1.0], [lambda t: ramp(t) + 1.0])
     cfg = SimConfig(2.0, dt, [1.0, 0.0], [-2.0, -2.0], [2.0, 2.0])
-    trace = simulate_ct(CASE1, L, dist, cfg)
+    trace = simulate(CASE1, L, dist, cfg)
     big, inputs = _joint_affine(CASE1.A, CASE1.E, CASE1.C, CASE1.F, L)
     aug = np.zeros((8, 8))
     aug[:6, :6] = big
@@ -316,7 +361,7 @@ def test_collapsed_envelope_collapses_the_interval():
     w = SineSignal(0.5, 1.3)
     dist = DisturbanceModel([w], [w], [w])
     cfg = SimConfig(5.0, 0.01, [1.0, 0.5], [1.0, 0.5], [1.0, 0.5])
-    trace = simulate_ct(CASE1, L1, dist, cfg)
+    trace = simulate(CASE1, L1, dist, cfg)
     assert np.max(np.abs(trace.x_hi - trace.x_lo)) <= 1e-9
     assert np.max(np.abs(trace.x - trace.x_lo)) <= 1e-9
     assert check_inclusion(trace, tol=1e-9).clean
@@ -325,7 +370,7 @@ def test_collapsed_envelope_collapses_the_interval():
 def test_certified_design_keeps_inclusion():
     dist = _dist(SineSignal(1.0, 2.0))
     cfg = SimConfig(20.0, 0.005, [-1.0, 2.0], [-5.0, -5.0], [5.0, 5.0])
-    trace = simulate_ct(CASE1, L1, dist, cfg)
+    trace = simulate(CASE1, L1, dist, cfg)
     assert check_inclusion(trace, tol=1e-7).clean
     # widths shrink: this gain decouples the disturbance entirely
     assert np.max(trace.x_hi[-1] - trace.x_lo[-1]) <= 1e-6
@@ -335,14 +380,15 @@ def test_disturbance_outside_envelope_aborts():
     cfg = SimConfig(2.0, 0.01, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     cases = [
         (_dist(ConstantSignal(2.0)), "0"),  # outside [-1, 1]
-        # a NaN sample or bound is outside its envelope, not a divergence
+        # a NaN sample or bound is outside its envelope, not a divergence;
+        # only a callable can give one, since a signal refuses a NaN level
         (_dist(lambda t: math.nan if t > 1.0 else 0.5, 0.0, 1.0), "1.01"),
-        (_dist(ConstantSignal(0.5), math.nan, 1.0), "0"),
-        (_dist(ConstantSignal(0.5), 0.0, math.nan), "0"),
+        (DisturbanceModel([ConstantSignal(0.5)], [lambda t: math.nan], [ConstantSignal(1.0)]), "0"),
+        (DisturbanceModel([ConstantSignal(0.5)], [ConstantSignal(0.0)], [lambda t: math.nan]), "0"),
     ]
     for dist, when in cases:
         with pytest.raises(SimulationError) as exc:
-            simulate_ct(CASE1, L1, dist, cfg)
+            simulate(CASE1, L1, dist, cfg)
         assert str(exc.value) == f"disturbance leaves its envelope at t={when} (channel 1)"
 
 
@@ -351,7 +397,7 @@ def test_divergence_reports_a_time_stamp():
     dist = _dist(ConstantSignal(0.0))
     cfg = SimConfig(100.0, 1.0, [1.0], [0.0], [2.0])
     with pytest.raises(SimulationError) as exc:
-        simulate_ct(wild, np.zeros((1, 1)), dist, cfg)
+        simulate(wild, np.zeros((1, 1)), dist, cfg)
     # x_hi starts at 2 and grows by e^{h a} = e^100 per step, so the first
     # grid time at which it overflows is the least k > log(max / 2) / 100
     k = math.ceil(math.log(np.finfo(float).max / 2.0) / 100.0)
@@ -362,10 +408,10 @@ def test_divergence_reports_a_time_stamp():
 def test_overflowing_step_maps_report_the_first_step():
     # e^{h a} itself overflows; every simulator still names t = h
     dist, cfg = _dist(ConstantSignal(0.0)), SimConfig(5.0, 1.0, [0.0], [-1.0], [1.0])
-    for h in (1.0, 0.0):  # h = 0 runs simulate_ct on the zero-delay aggregate
+    for h in (1.0, 0.0):  # h = 0 takes the exact step of the zero-delay aggregate
         wild = DelaySystem([[1000.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], h)
         with pytest.raises(SimulationError, match=r"non-finite at t=1$"):
-            simulate_delay(wild, np.zeros((1, 1)), dist, cfg)
+            simulate(wild, np.zeros((1, 1)), dist, cfg)
     cfg = SimConfig(5.0, 1.0, [0.5] * 3, [0.0] * 3, [1.0] * 3)
     with pytest.raises(SimulationError, match=r"non-finite at t=1$"):
         simulate_population(POP, [[0.0], [0.0], [-1000.0]], cfg)
@@ -383,7 +429,7 @@ def test_relaxed_designs_with_large_gains_keep_inclusion(dt):
         sys = ContinuousSystem(*random_feasible_loop(rng, 4, 2, 3)[:4])
         result = design(sys, ObserverSpec(form="relaxed"))
         assert result.status == "optimal"
-        trace = simulate_ct(sys, result.L, dist, cfg, form="relaxed")
+        trace = simulate(sys, result.L, dist, cfg, form="relaxed")
         assert check_inclusion(trace, tol=1e-7).clean
 
 
@@ -399,7 +445,7 @@ def test_constant_disturbance_at_the_envelope_edge_attains_the_certified_gain():
     edge = [ConstantSignal(0.5)] * 2
     dist = DisturbanceModel(edge, [ConstantSignal(0.5 - delta)] * 2, edge)
     x0 = np.full(4, 0.2)
-    trace = simulate_ct(sys, L, dist, SimConfig(10.0, 0.01, x0, x0 - e_star, x0))
+    trace = simulate(sys, L, dist, SimConfig(10.0, 0.01, x0, x0 - e_star, x0))
     certified = linf_gain_closed(S, B, np.eye(4), 0.0)
     assert empirical_peak_gain(trace) == pytest.approx(certified, rel=1e-9)
 
@@ -411,7 +457,7 @@ def test_relaxed_form_inclusion_with_sign_indefinite_input():
     L = np.array([[-1.0], [10.0]])
     dist = _dist(SineSignal(0.5, 1.0))
     cfg = SimConfig(20.0, 0.005, [1.0, 1.0], [0.0, 0.0], [2.0, 2.0])
-    trace = simulate_ct(sys, L, dist, cfg, form="relaxed")
+    trace = simulate(sys, L, dist, cfg, form="relaxed")
     assert check_inclusion(trace, tol=1e-7).clean
 
 
@@ -425,7 +471,7 @@ def test_delay_step_snaps_to_divide_h():
     dist = _dist(SineSignal(1.0, 1.0))
     cfg = SimConfig(4.0, 0.23, [0.0], [-1.0], [1.0])
     with pytest.warns(UserWarning, match="adjusted"):
-        trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+        trace = simulate(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
     assert abs(trace.times[1] - 0.2) <= 1e-12
 
 
@@ -435,12 +481,12 @@ def test_delay_step_up_to_h_is_kept_and_above_h_snaps_to_h():
         cfg = SimConfig(4.0, dt, [0.0], [-1.0], [1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+            trace = simulate(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
         assert trace.times[1] == dt
         assert check_inclusion(trace, tol=1e-7).clean
     cfg = SimConfig(4.0, 1.5, [0.0], [-1.0], [1.0])
     with pytest.warns(UserWarning, match="adjusted from 1.5 to 1 "):
-        trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+        trace = simulate(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
     assert trace.times[1] == 1.0
 
 
@@ -455,30 +501,30 @@ def test_delay_history_must_respect_the_initial_interval():
     for history, dt, when in cases:
         cfg = SimConfig(4.0, dt, [0.0], [-1.0], [1.0], history=[history])
         with pytest.raises(SimulationError) as exc:
-            simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+            simulate(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
         assert str(exc.value) == f"plant history leaves [x0_lo, x0_hi] at t={when}"
 
 
 def test_delay_inclusion_scalar_scenario():
     dist = _dist(SineSignal(1.0, 1.0))
     cfg = SimConfig(20.0, 0.05, [0.0], [-1.0], [1.0])
-    trace = simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
+    trace = simulate(DELAY_SYS, np.zeros((1, 1)), dist, cfg)
     report = check_inclusion(trace, tol=1e-7)
     assert report.clean
     assert empirical_peak_gain(trace) <= 0.5 + 1e-3
 
 
 def test_zero_delay_file_simulates_its_aggregate():
-    # h = 0 leaves no past to hold: the trace is simulate_ct's on the
+    # h = 0 leaves no past to hold: the trace is the continuous one of the
     # zero-delay aggregate (A + A_h, E, C + C_h, F), the plant design uses
     data = json.loads((CORPUS_DIR / "delay_scalar.json").read_text())
     data["h"] = 0.0
     pf = parse_problem_dict(data)
     sys, dist, cfg = pf.system(), pf.disturbance(), pf.sim_config()
     L = design(sys, pf.observer_spec()).L
-    trace = simulate_delay(sys, L, dist, cfg)
+    trace = simulate(sys, L, dist, cfg)
     aggregate = ContinuousSystem(sys.A + sys.A_h, sys.E, sys.C + sys.C_h, sys.F)
-    expected = simulate_ct(aggregate, L, dist, cfg)
+    expected = simulate(aggregate, L, dist, cfg)
     for name in ("times", "x", "x_lo", "x_hi", "w", "w_lo", "w_hi"):
         assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes(), name
     assert check_inclusion(trace, tol=1e-7).clean
@@ -487,17 +533,17 @@ def test_zero_delay_file_simulates_its_aggregate():
 def test_simulators_refuse_mismatched_inputs():
     dist = _dist(SineSignal(0.5, 1.0))
     cases = [
-        (lambda: simulate_ct(CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0])),
+        (lambda: simulate(CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0])),
          DimensionError, "x0 has size 1, plant has 2 states"),
-        (lambda: simulate_ct(
+        (lambda: simulate(
             CASE1, L1, DisturbanceModel([ConstantSignal(0.0)] * 2, [ConstantSignal(-1.0)] * 2,
                                         [ConstantSignal(1.0)] * 2),
             SimConfig(1.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])),
          DimensionError, "disturbance has 2 channels, plant expects 1"),
-        (lambda: simulate_ct(
+        (lambda: simulate(
             CASE1, L1, dist, SimConfig(1.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]), form="loose"),
          PreconditionError, "unknown observer form 'loose'"),
-        (lambda: simulate_delay(
+        (lambda: simulate(
             DELAY_SYS, np.zeros((1, 1)), dist,
             SimConfig(1.0, 0.1, [0.0], [-1.0], [1.0], history=[ConstantSignal(0.0)] * 2)),
          DimensionError, "history needs one signal per plant state"),
@@ -517,10 +563,69 @@ def test_delay_reduces_to_ct_when_lag_matrix_vanishes():
     sys_d = DelaySystem([[-3.0]], [[0.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], 1.0)
     dist = _dist(SineSignal(1.0, 1.0))
     cfg = SimConfig(5.0, 0.25, [0.0], [-1.0], [1.0])
-    a = simulate_ct(sys_ct, np.zeros((1, 1)), dist, cfg)
-    b = simulate_delay(sys_d, np.zeros((1, 1)), dist, cfg)
+    a = simulate(sys_ct, np.zeros((1, 1)), dist, cfg)
+    b = simulate(sys_d, np.zeros((1, 1)), dist, cfg)
     assert np.allclose(a.x, b.x, atol=1e-12)
     assert np.allclose(a.x_hi, b.x_hi, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one entry point
+
+def test_simulate_names_are_simulate_itself():
+    # perfbench patches and calls these names; they are simulate, not wrappers
+    for module in ("obsynth.simulation", "obsynth.benchmarks"):
+        for name in ("simulate_ct", "simulate_delay", "simulate_dt"):
+            assert getattr(importlib.import_module(module), name) is simulate, (module, name)
+
+
+def test_a_delay_plant_handed_to_simulate_ct_keeps_its_delay():
+    # simulate_ct once stepped this plant as if it had no delay, to
+    # x(5) = 0.25; the trace is now the method of steps', pinned at
+    # t = 0, 1, ..., 5 to the values simulate_delay gave
+    plant = DelaySystem([[-2.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]], 1.0)
+    dist = DisturbanceModel([ConstantSignal(0.5)], [ConstantSignal(0.0)], [ConstantSignal(1.0)])
+    cfg = SimConfig(5.0, 0.1, [0.2], [0.0], [1.0])
+    trace = simulate_ct(plant, np.zeros((1, 1)), dist, cfg)
+    want = [0.2, 0.3296997075145081, 0.3917344575088375, 0.42983239634896203,
+            0.4548672658793941, 0.47103633214305907]
+    assert trace.x[::10, 0] == pytest.approx(np.array(want), rel=1e-12, abs=0.0)
+    _assert_matches_reference(trace, _reference_linear(plant, np.zeros((1, 1)), dist, cfg))
+
+
+def test_a_discrete_plant_handed_to_simulate_delay_takes_its_recursion():
+    # simulate_delay once raised a bare AttributeError on this plant; the
+    # states at k = 0, 5, ..., 20 are pinned to the values simulate_dt gave
+    plant = DiscreteSystem([[0.5, 0.1], [0.2, 0.3]], [[1.0], [0.5]], [[1.0, 0.0]], [[0.2]])
+    dist = _dist(SineSignal(1.0, 1.0))
+    cfg = SimConfig(20.0, 1.0, [0.1, 0.2], [-1.0, -1.0], [1.0, 1.0])
+    L = np.array([[0.3], [0.1]])
+    trace = simulate_delay(plant, L, dist, cfg)
+    want = [[0.1, 0.2], [-0.2403536597404461, -0.020816218487290095],
+            [1.00173032826568, 0.5792137117802428], [0.8832325753478836, 0.4039402206740177],
+            [-0.49603761844816774, -0.34667141905339605]]
+    assert trace.x[::5] == pytest.approx(np.array(want), rel=1e-12, abs=0.0)
+    _assert_matches_reference(trace, _reference_linear(plant, L, dist, cfg))
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        DiscreteDelaySystem(0.5, 0.1, 1.0, 1.0, 0.0, 0.0),
+        PopulationModel((2.0, 2.0, 3.0), (3.0, 4.0), 1.5, (1.0, 2.0), 1.0),
+        object(),
+    ],
+    ids=["discrete-delay", "population", "object"],
+)
+def test_simulate_refuses_a_plant_it_cannot_step(plant):
+    # a DiscreteDelaySystem stores no delay d, so it has no trace
+    cfg = SimConfig(1.0, 0.5, [0.0], [-1.0], [1.0])
+    with pytest.raises(PreconditionError) as exc:
+        simulate(plant, np.zeros((1, 1)), _dist(ConstantSignal(0.0)), cfg)
+    assert str(exc.value) == (
+        f"cannot simulate a {type(plant).__name__}; "
+        "expected one of ContinuousSystem, DelaySystem, DiscreteSystem"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +638,7 @@ def test_discrete_recursion_is_exact():
     dist = _dist(SineSignal(0.8, 0.7))
     cfg = SimConfig(40.0, 1.0, [0.0], [-1.0], [1.0])
     L = np.array([[0.5]])
-    trace = simulate_dt(DT_SYS, L, dist, cfg)
+    trace = simulate(DT_SYS, L, dist, cfg)
 
     # replay the defining recursion directly
     x = np.zeros(1)
@@ -564,8 +669,8 @@ def test_discrete_replay_is_byte_identical(tmp_path):
     cfg = SimConfig(40.0, 1.0, [0.0], [-1.0], [1.0])
     L = np.array([[0.5]])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    simulate_dt(DT_SYS, L, dist, cfg).to_csv(str(p1))
-    simulate_dt(DT_SYS, L, dist, cfg).to_csv(str(p2))
+    simulate(DT_SYS, L, dist, cfg).to_csv(str(p1))
+    simulate(DT_SYS, L, dist, cfg).to_csv(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -777,7 +882,7 @@ def test_plain_callables_work_as_signals():
         SimConfig(4.0, 0.1, [0.0], [-1.0], [1.0], history=[h])
         for h in (SineSignal(0.5, 2.0), lambda t: 0.5 * np.sin(2.0 * t))
     ]
-    a, b = (simulate_delay(DELAY_SYS, np.zeros((1, 1)), dist, c) for c in cfgs)
+    a, b = (simulate(DELAY_SYS, np.zeros((1, 1)), dist, c) for c in cfgs)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.x_hi, b.x_hi)
 
@@ -785,7 +890,7 @@ def test_plain_callables_work_as_signals():
     # point by point like the lambda that wraps it
     ct_cfg = SimConfig(5.0, 0.01, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     a, b = (
-        simulate_ct(CASE1, L1, _dist(w, -2.0, 2.0), ct_cfg)
+        simulate(CASE1, L1, _dist(w, -2.0, 2.0), ct_cfg)
         for w in (np.sin, lambda t: np.sin(t))
     )
     for name in ("x", "x_lo", "x_hi", "w"):
@@ -882,7 +987,7 @@ def _exact_step(A, h):
 
 
 def _reference_linear(sys, L, dist, cfg, form="standard"):
-    """simulate_ct, simulate_delay or simulate_dt as a plain per-step loop
+    """simulate of a continuous, delay or discrete plant as a plain per-step loop
     that reads every signal, and the history, at one time at a time."""
     W = lambda t: np.array([s(t) for s in dist.w + dist.w_lo + dist.w_hi])  # noqa: E731
     joint = [np.concatenate([cfg.x0, cfg.x0_lo, cfg.x0_hi])]
@@ -1051,11 +1156,11 @@ def test_delay_traces_match_the_plain_step_loop(sys, L, cfg):
         ref = _reference_linear(sys, L, dist, cfg)
     finite = np.isfinite(np.hstack([ref.x, ref.x_lo, ref.x_hi])).all(axis=1)
     if finite.all():
-        _assert_matches_reference(simulate_delay(sys, L, dist, cfg), ref)
+        _assert_matches_reference(simulate(sys, L, dist, cfg), ref)
         return
     t = ref.times[int(np.argmin(finite))]
     with pytest.raises(SimulationError, match=rf"^state became non-finite at t={t:.6g}$"):
-        simulate_delay(sys, L, dist, cfg)
+        simulate(sys, L, dist, cfg)
 
 
 @pytest.mark.parametrize(
