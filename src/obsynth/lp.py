@@ -7,6 +7,20 @@ of nonnegative parts, every row gets its own slack, and phase 1 drives
 artificial variables out of the rows whose right-hand side had to be
 negated.
 
+A square LP (as many rows as variables) whose ineq_lhs `solve_linear`
+certifies nonsingular skips phase 1.  Its feasible set has exactly one
+vertex, ineq_lhs⁻¹ ineq_rhs, and that vertex is always feasible
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
+§2.2).  So the solve builds the tableau at the basis where every part
+z+ is basic, from the one factorization, and phase 2 prices it: OPTIMAL
+when the dual -ineq_lhs⁻ᵀ objective is nonnegative (up to EPS), else
+UNBOUNDED, since every row is then a free row (below) and no ratio test
+has a candidate.  No pivot is made, and the answer is the two-phase
+path's up to rounding, because there is no other vertex to return.
+The start is chosen from the LP's shape and the certified
+factorization alone; a singular or uncertified square LP, and every
+other LP, takes the two-phase path.
+
 The entering column is the one with the most negative reduced cost
 (Dantzig's rule, the first slot on exact ties).  The leaving row is,
 of the rows whose ratio lies within TIE of the minimum ratio, the one
@@ -17,9 +31,9 @@ test: z is sign-free, so nothing bounds that part, which may go
 negative (z+ - z- still reads z); once basic, a part of z stays basic
 (the textbook rule for free variables; Maros, *Computational
 Techniques of the Simplex Method*, 2003).  The certificate LP of
-`positive.linf_gain_lp` at q = 1, n + 1 rows that each start on an
-artificial, then takes n + 1 pivots, the fewest a phase 1 can, and a
-pass of the benchmark's design sweep 5,849.
+`positive.linf_gain_lp` at q = 1 is square, n + 1 rows and variables,
+and takes no pivot; a pass of the benchmark's design sweep, none of
+whose LPs is square, takes 5,849.
 Three guards keep the rule safe:
 
 - a phase ends, optimal or unbounded, only on a fresh price (below);
@@ -87,8 +101,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, SolverFailureError
-from .linalg import _shaped, as_vector
+from .errors import DimensionError, SingularMatrixError, SolverFailureError
+from .linalg import _shaped, as_vector, solve_linear
 
 # Reduced costs above -EPS count as optimal; pivot candidates need a
 # column entry above EPS.
@@ -169,7 +183,9 @@ class LpSolution:
     """Status, optimal point, value and dual (OPTIMAL only), and pivot count.
 
     ``iterations`` counts every pivot: those of phase 1, those that drive
-    leftover artificials out of the basis, and those of phase 2.
+    leftover artificials out of the basis, and those of phase 2.  A
+    square LP started at its one vertex makes none: the factorization
+    that builds that start counts no pivot.
     ``dual`` holds one multiplier per inequality row (see the module
     docstring).
     """
@@ -285,6 +301,30 @@ def _simplex(
         fresh = bland = False
 
 
+def _vertex_tableau(lp: LinearProgram):
+    """The condensed tableau of a square LP at its one vertex, with
+    basis and slots, or None when `solve_linear` cannot certify
+    ineq_lhs nonsingular.
+
+    Every z+ is basic, z+_i in row i, so the basis matrix is ineq_lhs
+    itself and the tableau is ineq_lhs⁻¹ [ineq_lhs | -ineq_lhs | I] =
+    [I | -I | ineq_lhs⁻¹] with b = ineq_lhs⁻¹ ineq_rhs.  The slots are
+    z- (column -e_j) and then the slacks (slack k's column is column k
+    of ineq_lhs⁻¹), all from one factorization.  A z+ may be basic at a
+    negative level: it is a part of the sign-free z.
+    """
+    n = lp.num_vars
+    try:
+        X = solve_linear(lp.ineq_lhs, np.column_stack([lp.ineq_rhs, np.eye(n)]))
+    except SingularMatrixError:
+        return None
+    T = np.zeros((2 * n + 1, n + 1))
+    T[np.arange(n), np.arange(n)] = -1.0
+    T[n : 2 * n, :n] = X[:, 1:].T
+    T[-1, :n] = X[:, 0]
+    return T, np.arange(n), np.arange(n, 3 * n)
+
+
 def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP; statuses Optimal / Infeasible / Unbounded.
 
@@ -295,51 +335,54 @@ def solve(lp: LinearProgram) -> LpSolution:
     n = lp.num_vars
     m = lp.num_constraints
     cap = ITERATION_CAP * (n + m)
-
-    # variables: [z+ (n) | z- (n) | slacks (m) | artificials].  Rows with
-    # a negative right-hand side are negated and start with an
-    # artificial basic; the rest start with their own slack basic.
     width = 2 * n + m
-    art_rows = (lp.ineq_rhs < 0.0).nonzero()[0]
-    k = art_rows.size
-    arts = np.arange(k)
-    basis = np.arange(2 * n, width)
-    basis[art_rows] = width + arts
-    nonbasic = np.concatenate([np.arange(2 * n), 2 * n + art_rows])
-
-    # one row per nonbasic variable, holding its tableau column and then
-    # its reduced cost; b is the last row
-    T = np.zeros((2 * n + k + 1, m + 1))
-    lhs = lp.ineq_lhs.T
-    T[:n, :m] = lhs
-    np.negative(lhs, out=T[n : 2 * n, :m])
-    T[2 * n + arts, art_rows] = 1.0
-    T[-1, :m] = lp.ineq_rhs
-    T[:, art_rows] *= -1.0
-
     iterations = 0
-    if k:
-        cost1 = np.zeros(width + k)
-        cost1[width:] = 1.0
-        verdict, iterations = _simplex(T, cost1, basis, nonbasic, 2 * n, cap, iterations)
-        if verdict == "unbounded":
-            raise SolverFailureError("phase-1 objective reported unbounded")
-        phase1 = float(cost1[basis] @ T[-1, :-1])
-        if phase1 > FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
-        # pivot leftover artificials out of the basis (degenerate rows) on
-        # the lowest-index column with an entry; every row keeps its own
-        # slack column, so none is all zero
-        for i in (basis >= width).nonzero()[0]:
-            entries = ((np.abs(T[:-1, i]) > EPS) & (nonbasic < width)).nonzero()[0]
-            if entries.size == 0:  # pragma: no cover - nonzero slack entry
-                raise SolverFailureError("phase 1 left an artificial on a zero row")
-            iterations += 1
-            _pivot(T, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
-        keep = np.ones(T.shape[0], dtype=bool)  # b's row stays
-        np.less(nonbasic, width, out=keep[:-1])
-        T = T.compress(keep, axis=0)
-        nonbasic = nonbasic[keep[:-1]]
+    start = _vertex_tableau(lp) if m == n else None
+    if start is not None:
+        T, basis, nonbasic = start
+    else:
+        # variables: [z+ (n) | z- (n) | slacks (m) | artificials].  Rows
+        # with a negative right-hand side are negated and start with an
+        # artificial basic; the rest start with their own slack basic.
+        art_rows = (lp.ineq_rhs < 0.0).nonzero()[0]
+        k = art_rows.size
+        arts = np.arange(k)
+        basis = np.arange(2 * n, width)
+        basis[art_rows] = width + arts
+        nonbasic = np.concatenate([np.arange(2 * n), 2 * n + art_rows])
+
+        # one row per nonbasic variable, holding its tableau column and
+        # then its reduced cost; b is the last row
+        T = np.zeros((2 * n + k + 1, m + 1))
+        lhs = lp.ineq_lhs.T
+        T[:n, :m] = lhs
+        np.negative(lhs, out=T[n : 2 * n, :m])
+        T[2 * n + arts, art_rows] = 1.0
+        T[-1, :m] = lp.ineq_rhs
+        T[:, art_rows] *= -1.0
+
+        if k:
+            cost1 = np.zeros(width + k)
+            cost1[width:] = 1.0
+            verdict, iterations = _simplex(T, cost1, basis, nonbasic, 2 * n, cap, iterations)
+            if verdict == "unbounded":
+                raise SolverFailureError("phase-1 objective reported unbounded")
+            phase1 = float(cost1[basis] @ T[-1, :-1])
+            if phase1 > FEAS_TOL:
+                return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
+            # pivot leftover artificials out of the basis (degenerate
+            # rows) on the lowest-index column with an entry; every row
+            # keeps its own slack column, so none is all zero
+            for i in (basis >= width).nonzero()[0]:
+                entries = ((np.abs(T[:-1, i]) > EPS) & (nonbasic < width)).nonzero()[0]
+                if entries.size == 0:  # pragma: no cover - nonzero slack entry
+                    raise SolverFailureError("phase 1 left an artificial on a zero row")
+                iterations += 1
+                _pivot(T, basis, nonbasic, i, int(entries[nonbasic[entries].argmin()]))
+            keep = np.ones(T.shape[0], dtype=bool)  # b's row stays
+            np.less(nonbasic, width, out=keep[:-1])
+            T = T.compress(keep, axis=0)
+            nonbasic = nonbasic[keep[:-1]]
 
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
     verdict, iterations = _simplex(T, cost2, basis, nonbasic, 2 * n, cap, iterations)

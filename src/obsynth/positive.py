@@ -16,7 +16,10 @@ gain has the closed form
 so one solve (-A) [v | Y] = [1 | E] yields both the certificate and
 Y = -A^{-1} E; that is what the gain functions report.  The LP variant
 `linf_gain_lp` is an independent route that cross-validates the closed
-form.  The four plant types share one base, `Plant`, which coerces
+form.  At one output its LP is square and `lp.solve` starts at its one
+vertex, which factors the LP's own matrix [A 0; Cz -1], not the closed
+form's -A, and the LP's own dual decides the verdict, so the two routes
+still share no solve.  The four plant types share one base, `Plant`, which coerces
 their matrices by `linalg._shaped`, checks observer forms, and reduces
 each to the undelayed continuous loop that design, `certify` and the
 plant gain `linf_gain` read.  `_admissible` is the one judgement of
@@ -341,6 +344,12 @@ def linf_gain_lp(
     A lambda < 0 proves A Hurwitz.  Any other outcome (infeasible,
     unbounded, or optimal with some lambda_i <= 0) raises
     :class:`InstabilityError`.
+
+    At q = 1 the LP is square, and `lp.solve` starts at its one vertex,
+    from its own factorization of [A 0; Cz -1] rather than the closed
+    form's solve with -A; whether that vertex is optimal is decided by
+    the LP's own dual check.  So this route stays independent of the
+    closed form it cross-validates.
     """
     A, E, Cz, Fz = _check_gain_structure(A, E, Cz, Fz)
     epsilon = _positive_epsilon(epsilon)

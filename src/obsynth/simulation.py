@@ -132,7 +132,10 @@ def _sample(signal, times: np.ndarray) -> np.ndarray:
 
 
 def _require_callables(signals: list, name: str) -> None:
-    """Refuse a signal list entry that cannot be called with a time."""
+    """Refuse a signal list that is not a list (or tuple), or an entry
+    that cannot be called with a time."""
+    if not isinstance(signals, (list, tuple)):
+        raise DimensionError(f"{name} must be a list of signals, got {type(signals).__name__}")
     for k, signal in enumerate(signals):
         if not callable(signal):
             raise SimulationError(f"{name}[{k}] is not callable")
@@ -155,10 +158,10 @@ class DisturbanceModel:
     w_hi: list
 
     def __post_init__(self):
-        if not (len(self.w) == len(self.w_lo) == len(self.w_hi)):
-            raise DimensionError("disturbance channel lists differ in length")
         for name in ("w", "w_lo", "w_hi"):
             _require_callables(getattr(self, name), name)
+        if not (len(self.w) == len(self.w_lo) == len(self.w_hi)):
+            raise DimensionError("disturbance channel lists differ in length")
 
     @property
     def p(self) -> int:
@@ -536,6 +539,16 @@ def simulate(
 simulate_ct = simulate_delay = simulate_dt = simulate
 
 
+def _entries(values) -> list:
+    """A rate list's entries; a single number (or text) is one entry."""
+    if isinstance(values, str):
+        return [values]
+    try:
+        return list(values)
+    except TypeError:
+        return [values]
+
+
 @dataclass
 class PopulationModel:
     """Three-stage population chain driven by saturating recruitment.
@@ -556,15 +569,19 @@ class PopulationModel:
     half_saturation: float
 
     def __post_init__(self):
+        # every rate is stored as floats once read, so no later use meets
+        # text
         for name, count in (("decay", 3), ("growth", 2), ("incidence_bounds", 2)):
-            got = len(getattr(self, name))
-            if got != count:
-                raise SimulationError(f"{name} takes {count} values, got {got}")
+            values = _entries(getattr(self, name))
+            if len(values) != count:
+                raise SimulationError(f"{name} takes {count} values, got {len(values)}")
+            setattr(self, name, [_real(v) for v in values])
+        self.half_saturation = _real(self.half_saturation)
         for name in ("decay", "growth", "half_saturation"):
             # a NaN fails the comparison, so it is refused too
-            if not all(0.0 < _real(v) < math.inf for v in np.ravel(getattr(self, name))):
+            if not all(0.0 < v < math.inf for v in np.ravel(getattr(self, name))):
                 raise SimulationError(f"{name} must be positive and finite")
-        lo, hi = (_real(v) for v in self.incidence_bounds)
+        lo, hi = self.incidence_bounds
         if not 0.0 <= lo <= hi < math.inf:
             raise SimulationError("incidence_bounds must satisfy 0 <= lo <= hi < inf")
         gain = self.incidence_gain
@@ -619,9 +636,9 @@ def _population_plant(
     Returns the states on the grid, shape (len(gain), 3), stored row by
     row through a memoryview of one preallocated array.  The stages are
     written out in the expression order the tests pin bit for bit."""
-    b1, b2, b3 = (float(v) for v in model.decay)
-    a1, a2 = (float(v) for v in model.growth)
-    sat = float(model.half_saturation)
+    b1, b2, b3 = model.decay
+    a1, a2 = model.growth
+    sat = model.half_saturation
     nb1 = -b1
     half = h / 2.0
     sixth = h / 6.0
@@ -670,7 +687,7 @@ def simulate_population(
     steps = np.empty(2 * times.size - 1)
     steps[::2], steps[1::2] = times, times[:-1] + config.dt / 2.0
     gains = _incidence_gains(model, steps)
-    bounds = [float(a) for a in model.incidence_bounds]
+    bounds = model.incidence_bounds
     bad = _outside(gains, *bounds)[0]
     if bad.size:
         raise SimulationError(f"recruitment leaves its envelope at t={steps[bad[0]]:.6g}")

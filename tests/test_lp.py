@@ -21,11 +21,13 @@ from obsynth import (
     LpSolution,
     LpStatus,
     ObserverSpec,
+    SingularMatrixError,
     SolverFailureError,
     certify,
     check_feasible,
     design,
     solve,
+    solve_linear,
 )
 import obsynth.synthesis as synthesis
 from obsynth.synthesis import DIAG_SIGN_CONFLICT, _assemble
@@ -41,13 +43,30 @@ def _lp(c, G, h):
     )
 
 
+def _with_loose_row(lp):
+    """The same LP with the row 0 · z <= 1 appended, so it is not square.
+    That row starts on its slack and its tableau row stays zero, so it
+    is never a ratio-test candidate: the solve takes the two-phase path,
+    with the pivots of the LP without it."""
+    return _lp(
+        lp.objective,
+        np.vstack([lp.ineq_lhs, np.zeros((1, lp.num_vars))]),
+        np.append(lp.ineq_rhs, 1.0),
+    )
+
+
 def test_minimize_above_three():
-    sol = solve(_lp([1.0], [[-1.0]], [-3.0]))
-    assert sol.status is LpStatus.OPTIMAL
-    assert abs(sol.objective_value - 3.0) <= 1e-9
-    assert abs(sol.primal[0] - 3.0) <= 1e-9
-    # the flipped row -x <= -3 binds with multiplier 1: G'y = -c
-    assert sol.dual.tolist() == [1.0]
+    # square, so solved at its one vertex with no pivot; with a loose row,
+    # by phase 1 and phase 2
+    square = _lp([1.0], [[-1.0]], [-3.0])
+    for lp, pivots in ((square, 0), (_with_loose_row(square), 1)):
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations == pivots
+        assert abs(sol.objective_value - 3.0) <= 1e-9
+        assert abs(sol.primal[0] - 3.0) <= 1e-9
+        # the flipped row -x <= -3 binds with multiplier 1: G'y = -c
+        assert sol.dual.tolist() == [1.0, 0.0][: lp.num_constraints]
 
 
 def test_contradictory_pair_is_infeasible():
@@ -58,8 +77,11 @@ def test_contradictory_pair_is_infeasible():
 
 
 def test_unbounded_ray():
-    sol = solve(_lp([-1.0], [[-1.0]], [0.0]))
-    assert sol.status is LpStatus.UNBOUNDED
+    square = _lp([-1.0], [[-1.0]], [0.0])
+    # at the one vertex the row's dual is -1 < 0: unbounded on the first price
+    assert solve(square).status is LpStatus.UNBOUNDED
+    assert solve(square).iterations == 0
+    assert solve(_with_loose_row(square)).status is LpStatus.UNBOUNDED
 
 
 def test_equality_as_two_inequalities():
@@ -78,10 +100,13 @@ def test_equality_as_two_inequalities():
 
 
 def test_sign_free_variables():
-    # min x subject to x >= -4: the optimum is negative
-    sol = solve(_lp([1.0], [[-1.0]], [4.0]))
-    assert sol.status is LpStatus.OPTIMAL
-    assert abs(sol.objective_value + 4.0) <= 1e-9
+    # min x subject to x >= -4: the optimum is negative, the square start's
+    # z+ basic at a negative level and the two-phase path's z- at 4
+    square = _lp([1.0], [[-1.0]], [4.0])
+    for lp in (square, _with_loose_row(square)):
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective_value + 4.0) <= 1e-9
 
 
 def test_dimension_validation():
@@ -94,14 +119,15 @@ def test_dimension_validation():
 
 
 def test_iteration_cap_is_a_distinct_failure(monkeypatch):
-    # phase 1 needs three pivots; a cap of 0 * (n + m) stops the first
-    G = -np.eye(3)
-    h = -np.ones(3)
-    lp = _lp(np.ones(3), G, h)
+    # phase 1 needs three pivots; a cap of 0 * (n + m) stops the first.
+    # The square LP without the loose row takes none, so no cap stops it
+    square = _lp(np.ones(3), -np.eye(3), -np.ones(3))
+    lp = _with_loose_row(square)
     assert solve(lp).status is LpStatus.OPTIMAL
     monkeypatch.setattr(lp_module, "ITERATION_CAP", 0)
     with pytest.raises(SolverFailureError, match=r"^simplex exceeded the iteration cap \(0\)$"):
         solve(lp)
+    assert solve(square).status is LpStatus.OPTIMAL
 
 
 def test_determinism_bytes():
@@ -306,38 +332,60 @@ def _ref_simplex(T, b, cost, basis, slots, free, cap, used):
         fresh = bland = False
 
 
+def _ref_vertex_start(lp):
+    """The square start, or None: a square LP whose matrix solve_linear
+    certifies nonsingular starts at its one vertex, every z+ basic
+    (z+_i in row i), where the full tableau is [I | -I | G^-1] and
+    b = G^-1 h, from the kernel's one factorization (so b's bytes are
+    the kernel's)."""
+    n = lp.num_vars
+    if lp.num_constraints != n:
+        return None
+    try:
+        X = solve_linear(lp.ineq_lhs, np.column_stack([lp.ineq_rhs, np.eye(n)]))
+    except SingularMatrixError:
+        return None
+    T = np.hstack([np.eye(n), -np.eye(n), X[:, 1:]])
+    # the kernel's slot order: z-, then the slacks
+    return T, X[:, 0].copy(), np.arange(n), list(range(n, 3 * n))
+
+
 def _ref_solve(lp):
     n, m = lp.num_vars, lp.num_constraints
     cap = lp_module.ITERATION_CAP * (n + m)
     # columns: [z+ (n) | z- (n) | slacks (m) | artificials]
     width = 2 * n + m
-    T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
-    b = lp.ineq_rhs.astype(float)
-    flip = b < 0.0
-    T[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    basis = np.arange(2 * n, width)
-    basis[art_rows] = width + np.arange(art_rows.size)
-    # the kernel's slot order: z+, z-, then the slacks the artificials keep out
-    slots = list(range(2 * n)) + [2 * n + int(i) for i in art_rows]
     iterations = 0
-    if art_rows.size:
-        art_cols = np.zeros((m, art_rows.size))
-        art_cols[art_rows, np.arange(art_rows.size)] = 1.0
-        T = np.hstack([T, art_cols])
-        cost1 = np.zeros(T.shape[1])
-        cost1[width:] = 1.0
-        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, 2 * n, cap, iterations)
-        assert verdict == "optimal"
-        if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
-        for i in np.flatnonzero(basis >= width):
-            entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
-            iterations += 1
-            _ref_pivot(T, b, np.zeros(T.shape[1]), basis, slots, i, int(entries[0]))
-        T = T[:, :width]
-        slots = [j for j in slots if j < width]
+    start = _ref_vertex_start(lp)
+    if start is not None:
+        T, b, basis, slots = start
+    else:
+        T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
+        b = lp.ineq_rhs.astype(float)
+        flip = b < 0.0
+        T[flip] *= -1.0
+        b[flip] *= -1.0
+        art_rows = np.flatnonzero(flip)
+        basis = np.arange(2 * n, width)
+        basis[art_rows] = width + np.arange(art_rows.size)
+        # the kernel's slot order: z+, z-, then the slacks the artificials keep out
+        slots = list(range(2 * n)) + [2 * n + int(i) for i in art_rows]
+        if art_rows.size:
+            art_cols = np.zeros((m, art_rows.size))
+            art_cols[art_rows, np.arange(art_rows.size)] = 1.0
+            T = np.hstack([T, art_cols])
+            cost1 = np.zeros(T.shape[1])
+            cost1[width:] = 1.0
+            verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, 2 * n, cap, iterations)
+            assert verdict == "optimal"
+            if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
+                return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
+            for i in np.flatnonzero(basis >= width):
+                entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
+                iterations += 1
+                _ref_pivot(T, b, np.zeros(T.shape[1]), basis, slots, i, int(entries[0]))
+            T = T[:, :width]
+            slots = [j for j in slots if j < width]
     cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
     verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, 2 * n, cap, iterations)
     if verdict == "unbounded":
@@ -533,11 +581,15 @@ def test_solve_never_writes_into_its_input():
     # the caller's arrays keep their bytes
     design_lp = _design_lp(_design_plant(np.random.default_rng(71), "continuous", 4))
     assert (design_lp.ineq_rhs < 0.0).any()
+    square_unbounded = _lp([-1.0, 0.5], [[-1.0, 0.0], [1.0, -1.0]], [-2.0, 0.0])
     cases = [
         (design_lp, LpStatus.OPTIMAL),
         (_lp([0.0], [[1.0], [-1.0]], [-1.0, -1.0]), LpStatus.INFEASIBLE),
-        (_lp([-1.0, 0.5], [[-1.0, 0.0], [1.0, -1.0]], [-2.0, 0.0]), LpStatus.UNBOUNDED),
+        (_with_loose_row(square_unbounded), LpStatus.UNBOUNDED),
         (_lp([0.0, 0.0], np.zeros((0, 2)), np.zeros(0)), LpStatus.OPTIMAL),
+        # square: solved at the one vertex from solve_linear's copy
+        (square_unbounded, LpStatus.UNBOUNDED),
+        (_lp([1.0, 1.0], [[-1.0, 0.0], [1.0, -1.0]], [-2.0, 0.0]), LpStatus.OPTIMAL),
     ]
     for lp, status in cases:
         before = [a.copy() for a in (lp.objective, lp.ineq_lhs, lp.ineq_rhs)]
@@ -732,8 +784,10 @@ def test_no_pivot_of_a_design_lp_makes_a_part_of_z_leave(monkeypatch, klass):
 
 def test_gain_lp_with_one_output_takes_one_pivot_per_row(monkeypatch):
     # the certificate LP of linf_gain_lp has n + 1 rows at q = 1, each
-    # with a negative right-hand side and so an artificial, and n + 1
-    # variables (lambda, gamma).  A phase-1 pivot drives out at most one
+    # with a negative right-hand side, and n + 1 variables (lambda,
+    # gamma).  Square, it starts at its one vertex; with a loose row
+    # appended it takes the two-phase path, where every row but the loose
+    # one starts on an artificial.  A phase-1 pivot drives out at most one
     # artificial, so n + 1 pivots is the floor.  With no part of z ever
     # leaving, every draw takes exactly that many (when a part of z could
     # leave, about one draw in five took more)
@@ -741,7 +795,7 @@ def test_gain_lp_with_one_output_takes_one_pivot_per_row(monkeypatch):
     real = positive.solve
 
     def counting(lp):
-        sol = real(lp)
+        sol = real(_with_loose_row(lp))
         counts.append((lp.num_constraints, sol.iterations))
         return sol
 
@@ -753,3 +807,112 @@ def test_gain_lp_with_one_output_takes_one_pivot_per_row(monkeypatch):
         M = rng.uniform(0.0, 1.0, size=(1, n))
         positive.linf_gain_lp(A - L0 @ C, E - L0 @ F, M, 0.0)
     assert [rows for rows, _ in counts] == [pivots for _, pivots in counts]
+
+
+# ---------------------------------------------------------------------------
+# the square start: a square LP whose matrix solve_linear certifies
+# nonsingular has one vertex, G^-1 h, and solve prices it with no pivot
+
+
+def _square_lp(rng, n, optimal):
+    """A random nonsingular square LP whose dual -G^-T c is positive
+    (optimal) or has one negative entry (unbounded)."""
+    G = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    y = rng.uniform(0.5, 2.0, size=n)
+    if not optimal:
+        y[rng.integers(n)] *= -1.0
+    return _lp(-G.T @ y, G, rng.normal(size=n))
+
+
+def test_square_lps_start_at_their_one_vertex():
+    rng = np.random.default_rng(97)
+    for n in range(1, 11):
+        for optimal in (True, False):
+            for _ in range(5):
+                lp = _square_lp(rng, n, optimal)
+                sol = solve(lp)
+                # the sign of -G^-T c decides the status
+                dual = -np.linalg.solve(lp.ineq_lhs.T, lp.objective)
+                assert (dual.min() >= 0.0) == optimal
+                assert sol.iterations == 0
+                ref = solve(_with_loose_row(lp))
+                assert sol.status is ref.status
+                if not optimal:
+                    assert sol.status is LpStatus.UNBOUNDED and sol.primal is None
+                    continue
+                assert sol.status is LpStatus.OPTIMAL
+                assert ref.iterations > 0  # the vertex is not the origin
+                scale = 1.0 + abs(ref.objective_value)
+                assert abs(sol.objective_value - ref.objective_value) <= 1e-12 * scale
+                assert np.allclose(sol.primal, ref.primal, rtol=1e-12, atol=1e-12)
+                assert np.allclose(sol.dual, ref.dual[:n], rtol=1e-12, atol=1e-12)
+                assert ref.dual[n] == 0.0  # the loose row's slack stays basic
+                _assert_dual_certifies(lp, sol)
+
+
+@pytest.mark.parametrize(
+    "c, G, h, status",
+    [
+        # a zero row: z2 is unbounded along it, and only c decides
+        ([1.0, 0.0], [[-1.0, 0.0], [0.0, 0.0]], [-3.0, 1.0], LpStatus.OPTIMAL),
+        ([1.0, 1.0], [[-1.0, 0.0], [0.0, 0.0]], [-3.0, 1.0], LpStatus.UNBOUNDED),
+        # 0 <= -1: a singular square LP can be infeasible
+        ([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [1.0, -1.0], LpStatus.INFEASIBLE),
+        # two equal rows: the tighter one binds
+        ([-1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], [-2.0, 3.0], LpStatus.OPTIMAL),
+        ([-1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [-2.0, 3.0], LpStatus.UNBOUNDED),
+        # a pivot of 1e-13 against max|G| = 1: below solve_linear's floor
+        ([-1.0, -1.0], [[1.0, 1.0], [1.0, 1.0 + 1e-13]], [1.0, 2.0], LpStatus.OPTIMAL),
+    ],
+    ids=["zero-row", "zero-row-ray", "zero-row-infeasible", "equal-rows", "equal-rows-ray",
+         "ill-conditioned"],
+)
+def test_singular_square_lps_take_the_two_phase_path(c, G, h, status):
+    lp = _lp(c, G, h)
+    with pytest.raises(SingularMatrixError):
+        solve_linear(lp.ineq_lhs, np.eye(2))
+    assert lp_module._vertex_tableau(lp) is None
+    sol = _assert_same_as_reference(lp)
+    assert sol.status is status
+    ref = linprog(
+        lp.objective,
+        A_ub=lp.ineq_lhs,
+        b_ub=lp.ineq_rhs,
+        bounds=[(None, None)] * lp.num_vars,
+        method="highs",
+    )
+    highs_status = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
+    assert ref.status == highs_status[status]
+    if status is LpStatus.OPTIMAL:
+        assert abs(sol.objective_value - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+        assert np.max(lp.ineq_lhs @ sol.primal - lp.ineq_rhs) <= 1e-9
+
+
+def test_gain_lp_with_one_output_is_square_and_takes_no_pivot(monkeypatch):
+    # the draws of test_gain_lp_with_one_output_takes_one_pivot_per_row:
+    # each square certificate LP is solved at its one vertex, and gamma
+    # and lambda are the two-phase path's up to rounding
+    pairs = []
+    real = positive.solve
+
+    def both(lp):
+        sol = real(lp)
+        pairs.append((lp, sol, real(_with_loose_row(lp))))
+        return sol
+
+    monkeypatch.setattr(positive, "solve", both)
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        n = int(rng.integers(2, 11))
+        A, E, C, F, L0 = random_feasible_loop(rng, n, 2, 2)
+        M = rng.uniform(0.0, 1.0, size=(1, n))
+        positive.linf_gain_lp(A - L0 @ C, E - L0 @ F, M, 0.0)
+    assert len(pairs) == 200
+    for lp, sol, ref in pairs:
+        assert lp.num_constraints == lp.num_vars
+        assert sol.status is ref.status is LpStatus.OPTIMAL
+        assert sol.iterations == 0
+        gamma = ref.objective_value
+        assert abs(sol.objective_value - gamma) <= 1e-12 * (1.0 + gamma)
+        assert np.allclose(sol.primal, ref.primal, rtol=1e-12, atol=0.0)
+        assert sol.primal[:-1].min() > 0.0

@@ -202,6 +202,9 @@ def test_disturbance_model_validation():
         _dist(0.5)
     with pytest.raises(SimulationError, match=r"^w_hi\[1\] is not callable$"):
         DisturbanceModel([np.sin, np.cos], [ConstantSignal(-1.0)] * 2, [ConstantSignal(1.0), 1.0])
+    # a channel list that is not a list is refused by name
+    with pytest.raises(DimensionError, match=r"^w must be a list of signals, got ConstantSignal$"):
+        DisturbanceModel(ConstantSignal(0.0), [ConstantSignal(-1.0)], [ConstantSignal(1.0)])
     d = _dist(ConstantSignal(0.25))
     w, lo, hi = d.eval(3.0)
     assert w.tolist() == [0.25]
@@ -222,6 +225,8 @@ def test_sim_config_validation():
         SimConfig(0.0, 0.1, [0.0], [-1.0], [1.0])
     with pytest.raises(SimulationError, match=r"^history\[1\] is not callable$"):
         SimConfig(10.0, 0.1, [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0], history=[np.sin, 0.0])
+    with pytest.raises(DimensionError, match=r"^history must be a list of signals, got int$"):
+        SimConfig(10.0, 0.1, [0.0], [-1.0], [1.0], history=5)
 
 
 def test_trace_errors_and_outputs():
@@ -704,6 +709,24 @@ def test_population_model_validation():
 def test_population_model_counts_its_rates(args, message):
     with pytest.raises(SimulationError, match=rf"^{re.escape(message)}$"):
         PopulationModel(*args, 1.0)
+
+
+def test_population_model_counts_a_bare_number_as_one_rate():
+    with pytest.raises(SimulationError, match=r"^decay takes 3 values, got 1$"):
+        dataclasses.replace(POP, decay=5.0)
+
+
+def test_population_model_stores_its_rates_as_floats():
+    # text that float() reads passes the checks; the model then holds the
+    # floats, so system() and the threshold never meet text
+    model = PopulationModel(["2", 2, 3.0], ("3", 4), 1.5, ["1", 2], "1.0")
+    assert (model.decay, model.growth) == ([2.0, 2.0, 3.0], [3.0, 4.0])
+    assert (model.incidence_bounds, model.half_saturation) == ([1.0, 2.0], 1.0)
+    for value in (*model.decay, *model.growth, *model.incidence_bounds, model.half_saturation):
+        assert type(value) is float
+    assert model.system().A.tolist() == POP.system().A.tolist()
+    assert model.stabilizing_threshold() == POP.stabilizing_threshold()
+    assert model.incidence(2.0, 1.5) == POP.incidence(2.0, 1.5)
 
 
 @pytest.mark.parametrize(
