@@ -929,7 +929,7 @@ def test_plain_callables_work_as_signals():
 
 
 # ---------------------------------------------------------------------------
-# the blocked recurrence against a plain per-step loop
+# the scan against a plain per-step loop
 
 
 def _plain_recur(phi, X0, G):
@@ -951,7 +951,7 @@ def _step_matrix(kind, n, rng):
 
 @pytest.mark.parametrize("columns", [None, 2], ids=["vector", "matrix"])
 @pytest.mark.parametrize("kind", ["stable", "identity", "growing"])
-@pytest.mark.parametrize("K", [1, 2, 3, 15, 16, 17, 4000, 13001])
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 4000, 13001])
 def test_recur_matches_the_plain_loop(K, kind, columns):
     # `matrix` steps its columns as the blocks of one block-diagonal
     # loop, the way the population observer pair is stepped
@@ -970,7 +970,7 @@ def test_recur_matches_the_plain_loop(K, kind, columns):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_recur_chunk_starts_do_not_drift_over_a_long_loop():
+def test_recur_does_not_drift_over_a_long_loop():
     rng = np.random.default_rng(9)
     phi = _step_matrix("stable", 9, rng)
     X0, G = rng.random(9), rng.random((10**5, 9))
@@ -978,18 +978,37 @@ def test_recur_chunk_starts_do_not_drift_over_a_long_loop():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("rate, x0", [(50.0, 1.0), (100.0, 1e-300)])
-def test_recur_turns_non_finite_at_the_plain_loops_row(rate, x0):
-    # 100 steps give chunks of 10.  For e^50 the tenth power is finite
-    # but the third chunk start, e^1000, overflows; for e^100 the tenth
-    # power overflows and the chunks shrink to 5.  Either way x_k =
-    # x0 e^{rate k} first overflows at k = 15.
-    phi, X0, G = np.array([[math.exp(rate)]]), np.array([x0]), np.zeros((100, 1))
+@pytest.mark.parametrize("K", [37, 38, 101])
+@pytest.mark.parametrize(
+    "rate, x0, B, row",
+    [
+        (400.0, 1e-300, 2, 4),
+        (190.0, 1e-300, 4, 8),
+        (91.0, 1e-300, 8, 16),
+        (44.8, 1e-300, 16, 32),
+        (100.0, 1e-300, 8, 15),
+        (50.0, 1.0, 16, 15),
+    ],
+)
+def test_recur_turns_non_finite_at_the_plain_loops_row(rate, x0, B, row, K):
+    # Phi = e^rate first overflows at the power B, so the scan runs in
+    # blocks of B rows, each started from the end of the one before.  K =
+    # 37 and 101 are never a multiple of B, and the 39 rows of K = 38 end
+    # in a partial block at every B.  x_k = x0 e^{rate k} first overflows
+    # at k = row.  In the first four cases row 2B - 1 is still finite,
+    # though a stride of B would step it as x_{B-1} times an overflowed
+    # Phi^B.
+    overflow = math.log(np.finfo(float).max)
+    assert rate * B / 2 < overflow < rate * B
+    assert math.log(x0) + rate * (row - 1) < overflow < math.log(x0) + rate * row
+    phi, X0, G = np.array([[math.exp(rate)]]), np.array([x0]), np.zeros((K, 1))
 
     def first_non_finite(X):
         return int(np.argmin(np.isfinite(X).all(axis=1)))
 
-    assert first_non_finite(_recur(phi, X0, G)) == first_non_finite(_plain_recur(phi, X0, G)) == 15
+    got, want = _recur(phi, X0, G), _plain_recur(phi, X0, G)
+    assert first_non_finite(got) == first_non_finite(want) == row
+    assert np.all(np.abs(got[:row] - want[:row]) <= 1e-12 * np.abs(want[:row]))
 
 
 # ---------------------------------------------------------------------------
@@ -1167,10 +1186,22 @@ DELAY_2 = DelaySystem(
             np.zeros((1, 1)),
             SimConfig(130.0, 0.05, [0.5], [-1.0], [1.0]),
         ),
+        # m = 1, 2 and 3 steps per delay interval: one short scan each
+        *[
+            (
+                DELAY_2,
+                np.array([[0.3], [1.0]]),
+                SimConfig(
+                    40.0, 0.8 / m, [0.5, 0.0], [-1.0, -1.0], [1.0, 1.0],
+                    history=[lambda t: 0.5 * np.cos(t), SineSignal(0.4, 3.0)],
+                ),
+            )
+            for m in (1, 2, 3)
+        ],
     ],
     ids=[
         "scalar", "two-state", "whole-delay", "held-history", "long", "diverging",
-        "diverging-through-the-delay",
+        "diverging-through-the-delay", "m=1", "m=2", "m=3",
     ],
 )
 def test_delay_traces_match_the_plain_step_loop(sys, L, cfg):
