@@ -363,7 +363,23 @@ def _step_maps(A: np.ndarray, h: float):
         return phi, hphi1 - W1, W1
 
 
-def _recur(phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _ladder(phi: np.ndarray, rows: int) -> list[np.ndarray]:
+    """powers[j] = (Phi^T)^(2^j), formed by repeated squaring, for every
+    stride s = 2^j with 2s <= rows that a scan of ``rows`` rows takes, up
+    to the first power that overflows, which is left out."""
+    powers: list[np.ndarray] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 << len(powers) <= rows:
+            power = powers[-1] @ powers[-1] if powers else phi.T
+            if not _finite(power):
+                break
+            powers.append(power)
+    return powers
+
+
+def _recur(
+    phi: np.ndarray, x0: np.ndarray, G: np.ndarray, powers: list[np.ndarray] | None = None
+) -> np.ndarray:
     """x[k+1] = Phi x[k] + G[k] from x[0] = x0.
 
     Rows hold the state, stepped as x+ = x Phi^T + g, so the trace is the
@@ -373,31 +389,31 @@ def _recur(phi: np.ndarray, x0: np.ndarray, G: np.ndarray) -> np.ndarray:
     which then holds the last 2s rows of S stepped from zero.  The
     down-sweep, at the same strides largest first, does the same for the
     rows i = 3s - 1, 5s - 1, ..., and row i - s by then holds its whole
-    prefix.  Each level is one strided product with (Phi^T)^s, formed by
-    repeated squaring, over all its rows at once: K = len(G) steps take
+    prefix.  Each level is one strided product with (Phi^T)^s, from the
+    ladder of `_ladder`, over all its rows at once: K = len(G) steps take
     about 2 log2 K levels of about 2K row products in all, and the trace
-    agrees with sequential stepping to rounding.
+    agrees with sequential stepping to rounding.  A caller that scans
+    many short traces of one Phi forms the ladder once, for the longest,
+    and passes it as ``powers``.
 
     A stride s needs Phi^s finite: a small state times an overflowed
-    power is not finite, though the state it stands for is.  So when a
-    squaring first overflows, at Phi^B, the scan runs within blocks of B
-    rows, each started from the end of the one before; at B = 1 that is
-    the plain loop.  A diverging trace thus turns non-finite at the plain
-    loop's row.
+    power is not finite, though the state it stands for is.  So when the
+    ladder stops short, at the first power Phi^B that overflows, the scan
+    runs within blocks of B rows, each started from the end of the one
+    before; at B = 1 that is the plain loop.  A diverging trace thus
+    turns non-finite at the plain loop's row.
     """
     out = np.empty((len(G) + 1, phi.shape[0]))
     out[0] = x0
     out[1:] = G
+    if powers is None:
+        powers = _ladder(phi, len(out))
+    # the strides this scan takes, all in the ladder unless one overflowed
+    strides = (len(out) // 2).bit_length()
+    B = len(out) if len(powers) >= strides else 1 << len(powers)
     step = phi.T
     # a diverging state is reported once per trace, by _check_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        B, powers = len(out), []  # powers[j] = (Phi^T)^(2^j)
-        while 2 << len(powers) <= len(out):
-            power = powers[-1] @ powers[-1] if powers else step
-            if not _finite(power):
-                B = 1 << len(powers)
-                break
-            powers.append(power)
         for start in range(0, len(out), B):
             block = out[start : start + B]
             if start:
@@ -543,12 +559,14 @@ def simulate(
         X[:m, :n] = past[:-1]
         X[:m, n:] = X0[n:]
         X[m] = X0
+        # one ladder of powers serves every interval (m + 1 rows at most)
+        powers = _ladder(phi, m + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             lag0, lag1 = (W0 @ delay).T, (W1 @ delay).T
             for k in range(0, len(G), m):
                 j = min(m, len(G) - k)  # the last interval may be shorter
                 g = G[k : k + j] + X[k : k + j] @ lag0 + X[k + 1 : k + j + 1] @ lag1
-                X[m + k : m + k + j + 1] = _recur(phi, X[m + k], g)
+                X[m + k : m + k + j + 1] = _recur(phi, X[m + k], g, powers)
         X = X[m:]
     _check_finite(times, X)
     return Trace(times, *np.split(X, 3, axis=1), *np.split(W, 3, axis=1))

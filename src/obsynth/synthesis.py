@@ -30,6 +30,14 @@ feasible: they drop only E - LF >= 0, and their gamma row holds for a
 large enough gamma, so they are feasible exactly when some gain within
 the bounds makes A - LC Metzler and Hurwitz; then E - LF >= 0 conflicts.
 
+Every sign row and gain bound involves one row (x_i, U_i) of the
+unknowns; only the n stability rows and the gamma row couple the rows.
+So at an optimum, generically, exactly n + nr + 1 rows are tight: the
+n + 1 coupling rows and r sign rows per row of L.  `design` names such
+a set as the LP's start, and `lp.solve` starts at its vertex and
+reaches feasibility by dual simplex (on all but the smallest LPs, see
+`lp.takes_start`); `certify` builds the LP with no start.
+
 X carries no normalization beyond X_ii >= eps: the stability rows pin
 its scale, and any stronger floor (say X_ii >= 1) breaks the change of
 variables by letting U drift off the X L* ray when the floor binds,
@@ -50,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import STRUCTURAL_TOL, _shaped, as_vector
-from .lp import LinearProgram, LpStatus, check_feasible, solve
+from .linalg import PIVOT_RTOL, STRUCTURAL_TOL, _shaped, as_vector
+from .lp import LinearProgram, LpStatus, check_feasible, solve, takes_start
 from .positive import (
     DEFAULT_EPSILON,
     Plant,
@@ -147,6 +155,7 @@ def _assemble(
     epsilon: float,
     lo: np.ndarray | None,
     hi: np.ndarray | None,
+    start: bool = False,
 ) -> LinearProgram:
     """The design LP: minimize gamma s.t. lhs z <= rhs over
     z = [x, U row-major, gamma].
@@ -157,6 +166,10 @@ def _assemble(
     diagonal, and a row whose Q column is zero is kept only when
     P_ij < 0 (module docstring).  The gain-bound families follow the
     stability, gamma and x >= eps rows; 0.0 - I keeps -0.0 out of the LP.
+    With ``start`` the LP names its start rows (module docstring) where
+    `lp.solve` would take them (`lp.takes_start`): the stability rows,
+    the gamma row and, for each row of U, r of its sign rows that
+    `_sign_picks` finds independent; none when some row of U has fewer.
     """
     n, r = plant.n, plant.r
     S, T = plant.stability_pair()
@@ -175,11 +188,13 @@ def _assemble(
     rhs = np.zeros(rows)
     U = lhs[:, n:-1].reshape(rows, n, r)  # a view; U[row, i] holds U's row i
     at = 0
+    owners = []  # (rows, the row of U each holds)
     for f, (P, Q, (i, j)) in enumerate(signs):
         at += 2 * n + 1 if f == stable else 0
         kept = at + np.arange(i.size)
         lhs[kept, i] = -P[i, j]
         U[kept, i] = Q[:, j].T
+        owners.append((kept, i))
         at += i.size
     at = sum(i.size for _, _, (i, _) in signs[:stable])
     lhs[at : at + n, :n] = S.T
@@ -193,7 +208,49 @@ def _assemble(
     rhs[at + n : at + 2 * n + 1] = -epsilon
     objective = np.zeros(lhs.shape[1])
     objective[-1] = 1.0
-    return LinearProgram(objective, lhs, rhs)
+    named = None
+    if start and takes_start(lhs.shape[1], rows):
+        kept, i = (np.concatenate(parts) for parts in zip(*owners))
+        picks = _sign_picks(kept, i, U[kept, i], n)
+        if picks is not None:
+            named = np.concatenate([picks, at + np.arange(n + 1)])
+    return LinearProgram(objective, lhs, rhs, named)
+
+
+def _sign_picks(rows: np.ndarray, owner: np.ndarray, q: np.ndarray, n: int):
+    """For each row i of U, r of the sign rows ``rows`` that it owns whose
+    U coefficients ``q`` are independent, or None where some row owns
+    fewer than r.  One elimination with partial pivoting runs on all n
+    rows of U at once: step k takes, of each row's candidates, the one
+    with the largest entry k, and eliminates entry k from the others.  A
+    taken candidate is eliminated to exact zeros, so it is not taken
+    again unless a row has no independent candidate left, which the
+    pivot floor then refuses."""
+    r = q.shape[1]
+    counts = np.bincount(owner, minlength=n)
+    if r == 0:
+        return rows[:0]
+    if counts.min() < r:
+        return None
+    # the candidates of row i of U in M[i], zero-padded: slot s of row i
+    # holds candidate order[first[i] + s]
+    order = np.argsort(owner, kind="stable")
+    first = np.cumsum(counts) - counts
+    slot = np.arange(owner.size) - first[owner[order]]
+    M = np.zeros((n, counts.max(), r))
+    M[owner[order], slot] = q[order]
+    floor = PIVOT_RTOL * np.abs(q).max()
+    each = np.arange(n)
+    picks = np.empty((n, r), dtype=np.intp)
+    for k in range(r):
+        p = np.abs(M[:, :, k]).argmax(axis=1)
+        pivot = M[each, p]
+        if not np.abs(pivot[:, k]).min() > floor:
+            return None
+        picks[:, k] = p
+        if k + 1 < r:
+            M -= (M[:, :, k] / pivot[:, k, None])[:, :, None] * pivot[:, None, :]
+    return rows[order[first[:, None] + picks]].reshape(-1)
 
 
 def design(system, spec: ObserverSpec) -> DesignResult:
@@ -212,16 +269,17 @@ def design(system, spec: ObserverSpec) -> DesignResult:
     n, r = plant.n, plant.r
     lo, hi = spec.bounds(n, r)
     eps = spec.epsilon
-    sol = solve(_assemble(plant, spec.form, eps, lo, hi))
+    sol = solve(_assemble(plant, spec.form, eps, lo, hi, start=True))
     if sol.status is LpStatus.OPTIMAL:
         x = sol.primal[:n]
         U = sol.primal[n : n + n * r].reshape(n, r)
+        L = U / x[:, None]
         return DesignResult(
             status="optimal",
             kind=plant.KIND,
             form=spec.form,
             epsilon=eps,
-            L=U / x[:, None],
+            L=L,
             gamma=float(sol.primal[-1]),
             X_diag=x,
             U=U,
@@ -293,7 +351,9 @@ def certify(result: DesignResult, system, spec: ObserverSpec) -> CertificationRe
             f"LP row {worst} violated by {residual[worst]:.3g} at the certificate"
         )
 
-    if np.max(np.abs(x[:, None] * L - U)) > 1e-9 * max(1.0, float(np.max(np.abs(U)))):
+    # initial=0.0: a plant with no outputs has an n×0 L
+    scale = max(1.0, float(np.abs(U).max(initial=0.0)))
+    if np.abs(x[:, None] * L - U).max(initial=0.0) > 1e-9 * scale:
         flags.append("L is not X^{-1} U")
 
     # the positive-loop condition at L, judged as membership is but with

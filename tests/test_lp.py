@@ -333,67 +333,192 @@ def _ref_simplex(T, b, cost, basis, slots, free, cap, used):
 
 
 def _ref_vertex_start(lp):
-    """The square start, or None: a square LP whose matrix solve_linear
-    certifies nonsingular starts at its one vertex, every z+ basic
-    (z+_i in row i), where the full tableau is [I | -I | G^-1] and
-    b = G^-1 h, from the kernel's one factorization (so b's bytes are
-    the kernel's)."""
-    n = lp.num_vars
-    if lp.num_constraints != n:
+    """The start, or None.  A square LP starts at its one vertex, and an
+    LP that names start rows, when its start tableau holds from START_MIN
+    to BLOCK entries, at the vertex where those rows are tight; either
+    only when
+    solve_linear certifies the tight rows G nonsingular.  Every z+ is
+    basic, z+_k in row rows[k], every other row keeps its slack, and the
+    full tableau is [I | -I | G^-1] in the tight rows with b = G^-1 h,
+    and -lhs[O] G^-1 with b = h[O] - lhs[O] G^-1 h in the others, from
+    the kernel's one factorization and product (so the bytes are the
+    kernel's)."""
+    n, m = lp.num_vars, lp.num_constraints
+    if m == n:
+        rows = np.arange(n)
+    elif lp.start is not None and lp_module.START_MIN <= n * (m + 1) <= lp_module.BLOCK:
+        rows = lp.start
+    else:
         return None
+    h = lp.ineq_rhs[rows]
     try:
-        X = solve_linear(lp.ineq_lhs, np.column_stack([lp.ineq_rhs, np.eye(n)]))
+        X = solve_linear(lp.ineq_lhs[rows], np.column_stack([h, np.eye(n)]))
     except SingularMatrixError:
         return None
-    T = np.hstack([np.eye(n), -np.eye(n), X[:, 1:]])
-    # the kernel's slot order: z-, then the slacks
-    return T, X[:, 0].copy(), np.arange(n), list(range(n, 3 * n))
+    other = np.setdiff1d(np.arange(m), rows)
+    W = lp.ineq_lhs[other] @ X
+    T = np.zeros((m, 2 * n + m))
+    b = np.zeros(m)
+    T[rows, np.arange(n)] = 1.0
+    T[rows, n + np.arange(n)] = -1.0
+    T[np.ix_(rows, 2 * n + rows)] = X[:, 1:]
+    T[np.ix_(other, 2 * n + rows)] = -W[:, 1:]
+    T[other, 2 * n + other] = 1.0
+    b[rows] = X[:, 0]
+    b[other] = lp.ineq_rhs[other] - W[:, 0]
+    basis = np.arange(2 * n, 2 * n + m)
+    basis[rows] = np.arange(n)
+    # the kernel's slot order: z-, then the slacks of the tight rows
+    return T, b, basis, list(range(n, 2 * n)) + [2 * n + int(i) for i in rows]
+
+
+def _ref_dual(T, b, cost, basis, slots, free, cap, used):
+    # price once and raise negative reduced costs to 0.  The leaving row
+    # is, of the rows below -EPS whose basic variable is no part of z, the
+    # one with the most negative b (the first row on exact ties), or after
+    # STALL pivots on a reduced cost at or below 0 the one whose basic
+    # variable has the lowest index.  Of the variables with an entry below
+    # -EPS in that row, those whose ratio lies within Harris's bound (the
+    # least ratio with EPS added to every reduced cost) are candidates,
+    # and the one with the most negative entry enters (the first in slot
+    # order on exact ties)
+    reduced = np.zeros(T.shape[1])
+    reduced[slots] = cost[slots] - np.ascontiguousarray(T[:, slots].T) @ cost[basis]
+    reduced[slots] = np.maximum(reduced[slots], 0.0)
+    stall = 0
+    it = used
+    while True:
+        rows = [i for i in range(b.size) if b[i] < -lp_module.EPS and basis[i] >= free]
+        if not rows:
+            return it
+        if stall >= lp_module.STALL:
+            row = min(rows, key=lambda i: basis[i])
+        else:
+            row = min(rows, key=lambda i: b[i])
+        cand = [j for j in slots if T[row, j] < -lp_module.EPS]
+        if not cand:
+            return it
+        bound = min((reduced[j] + lp_module.EPS) / -T[row, j] for j in cand)
+        ok = [j for j in cand if reduced[j] <= bound * -T[row, j]]
+        enter = min(ok, key=lambda j: T[row, j])
+        it += 1
+        if it > cap:
+            raise SolverFailureError(f"simplex exceeded the iteration cap ({cap})")
+        stall = stall + 1 if reduced[enter] <= 0.0 else 0
+        _ref_pivot(T, b, reduced, basis, slots, row, enter)
+
+
+def _ref_phases(lp, T, b, basis, slots, flip, cap, used):
+    """Phase 1 on an artificial in each row of ``flip`` (negated), then
+    phase 2; returns (status, T, b, slots, iterations)."""
+    n, m = lp.num_vars, lp.num_constraints
+    width = 2 * n + m
+    iterations = used
+    art_rows = np.flatnonzero(flip)
+    T[flip] *= -1.0
+    b[flip] *= -1.0
+    # the kernel's slot order: then the slacks the artificials keep out
+    slots = slots + [int(basis[i]) for i in art_rows]
+    basis[art_rows] = width + np.arange(art_rows.size)
+    if art_rows.size:
+        art_cols = np.zeros((m, art_rows.size))
+        art_cols[art_rows, np.arange(art_rows.size)] = 1.0
+        T = np.hstack([T, art_cols])
+        cost1 = np.zeros(T.shape[1])
+        cost1[width:] = 1.0
+        verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, 2 * n, cap, iterations)
+        assert verdict == "optimal"
+        if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
+            return LpStatus.INFEASIBLE, T, b, slots, iterations
+        for i in np.flatnonzero(basis >= width):
+            entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
+            iterations += 1
+            _ref_pivot(T, b, np.zeros(T.shape[1]), basis, slots, i, int(entries[0]))
+        T = T[:, :width]
+        slots = [j for j in slots if j < width]
+    cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
+    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, 2 * n, cap, iterations)
+    status = LpStatus.OPTIMAL if verdict == "optimal" else LpStatus.UNBOUNDED
+    return status, T, b, slots, iterations
+
+
+def _ref_tight_point(lp, slots):
+    """The point at the rows whose slacks are nonbasic, solved afresh by
+    the kernel's solve, or None where it is not certified: not n rows,
+    singular to solve_linear, or a point and dual that break a row by
+    more than FEAS_TOL, a sign by more than EPS, or G^T y = -c by more
+    than EPS (scaled)."""
+    n = lp.num_vars
+    tight = np.array(sorted(j - 2 * n for j in slots if j >= 2 * n), dtype=np.intp)
+    if tight.size != n:
+        return None
+    G, h, c = lp.ineq_lhs, lp.ineq_rhs, lp.objective
+    try:
+        X = solve_linear(G[tight], np.column_stack([h[tight], np.eye(n)]))
+    except SingularMatrixError:
+        return None
+    z, y = X[:, 0].copy(), -(X[:, 1:].T @ c)
+    # a variable that two singleton rows fix at one value reads it exactly
+    upper, lower = np.full(n, np.inf), np.full(n, -np.inf)
+    for i in np.flatnonzero(np.count_nonzero(G, axis=1) == 1):
+        k = int(np.flatnonzero(G[i])[0])
+        if G[i, k] > 0.0:
+            upper[k] = min(upper[k], h[i] / G[i, k])
+        else:
+            lower[k] = max(lower[k], h[i] / G[i, k])
+    z[upper == lower] = upper[upper == lower]
+    z += 0.0
+    if y.min() < -lp_module.EPS:
+        return None
+    if (G @ z - h).max() > lp_module.FEAS_TOL * (1.0 + np.abs(h).max()):
+        return None
+    if np.abs(G[tight].T @ y + c).max() > lp_module.EPS * (1.0 + np.abs(c).max()):
+        return None
+    return z
+
+
+def _ref_read(lp, b, basis, iterations):
+    n = lp.num_vars
+    full = np.zeros(2 * n + lp.num_constraints)
+    full[basis] = b
+    z = full[:n] - full[n : 2 * n]
+    return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
 
 
 def _ref_solve(lp):
     n, m = lp.num_vars, lp.num_constraints
     cap = lp_module.ITERATION_CAP * (n + m)
-    # columns: [z+ (n) | z- (n) | slacks (m) | artificials]
-    width = 2 * n + m
-    iterations = 0
+    used = 0
     start = _ref_vertex_start(lp)
     if start is not None:
         T, b, basis, slots = start
-    else:
-        T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
-        b = lp.ineq_rhs.astype(float)
-        flip = b < 0.0
-        T[flip] *= -1.0
-        b[flip] *= -1.0
-        art_rows = np.flatnonzero(flip)
-        basis = np.arange(2 * n, width)
-        basis[art_rows] = width + np.arange(art_rows.size)
-        # the kernel's slot order: z+, z-, then the slacks the artificials keep out
-        slots = list(range(2 * n)) + [2 * n + int(i) for i in art_rows]
-        if art_rows.size:
-            art_cols = np.zeros((m, art_rows.size))
-            art_cols[art_rows, np.arange(art_rows.size)] = 1.0
-            T = np.hstack([T, art_cols])
-            cost1 = np.zeros(T.shape[1])
-            cost1[width:] = 1.0
-            verdict, iterations = _ref_simplex(T, b, cost1, basis, slots, 2 * n, cap, iterations)
-            assert verdict == "optimal"
-            if float(cost1[basis] @ b) > lp_module.FEAS_TOL:
-                return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
-            for i in np.flatnonzero(basis >= width):
-                entries = np.flatnonzero(np.abs(T[i, :width]) > lp_module.EPS)
-                iterations += 1
-                _ref_pivot(T, b, np.zeros(T.shape[1]), basis, slots, i, int(entries[0]))
-            T = T[:, :width]
-            slots = [j for j in slots if j < width]
-    cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-    verdict, iterations = _ref_simplex(T, b, cost2, basis, slots, 2 * n, cap, iterations)
-    if verdict == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
-    full = np.zeros(width)
-    full[basis] = b
-    z = full[:n] - full[n : 2 * n]
-    return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), iterations)
+        if m == n:
+            status, T, b, slots, used = _ref_phases(
+                lp, T, b, basis, slots, np.zeros(m, dtype=bool), cap, 0
+            )
+            if status is LpStatus.UNBOUNDED:
+                return LpSolution(status, iterations=used)
+            return _ref_read(lp, b, basis, used)
+        cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
+        used = _ref_dual(T, b, cost2, basis, slots, 2 * n, cap, 0)
+        z = None
+        if not np.any((b < -lp_module.EPS) & (basis >= 2 * n)):
+            # leftovers below zero start phase 1 on an artificial
+            flip = (b < 0.0) & (basis >= 2 * n)
+            status, T, b, slots, used = _ref_phases(lp, T, b, basis, slots, flip, cap, used)
+            z = _ref_tight_point(lp, slots) if status is LpStatus.OPTIMAL else None
+        if z is not None:
+            return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), used)
+    # the two-phase path, from the slack basis, after an uncertified start too
+    T = np.hstack([lp.ineq_lhs, -lp.ineq_lhs, np.eye(m)])
+    b = lp.ineq_rhs.astype(float)
+    basis = np.arange(2 * n, 2 * n + m)
+    status, T, b, slots, iterations = _ref_phases(
+        lp, T, b, basis, list(range(2 * n)), b < 0.0, cap + used, used
+    )
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status, iterations=iterations)
+    return _ref_read(lp, b, basis, iterations)
 
 
 def _assert_same_as_reference(lp):
@@ -501,7 +626,8 @@ def _design_plant(rng, klass, n, p=2, r=3):
 
 
 def _design_lp(plant, form="standard"):
-    return _assemble(plant, form, 1e-6, None, None)
+    """The design LP as design builds it, start rows named."""
+    return _assemble(plant, form, 1e-6, None, None, start=True)
 
 
 def _bounds_around(rng, L):
@@ -525,7 +651,7 @@ def test_kernel_matches_reference_on_design_lps(klass, rule):
         # the same plant with gain bounds around its optimal gain
         L = design(plant, ObserverSpec(form=form)).L
         for lo, hi in _bounds_around(np.random.default_rng(n), L):
-            sol = _assert_same_as_reference(_assemble(plant, form, 1e-6, lo, hi))
+            sol = _assert_same_as_reference(_assemble(plant, form, 1e-6, lo, hi, start=True))
             assert sol.status is LpStatus.OPTIMAL
 
 
@@ -602,7 +728,9 @@ def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch, rule):
     # after every pivot, move each carried reduced cost in [-EPS, DRIFT/2)
     # just below -EPS, as rounding drift might: a choice that close to
     # the threshold is priced afresh, so the pivots stay the reference's.
-    # The last row of T is b, so its corner is no reduced cost
+    # The last row of T is b, so its corner is no reduced cost.  The
+    # design LPs name no start rows: the dual phase of a started solve
+    # carries its prices with no fresh price, and phase 2 prices afresh
     real = lp_module._pivot
 
     def drifting(T, basis, nonbasic, row, slot):
@@ -614,7 +742,8 @@ def test_drift_in_carried_reduced_costs_changes_no_pivot(monkeypatch, rule):
     monkeypatch.setattr(lp_module, "_pivot", drifting)
     rng = np.random.default_rng(67)
     for klass in ("continuous", "delay"):
-        _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 6)))
+        plant = _design_plant(rng, klass, 6)
+        _assert_same_as_reference(_assemble(plant, "standard", 1e-6, None, None))
     for _ in range(10):
         _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
 
@@ -651,7 +780,8 @@ def test_an_unbounded_verdict_on_a_carried_price_is_priced_afresh(monkeypatch, p
     monkeypatch.setattr(lp_module, "_leaving_row", leaving)
     rng = np.random.default_rng(71)
     if phase == 1:
-        lp = _design_lp(_design_plant(rng, "continuous", 4))
+        # no start rows named: the design LP takes the two-phase path
+        lp = _assemble(_design_plant(rng, "continuous", 4), "standard", 1e-6, None, None)
     else:
         lp = _slack_start_lp(rng, 4, 8)
     assert (lp.ineq_rhs < 0.0).any() == (phase == 1)
@@ -871,7 +1001,7 @@ def test_singular_square_lps_take_the_two_phase_path(c, G, h, status):
     lp = _lp(c, G, h)
     with pytest.raises(SingularMatrixError):
         solve_linear(lp.ineq_lhs, np.eye(2))
-    assert lp_module._vertex_tableau(lp) is None
+    assert lp_module._vertex_tableau(lp, None) is None
     sol = _assert_same_as_reference(lp)
     assert sol.status is status
     ref = linprog(
@@ -916,3 +1046,147 @@ def test_gain_lp_with_one_output_is_square_and_takes_no_pivot(monkeypatch):
         assert abs(sol.objective_value - gamma) <= 1e-12 * (1.0 + gamma)
         assert np.allclose(sol.primal, ref.primal, rtol=1e-12, atol=0.0)
         assert sol.primal[:-1].min() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the started design LP: the vertex where the start rows are tight, a dual
+# phase to feasibility, and the optimum read afresh at the final tight rows
+
+
+def _without_start(lp):
+    return LinearProgram(lp.objective, lp.ineq_lhs, lp.ineq_rhs)
+
+
+def _started_design_lps():
+    from test_synthesis import _assembly_cases
+
+    cases = []
+    for case in _assembly_cases():
+        plant, form, epsilon, lo, hi = case.values
+        lp = _assemble(plant, form, epsilon, lo, hi, start=True)
+        cases.append(pytest.param(lp, id=case.id))
+    for klass in ("continuous", "relaxed", "delay", "discrete", "discrete-delay"):
+        form = "relaxed" if klass == "relaxed" else "standard"
+        rng = np.random.default_rng(101)
+        for n in (4, 8, 12, 24):
+            lp = _design_lp(_design_plant(rng, klass, n), form)
+            cases.append(pytest.param(lp, id=f"{klass}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("lp", _started_design_lps())
+def test_started_design_lps_agree_with_the_two_phase_path(lp):
+    got, cold = solve(lp), solve(_without_start(lp))
+    assert got.status is cold.status
+    if cold.status is not LpStatus.OPTIMAL:
+        return
+    gamma = cold.objective_value
+    assert abs(got.objective_value - gamma) <= 1e-9 * (1.0 + abs(gamma))
+    worst = np.max(lp.ineq_lhs @ got.primal - lp.ineq_rhs)
+    assert worst <= 1e-12 * (1.0 + np.abs(lp.ineq_rhs).max())
+    _assert_dual_certifies(lp, got)
+
+
+def test_the_start_names_the_coupling_rows_and_r_sign_rows_per_row_of_l():
+    plant = _design_plant(np.random.default_rng(103), "continuous", 6)
+    lp = _design_lp(plant)
+    n, r = plant.n, plant.r
+    assert lp.start.size == lp.num_vars == n + n * r + 1
+    # the stability rows (right-hand side -1 - eps) and the gamma row
+    # (the one row with a gamma entry), then r sign rows per row of L
+    coupling = np.flatnonzero(lp.ineq_rhs < -1.0)
+    gamma_row = int(np.flatnonzero(lp.ineq_lhs[:, -1])[0])
+    assert set(coupling) | {gamma_row} <= set(lp.start)
+    signs = np.setdiff1d(lp.start, np.append(coupling, gamma_row))
+    owners = [np.flatnonzero(lp.ineq_lhs[row, n:-1]) // r for row in signs]
+    assert all(np.unique(o).size == 1 for o in owners)
+    assert np.bincount([o[0] for o in owners], minlength=n).tolist() == [r] * n
+    # certify's LP names none
+    assert _assemble(plant, "standard", 1e-6, None, None).start is None
+
+
+def test_a_singular_start_falls_back_to_the_two_phase_path():
+    # the start names a row and its copy: solve_linear cannot factor them
+    rng = np.random.default_rng(107)
+    base = _random_boxed_lp(rng, 8, 24)
+    lhs = np.vstack([base.ineq_lhs, base.ineq_lhs[:1]])
+    rhs = np.append(base.ineq_rhs, base.ineq_rhs[0] + 1.0)
+    lp = LinearProgram(base.objective, lhs, rhs, list(range(7)) + [lhs.shape[0] - 1])
+    assert lp_module.takes_start(lp.num_vars, lp.num_constraints)
+    assert lp_module._vertex_tableau(lp, lp.start) is None
+    got, cold = solve(lp), solve(_without_start(lp))
+    assert got.iterations == cold.iterations > 0
+    assert got.primal.tobytes() == cold.primal.tobytes()
+    assert got.dual.tobytes() == cold.dual.tobytes()
+
+
+@pytest.mark.parametrize("bound, outside", [("BLOCK", -1), ("START_MIN", 1)])
+def test_an_lp_over_block_or_under_start_min_ignores_its_start(monkeypatch, bound, outside):
+    lp = _design_lp(_design_plant(np.random.default_rng(109), "delay", 6))
+    size = lp.num_vars * (lp.num_constraints + 1)
+    cold = solve(_without_start(lp))
+    monkeypatch.setattr(lp_module, bound, size + outside)
+    got = solve(lp)
+    assert got.iterations == cold.iterations
+    assert got.primal.tobytes() == cold.primal.tobytes()
+    assert got.dual.tobytes() == cold.dual.tobytes()
+    # at the edge the start is taken
+    monkeypatch.setattr(lp_module, bound, size)
+    assert solve(lp).iterations < cold.iterations
+
+
+def test_an_uncertified_optimum_falls_back_to_the_two_phase_path(monkeypatch):
+    # the started pivots count too
+    lp = _design_lp(_design_plant(np.random.default_rng(113), "continuous", 6))
+    started = solve(lp)
+    cold = solve(_without_start(lp))
+    monkeypatch.setattr(lp_module, "_tight_solution", lambda lp, tight, X, iterations: None)
+    got = solve(lp)
+    assert got.iterations == started.iterations + cold.iterations
+    assert got.primal.tobytes() == cold.primal.tobytes()
+
+
+def test_start_rows_are_checked():
+    G, h = np.eye(2), np.ones(2)
+    for start in ([0], [0, 0], [0, 2], [-1, 0]):
+        with pytest.raises(DimensionError):
+            LinearProgram([1.0, 1.0], G, h, start)
+    assert LinearProgram([1.0, 1.0], G, h, [1, 0]).start.tolist() == [0, 1]
+
+
+def test_variables_fixed_by_two_one_entry_rows():
+    # z1 <= 0 and -z1 <= 0 fix z1 at 0; 3 z2 <= 6 and -2 z2 <= -4 fix z2
+    # at 2; z0 has one bound only, and z3's two bounds leave it a range
+    G = [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 3.0, 0.0],
+        [0.0, 0.0, -2.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [1.0, 1.0, 1.0, 1.0],
+    ]
+    lp = _lp(np.ones(4), G, [1.0, 0.0, 0.0, 6.0, -4.0, 1.0, 0.0, 9.0])
+    fixed, value = lp_module._fixed(lp)
+    assert fixed.tolist() == [1, 2] and value.tolist() == [0.0, 2.0]
+
+
+def test_the_tight_read_returns_only_a_certified_optimum():
+    # maximize z0 + z1 subject to z0 <= 1, z1 <= 1, z0 + z1 <= 1.5, z >= 0
+    lp = _lp(
+        [-1.0, -1.0],
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        [1.0, 1.0, 1.5, 0.0, 0.0],
+    )
+
+    def read(rows):
+        rows = np.array(rows)
+        return lp_module._tight_solution(lp, rows, lp_module._factor(lp, rows), 7)
+
+    sol = read([1, 2])  # the optimal vertex (0.5, 1), dual (0, 0, 1, 0, 0)
+    assert sol.primal.tolist() == [0.5, 1.0] and sol.objective_value == -1.5
+    assert sol.dual.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0] and sol.iterations == 7
+    assert read([0, 1]) is None  # (1, 1) breaks z0 + z1 <= 1.5
+    assert read([3, 4]) is None  # (0, 0) is feasible, but its dual is -1
+    assert read([0, 3]) is None  # parallel rows: no vertex

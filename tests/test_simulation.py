@@ -48,6 +48,7 @@ from obsynth.problem import parse_problem, parse_problem_dict
 from obsynth.simulation import (
     _grid,
     _incidence_gains,
+    _ladder,
     _population_plant,
     _recur,
     simulate_ct,
@@ -1009,6 +1010,20 @@ def test_recur_turns_non_finite_at_the_plain_loops_row(rate, x0, B, row, K):
     got, want = _recur(phi, X0, G), _plain_recur(phi, X0, G)
     assert first_non_finite(got) == first_non_finite(want) == row
     assert np.all(np.abs(got[:row] - want[:row]) <= 1e-12 * np.abs(want[:row]))
+
+
+@pytest.mark.parametrize("rate", [0.1, 91.0, 400.0])
+def test_recur_from_a_longer_ladder_writes_the_same_bytes(rate):
+    # a delayed trace forms the ladder once, for its m + 1 rows, and scans
+    # every interval, the last one shorter, from it; where a power of the
+    # ladder overflows (rate 91: at Phi^8, rate 400: at Phi^2) the shorter
+    # scans block as they would from their own ladder
+    phi = np.array([[math.exp(rate)]])
+    powers = _ladder(phi, 40)
+    for K in range(1, 40):
+        G = np.full((K, 1), 1e-300)
+        got, want = _recur(phi, np.array([1e-300]), G, powers), _recur(phi, np.array([1e-300]), G)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from obsynth import (
     linf_gain_closed,
     solve,
 )
+import obsynth.lp as lp_module
 from obsynth.benchmarks import CORPUS_DIR
 from obsynth.problem import parse_problem
 from obsynth.synthesis import (
@@ -364,6 +365,30 @@ def test_discrete_delay_gain_and_design_match_the_lifted_plant():
         gamma = aggregate.gamma
         assert abs(lifted.gamma / (d + 1) - gamma) <= 1e-6 * (1.0 + gamma)
         assert certify(lifted, lift, spec).passed
+
+
+@pytest.mark.parametrize("started", [False, True])
+def test_a_plant_with_no_outputs_designs_and_certifies(monkeypatch, started):
+    # r = 0: L is n×0 and the LP has no U.  Its 3 x 6 start tableau is
+    # below START_MIN; with the floor lifted the start is the n stability
+    # rows and the gamma row alone, with no sign rows to pick
+    if started:
+        monkeypatch.setattr(lp_module, "START_MIN", 0)
+    sys = ContinuousSystem(
+        [[-2.0, 1.0], [0.5, -3.0]], [[1.0], [0.5]], np.zeros((0, 2)), np.zeros((0, 1))
+    )
+    spec = ObserverSpec()
+    lp = _assemble(sys, "standard", spec.epsilon, None, None, start=True)
+    assert lp.num_vars == 3
+    assert (None if lp.start is None else lp.start.tolist()) == ([0, 1, 2] if started else None)
+    result = design(sys, spec)
+    assert result.status == "optimal" and result.L.shape == (2, 0)
+    report = certify(result, sys, spec)
+    assert report.passed, report.flags
+    # the error system is the plant itself: gamma = 1^T (-A)^{-1} E
+    want = float(np.sum(np.linalg.solve(-sys.A, sys.E)))
+    assert report.gamma_independent == pytest.approx(want, rel=1e-12)
+    assert abs(result.gamma - want) <= 1e-4 * want
 
 
 def test_bound_activation_matches_analysis_gain():
@@ -817,9 +842,11 @@ def _assembly_cases():
 @pytest.mark.parametrize("plant, form, epsilon, lo, hi", _assembly_cases())
 def test_scattered_design_lp_matches_the_stacked_blocks(plant, form, epsilon, lo, hi):
     # the same rows in the same order with the same values (a zero may
-    # change its sign), so the solver returns the same bytes
-    got = _assemble(plant, form, epsilon, lo, hi)
+    # change its sign), so the solver, started at the same rows, returns
+    # the same bytes
+    got = _assemble(plant, form, epsilon, lo, hi, start=True)
     want = _reference_assemble(plant, form, epsilon, lo, hi)
+    want.start = got.start
     for name in ("ineq_lhs", "ineq_rhs", "objective"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and np.array_equal(a, b), name
