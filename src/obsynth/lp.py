@@ -39,9 +39,13 @@ Method*, 2005) drives them out:
   above -EPS, and the largest entry enters (the first slot on exact
   ties).  Taking the least ratio alone entered entries of 1e-4 among
   entries near 1 and sent the tableau far off;
-- after STALL consecutive pivots on a reduced cost at or below 0 the
-  leaving row is, until a pivot moves the dual objective, the one whose
-  basic variable has the lowest index.
+- after STALL consecutive pivots on a reduced cost at or below 0,
+  until a pivot moves the dual objective, Bland's rule for the dual
+  chooses: the leaving row is the one whose basic variable has the
+  lowest index, and of the slots whose ratio lies within TIE of the
+  least, the one whose variable has the lowest index enters.  As in
+  the primal rule below, that terminates in exact arithmetic, and in
+  floating point the ITERATION_CAP ends a cycle.
 
 A slack leaves and a slack enters, so every z+ stays basic.  Rows the
 dual phase leaves below zero at rounding level start phase 1 on
@@ -61,8 +65,9 @@ as the two-phase path's degenerate rows read it.  That read is
 returned only as a certificate: z breaks no row by more than FEAS_TOL
 (1 + max|ineq_rhs|), y ≥ -EPS, and G_Fᵀ y_F = -objective holds within
 EPS (1 + max|objective|).  A start that ends anywhere else (infeasible,
-unbounded, singular, or not so certified) is solved again by the
-two-phase path, whose pivots count on.
+unbounded, singular, not so certified, or stopped by a
+:class:`SolverFailureError`) is solved again by the two-phase path,
+whose pivots count on; a stopped start counts as the cap's pivots.
 
 The start is chosen from the LP's shape, START_MIN, BLOCK and the
 certified factorizations alone.  Below START_MIN its fixed work costs
@@ -135,8 +140,6 @@ sequence:
   factor is zero has 0 · x subtracted, which changes at most the sign
   of a zero.  The slots go BLOCK entries (at least one slot) per call,
   so the temporaries stay in cache while a slot's row fits in BLOCK.
-  A run of consecutive slots (the slacks and b of a dual pivot) is
-  updated through views, with no copy in and out.
 
 An optimal solution carries the dual ``y`` of maximize -ineq_rhs · y
 subject to ineq_lhsᵀ y = -objective, y ≥ 0: y_i is the final reduced
@@ -176,9 +179,9 @@ DRIFT = 1e-6
 # Bland's rule instead.
 PIVOT_RATIO = 1e-3
 
-# After STALL consecutive degenerate pivots (b[leave] == 0) the entering
-# column is chosen by Bland's rule until a pivot is nondegenerate, so
-# the solver cannot cycle.
+# After STALL consecutive degenerate pivots (b[leave] == 0; in the dual
+# phase, reduced[enter] <= 0) Bland's rule chooses until a pivot is
+# nondegenerate, so the solver cannot cycle.
 STALL = 5
 
 # Elimination updates at most BLOCK tableau entries per numpy call, or
@@ -300,13 +303,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, slo
     # time, which on all but the largest LPs is every slot in one call
     slots = prow.nonzero()[0]
     step = max(1, BLOCK // T.shape[1])
-    if slots.size and slots[-1] - slots[0] < slots.size:
-        # a run of slots (the slacks and b of a dual pivot): views, no copies
-        end = int(slots[-1]) + 1
-        blocks = [slice(at, min(at + step, end)) for at in range(int(slots[0]), end, step)]
-    else:
-        blocks = [slots[at : at + step] for at in range(0, slots.size, step)]
-    for block in blocks:
+    for at in range(0, slots.size, step):
+        block = slots[at : at + step]
         T[block] -= prow[block, None] * factors
     basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
@@ -473,20 +471,28 @@ def _dual(
         row = int(level.argmin())
         if level[row] >= -EPS:
             return it
-        if stall >= STALL:
+        bland = stall >= STALL
+        if bland:
             rows = (level < -EPS).nonzero()[0]
             row = int(rows[basis[rows].argmin()])
         alpha = T[:-1, row]
         cand = (alpha < -EPS).nonzero()[0]
         if cand.size == 0:
             return it
-        # Harris's two passes: the step that keeps every reduced cost
-        # above -EPS bounds the ratios, and of the candidates within it
-        # the largest pivot entry enters (the first slot on exact ties)
         entry = alpha[cand]
         costs = reduced[cand]
-        ok = costs <= ((costs + EPS) / entry).max() * entry
-        slot = int(cand[np.where(ok, entry, 0.0).argmin()])
+        if bland:
+            # of the least ratios (within TIE), the lowest variable index
+            ratios = costs / -entry
+            tied = cand[ratios <= ratios[ratios.argmin()] + TIE]
+            slot = int(tied[nonbasic[tied].argmin()])
+        else:
+            # Harris's two passes: the step that keeps every reduced cost
+            # above -EPS bounds the ratios, and of the candidates within
+            # it the largest pivot entry enters (the first slot on exact
+            # ties)
+            ok = costs <= ((costs + EPS) / entry).max() * entry
+            slot = int(cand[np.where(ok, entry, 0.0).argmin()])
         it += 1
         if it > cap:
             raise SolverFailureError(f"simplex exceeded the iteration cap ({cap})")
@@ -675,8 +681,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve the LP; statuses Optimal / Infeasible / Unbounded.
 
     Raises :class:`SolverFailureError` after ITERATION_CAP * (n + m)
-    pivots on one path, which is a numerical failure, not a statement
-    about the problem.
+    pivots at a square LP's vertex or on the two-phase path, which is a
+    numerical failure, not a statement about the problem; a started
+    solve that reaches the cap falls back to the two-phase path.
     """
     n = lp.num_vars
     m = lp.num_constraints
@@ -691,7 +698,11 @@ def solve(lp: LinearProgram) -> LpSolution:
             return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
         return _tableau_solution(lp, T, basis, nonbasic, iterations)
     if lp.start is not None and takes_start(n, m):
-        sol, used = _started(lp, cap)
+        try:
+            sol, used = _started(lp, cap)
+        except SolverFailureError:
+            # the start reached the cap (or broke down): cap pivots count
+            sol, used = None, cap
         if sol is not None:
             return sol
     # the two-phase path from the slack basis, also after a start that

@@ -375,13 +375,14 @@ def _ref_vertex_start(lp):
 def _ref_dual(T, b, cost, basis, slots, free, cap, used):
     # price once and raise negative reduced costs to 0.  The leaving row
     # is, of the rows below -EPS whose basic variable is no part of z, the
-    # one with the most negative b (the first row on exact ties), or after
-    # STALL pivots on a reduced cost at or below 0 the one whose basic
-    # variable has the lowest index.  Of the variables with an entry below
-    # -EPS in that row, those whose ratio lies within Harris's bound (the
-    # least ratio with EPS added to every reduced cost) are candidates,
-    # and the one with the most negative entry enters (the first in slot
-    # order on exact ties)
+    # one with the most negative b (the first row on exact ties).  Of the
+    # variables with an entry below -EPS in that row, those whose ratio
+    # lies within Harris's bound (the least ratio with EPS added to every
+    # reduced cost) are candidates, and the one with the most negative
+    # entry enters (the first in slot order on exact ties).  After STALL
+    # pivots on a reduced cost at or below 0, Bland's rule: the row whose
+    # basic variable has the lowest index leaves, and of the variables
+    # whose ratio lies within 1e-12 of the least, the lowest index enters
     reduced = np.zeros(T.shape[1])
     reduced[slots] = cost[slots] - np.ascontiguousarray(T[:, slots].T) @ cost[basis]
     reduced[slots] = np.maximum(reduced[slots], 0.0)
@@ -391,16 +392,21 @@ def _ref_dual(T, b, cost, basis, slots, free, cap, used):
         rows = [i for i in range(b.size) if b[i] < -lp_module.EPS and basis[i] >= free]
         if not rows:
             return it
-        if stall >= lp_module.STALL:
+        bland = stall >= lp_module.STALL
+        if bland:
             row = min(rows, key=lambda i: basis[i])
         else:
             row = min(rows, key=lambda i: b[i])
         cand = [j for j in slots if T[row, j] < -lp_module.EPS]
         if not cand:
             return it
-        bound = min((reduced[j] + lp_module.EPS) / -T[row, j] for j in cand)
-        ok = [j for j in cand if reduced[j] <= bound * -T[row, j]]
-        enter = min(ok, key=lambda j: T[row, j])
+        if bland:
+            low = min(reduced[j] / -T[row, j] for j in cand)
+            enter = min(j for j in cand if reduced[j] / -T[row, j] <= low + 1e-12)
+        else:
+            bound = min((reduced[j] + lp_module.EPS) / -T[row, j] for j in cand)
+            ok = [j for j in cand if reduced[j] <= bound * -T[row, j]]
+            enter = min(ok, key=lambda j: T[row, j])
         it += 1
         if it > cap:
             raise SolverFailureError(f"simplex exceeded the iteration cap ({cap})")
@@ -500,13 +506,16 @@ def _ref_solve(lp):
                 return LpSolution(status, iterations=used)
             return _ref_read(lp, b, basis, used)
         cost2 = np.concatenate([lp.objective, -lp.objective, np.zeros(m)])
-        used = _ref_dual(T, b, cost2, basis, slots, 2 * n, cap, 0)
         z = None
-        if not np.any((b < -lp_module.EPS) & (basis >= 2 * n)):
-            # leftovers below zero start phase 1 on an artificial
-            flip = (b < 0.0) & (basis >= 2 * n)
-            status, T, b, slots, used = _ref_phases(lp, T, b, basis, slots, flip, cap, used)
-            z = _ref_tight_point(lp, slots) if status is LpStatus.OPTIMAL else None
+        try:
+            used = _ref_dual(T, b, cost2, basis, slots, 2 * n, cap, 0)
+            if not np.any((b < -lp_module.EPS) & (basis >= 2 * n)):
+                # leftovers below zero start phase 1 on an artificial
+                flip = (b < 0.0) & (basis >= 2 * n)
+                status, T, b, slots, used = _ref_phases(lp, T, b, basis, slots, flip, cap, used)
+                z = _ref_tight_point(lp, slots) if status is LpStatus.OPTIMAL else None
+        except SolverFailureError:
+            used = cap  # a start stopped by the cap counts the cap's pivots
         if z is not None:
             return LpSolution(LpStatus.OPTIMAL, z, float(lp.objective @ z), used)
     # the two-phase path, from the slack basis, after an uncertified start too
@@ -625,9 +634,10 @@ def _design_plant(rng, klass, n, p=2, r=3):
     return DiscreteSystem(random_schur(rng, n) + L0 @ C, Bcl + L0 @ F, C, F)
 
 
-def _design_lp(plant, form="standard"):
-    """The design LP as design builds it, start rows named."""
-    return _assemble(plant, form, 1e-6, None, None, start=True)
+def _design_lp(plant, form="standard", start=True):
+    """The design LP as design builds it, start rows named, or as certify
+    builds it (start False), which takes the two-phase path."""
+    return _assemble(plant, form, 1e-6, None, None, start=start)
 
 
 def _bounds_around(rng, L):
@@ -638,20 +648,21 @@ def _bounds_around(rng, L):
     return [(lo, None), (None, hi), (lo, hi), (np.where(pinned, L, lo), np.where(pinned, L, hi))]
 
 
+@pytest.mark.parametrize("start", [True, False], ids=["started", "two-phase"])
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete", "discrete-delay"])
-def test_kernel_matches_reference_on_design_lps(klass, rule):
+def test_kernel_matches_reference_on_design_lps(klass, start, rule):
     rng = np.random.default_rng(47)
     form = "relaxed" if klass == "relaxed" else "standard"
     for n in (4, 6, 8, 10, 12):
         plant = _design_plant(rng, klass, n)
-        sol = _assert_same_as_reference(_design_lp(plant, form))
+        sol = _assert_same_as_reference(_design_lp(plant, form, start))
         assert sol.status is LpStatus.OPTIMAL
         if n > 8:
             continue
         # the same plant with gain bounds around its optimal gain
         L = design(plant, ObserverSpec(form=form)).L
         for lo, hi in _bounds_around(np.random.default_rng(n), L):
-            sol = _assert_same_as_reference(_assemble(plant, form, 1e-6, lo, hi, start=True))
+            sol = _assert_same_as_reference(_assemble(plant, form, 1e-6, lo, hi, start=start))
             assert sol.status is LpStatus.OPTIMAL
 
 
@@ -677,18 +688,20 @@ def test_kernel_matches_reference_through_an_infeasible_design(monkeypatch, rule
     assert statuses == [LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
 
 
+@pytest.mark.parametrize("start", [True, False], ids=["started", "two-phase"])
 @pytest.mark.parametrize("klass, n, rows", [("continuous", 16, 305), ("delay", 12, 325)])
-def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, rows, rule):
+def test_kernel_matches_reference_with_many_more_rows_than_columns(klass, n, rows, start, rule):
     # the condensed tableau drops the m basic columns, which here are
     # most of the full tableau's 2N + m
-    lp = _design_lp(_design_plant(np.random.default_rng(59), klass, n))
+    lp = _design_lp(_design_plant(np.random.default_rng(59), klass, n), start=start)
     assert lp.num_constraints == rows
     sol = _assert_same_as_reference(lp)
     assert sol.status is LpStatus.OPTIMAL
 
 
+@pytest.mark.parametrize("start", [True, False], ids=["started", "two-phase"])
 @pytest.mark.parametrize("block", [1, 100])
-def test_elimination_in_blocks_makes_the_same_pivots(monkeypatch, block, rule):
+def test_elimination_in_blocks_makes_the_same_pivots(monkeypatch, block, start, rule):
     # one slot (BLOCK = 1) or a few go per numpy call, so every pivot
     # of these small LPs spans several blocks, as only the largest
     # LPs' pivots do at the real BLOCK
@@ -696,7 +709,7 @@ def test_elimination_in_blocks_makes_the_same_pivots(monkeypatch, block, rule):
     rng = np.random.default_rng(79)
     for klass in ("continuous", "relaxed", "delay", "discrete"):
         form = "relaxed" if klass == "relaxed" else "standard"
-        _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 4), form))
+        _assert_same_as_reference(_design_lp(_design_plant(rng, klass, 4), form, start))
     for _ in range(5):
         _assert_same_as_reference(_random_boxed_lp(rng, 4, 8))
 
@@ -891,8 +904,9 @@ def test_design_at_n24_is_optimal_certified_and_matches_highs(klass, rows):
 # can make it leave
 
 
+@pytest.mark.parametrize("start", [True, False], ids=["started", "two-phase"])
 @pytest.mark.parametrize("klass", ["continuous", "relaxed", "delay", "discrete"])
-def test_no_pivot_of_a_design_lp_makes_a_part_of_z_leave(monkeypatch, klass):
+def test_no_pivot_of_a_design_lp_makes_a_part_of_z_leave(monkeypatch, klass, start):
     left = []  # the variable that leaves the basis at each pivot
     real = lp_module._pivot
 
@@ -904,7 +918,7 @@ def test_no_pivot_of_a_design_lp_makes_a_part_of_z_leave(monkeypatch, klass):
     rng = np.random.default_rng(83)
     form = "relaxed" if klass == "relaxed" else "standard"
     for n in (4, 8, 12):
-        lp = _design_lp(_design_plant(rng, klass, n), form)
+        lp = _design_lp(_design_plant(rng, klass, n), form, start)
         left.clear()
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
@@ -1144,6 +1158,36 @@ def test_an_uncertified_optimum_falls_back_to_the_two_phase_path(monkeypatch):
     got = solve(lp)
     assert got.iterations == started.iterations + cold.iterations
     assert got.primal.tobytes() == cold.primal.tobytes()
+
+
+@pytest.mark.parametrize("stage", ["_dual", "_phases"])
+def test_a_start_that_reaches_the_cap_falls_back_to_the_two_phase_path(monkeypatch, stage):
+    # the started solve's dual phase, or its phase 2, gets a cap of the
+    # pivots made so far, so its next pivot raises as a cycle would; the
+    # two-phase path then solves from the slack basis, after the cap
+    lp = _design_lp(_design_plant(np.random.default_rng(113), "continuous", 6))
+    cap = lp_module.ITERATION_CAP * (lp.num_vars + lp.num_constraints)
+    cold = solve(_without_start(lp))
+    real = getattr(lp_module, stage)
+    calls = []
+
+    def capped(*args):
+        if calls:  # the two-phase path's phases keep their cap
+            return real(*args)
+        calls.append(stage)
+        try:
+            return real(*args[:-2], args[-1], args[-1])
+        except SolverFailureError:
+            calls.append("raised")
+            raise
+
+    monkeypatch.setattr(lp_module, stage, capped)
+    got = solve(lp)
+    assert calls[:2] == [stage, "raised"]
+    assert got.status is cold.status is LpStatus.OPTIMAL
+    assert got.iterations == cap + cold.iterations
+    assert got.primal.tobytes() == cold.primal.tobytes()
+    assert got.dual.tobytes() == cold.dual.tobytes()
 
 
 def test_start_rows_are_checked():
